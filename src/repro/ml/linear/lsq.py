@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import fdtrc
 from scipy import stats as sps
 
 from repro.errors import NumericalError
@@ -253,4 +254,6 @@ def partial_f_pvalue(fit_reduced: OlsFit, fit_full: OlsFit, df_added: int = 1) -
     if improvement <= 0.0:
         return 1.0
     f_stat = (improvement / df_added) / (fit_full.sse / fit_full.df_resid)
-    return float(sps.f.sf(f_stat, df_added, fit_full.df_resid))
+    # The F survival function itself: ``scipy.stats.f.sf`` delegates to
+    # ``fdtrc`` after ~60 µs of argument handling.
+    return float(fdtrc(df_added, fit_full.df_resid, f_stat))

@@ -11,7 +11,13 @@ from repro.ml.nn.pruning import (
     input_sensitivities,
     prune_network,
 )
-from repro.ml.nn.training import TrainingConfig, TrainingResult, holdout_split, train
+from repro.ml.nn.training import (
+    TrainingConfig,
+    TrainingResult,
+    holdout_split,
+    train,
+    train_stack,
+)
 
 __all__ = [
     "LINEAR",
@@ -33,4 +39,5 @@ __all__ = [
     "TrainingResult",
     "holdout_split",
     "train",
+    "train_stack",
 ]

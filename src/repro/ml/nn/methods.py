@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.ml.nn.network import MLP
 from repro.ml.nn.pruning import prune_network
-from repro.ml.nn.training import TrainingConfig, holdout_split, train
+from repro.ml.nn.training import TrainingConfig, holdout_split, train, train_stack
 
 __all__ = ["NN_METHODS", "NnBuild", "build_quick", "build_dynamic", "build_multiple",
            "build_prune", "build_exhaustive_prune", "build_single"]
@@ -169,11 +169,14 @@ def build_exhaustive_prune(X: np.ndarray, y: np.ndarray, rng: np.random.Generato
     n_in = X.shape[1]
     cfg = TrainingConfig(max_epochs=5000, patience=500)
     retrain = TrainingConfig(max_epochs=700, patience=120)
+    # All restarts are drawn before any is trained, and trained as one
+    # stack. Each still gets the weights it would get if drawn just before
+    # its own training, because training and pruning draw nothing from rng.
+    nets = [MLP([n_in, n_in + 4, max(4, n_in // 2), 1], rng) for _ in range(3)]
+    train_stack(nets, Xt, yt, cfg, Xv, yv)
     best: tuple[MLP, float] | None = None
     notes = []
-    for restart in range(3):
-        net = MLP([n_in, n_in + 4, max(4, n_in // 2), 1], rng)
-        train(net, Xt, yt, cfg, Xv, yv)
+    for restart, net in enumerate(nets):
         outcome = prune_network(net, Xt, yt, Xv, yv, retrain, tolerance=0.01)
         notes.append(
             f"restart {restart}: val={outcome.val_loss:.3g} "

@@ -132,10 +132,13 @@ class MLP:
     def loss_and_grad(
         self, X: np.ndarray, y: np.ndarray
     ) -> tuple[float, list[np.ndarray]]:
-        """MSE and its gradient w.r.t. every weight matrix (backprop)."""
+        """MSE and its gradient w.r.t. every weight matrix (backprop).
+
+        Training runs its own replica-stacked backward pass
+        (:mod:`repro.ml.nn.training`); this one is its test reference.
+        """
         y = np.asarray(y, dtype=np.float64).reshape(-1, self.n_outputs)
         acts = self.forward(X)
-        n = acts[0].shape[0]
         out = acts[-1]
         diff = out - y
         loss = float(np.mean(diff * diff))
@@ -151,7 +154,6 @@ class MLP:
             grads[li] = g
             if li > 0:
                 delta = (delta @ self.weights[li][1:].T) * self.hidden_act.deriv_from_output(a_prev)
-        del n
         return loss, grads
 
     # -- structural edits (for pruning) --------------------------------------

@@ -16,20 +16,40 @@ steepest descent", paper §3.2). We implement:
   chronological neural nets over-fit exactly as the paper reports.
 
 Datasets here are small (tens to hundreds of records), so full-batch
-updates are both the faithful and the fast choice: each epoch is two GEMMs.
+updates are both the faithful and the fast choice, and an epoch's cost is
+numpy call overhead rather than arithmetic. One kernel, :func:`train_stack`,
+therefore trains a stack of R same-topology networks on shared data at once
+(NN-E's three restarts); :func:`train` is its R = 1 case.
+
+* All weights of the stack sit in one contiguous ``(R, P)`` buffer, each
+  layer's ``(fan_in + 1, fan_out)`` matrix a view into it; gradients fill a
+  second ``(R, P)`` buffer of the same layout. Forward and backward passes
+  are stacked ``np.matmul`` calls on ``(R, n, k)`` arrays.
+* The optimizer update runs once per epoch over the whole flat buffer, with
+  ``np.where`` in place of boolean indexing; gd keeps a rate per replica.
+* Each replica has its own patience counter, best-weights snapshot (one
+  masked ``np.copyto`` per epoch), divergence bound and
+  :class:`TrainingResult`. A replica that stops leaves the stack.
+
+A stacked network ends bit for bit where a lone :func:`train` call would
+leave it: every update is element-wise, stacked ``matmul`` calls BLAS once
+per replica slice, and the per-replica loss and bias-gradient sums reduce
+in the same order as the two-dimensional calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import NumericalError
+from repro.ml.nn.activations import LINEAR, Activation
 from repro.ml.nn.network import MLP
 from repro.obs.metrics import default_registry as _metrics
 
-__all__ = ["TrainingConfig", "TrainingResult", "train", "holdout_split"]
+__all__ = ["TrainingConfig", "TrainingResult", "train", "train_stack", "holdout_split"]
 
 
 @dataclass(frozen=True)
@@ -53,7 +73,9 @@ class TrainingConfig:
         Stop after this many epochs without validation improvement
         (ignored when no validation set is provided).
     min_delta:
-        Minimum relative improvement that resets patience.
+        Minimum relative improvement that resets patience, in ``[0, 1)``.
+    rate_grow, rate_shrink:
+        Bold-driver factors: ``rate_grow > 1``, ``rate_shrink`` in ``(0, 1)``.
     divergence_factor:
         Training is declared divergent — a typed
         :class:`~repro.errors.NumericalError` with cause ``nn-divergence``
@@ -74,7 +96,8 @@ class TrainingConfig:
     patience: int = 100
     min_delta: float = 1e-5
     divergence_factor: float = 1e6
-    # Rprop constants (Riedmiller & Braun defaults).
+    # Rprop constants (Riedmiller & Braun defaults): rprop_grow > 1,
+    # rprop_shrink in (0, 1), rprop_min <= rprop_init <= rprop_max.
     rprop_init: float = 0.01
     rprop_grow: float = 1.2
     rprop_shrink: float = 0.5
@@ -95,6 +118,23 @@ class TrainingConfig:
         if self.divergence_factor <= 1.0:
             raise ValueError(
                 f"divergence_factor must be > 1, got {self.divergence_factor}"
+            )
+        if not (0.0 <= self.min_delta < 1.0):
+            # min_delta >= 1 would make no epoch an improvement, so training
+            # would stop without ever taking a snapshot to restore.
+            raise ValueError(f"min_delta must be in [0, 1), got {self.min_delta}")
+        if self.rate_grow <= 1.0:
+            raise ValueError(f"rate_grow must be > 1, got {self.rate_grow}")
+        if not (0.0 < self.rate_shrink < 1.0):
+            raise ValueError(f"rate_shrink must be in (0, 1), got {self.rate_shrink}")
+        if self.rprop_grow <= 1.0:
+            raise ValueError(f"rprop_grow must be > 1, got {self.rprop_grow}")
+        if not (0.0 < self.rprop_shrink < 1.0):
+            raise ValueError(f"rprop_shrink must be in (0, 1), got {self.rprop_shrink}")
+        if not (self.rprop_min <= self.rprop_init <= self.rprop_max):
+            raise ValueError(
+                f"need rprop_min <= rprop_init <= rprop_max, got {self.rprop_min}, "
+                f"{self.rprop_init}, {self.rprop_max}"
             )
 
 
@@ -123,6 +163,67 @@ def holdout_split(
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
+class _Layout:
+    """Where each layer's ``(fan_in + 1, fan_out)`` matrix (bias row first,
+    as in :class:`MLP`) sits in a flat row of ``n_params`` weights."""
+
+    def __init__(self, layer_sizes: Sequence[int]) -> None:
+        self.shapes = [(i + 1, o) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])]
+        ends = np.cumsum([a * b for a, b in self.shapes]).tolist()
+        self.spans = list(zip([0, *ends[:-1]], ends))
+        self.n_params = ends[-1]
+
+    def views(self, buf: np.ndarray) -> list[np.ndarray]:
+        """Per-layer ``(R, fan_in + 1, fan_out)`` views into an ``(R, P)`` buffer."""
+        return [buf[:, lo:hi].reshape(len(buf), *shape)
+                for (lo, hi), shape in zip(self.spans, self.shapes)]
+
+    def layers(self, W: np.ndarray, G: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        """Per layer: weight body, bias row, body transposed (views into the
+        weights ``W``), gradient body and gradient bias row (views into ``G``)."""
+        return [(w[:, 1:], w[:, :1], w[:, 1:].swapaxes(1, 2), g[:, 1:], g[:, 0])
+                for w, g in zip(self.views(W), self.views(G))]
+
+
+def _forward(a: np.ndarray, layers: list[tuple[np.ndarray, ...]], hidden: Activation,
+             output: Activation) -> list[np.ndarray]:
+    """Layer activations of every replica, inputs first, output ``(R, n, q)`` last."""
+    acts = [a]
+    last = len(layers) - 1
+    for li, (body, bias, *_) in enumerate(layers):
+        a = (output if li == last else hidden).fn(np.matmul(a, body) + bias)
+        acts.append(a)
+    return acts
+
+
+def _mse(out: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-replica mean squared error (exactly ``np.mean`` of each slice)
+    and the residuals."""
+    diff = out - y
+    sq = diff * diff
+    return np.add.reduce(sq.reshape(len(sq), -1), axis=1) / diff[0].size, diff
+
+
+def _backward(acts: list[np.ndarray], diff: np.ndarray, layers: list[tuple[np.ndarray, ...]],
+              hidden: Activation, output: Activation) -> None:
+    """Backpropagate the MSE of every replica into the layers' gradient views."""
+    delta = (2.0 / diff[0].size) * diff
+    if output is not LINEAR:  # the linear derivative is a multiply by 1.0
+        delta = delta * output.deriv_from_output(acts[-1])
+    for li in range(len(layers) - 1, -1, -1):
+        a_prev = acts[li]
+        _, _, body_t, grad_body, grad_bias = layers[li]
+        np.add.reduce(delta, axis=-2, out=grad_bias)
+        np.matmul(a_prev.swapaxes(-1, -2), delta, out=grad_body)
+        if li:
+            delta = np.matmul(delta, body_t) * hidden.deriv_from_output(a_prev)
+
+
+def _diverged(message: str, context: dict) -> NumericalError:
+    _metrics().counter("robust.nn.divergence").inc()
+    return NumericalError(message, cause="nn-divergence", context=context)
+
+
 def train(
     net: MLP,
     X: np.ndarray,
@@ -135,96 +236,173 @@ def train(
 
     When a validation set is given, the weights achieving the lowest
     validation loss are restored at the end (early stopping with restore).
+    This is :func:`train_stack` with a stack of one.
     """
+    return train_stack([net], X, y, config, X_val, y_val)[0]
+
+
+def train_stack(
+    nets: Sequence[MLP],
+    X: np.ndarray,
+    y: np.ndarray,
+    config: TrainingConfig,
+    X_val: np.ndarray | None = None,
+    y_val: np.ndarray | None = None,
+) -> list[TrainingResult]:
+    """Train same-topology ``nets`` on shared data, each in place, as one stack.
+
+    Every network ends exactly as a separate :func:`train` call would leave
+    it, with the same :class:`TrainingResult`. A replica that stops early
+    leaves the stack. The first epoch at which any replica diverges raises
+    the :class:`~repro.errors.NumericalError` of the lowest-index one.
+    """
+    if not nets:
+        raise ValueError("need at least one network to train")
+    head = nets[0]
+    for net in nets[1:]:
+        if (net.layer_sizes != head.layer_sizes or net.hidden_act is not head.hidden_act
+                or net.output_act is not head.output_act):
+            raise ValueError(f"a stack needs one topology; got {net!r} next to {head!r}")
+    hidden, output = head.hidden_act, head.output_act
+    masks = np.array([net.input_mask for net in nets])
+
+    def inputs(A: np.ndarray) -> np.ndarray:
+        A = np.atleast_2d(np.asarray(A, dtype=np.float64))
+        if A.shape[1] != head.n_inputs:
+            raise ValueError(f"expected {head.n_inputs} inputs, got {A.shape[1]}")
+        # Masked inputs are silenced once per call, not once per epoch.
+        return A if masks.all() else A * masks[:, None, :]
+
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64)
+    Xm = inputs(X)
+    y2 = np.asarray(y, dtype=np.float64).reshape(-1, head.n_outputs)
     has_val = X_val is not None and y_val is not None and len(np.atleast_1d(y_val)) > 0
+    if has_val:
+        Xv = inputs(X_val)
+        yv = np.asarray(y_val, dtype=np.float64).reshape(-1, head.n_outputs)
 
+    R = len(nets)
+    layout = _Layout(head.layer_sizes)
+    W = np.empty((R, layout.n_params))
+    for r, net in enumerate(nets):
+        for view, w in zip(layout.views(W), net.weights):
+            view[r] = w
+    G = np.empty_like(W)
+    layers = layout.layers(W, G)
+    # The weights each replica ends with: its best snapshot, or without a
+    # validation set its final weights (the buffer itself).
+    best_w = W.copy() if has_val else W
     use_rprop = config.optimizer == "rprop"
-    velocity = [np.zeros_like(w) for w in net.weights]
-    step = [np.full_like(w, config.rprop_init) for w in net.weights]
-    prev_sign = [np.zeros_like(w) for w in net.weights]
-    lr = config.learning_rate
-    prev_loss = np.inf
-    best_val = np.inf
-    best_weights: list[np.ndarray] | None = None
-    since_best = 0
-    history: list[float] = []
-    stopped_early = False
-    epochs_run = 0
+    if use_rprop:
+        step = np.full_like(W, config.rprop_init)
+        prev_sign = np.zeros_like(W)
+    else:
+        velocity = np.zeros_like(W)
+        lr = np.full(R, config.learning_rate)
+        prev_loss = np.full(R, np.inf)
+    bound = np.full(R, np.inf)
+    best_val = np.full(R, np.inf)
+    since_best = np.zeros(R, dtype=np.int64)
+    active = list(range(R))  # original index of each stack row
+    history: list[list[float]] = [[] for _ in range(R)]
+    finished: dict[int, tuple[int, bool, float]] = {}
 
-    loss_bound: float | None = None
+    def finish(rows: np.ndarray, epochs_run: int, stopped_early: bool) -> None:
+        for row in np.flatnonzero(rows):
+            i = active[row]
+            for w, view in zip(nets[i].weights, layout.views(best_w[row:row + 1])):
+                w[...] = view[0]
+            finished[i] = (epochs_run, stopped_early, float(best_val[row]))
+
     for epoch in range(config.max_epochs):
         epochs_run = epoch + 1
-        loss, grads = net.loss_and_grad(X, y)
-        history.append(loss)
-        if loss_bound is None:
-            loss_bound = max(float(loss) if np.isfinite(loss) else 1.0, 1.0) \
+        acts = _forward(Xm, layers, hidden, output)
+        loss, diff = _mse(acts[-1], y2)
+        for i, value in zip(active, loss.tolist()):
+            history[i].append(value)
+        if epoch == 0:
+            bound = np.maximum(np.where(np.isfinite(loss), loss, 1.0), 1.0) \
                 * config.divergence_factor
-        if not np.isfinite(loss) or loss > loss_bound:
-            _metrics().counter("robust.nn.divergence").inc()
-            raise NumericalError(
-                f"training diverged at epoch {epochs_run}: loss={float(loss)!r} "
-                f"(bound {loss_bound:.3g})",
-                cause="nn-divergence",
-                context={"epoch": epochs_run, "loss": float(loss),
-                         "bound": float(loss_bound), "optimizer": config.optimizer},
+        sound = np.isfinite(loss) & (loss <= bound)
+        if not sound.all():
+            row = int(np.argmin(sound))
+            raise _diverged(
+                f"training diverged at epoch {epochs_run}: loss={float(loss[row])!r} "
+                f"(bound {bound[row]:.3g})",
+                {"epoch": epochs_run, "loss": float(loss[row]),
+                 "bound": float(bound[row]), "optimizer": config.optimizer},
             )
+        _backward(acts, diff, layers, hidden, output)
 
         if use_rprop:
             # Rprop-: per-weight signed steps; shrink and skip on sign flip.
-            for w, g, d, ps in zip(net.weights, grads, step, prev_sign):
-                s = np.sign(g)
-                agree = (s * ps) > 0
-                flip = (s * ps) < 0
-                d[agree] = np.minimum(d[agree] * config.rprop_grow, config.rprop_max)
-                d[flip] = np.maximum(d[flip] * config.rprop_shrink, config.rprop_min)
-                s[flip] = 0.0
-                w -= s * d
-                ps[:] = s
+            sign = np.sign(G)
+            agree = sign * prev_sign
+            flip = agree < 0.0
+            step = np.where(agree > 0.0, np.minimum(step * config.rprop_grow, config.rprop_max),
+                            np.where(flip, np.maximum(step * config.rprop_shrink,
+                                                      config.rprop_min), step))
+            np.copyto(sign, 0.0, where=flip)
+            W -= sign * step
+            prev_sign = sign
         else:
-            if config.adaptive_rate and loss > prev_loss * (1.0 + 1e-12) and epoch > 0:
-                # Bold driver: worsening step — shrink the rate, damp momentum.
-                lr = max(lr * config.rate_shrink, config.min_rate)
-                for v in velocity:
-                    v *= 0.0
-            elif config.adaptive_rate:
-                lr = min(lr * config.rate_grow, config.max_rate)
+            if config.adaptive_rate:
+                # Bold driver: a worsening step shrinks the rate and damps
+                # momentum; any other step grows the rate.
+                worse = loss > prev_loss * (1.0 + 1e-12)
+                lr = np.where(worse, np.maximum(lr * config.rate_shrink, config.min_rate),
+                              np.minimum(lr * config.rate_grow, config.max_rate))
+                if worse.any():
+                    np.multiply(velocity, 0.0, out=velocity, where=worse[:, None])
             prev_loss = loss
+            velocity *= config.momentum
+            velocity -= lr[:, None] * G
+            W += velocity
 
-            for w, g, v in zip(net.weights, grads, velocity):
-                v *= config.momentum
-                v -= lr * g
-                w += v
-
-        if has_val:
-            val_loss = net.loss(X_val, y_val)
-            if not np.isfinite(val_loss):
-                _metrics().counter("robust.nn.divergence").inc()
-                raise NumericalError(
-                    f"validation loss went non-finite at epoch {epochs_run}",
-                    cause="nn-divergence",
-                    context={"epoch": epochs_run, "loss": float(val_loss),
-                             "optimizer": config.optimizer},
-                )
-            if val_loss < best_val * (1.0 - config.min_delta):
-                best_val = val_loss
-                best_weights = [w.copy() for w in net.weights]
-                since_best = 0
+        if not has_val:
+            continue
+        val_loss = _mse(_forward(Xv, layers, hidden, output)[-1], yv)[0]
+        finite = np.isfinite(val_loss)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise _diverged(
+                f"validation loss went non-finite at epoch {epochs_run}",
+                {"epoch": epochs_run, "loss": float(val_loss[row]),
+                 "optimizer": config.optimizer},
+            )
+        improved = val_loss < best_val * (1.0 - config.min_delta)
+        np.copyto(best_w, W, where=improved[:, None])
+        best_val = np.where(improved, val_loss, best_val)
+        since_best = np.where(improved, 0, since_best + 1)
+        done = since_best >= config.patience
+        if done.any():
+            finish(done, epochs_run, stopped_early=True)
+            if done.all():
+                break
+            # Compact: the stopped replicas leave the stack.
+            keep = ~done
+            W, best_w = W[keep], best_w[keep]
+            G = np.empty_like(W)
+            layers = layout.layers(W, G)
+            if use_rprop:
+                step, prev_sign = step[keep], prev_sign[keep]
             else:
-                since_best += 1
-                if since_best >= config.patience:
-                    stopped_early = True
-                    break
+                velocity, lr, prev_loss = velocity[keep], lr[keep], prev_loss[keep]
+            bound, best_val, since_best = bound[keep], best_val[keep], since_best[keep]
+            active = [i for i, kept in zip(active, keep) if kept]
+            if Xm.ndim == 3:
+                Xm, Xv = Xm[keep], Xv[keep]
+    else:
+        finish(np.ones(len(active), dtype=bool), config.max_epochs, stopped_early=False)
 
-    if has_val and best_weights is not None:
-        net.weights = best_weights
-
-    final_train = net.loss(X, y)
-    return TrainingResult(
-        final_train_loss=final_train,
-        best_val_loss=(float(best_val) if has_val and np.isfinite(best_val) else None),
-        epochs_run=epochs_run,
-        stopped_early=stopped_early,
-        loss_history=history,
-    )
+    results = []
+    for i, net in enumerate(nets):
+        epochs_run, stopped_early, best = finished[i]
+        results.append(TrainingResult(
+            final_train_loss=net.loss(X, y),
+            best_val_loss=best if has_val and np.isfinite(best) else None,
+            epochs_run=epochs_run,
+            stopped_early=stopped_early,
+            loss_history=history[i],
+        ))
+    return results

@@ -121,3 +121,30 @@ class TestPartialF:
         fit = fit_ols(X, y)
         with pytest.raises(ValueError):
             partial_f_pvalue(fit, fit, df_added=0)
+
+
+class TestPartialFSurvival:
+    """``partial_f_pvalue`` calls ``scipy.special.fdtrc`` directly; it must
+    equal the ``scipy.stats.f.sf`` it replaced bit for bit."""
+
+    @pytest.mark.parametrize("df_added", [1, 2, 5])
+    @pytest.mark.parametrize("df_resid", [1, 3, 10, 44, 200])
+    def test_fdtrc_equals_f_sf_on_grid(self, df_added, df_resid):
+        from scipy import special, stats
+
+        f_stats = np.concatenate([np.geomspace(1e-8, 1e4, 60), [0.5, 1.0, 2.0, 3.84]])
+        for f_stat in f_stats:
+            direct = float(special.fdtrc(df_added, df_resid, f_stat))
+            assert direct == float(stats.f.sf(f_stat, df_added, df_resid))
+
+    def test_pvalue_is_f_survival_of_partial_f(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=40)
+        junk = rng.normal(size=40)
+        y = 1.0 + 2.0 * x + 0.2 * junk + rng.normal(0, 0.5, 40)
+        reduced = fit_ols(x[:, None], y)
+        full = fit_ols(np.column_stack([x, junk]), y)
+        f_stat = (reduced.sse - full.sse) / (full.sse / full.df_resid)
+        assert partial_f_pvalue(reduced, full) == float(stats.f.sf(f_stat, 1, full.df_resid))

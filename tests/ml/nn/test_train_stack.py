@@ -1,0 +1,160 @@
+"""Replica-stacked training: a stack of R networks trained by one
+``train_stack`` call must end bit for bit where R separate ``train`` calls
+leave them — weights, loss history, epochs run, early stop and best
+validation loss — including replicas that stop at different epochs and a
+replica that diverges."""
+
+import numpy as np
+import pytest
+
+from repro.errors import NumericalError
+from repro.ml.nn.network import MLP
+from repro.ml.nn.training import TrainingConfig, train, train_stack
+from repro.obs.metrics import default_registry
+
+
+def _target(X):
+    return 0.2 + 0.5 * X[:, 0] * X[:, 1] + 0.1 * X[:, 2]
+
+
+@pytest.fixture(scope="module")
+def data():
+    rng = np.random.default_rng(0)
+    X = rng.random((40, 3))
+    Xv = rng.random((15, 3))
+    return X, _target(X), Xv, _target(Xv)
+
+
+def _nets(seeds, sizes=(3, 6, 1), **kw):
+    return [MLP(list(sizes), np.random.default_rng(s), **kw) for s in seeds]
+
+
+def _assert_same(stacked, sequential, stacked_results, sequential_results):
+    for a, b in zip(stacked, sequential):
+        assert a.layer_sizes == b.layer_sizes
+        for wa, wb in zip(a.weights, b.weights):
+            np.testing.assert_array_equal(wa, wb)
+    for ra, rb in zip(stacked_results, sequential_results):
+        assert ra.loss_history == rb.loss_history
+        assert ra.epochs_run == rb.epochs_run
+        assert ra.stopped_early == rb.stopped_early
+        assert ra.best_val_loss == rb.best_val_loss
+        assert ra.final_train_loss == rb.final_train_loss
+
+
+def _run_both(nets, X, y, cfg, Xv=None, yv=None):
+    clones = [net.clone() for net in nets]
+    stacked = train_stack(nets, X, y, cfg, Xv, yv)
+    sequential = [train(net, X, y, cfg, Xv, yv) for net in clones]
+    _assert_same(nets, clones, stacked, sequential)
+    return stacked
+
+
+RPROP = TrainingConfig(max_epochs=150, patience=25)
+GD = TrainingConfig(optimizer="gd", max_epochs=95, patience=25, learning_rate=0.3)
+
+
+class TestStackEqualsSequential:
+    @pytest.mark.parametrize("cfg, seeds", [(RPROP, [0, 2, 10]), (GD, [6, 9, 0])],
+                             ids=["rprop", "gd"])
+    def test_staggered_early_stops_and_one_full_run(self, data, cfg, seeds):
+        X, y, Xv, yv = data
+        results = _run_both(_nets(seeds), X, y, cfg, Xv, yv)
+        epochs = [r.epochs_run for r in results]
+        # Two replicas stop early at different epochs and leave the stack;
+        # the third runs to max_epochs.
+        assert results[0].stopped_early and results[1].stopped_early
+        assert epochs[0] != epochs[1]
+        assert epochs[2] == cfg.max_epochs and not results[2].stopped_early
+
+    @pytest.mark.parametrize("cfg", [
+        TrainingConfig(max_epochs=60),
+        TrainingConfig(optimizer="gd", max_epochs=60, learning_rate=0.3),
+        TrainingConfig(optimizer="gd", max_epochs=60, learning_rate=0.15,
+                       adaptive_rate=False),
+    ], ids=["rprop", "gd-bold-driver", "gd-constant"])
+    def test_without_validation(self, data, cfg):
+        X, y, _, _ = data
+        results = _run_both(_nets([1, 4, 5]), X, y, cfg)
+        assert all(r.epochs_run == 60 and r.best_val_loss is None for r in results)
+
+    def test_different_input_masks(self, data):
+        X, y, Xv, yv = data
+        nets = _nets([3, 7])
+        nets[1].mask_input(2)
+        _run_both(nets, X, y, RPROP, Xv, yv)
+
+    def test_sigmoid_output_two_hidden_layers(self, data):
+        X, y, Xv, yv = data
+        nets = _nets([2, 8], sizes=(3, 5, 3, 1), output="sigmoid")
+        _run_both(nets, X, y, RPROP, Xv, yv)
+
+    def test_rejects_mixed_topologies(self, data):
+        X, y, _, _ = data
+        nets = [MLP([3, 6, 1], np.random.default_rng(0)),
+                MLP([3, 5, 1], np.random.default_rng(1))]
+        with pytest.raises(ValueError, match="one topology"):
+            train_stack(nets, X, y, RPROP)
+
+    def test_rejects_empty_stack(self, data):
+        X, y, _, _ = data
+        with pytest.raises(ValueError):
+            train_stack([], X, y, RPROP)
+
+
+class TestKernelMatchesReferenceBackprop:
+    """One momentum-free gradient step equals ``w - lr * g`` with ``g`` from
+    the two-dimensional reference ``MLP.loss_and_grad``."""
+
+    @pytest.mark.parametrize("output", ["linear", "sigmoid"])
+    def test_first_step(self, data, output):
+        X, y, _, _ = data
+        net = MLP([3, 5, 3, 1], np.random.default_rng(9), output=output)
+        net.mask_input(1)
+        loss, grads = net.loss_and_grad(X, y)
+        before = [w.copy() for w in net.weights]
+        cfg = TrainingConfig(optimizer="gd", max_epochs=1, learning_rate=0.25,
+                             momentum=0.0, adaptive_rate=False)
+        result = train(net, X, y, cfg)
+        assert result.loss_history == [loss]
+        for w, w0, g in zip(net.weights, before, grads):
+            np.testing.assert_array_equal(w, w0 + -(0.25 * g))
+
+
+class TestStackDivergence:
+    CFG = TrainingConfig(optimizer="gd", max_epochs=100, learning_rate=0.8,
+                         max_rate=0.8, adaptive_rate=False, divergence_factor=100.0)
+
+    def _sequential_error(self, seed, X, y):
+        with pytest.raises(NumericalError) as ei:
+            train(_nets([seed])[0], X, y, self.CFG)
+        return ei.value
+
+    def test_first_diverging_epoch_raises_lowest_index_once(self, data):
+        X, y, _, _ = data
+        # Seed 1 trains cleanly; seeds 7 and 0 both diverge at epoch 5
+        # with different losses, so the raise must name replica 1 (seed 7).
+        clean = train(_nets([1])[0], X, y, self.CFG)
+        assert clean.epochs_run == 100
+        first = self._sequential_error(7, X, y)
+        second = self._sequential_error(0, X, y)
+        assert first.context["epoch"] == second.context["epoch"]
+        assert first.context["loss"] != second.context["loss"]
+
+        counter = default_registry().counter("robust.nn.divergence")
+        before = counter.value
+        with pytest.raises(NumericalError) as ei:
+            train_stack(_nets([1, 7, 0]), X, y, self.CFG)
+        assert counter.value == before + 1
+        assert ei.value.cause == "nn-divergence"
+        assert ei.value.context == first.context
+        assert str(ei.value) == str(first)
+
+    def test_earliest_divergence_wins_over_lower_index(self, data):
+        X, y, _, _ = data
+        late = self._sequential_error(3, X, y)
+        early = self._sequential_error(2, X, y)
+        assert early.context["epoch"] < late.context["epoch"]
+        with pytest.raises(NumericalError) as ei:
+            train_stack(_nets([1, 3, 2]), X, y, self.CFG)
+        assert ei.value.context == early.context

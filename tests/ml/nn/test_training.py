@@ -26,6 +26,16 @@ class TestTrainingConfig:
             {"learning_rate": 0.0},
             {"momentum": 1.0},
             {"patience": 0},
+            {"rprop_grow": 1.0},
+            {"rprop_shrink": 0.0},
+            {"rprop_shrink": 1.0},
+            {"rprop_min": 0.02},
+            {"rprop_init": 2.0},
+            {"min_delta": 1.0},
+            {"min_delta": -1e-3},
+            {"rate_grow": 1.0},
+            {"rate_shrink": 0.0},
+            {"rate_shrink": 1.0},
         ],
     )
     def test_rejects_bad_values(self, kw):
