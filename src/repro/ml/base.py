@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +30,13 @@ class PredictiveModel(ABC):
     @abstractmethod
     def fit(self, train: Dataset) -> "PredictiveModel":
         """Train on ``train`` and return ``self``."""
+
+    @classmethod
+    def fit_many(cls, models: Sequence["PredictiveModel"],
+                 datasets: Sequence[Dataset]) -> list["PredictiveModel"]:
+        """Fit each of ``models`` on its dataset, as ``fit`` on each would,
+        and return them. Models whose fits can share work override this."""
+        return [model.fit(data) for model, data in zip(models, datasets)]
 
     @abstractmethod
     def predict(self, data: Dataset) -> np.ndarray:

@@ -22,13 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import fdtrc
-from scipy import stats as sps
+from scipy.special import fdtrc, stdtr
 
 from repro.errors import NumericalError
 from repro.obs.metrics import default_registry as _metrics
 
-__all__ = ["OlsFit", "fit_ols", "partial_f_pvalue", "COND_ILL_THRESHOLD"]
+__all__ = ["OlsFit", "OlsSolve", "fit_ols", "solve_ols", "partial_f_pvalue",
+           "COND_ILL_THRESHOLD"]
 
 #: Condition number beyond which a design is reported as ill-conditioned
 #: (float64 has ~15.9 significant digits; past 1e12 the normal-equation
@@ -175,6 +175,71 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> OlsFit:
     ``nan`` standard errors and p-value 1.0 so stepwise treats them as
     non-significant.
     """
+    return solve_ols(X, y).fit()
+
+
+@dataclass(frozen=True)
+class OlsSolve:
+    """One least-squares solve: the coefficients, plus the SSE and residual
+    degrees of freedom the partial-F test reads. :meth:`fit` completes it
+    into an :class:`OlsFit` without solving again, so stepwise candidates
+    pay for inference statistics only when they win."""
+
+    A: np.ndarray
+    y: np.ndarray
+    beta: np.ndarray
+    sse: float
+    df_resid: int
+    condition_number: float
+    solver: str
+
+    def fit(self) -> OlsFit:
+        """The full fit: R², residual variance, standard errors, t and p."""
+        A, y, beta_full, sse, df_resid = self.A, self.y, self.beta, self.sse, self.df_resid
+        n, p = A.shape[0], A.shape[1] - 1
+        centered = y - y.mean()
+        sst = float(centered @ centered)
+        r2 = 1.0 - sse / sst if sst > 0.0 else (1.0 if sse <= 1e-12 * max(1.0, abs(float(y @ y))) else 0.0)
+        sigma2 = sse / df_resid if df_resid > 0 else 0.0
+
+        se = np.full(p, np.nan)
+        t_values = np.full(p, np.nan)
+        p_values = np.ones(p)
+        if df_resid > 0 and sigma2 > 0.0:
+            # Covariance of beta-hat: sigma2 * (A'A)^-1; use pinv for stability.
+            cov = sigma2 * np.linalg.pinv(A.T @ A)
+            diag = np.clip(np.diag(cov)[1:], 0.0, None)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                se = np.sqrt(diag)
+                t_values = np.where(se > 0, beta_full[1:] / se, np.nan)
+            finite = np.isfinite(t_values)
+            # Two-sided t survival: ``scipy.stats.t.sf(x, df)`` is
+            # ``stdtr(df, -x)`` behind ~60 µs of argument handling.
+            p_values[finite] = 2.0 * stdtr(df_resid, -np.abs(t_values[finite]))
+        elif sigma2 == 0.0 and df_resid > 0:
+            # Perfect fit: every retained coefficient is maximally significant.
+            p_values = np.zeros(p)
+
+        return OlsFit(
+            intercept=float(beta_full[0]),
+            coef=beta_full[1:].copy(),
+            sse=sse,
+            sst=sst,
+            r_squared=float(np.clip(r2, 0.0, 1.0)),
+            sigma2=float(sigma2),
+            se=se,
+            t_values=t_values,
+            p_values=p_values,
+            df_resid=int(df_resid),
+            n_obs=n,
+            condition_number=self.condition_number,
+            solver=self.solver,
+        )
+
+
+def solve_ols(X: np.ndarray, y: np.ndarray) -> OlsSolve:
+    """The least-squares solve of :func:`fit_ols`, without its inference
+    statistics."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
     n, p = X.shape
@@ -192,51 +257,14 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> OlsFit:
         )
 
     A = _design(X)
-    beta_full, rank, cond, solver = _solve_design(A, y)
-    resid = y - A @ beta_full
-    sse = float(resid @ resid)
-    centered = y - y.mean()
-    sst = float(centered @ centered)
-    r2 = 1.0 - sse / sst if sst > 0.0 else (1.0 if sse <= 1e-12 * max(1.0, abs(float(y @ y))) else 0.0)
-
-    df_resid = n - rank
-    sigma2 = sse / df_resid if df_resid > 0 else 0.0
-
-    se = np.full(p, np.nan)
-    t_values = np.full(p, np.nan)
-    p_values = np.ones(p)
-    if df_resid > 0 and sigma2 > 0.0:
-        # Covariance of beta-hat: sigma2 * (A'A)^-1; use pinv for stability.
-        cov = sigma2 * np.linalg.pinv(A.T @ A)
-        diag = np.clip(np.diag(cov)[1:], 0.0, None)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            se = np.sqrt(diag)
-            t_values = np.where(se > 0, beta_full[1:] / se, np.nan)
-        finite = np.isfinite(t_values)
-        p_values = np.ones(p)
-        p_values[finite] = 2.0 * sps.t.sf(np.abs(t_values[finite]), df_resid)
-    elif sigma2 == 0.0 and df_resid > 0:
-        # Perfect fit: every retained coefficient is maximally significant.
-        p_values = np.zeros(p)
-
-    return OlsFit(
-        intercept=float(beta_full[0]),
-        coef=beta_full[1:].copy(),
-        sse=sse,
-        sst=sst,
-        r_squared=float(np.clip(r2, 0.0, 1.0)),
-        sigma2=float(sigma2),
-        se=se,
-        t_values=t_values,
-        p_values=p_values,
-        df_resid=int(df_resid),
-        n_obs=n,
-        condition_number=cond,
-        solver=solver,
-    )
+    beta, rank, cond, solver = _solve_design(A, y)
+    resid = y - A @ beta
+    return OlsSolve(A=A, y=y, beta=beta, sse=float(resid @ resid), df_resid=n - rank,
+                    condition_number=cond, solver=solver)
 
 
-def partial_f_pvalue(fit_reduced: OlsFit, fit_full: OlsFit, df_added: int = 1) -> float:
+def partial_f_pvalue(fit_reduced: OlsFit | OlsSolve, fit_full: OlsFit | OlsSolve,
+                     df_added: int = 1) -> float:
     """p-value of the partial F test comparing nested OLS fits.
 
     Tests whether the ``df_added`` extra predictors in ``fit_full``

@@ -18,6 +18,11 @@ paper compares as LR-E, LR-F, LR-B, and LR-S:
 
 Default thresholds follow SPSS: ``alpha_enter = 0.05``,
 ``alpha_remove = 0.10`` (remove must exceed enter to prevent cycling).
+
+Candidate subsets are only solved (:func:`~repro.ml.linear.lsq.solve_ols`):
+the partial-F test reads nothing but the SSE and residual degrees of
+freedom. The selected subset's solve is completed into its full
+:class:`~repro.ml.linear.lsq.OlsFit` once, at the end.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ml.linear.lsq import OlsFit, fit_ols, partial_f_pvalue
+from repro.ml.linear.lsq import OlsFit, OlsSolve, fit_ols, partial_f_pvalue, solve_ols
 
 __all__ = ["SelectionResult", "select_enter", "select_forward", "select_backward", "select_stepwise"]
 
@@ -51,29 +56,29 @@ class SelectionResult:
     history: tuple[str, ...]
 
 
-def _fit_subset(X: np.ndarray, y: np.ndarray, subset: list[int]) -> OlsFit:
-    return fit_ols(X[:, subset], y)
+def _solve_subset(X: np.ndarray, y: np.ndarray, subset: list[int]) -> OlsSolve:
+    return solve_ols(X[:, subset], y)
 
 
 def select_enter(X: np.ndarray, y: np.ndarray, **_: float) -> SelectionResult:
     """LR-E: use all predictors."""
     p = X.shape[1]
     subset = list(range(p))
-    return SelectionResult(tuple(subset), _fit_subset(X, y, subset), ("enter: all",))
+    return SelectionResult(tuple(subset), fit_ols(X[:, subset], y), ("enter: all",))
 
 
 def _best_addition(
-    X: np.ndarray, y: np.ndarray, current: list[int], fit_cur: OlsFit | None
-) -> tuple[int, float, OlsFit] | None:
+    X: np.ndarray, y: np.ndarray, current: list[int], fit_cur: OlsSolve | None
+) -> tuple[int, float, OlsSolve] | None:
     """Find the candidate whose addition has the smallest partial-F p-value."""
     p = X.shape[1]
-    best: tuple[int, float, OlsFit] | None = None
-    reduced = fit_cur if fit_cur is not None else fit_ols(np.empty((X.shape[0], 0)), y)
+    best: tuple[int, float, OlsSolve] | None = None
+    reduced = fit_cur if fit_cur is not None else solve_ols(np.empty((X.shape[0], 0)), y)
     for j in range(p):
         if j in current:
             continue
         trial = sorted(current + [j])
-        fit_try = _fit_subset(X, y, trial)
+        fit_try = _solve_subset(X, y, trial)
         pval = partial_f_pvalue(reduced, fit_try)
         if best is None or pval < best[1]:
             best = (j, pval, fit_try)
@@ -81,13 +86,13 @@ def _best_addition(
 
 
 def _worst_removal(
-    X: np.ndarray, y: np.ndarray, current: list[int], fit_cur: OlsFit
-) -> tuple[int, float, OlsFit] | None:
+    X: np.ndarray, y: np.ndarray, current: list[int], fit_cur: OlsSolve
+) -> tuple[int, float, OlsSolve] | None:
     """Find the retained predictor whose removal has the largest p-value."""
-    worst: tuple[int, float, OlsFit] | None = None
+    worst: tuple[int, float, OlsSolve] | None = None
     for j in current:
         trial = [k for k in current if k != j]
-        fit_try = _fit_subset(X, y, trial)
+        fit_try = _solve_subset(X, y, trial)
         pval = partial_f_pvalue(fit_try, fit_cur)
         if worst is None or pval > worst[1]:
             worst = (j, pval, fit_try)
@@ -99,7 +104,7 @@ def select_forward(
 ) -> SelectionResult:
     """LR-F: greedy forward selection."""
     current: list[int] = []
-    fit_cur: OlsFit | None = None
+    fit_cur: OlsSolve | None = None
     history: list[str] = []
     while len(current) < X.shape[1]:
         step = _best_addition(X, y, current, fit_cur)
@@ -110,7 +115,7 @@ def select_forward(
         history.append(f"add x{j} (p={pval:.4g})")
     if not current:
         return SelectionResult((), None, tuple(history) or ("forward: nothing significant",))
-    return SelectionResult(tuple(current), fit_cur, tuple(history))
+    return SelectionResult(tuple(current), fit_cur.fit(), tuple(history))
 
 
 def select_backward(
@@ -118,7 +123,7 @@ def select_backward(
 ) -> SelectionResult:
     """LR-B: greedy backward elimination."""
     current = list(range(X.shape[1]))
-    fit_cur = _fit_subset(X, y, current)
+    fit_cur = _solve_subset(X, y, current)
     history: list[str] = []
     while current:
         step = _worst_removal(X, y, current, fit_cur)
@@ -129,7 +134,7 @@ def select_backward(
         history.append(f"drop x{j} (p={pval:.4g})")
     if not current:
         return SelectionResult((), None, tuple(history))
-    return SelectionResult(tuple(current), fit_cur, tuple(history))
+    return SelectionResult(tuple(current), fit_cur.fit(), tuple(history))
 
 
 def select_stepwise(
@@ -145,7 +150,7 @@ def select_stepwise(
             "to prevent add/remove cycling"
         )
     current: list[int] = []
-    fit_cur: OlsFit | None = None
+    fit_cur: OlsSolve | None = None
     history: list[str] = []
     max_steps = 4 * X.shape[1] + 4  # cycling backstop; cannot trip with sane alphas
     for _ in range(max_steps):
@@ -165,4 +170,4 @@ def select_stepwise(
             history.append(f"drop x{k} (p={pval_rm:.4g})")
     if not current:
         return SelectionResult((), None, tuple(history) or ("stepwise: nothing significant",))
-    return SelectionResult(tuple(current), fit_cur, tuple(history))
+    return SelectionResult(tuple(current), fit_cur.fit(), tuple(history))

@@ -16,7 +16,7 @@ the network's response flattens where linear regression extrapolates.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from repro.errors import NumericalError
 from repro.ml.base import PredictiveModel
 from repro.ml.dataset import Dataset
 from repro.ml.nn.importance import input_importances
-from repro.ml.nn.methods import NN_METHODS, NnBuild
+from repro.ml.nn.lockstep import Steps, run_lockstep
+from repro.ml.nn.methods import NN_METHODS, NnBuild, method_steps
 from repro.ml.preprocess import Encoder
 from repro.obs.metrics import default_registry as _metrics
 from repro.util.rng import stream_seed
@@ -99,38 +100,64 @@ class NeuralNetworkModel(PredictiveModel):
         self._train_y_scaled: np.ndarray | None = None
 
     def fit(self, train: Dataset) -> "NeuralNetworkModel":
-        encoder = Encoder(for_model="nn", scale=True)
-        X = encoder.fit_transform(train)
-        scaler = TargetScaler().fit(train.target)
-        y = scaler.transform(train.target)
-        builder = NN_METHODS[self.method][1]
-        last: NumericalError | None = None
-        for attempt in range(1 + self.max_restarts):
-            rng = np.random.default_rng(
-                self.seed if attempt == 0
-                else stream_seed(self.seed, "nn-restart", attempt)
-            )
-            try:
-                self._build = builder(X, y, rng)
-                break
-            except NumericalError as exc:
-                last = exc
-                _metrics().counter("robust.nn.restarts").inc()
-        else:
-            assert last is not None
-            raise NumericalError(
-                f"{self.name} training diverged on all "
-                f"{1 + self.max_restarts} seeded attempt(s); last cause: "
-                f"{last.cause}",
-                cause="nn-restarts-exhausted",
-                context={"attempts": 1 + self.max_restarts, "seed": self.seed,
-                         "last_cause": last.cause, **last.context},
-            ) from last
-        self._encoder = encoder
-        self._scaler = scaler
-        self._train_X = X
-        self._train_y_scaled = y
-        return self
+        return self.fit_many([self], [train])[0]
+
+    @classmethod
+    def fit_many(cls, models: Sequence["NeuralNetworkModel"],
+                 datasets: Sequence[Dataset]) -> list["NeuralNetworkModel"]:
+        """Fit each model on its dataset, all builds advancing in lockstep
+        (:mod:`repro.ml.nn.lockstep`), so their same-step training requests
+        train as shared stacks.
+
+        Every model ends exactly as its own ``fit`` would leave it: each
+        keeps its seeded restart loop, and a model whose build fails is
+        retried, in lockstep with the other retries of that round. When
+        models exhaust their restarts, the lowest-index one's error is
+        raised, after the models before it are fit.
+        """
+        prepared = []
+        for data in datasets:
+            encoder = Encoder(for_model="nn", scale=True)
+            X = encoder.fit_transform(data)
+            scaler = TargetScaler().fit(data.target)
+            prepared.append((encoder, scaler, X, scaler.transform(data.target)))
+        builds: dict[int, NnBuild] = {}
+        last: dict[int, NumericalError] = {}
+        todo = list(range(len(models)))
+        attempt = 0
+        while todo:
+            outcomes = run_lockstep([models[i]._steps(*prepared[i][2:], attempt) for i in todo])
+            retry = []
+            for i, outcome in zip(todo, outcomes):
+                if isinstance(outcome, NumericalError):
+                    last[i] = outcome
+                    _metrics().counter("robust.nn.restarts").inc()
+                    if attempt < models[i].max_restarts:
+                        retry.append(i)
+                else:
+                    builds[i] = outcome
+            todo, attempt = retry, attempt + 1
+        for i, model in enumerate(models):
+            if i not in builds:
+                cause = last[i]
+                raise NumericalError(
+                    f"{model.name} training diverged on all "
+                    f"{1 + model.max_restarts} seeded attempt(s); last cause: "
+                    f"{cause.cause}",
+                    cause="nn-restarts-exhausted",
+                    context={"attempts": 1 + model.max_restarts, "seed": model.seed,
+                             "last_cause": cause.cause, **cause.context},
+                ) from cause
+            model._build = builds[i]
+            model._encoder, model._scaler, model._train_X, model._train_y_scaled = prepared[i]
+        return list(models)
+
+    def _steps(self, X: np.ndarray, y: np.ndarray, attempt: int) -> Steps:
+        """This model's build on ``(X, y)`` for restart ``attempt``, as a
+        request generator."""
+        rng = np.random.default_rng(
+            self.seed if attempt == 0 else stream_seed(self.seed, "nn-restart", attempt))
+        return method_steps(NN_METHODS[self.method][1], X, y, rng)
 
     def predict(self, data: Dataset) -> np.ndarray:
         self._require_fit(self._build is not None)

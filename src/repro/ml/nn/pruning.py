@@ -18,10 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import NumericalError
+from repro.ml.nn.lockstep import Steps, drive, train_step
 from repro.ml.nn.network import MLP
-from repro.ml.nn.training import TrainingConfig, train
+from repro.ml.nn.training import TrainingConfig
 
-__all__ = ["hidden_unit_sensitivities", "input_sensitivities", "prune_network", "PruneOutcome"]
+__all__ = ["hidden_unit_sensitivities", "input_sensitivities", "prune_network", "prune_steps",
+           "PruneOutcome"]
 
 
 def hidden_unit_sensitivities(net: MLP, X: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
@@ -97,8 +99,27 @@ def prune_network(
     A removal is *accepted* when, after retraining, validation loss is no
     worse than ``(1 + tolerance) ×`` the best seen; otherwise the removal is
     rolled back and pruning stops. Smaller ``tolerance`` and larger retrain
-    budgets give the slower-but-better Exhaustive-Prune behaviour.
+    budgets give the slower-but-better Exhaustive-Prune behaviour. This runs
+    :func:`prune_steps` on its own.
     """
+    return drive(prune_steps(net, X_train, y_train, X_val, y_val, retrain_config,
+                             max_removals, tolerance, prune_inputs))
+
+
+def prune_steps(
+    net: MLP,
+    X_train: np.ndarray,
+    y_train: np.ndarray,
+    X_val: np.ndarray,
+    y_val: np.ndarray,
+    retrain_config: TrainingConfig,
+    max_removals: int | None = None,
+    tolerance: float = 0.02,
+    prune_inputs: bool = True,
+) -> Steps:
+    """:func:`prune_network` as a build for :mod:`repro.ml.nn.lockstep`:
+    yields each retraining as a request and returns the
+    :class:`PruneOutcome`."""
     best = net.clone()
     best_val = best.loss(X_val, y_val)
     if not np.isfinite(best_val):
@@ -141,7 +162,7 @@ def prune_network(
             choice = f"hidden[{li}] unit {u}"
             candidate.drop_hidden_unit(li, u)
 
-        train(candidate, X_train, y_train, retrain_config, X_val, y_val)
+        yield from train_step([candidate], X_train, y_train, retrain_config, X_val, y_val)
         val = candidate.loss(X_val, y_val)
         if val <= best_val * (1.0 + tolerance):
             steps.append(f"removed {choice}: val {best_val:.3g} -> {val:.3g}")

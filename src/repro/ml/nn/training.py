@@ -17,10 +17,14 @@ steepest descent", paper §3.2). We implement:
 
 Datasets here are small (tens to hundreds of records), so full-batch
 updates are both the faithful and the fast choice, and an epoch's cost is
-numpy call overhead rather than arithmetic. One kernel, :func:`train_stack`,
-therefore trains a stack of R same-topology networks on shared data at once
-(NN-E's three restarts); :func:`train` is its R = 1 case.
+numpy call overhead rather than arithmetic. One kernel,
+:func:`train_replicas`, therefore trains a stack of R same-topology
+networks at once; :func:`train_stack` is the same stack raising its first
+divergence, and :func:`train` its R = 1 case.
 
+* The data is shared by the stack (``X`` of shape ``(n, k)``) or given per
+  replica (``X`` of shape ``(R, n, k)``, targets ``(R, n)``, validation set
+  likewise); ragged per-replica data raises ``ValueError``.
 * All weights of the stack sit in one contiguous ``(R, P)`` buffer, each
   layer's ``(fan_in + 1, fan_out)`` matrix a view into it; gradients fill a
   second ``(R, P)`` buffer of the same layout. Forward and backward passes
@@ -29,12 +33,19 @@ therefore trains a stack of R same-topology networks on shared data at once
   ``np.where`` in place of boolean indexing; gd keeps a rate per replica.
 * Each replica has its own patience counter, best-weights snapshot (one
   masked ``np.copyto`` per epoch), divergence bound and
-  :class:`TrainingResult`. A replica that stops leaves the stack.
+  :class:`TrainingResult`. A replica that stops leaves the stack, and so
+  does one that diverges: its error is recorded and the others train on.
 
 A stacked network ends bit for bit where a lone :func:`train` call would
 leave it: every update is element-wise, stacked ``matmul`` calls BLAS once
 per replica slice, and the per-replica loss and bias-gradient sums reduce
 in the same order as the two-dimensional calls.
+
+Who fills the stacks: :mod:`repro.ml.nn.lockstep` runs many network builds
+(the five holdout reps of an error estimate, NN-E's three prune chains)
+side by side and trains their pending requests grouped by layer sizes,
+activations, :class:`TrainingConfig` and data shapes, one stack per group.
+A failure stays with the request whose replica diverged.
 """
 
 from __future__ import annotations
@@ -49,7 +60,8 @@ from repro.ml.nn.activations import LINEAR, Activation
 from repro.ml.nn.network import MLP
 from repro.obs.metrics import default_registry as _metrics
 
-__all__ = ["TrainingConfig", "TrainingResult", "train", "train_stack", "holdout_split"]
+__all__ = ["TrainingConfig", "TrainingResult", "train", "train_stack", "train_replicas",
+           "holdout_split"]
 
 
 @dataclass(frozen=True)
@@ -220,8 +232,18 @@ def _backward(acts: list[np.ndarray], diff: np.ndarray, layers: list[tuple[np.nd
 
 
 def _diverged(message: str, context: dict) -> NumericalError:
-    _metrics().counter("robust.nn.divergence").inc()
     return NumericalError(message, cause="nn-divergence", context=context)
+
+
+def count_divergence(error: NumericalError) -> NumericalError:
+    """Count a divergence under ``robust.nn.divergence`` and return it.
+
+    A divergence is counted where it fails the caller: once per failed
+    :func:`train_stack` call and once per failed network build, however
+    many replicas of it diverged.
+    """
+    _metrics().counter("robust.nn.divergence").inc()
+    return error
 
 
 def train(
@@ -249,12 +271,86 @@ def train_stack(
     X_val: np.ndarray | None = None,
     y_val: np.ndarray | None = None,
 ) -> list[TrainingResult]:
-    """Train same-topology ``nets`` on shared data, each in place, as one stack.
+    """Train same-topology ``nets``, each in place, as one stack.
 
-    Every network ends exactly as a separate :func:`train` call would leave
-    it, with the same :class:`TrainingResult`. A replica that stops early
-    leaves the stack. The first epoch at which any replica diverges raises
-    the :class:`~repro.errors.NumericalError` of the lowest-index one.
+    The data is shared (``X`` of shape ``(n, k)``) or per replica (``X`` of
+    shape ``(R, n, k)``, ``y`` of shape ``(R, n)``, and the validation set
+    likewise). Every network ends exactly as a separate :func:`train` call
+    on its data would leave it, with the same :class:`TrainingResult`. If
+    any replica diverges, the first to do so (earliest epoch, then lowest
+    index) has its :class:`~repro.errors.NumericalError` raised once the
+    others have finished.
+    """
+    results, failures = train_replicas(nets, X, y, config, X_val, y_val)
+    if failures:
+        raise count_divergence(failures[0][1])
+    return results
+
+
+class _Stack:
+    """The per-replica state of the replicas still training, one row each.
+
+    :meth:`drop` removes rows from every per-replica array at once, and from
+    the data where it has a replica axis.
+    """
+
+    def __init__(self, W: np.ndarray, config: TrainingConfig, has_val: bool,
+                 data: tuple[np.ndarray | None, ...]) -> None:
+        R = len(W)
+        self.rows = list(range(R))  # original index of each row
+        self.W = W
+        self.has_val = has_val
+        # The weights each replica ends with: its best snapshot, or without
+        # a validation set its final weights (the buffer itself).
+        self.best_w = W.copy() if has_val else W
+        if config.optimizer == "rprop":
+            self.step = np.full_like(W, config.rprop_init)
+            self.prev_sign = np.zeros_like(W)
+            self._per_row = ("step", "prev_sign")
+        else:
+            self.velocity = np.zeros_like(W)
+            self.lr = np.full(R, config.learning_rate)  # gd keeps a rate per replica
+            self.prev_loss = np.full(R, np.inf)
+            self._per_row = ("velocity", "lr", "prev_loss")
+        self.bound = np.full(R, np.inf)
+        self.best_val = np.full(R, np.inf)
+        self.since_best = np.zeros(R, dtype=np.int64)
+        self.X, self.y, self.Xv, self.yv = data
+
+    def drop(self, keep: np.ndarray) -> None:
+        for name in ("W", *self._per_row, "bound", "best_val", "since_best"):
+            setattr(self, name, getattr(self, name)[keep])
+        self.best_w = self.best_w[keep] if self.has_val else self.W
+        for name in ("X", "y", "Xv", "yv"):
+            A = getattr(self, name)
+            if A is not None and A.ndim == 3:
+                setattr(self, name, A[keep])
+        self.rows = [i for i, kept in zip(self.rows, keep) if kept]
+
+
+def _float_array(A, name: str) -> np.ndarray:
+    if isinstance(A, (list, tuple)):
+        shapes = sorted({np.shape(a) for a in A})
+        if len(shapes) > 1:
+            raise ValueError(f"per-replica {name} must share one shape, got {shapes}")
+    return np.asarray(A, dtype=np.float64)
+
+
+def train_replicas(
+    nets: Sequence[MLP],
+    X: np.ndarray,
+    y: np.ndarray,
+    config: TrainingConfig,
+    X_val: np.ndarray | None = None,
+    y_val: np.ndarray | None = None,
+) -> tuple[list[TrainingResult | None], list[tuple[int, NumericalError]]]:
+    """The kernel behind :func:`train_stack`, which reports divergence
+    instead of raising it.
+
+    Returns each network's :class:`TrainingResult` (``None`` for one that
+    diverged) and the divergences as ``(index, error)`` pairs in the order
+    they were detected, uncounted. A replica that diverges leaves the stack
+    and the others train on unchanged.
     """
     if not nets:
         raise ValueError("need at least one network to train")
@@ -264,145 +360,155 @@ def train_stack(
                 or net.output_act is not head.output_act):
             raise ValueError(f"a stack needs one topology; got {net!r} next to {head!r}")
     hidden, output = head.hidden_act, head.output_act
+    R, q = len(nets), head.n_outputs
     masks = np.array([net.input_mask for net in nets])
 
-    def inputs(A: np.ndarray) -> np.ndarray:
-        A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-        if A.shape[1] != head.n_inputs:
-            raise ValueError(f"expected {head.n_inputs} inputs, got {A.shape[1]}")
+    X = _float_array(X, "inputs")
+    per_replica = X.ndim == 3
+
+    def inputs(A: np.ndarray, name: str) -> np.ndarray:
+        A = _float_array(A, name)
+        if not per_replica:
+            A = np.atleast_2d(A)
+        if A.ndim != (3 if per_replica else 2):
+            raise ValueError(f"{name} must have shape {'(R, n, k)' if per_replica else '(n, k)'}"
+                             f" like the inputs, got {A.shape}")
+        if per_replica and len(A) != R:
+            raise ValueError(f"per-replica {name} need one slice per network: {len(A)} for {R}")
+        if A.shape[-1] != head.n_inputs:
+            raise ValueError(f"expected {head.n_inputs} inputs, got {A.shape[-1]}")
+        return A
+
+    def targets(t: np.ndarray, A: np.ndarray, name: str) -> np.ndarray:
+        t = _float_array(t, name)
+        return t.reshape(R, A.shape[1], q) if per_replica else t.reshape(-1, q)
+
+    def masked(A: np.ndarray) -> np.ndarray:
         # Masked inputs are silenced once per call, not once per epoch.
         return A if masks.all() else A * masks[:, None, :]
 
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Xm = inputs(X)
-    y2 = np.asarray(y, dtype=np.float64).reshape(-1, head.n_outputs)
-    has_val = X_val is not None and y_val is not None and len(np.atleast_1d(y_val)) > 0
+    X = inputs(X, "inputs")
+    y2 = targets(y, X, "targets")
+    has_val = X_val is not None and y_val is not None and np.size(y_val) > 0
+    Xv = yv = None
     if has_val:
-        Xv = inputs(X_val)
-        yv = np.asarray(y_val, dtype=np.float64).reshape(-1, head.n_outputs)
+        Xv = inputs(X_val, "validation inputs")
+        yv = targets(y_val, Xv, "validation targets")
 
-    R = len(nets)
     layout = _Layout(head.layer_sizes)
     W = np.empty((R, layout.n_params))
     for r, net in enumerate(nets):
         for view, w in zip(layout.views(W), net.weights):
             view[r] = w
+    st = _Stack(W, config, has_val, (masked(X), y2, masked(Xv) if has_val else None, yv))
     G = np.empty_like(W)
     layers = layout.layers(W, G)
-    # The weights each replica ends with: its best snapshot, or without a
-    # validation set its final weights (the buffer itself).
-    best_w = W.copy() if has_val else W
     use_rprop = config.optimizer == "rprop"
-    if use_rprop:
-        step = np.full_like(W, config.rprop_init)
-        prev_sign = np.zeros_like(W)
-    else:
-        velocity = np.zeros_like(W)
-        lr = np.full(R, config.learning_rate)
-        prev_loss = np.full(R, np.inf)
-    bound = np.full(R, np.inf)
-    best_val = np.full(R, np.inf)
-    since_best = np.zeros(R, dtype=np.int64)
-    active = list(range(R))  # original index of each stack row
     history: list[list[float]] = [[] for _ in range(R)]
     finished: dict[int, tuple[int, bool, float]] = {}
+    failures: list[tuple[int, NumericalError]] = []
 
     def finish(rows: np.ndarray, epochs_run: int, stopped_early: bool) -> None:
         for row in np.flatnonzero(rows):
-            i = active[row]
-            for w, view in zip(nets[i].weights, layout.views(best_w[row:row + 1])):
+            i = st.rows[row]
+            for w, view in zip(nets[i].weights, layout.views(st.best_w[row:row + 1])):
                 w[...] = view[0]
-            finished[i] = (epochs_run, stopped_early, float(best_val[row]))
+            finished[i] = (epochs_run, stopped_early, float(st.best_val[row]))
 
     for epoch in range(config.max_epochs):
         epochs_run = epoch + 1
-        acts = _forward(Xm, layers, hidden, output)
-        loss, diff = _mse(acts[-1], y2)
-        for i, value in zip(active, loss.tolist()):
+        acts = _forward(st.X, layers, hidden, output)
+        loss, diff = _mse(acts[-1], st.y)
+        for i, value in zip(st.rows, loss.tolist()):
             history[i].append(value)
         if epoch == 0:
-            bound = np.maximum(np.where(np.isfinite(loss), loss, 1.0), 1.0) \
+            st.bound = np.maximum(np.where(np.isfinite(loss), loss, 1.0), 1.0) \
                 * config.divergence_factor
-        sound = np.isfinite(loss) & (loss <= bound)
+        sound = np.isfinite(loss) & (loss <= st.bound)
         if not sound.all():
-            row = int(np.argmin(sound))
-            raise _diverged(
-                f"training diverged at epoch {epochs_run}: loss={float(loss[row])!r} "
-                f"(bound {bound[row]:.3g})",
-                {"epoch": epochs_run, "loss": float(loss[row]),
-                 "bound": float(bound[row]), "optimizer": config.optimizer},
-            )
+            for row in np.flatnonzero(~sound):
+                failures.append((st.rows[row], _diverged(
+                    f"training diverged at epoch {epochs_run}: loss={float(loss[row])!r} "
+                    f"(bound {st.bound[row]:.3g})",
+                    {"epoch": epochs_run, "loss": float(loss[row]),
+                     "bound": float(st.bound[row]), "optimizer": config.optimizer},
+                )))
+            # The diverged replicas leave the stack before their update.
+            st.drop(sound)
+            if not st.rows:
+                break
+            acts = [a[sound] if a.ndim == 3 else a for a in acts]
+            loss, diff = loss[sound], diff[sound]
+            G = np.empty_like(st.W)
+            layers = layout.layers(st.W, G)
         _backward(acts, diff, layers, hidden, output)
 
         if use_rprop:
             # Rprop-: per-weight signed steps; shrink and skip on sign flip.
             sign = np.sign(G)
-            agree = sign * prev_sign
+            agree = sign * st.prev_sign
             flip = agree < 0.0
-            step = np.where(agree > 0.0, np.minimum(step * config.rprop_grow, config.rprop_max),
-                            np.where(flip, np.maximum(step * config.rprop_shrink,
-                                                      config.rprop_min), step))
+            st.step = np.where(
+                agree > 0.0, np.minimum(st.step * config.rprop_grow, config.rprop_max),
+                np.where(flip, np.maximum(st.step * config.rprop_shrink, config.rprop_min),
+                         st.step))
             np.copyto(sign, 0.0, where=flip)
-            W -= sign * step
-            prev_sign = sign
+            st.W -= sign * st.step
+            st.prev_sign = sign
         else:
             if config.adaptive_rate:
                 # Bold driver: a worsening step shrinks the rate and damps
                 # momentum; any other step grows the rate.
-                worse = loss > prev_loss * (1.0 + 1e-12)
-                lr = np.where(worse, np.maximum(lr * config.rate_shrink, config.min_rate),
-                              np.minimum(lr * config.rate_grow, config.max_rate))
+                worse = loss > st.prev_loss * (1.0 + 1e-12)
+                st.lr = np.where(worse, np.maximum(st.lr * config.rate_shrink, config.min_rate),
+                                 np.minimum(st.lr * config.rate_grow, config.max_rate))
                 if worse.any():
-                    np.multiply(velocity, 0.0, out=velocity, where=worse[:, None])
-            prev_loss = loss
-            velocity *= config.momentum
-            velocity -= lr[:, None] * G
-            W += velocity
+                    np.multiply(st.velocity, 0.0, out=st.velocity, where=worse[:, None])
+            st.prev_loss = loss
+            st.velocity *= config.momentum
+            st.velocity -= st.lr[:, None] * G
+            st.W += st.velocity
 
         if not has_val:
             continue
-        val_loss = _mse(_forward(Xv, layers, hidden, output)[-1], yv)[0]
+        val_loss = _mse(_forward(st.Xv, layers, hidden, output)[-1], st.yv)[0]
         finite = np.isfinite(val_loss)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise _diverged(
-                f"validation loss went non-finite at epoch {epochs_run}",
-                {"epoch": epochs_run, "loss": float(val_loss[row]),
-                 "optimizer": config.optimizer},
-            )
-        improved = val_loss < best_val * (1.0 - config.min_delta)
-        np.copyto(best_w, W, where=improved[:, None])
-        best_val = np.where(improved, val_loss, best_val)
-        since_best = np.where(improved, 0, since_best + 1)
-        done = since_best >= config.patience
-        if done.any():
-            finish(done, epochs_run, stopped_early=True)
-            if done.all():
-                break
-            # Compact: the stopped replicas leave the stack.
-            keep = ~done
-            W, best_w = W[keep], best_w[keep]
-            G = np.empty_like(W)
-            layers = layout.layers(W, G)
-            if use_rprop:
-                step, prev_sign = step[keep], prev_sign[keep]
-            else:
-                velocity, lr, prev_loss = velocity[keep], lr[keep], prev_loss[keep]
-            bound, best_val, since_best = bound[keep], best_val[keep], since_best[keep]
-            active = [i for i, kept in zip(active, keep) if kept]
-            if Xm.ndim == 3:
-                Xm, Xv = Xm[keep], Xv[keep]
-    else:
-        finish(np.ones(len(active), dtype=bool), config.max_epochs, stopped_early=False)
+        clean = finite.all()
+        if not clean:
+            for row in np.flatnonzero(~finite):
+                failures.append((st.rows[row], _diverged(
+                    f"validation loss went non-finite at epoch {epochs_run}",
+                    {"epoch": epochs_run, "loss": float(val_loss[row]),
+                     "optimizer": config.optimizer},
+                )))
+        improved = val_loss < st.best_val * (1.0 - config.min_delta)
+        np.copyto(st.best_w, st.W, where=improved[:, None])
+        st.best_val = np.where(improved, val_loss, st.best_val)
+        st.since_best = np.where(improved, 0, st.since_best + 1)
+        done = st.since_best >= config.patience
+        if clean and not done.any():
+            continue
+        done &= finite
+        finish(done, epochs_run, stopped_early=True)
+        # Compact: the stopped and diverged replicas leave the stack.
+        st.drop(~done & finite)
+        if not st.rows:
+            break
+        G = np.empty_like(st.W)
+        layers = layout.layers(st.W, G)
+    if st.rows:
+        finish(np.ones(len(st.rows), dtype=bool), config.max_epochs, stopped_early=False)
 
-    results = []
+    results: list[TrainingResult | None] = [None] * R
     for i, net in enumerate(nets):
+        if i not in finished:
+            continue
         epochs_run, stopped_early, best = finished[i]
-        results.append(TrainingResult(
-            final_train_loss=net.loss(X, y),
+        results[i] = TrainingResult(
+            final_train_loss=net.loss(X[i], y2[i]) if per_replica else net.loss(X, y2),
             best_val_loss=best if has_val and np.isfinite(best) else None,
             epochs_run=epochs_run,
             stopped_early=stopped_early,
             loss_history=history[i],
-        ))
-    return results
+        )
+    return results, failures

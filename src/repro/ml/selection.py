@@ -35,6 +35,11 @@ __all__ = ["ErrorEstimate", "estimate_error", "select_model", "ModelBuilder"]
 ModelBuilder = Callable[[], PredictiveModel]
 
 
+def _check_statistic(statistic: str) -> None:
+    if statistic not in ("max", "mean"):
+        raise ValueError(f"statistic must be 'max' or 'mean', got {statistic!r}")
+
+
 @dataclass(frozen=True)
 class ErrorEstimate:
     """Cross-validation error estimate for one model on one training set."""
@@ -54,11 +59,19 @@ class ErrorEstimate:
 
     def value(self, statistic: str = "max") -> float:
         """Return the requested estimate ('max' or 'mean')."""
-        if statistic == "max":
-            return self.max
-        if statistic == "mean":
-            return self.mean
-        raise ValueError(f"statistic must be 'max' or 'mean', got {statistic!r}")
+        _check_statistic(statistic)
+        return self.max if statistic == "max" else self.mean
+
+
+def _holdout_reps(builder: ModelBuilder, parts: list[tuple[Dataset, Dataset]]) -> list[float]:
+    """Holdout repetitions: per ``(fit, eval)`` pair, fit a fresh model on
+    one half and score MAPE on the other. The fits go through the model's
+    :meth:`~repro.ml.base.PredictiveModel.fit_many`, so models that can
+    share training work do."""
+    models = [builder() for _ in parts]
+    type(models[0]).fit_many(models, [fit_part for fit_part, _ in parts])
+    return [mean_absolute_percentage_error(model.predict(eval_part), eval_part.target)
+            for model, (_, eval_part) in zip(models, parts)]
 
 
 def _holdout_rep(args: tuple[ModelBuilder, Dataset, Dataset]) -> float:
@@ -67,9 +80,7 @@ def _holdout_rep(args: tuple[ModelBuilder, Dataset, Dataset]) -> float:
     Module-level so repetitions can cross a process boundary.
     """
     builder, fit_part, eval_part = args
-    model = builder()
-    model.fit(fit_part)
-    return mean_absolute_percentage_error(model.predict(eval_part), eval_part.target)
+    return _holdout_reps(builder, [(fit_part, eval_part)])[0]
 
 
 def _holdout_rep_shared(args) -> float:
@@ -104,7 +115,9 @@ def estimate_error(
     The splits are always drawn serially from ``rng`` (so the stream of
     draws — and therefore every number produced — is identical whether or
     not an ``executor`` is given); only the model fits, which consume no
-    shared randomness, are fanned out. When the executor is backed by a
+    shared randomness, are fanned out. Without an executor, all
+    repetitions are fit by one ``fit_many`` call (the five NN builds of an
+    estimate train in lockstep). When the executor is backed by a
     process pool, the training set crosses the process boundary once, as a
     shared-memory payload, instead of twice per repetition inside each task.
     """
@@ -115,8 +128,7 @@ def estimate_error(
     with _obs_phase("holdout", model=name, n_reps=n_reps,
                     n_records=train.n_records):
         if executor is None:
-            errors = [_holdout_rep((builder, train.take(s), train.take(r)))
-                      for s, r in splits]
+            errors = _holdout_reps(builder, [(train.take(s), train.take(r)) for s, r in splits])
         elif _process_backed(executor):
             from repro.parallel.shm import SharedPayload
 
@@ -161,6 +173,7 @@ def select_model(
     """
     if not builders:
         raise ValueError("no candidate builders given")
+    _check_statistic(statistic)
     estimates: dict[str, ErrorEstimate] = {}
     excluded: dict[str, str] = {}
     best_name: str | None = None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ml.linear.lsq import fit_ols, partial_f_pvalue
+from repro.ml.linear.lsq import fit_ols, partial_f_pvalue, solve_ols
 
 
 def _make_linear(n=60, p=3, sigma=0.1, seed=0):
@@ -148,3 +148,40 @@ class TestPartialFSurvival:
         full = fit_ols(np.column_stack([x, junk]), y)
         f_stat = (reduced.sse - full.sse) / (full.sse / full.df_resid)
         assert partial_f_pvalue(reduced, full) == float(stats.f.sf(f_stat, 1, full.df_resid))
+
+
+class TestTSurvival:
+    """``OlsFit.p_values`` call ``scipy.special.stdtr`` directly; it must
+    equal the ``scipy.stats.t.sf`` it replaced bit for bit."""
+
+    @pytest.mark.parametrize("df_resid", [1, 2, 3, 10, 44, 200])
+    def test_stdtr_equals_t_sf_on_grid(self, df_resid):
+        from scipy import special, stats
+
+        t_abs = np.concatenate([np.geomspace(1e-8, 1e4, 80), [0.0, 0.5, 1.0, 1.96, 2.5]])
+        direct = 2.0 * special.stdtr(df_resid, -t_abs)
+        np.testing.assert_array_equal(direct, 2.0 * stats.t.sf(t_abs, df_resid))
+
+    def test_p_values_are_two_sided_t_survival(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(30, 3))
+        y = 1.0 + X @ np.array([2.0, 0.1, -0.5]) + rng.normal(0, 0.5, 30)
+        fit = fit_ols(X, y)
+        expected = 2.0 * stats.t.sf(np.abs(fit.t_values), fit.df_resid)
+        np.testing.assert_array_equal(fit.p_values, expected)
+
+    def test_solve_then_fit_equals_fit_ols(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(25, 4))
+        y = X @ np.array([1.0, 0.0, 3.0, -1.0]) + rng.normal(0, 0.3, 25)
+        solve = solve_ols(X, y)
+        full = fit_ols(X, y)
+        assert (solve.sse, solve.df_resid) == (full.sse, full.df_resid)
+        again = solve.fit()
+        for name in ("coef", "se", "t_values", "p_values"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(full, name))
+        for name in ("intercept", "sse", "sst", "r_squared", "sigma2", "df_resid", "n_obs",
+                     "condition_number", "solver"):
+            assert getattr(again, name) == getattr(full, name)

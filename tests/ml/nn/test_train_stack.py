@@ -158,3 +158,121 @@ class TestStackDivergence:
         with pytest.raises(NumericalError) as ei:
             train_stack(_nets([1, 3, 2]), X, y, self.CFG)
         assert ei.value.context == early.context
+
+
+def _per_replica_data(R, n=40, n_val=15):
+    """R different training and validation sets of one shape."""
+    rng = np.random.default_rng(100)
+    X, Xv = rng.random((R, n, 3)), rng.random((R, n_val, 3))
+    return X, np.stack([_target(x) for x in X]), Xv, np.stack([_target(x) for x in Xv])
+
+
+class TestPerReplicaData:
+    """A stack whose replicas each train on their own data equals R
+    separate ``train`` calls, each on its slice."""
+
+    def _run_both(self, nets, X, y, cfg, Xv=None, yv=None):
+        clones = [net.clone() for net in nets]
+        stacked = train_stack(nets, X, y, cfg, Xv, yv)
+        sequential = [train(net, X[r], y[r], cfg,
+                            None if Xv is None else Xv[r], None if yv is None else yv[r])
+                      for r, net in enumerate(clones)]
+        _assert_same(nets, clones, stacked, sequential)
+        return stacked
+
+    @pytest.mark.parametrize("cfg", [RPROP, GD], ids=["rprop", "gd"])
+    def test_staggered_early_stops(self, cfg):
+        X, y, Xv, yv = _per_replica_data(4)
+        results = self._run_both(_nets([1, 3, 5, 7]), X, y, cfg, Xv, yv)
+        stopped = [r.epochs_run for r in results if r.stopped_early]
+        # Replicas leave the stack at different epochs; one runs to the end.
+        assert len(set(stopped)) >= 2
+        assert results[3].epochs_run == cfg.max_epochs and not results[3].stopped_early
+
+    @pytest.mark.parametrize("cfg", [RPROP, GD], ids=["rprop", "gd"])
+    def test_masked_inputs(self, cfg):
+        X, y, Xv, yv = _per_replica_data(3)
+        nets = _nets([3, 7, 1])
+        nets[1].mask_input(2)
+        nets[2].mask_input(0)
+        self._run_both(nets, X, y, cfg, Xv, yv)
+
+    def test_without_validation(self):
+        X, y, _, _ = _per_replica_data(3)
+        results = self._run_both(_nets([1, 4, 5]), X, y, TrainingConfig(max_epochs=60))
+        assert all(r.best_val_loss is None for r in results)
+
+    def test_list_of_slices_equals_array(self):
+        X, y, Xv, yv = _per_replica_data(2)
+        nets, clones = _nets([1, 2]), _nets([1, 2])
+        a = train_stack(nets, X, y, RPROP, Xv, yv)
+        b = train_stack(clones, list(X), list(y), RPROP, list(Xv), list(yv))
+        _assert_same(nets, clones, a, b)
+
+    def test_ragged_slices_raise(self):
+        X, y, Xv, yv = _per_replica_data(2)
+        with pytest.raises(ValueError, match="share one shape"):
+            train_stack(_nets([1, 2]), [X[0], X[1][:-3]], [y[0], y[1][:-3]], RPROP)
+        with pytest.raises(ValueError, match="share one shape"):
+            train_stack(_nets([1, 2]), X, y, RPROP, [Xv[0], Xv[1][:-1]], list(yv))
+
+    def test_shapes_must_match_the_stack(self):
+        X, y, Xv, yv = _per_replica_data(3)
+        with pytest.raises(ValueError, match="one slice per network"):
+            train_stack(_nets([1, 2]), X, y, RPROP)
+        with pytest.raises(ValueError, match=r"\(R, n, k\)"):
+            train_stack(_nets([1, 2, 3]), X, y, RPROP, Xv[0], yv[0])
+        with pytest.raises(ValueError):
+            train_stack(_nets([1, 2, 3]), X, y[:, :-1], RPROP)
+
+
+class TestDivergenceIsolation:
+    """A replica that diverges leaves the stack; the others end exactly as
+    they would alone."""
+
+    CFG = TrainingConfig(optimizer="gd", max_epochs=60, learning_rate=0.3, max_rate=0.8,
+                         patience=15, divergence_factor=100.0)
+
+    def _data(self):
+        X, y, Xv, yv = _per_replica_data(3)
+        X[1] *= 30.0  # replica 1's inputs make its training explode
+        return X, y, Xv, yv
+
+    def test_others_train_on_unchanged(self):
+        from repro.ml.nn.training import train_replicas
+
+        X, y, Xv, yv = self._data()
+        nets = _nets([0, 1, 2], hidden="linear")
+        alone = _nets([0, 1, 2], hidden="linear")
+        with pytest.raises(NumericalError) as ei:
+            train(alone[1], X[1], y[1], self.CFG, Xv[1], yv[1])
+        results, failures = train_replicas(nets, X, y, self.CFG, Xv, yv)
+        assert [i for i, _ in failures] == [1]
+        assert failures[0][1].context == ei.value.context
+        assert results[1] is None
+        for r in (0, 2):
+            expected = train(alone[r], X[r], y[r], self.CFG, Xv[r], yv[r])
+            _assert_same([nets[r]], [alone[r]], [results[r]], [expected])
+
+    def test_validation_divergence_is_isolated(self):
+        from repro.ml.nn.training import train_replicas
+
+        X, y, Xv, yv = _per_replica_data(3)
+        Xv[2, 0, 0] = np.nan
+        nets, alone = _nets([0, 1, 2]), _nets([0, 1, 2])
+        with pytest.raises(NumericalError, match="validation loss went non-finite") as ei:
+            train(alone[2], X[2], y[2], RPROP, Xv[2], yv[2])
+        results, failures = train_replicas(nets, X, y, RPROP, Xv, yv)
+        assert [(i, str(e)) for i, e in failures] == [(2, str(ei.value))]
+        for r in (0, 1):
+            expected = train(alone[r], X[r], y[r], RPROP, Xv[r], yv[r])
+            _assert_same([nets[r]], [alone[r]], [results[r]], [expected])
+
+    def test_train_replicas_counts_nothing(self):
+        from repro.ml.nn.training import train_replicas
+
+        X, y, Xv, yv = self._data()
+        counter = default_registry().counter("robust.nn.divergence")
+        before = counter.value
+        train_replicas(_nets([0, 1, 2], hidden="linear"), X, y, self.CFG, Xv, yv)
+        assert counter.value == before

@@ -97,6 +97,21 @@ class TestSelectModel:
         with pytest.raises(ValueError):
             select_model({}, _ds(), rng)
 
+    def test_unknown_statistic_rejected_before_any_fit(self, rng):
+        fits = []
+
+        class _Counting(_ConstantModel):
+            def fit(self, train):
+                fits.append(self.name)
+                return super().fit(train)
+
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="statistic"):
+            select_model({"a": lambda: _Counting(1.0, "a"), "b": lambda: _Counting(1.1, "b")},
+                         _ds(), rng, statistic="median")
+        assert fits == []
+        assert rng.bit_generator.state == state  # no split was drawn either
+
 
 class TestHoistedPreparationBitIdentity:
     """The fast record-selection path is pinned against the seed semantics.
