@@ -1,25 +1,25 @@
-"""Offline eviction-policy evaluator: every policy vs the Belady/OPT oracle.
+"""Offline cache headroom benchmark: the LRU memory tier vs the Belady oracle.
 
-Replays access traces — the four seeded synthetic workloads from
-``cache_traces.py`` by default, or captured ``repro-cachetrace/1`` files
-via ``--trace`` — through every shipped eviction policy
-(:data:`repro.cache.POLICIES`) plus a clairvoyant Belady/OPT oracle, and
-writes hit-rate-vs-capacity curves to ``benchmarks/results/BENCH_cache.json``.
+Replays access traces — four seeded synthetic key streams built from
+:class:`repro.loadgen.workloads.ReqGenEngine` by default, or captured
+``repro-cachetrace/1`` files via ``--trace`` — through the result cache's
+LRU memory tier (:class:`repro.cache.LRUCache`) and a clairvoyant
+Belady/OPT oracle, and writes hit-rate-vs-capacity curves to
+``benchmarks/results/BENCH_cache.json``.
 
 The oracle (evict the resident key whose next use is farthest in the
 future) is the provable upper bound on hit rate for any demand-fetch
-cache of the same capacity, so the gap ``oracle - policy`` is the exact
-headroom left on that workload.
+cache of the same capacity, so the gap ``oracle - lru`` is the exact
+headroom any other eviction policy could win on that workload.
 
 Run::
 
     PYTHONPATH=src python benchmarks/cache_oracle.py [--out PATH]
         [--trace CAPTURE.jsonl ...] [--seed N]
 
-Exit codes: 0 ok; 2 a policy beat the oracle (replay bug); 3 no shipped
-policy beat LRU on the scan / phase-shift adversarial workloads; 4 a
-policy's hit rate regressed more than ``PIN_TOLERANCE`` below its pinned
-value on a synthetic workload.
+Exit codes: 0 ok; 2 LRU beat the oracle (replay bug); 4 a hit rate moved
+more than ``PIN_TOLERANCE`` away from its pinned value on a synthetic
+workload.
 """
 
 from __future__ import annotations
@@ -36,59 +36,74 @@ try:
 except ImportError:  # running from a checkout without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from cache_traces import TraceGenerator, WORKLOADS  # noqa: E402
-
-from repro.cache import POLICIES, make_policy, read_cache_trace  # noqa: E402
+from repro.cache import LRUCache, read_cache_trace  # noqa: E402
+from repro.loadgen.workloads import (  # noqa: E402
+    WORKLOAD_SHAPES,
+    ReqGenEngine,
+    SpecCatalog,
+    WorkloadSpec,
+)
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+
+#: Requests per synthetic key stream.
+N_REQUESTS = 20000
+
+#: ``WorkloadSpec`` fields per shape: a 60-key hot set in 600 (static), four
+#: 150-key phases (phase_shift), two 120-key sets flipping every 2000
+#: requests (oscillating), and a 50-key hot set between round-robin scans
+#: of 950 cold keys (scan).
+SHAPES: dict[str, dict] = {
+    "static": {"n_keys": 600, "hot_fraction": 0.1, "hot_weight": 0.85},
+    "phase_shift": {"n_keys": 600, "hot_weight": 0.85},
+    "oscillating": {"n_keys": 240, "period": 2000},
+    "scan": {"n_keys": 1000, "hot_fraction": 0.05, "hot_weight": 0.6},
+}
 
 #: Capacity sweep, as fractions of the trace's distinct-key count.
 CAPACITY_FRACTIONS = (0.05, 0.1, 0.2, 0.4)
 
-#: The fraction the pins and the LRU-challenge check are evaluated at.
+#: The fraction the pins are evaluated at.
 REFERENCE_FRACTION = 0.1
 
-#: Hit rates regress-fail if they drop more than this (absolute) below pin.
+#: A hit rate fails the pin check if it moves more than this (absolute)
+#: away from its pin.
 PIN_TOLERANCE = 0.01
 
 #: Pinned hit rates at REFERENCE_FRACTION for seed 0 — exact values from a
-#: replay of the deterministic synthetic traces (policies and the replay
-#: loop are pure functions of the trace). Regenerate with --print-pins
-#: after an intentional policy change.
+#: replay of the deterministic synthetic traces (LRU and the oracle are
+#: pure functions of the trace). Regenerate with --print-pins after an
+#: intentional change to the traces or the replay.
 PINNED: dict[str, dict[str, float]] = {
-    "static": {
-        "lru": 0.63770, "lfu": 0.81975, "2q": 0.69480, "arc": 0.76805,
-        "oracle": 0.84915,
-    },
-    "phase_shift": {
-        "lru": 0.77915, "lfu": 0.27830, "2q": 0.79195, "arc": 0.81220,
-        "oracle": 0.85200,
-    },
-    "oscillating": {
-        "lru": 0.19775, "lfu": 0.10520, "2q": 0.18875, "arc": 0.19690,
-        "oracle": 0.51580,
-    },
-    "scan": {
-        "lru": 0.48685, "lfu": 0.60020, "2q": 0.59710, "arc": 0.60035,
-        "oracle": 0.61890,
-    },
+    "static": {"lru": 0.64190, "oracle": 0.84810},
+    "phase_shift": {"lru": 0.31640, "oracle": 0.64240},
+    "oscillating": {"lru": 0.19930, "oracle": 0.51750},
+    "scan": {"lru": 0.49895, "oracle": 0.61880},
 }
 
 _MISS = object()
 
 
-def replay_policy(name: str, keys: list[str], capacity: int) -> dict:
-    """Run ``keys`` through one policy instance; return its counters."""
-    policy = make_policy(name, capacity)
+def synthetic_traces(seed: int = 0) -> dict[str, list[str]]:
+    """The four shapes' key streams, name-keyed in ``WORKLOAD_SHAPES`` order."""
+    return {
+        name: [SpecCatalog.key(i) for i in ReqGenEngine(WorkloadSpec(
+            workload=name, n_requests=N_REQUESTS, seed=seed,
+            **SHAPES[name])).key_indices()]
+        for name in WORKLOAD_SHAPES
+    }
+
+
+def replay_lru(keys: list[str], capacity: int) -> dict:
+    """Run ``keys`` through one :class:`LRUCache`; return its counters."""
+    lru = LRUCache(capacity)
     for key in keys:
-        if policy.get(key, _MISS) is _MISS:
-            policy.put(key, 1)
-    counters = policy.counters()
-    total = counters["hits"] + counters["misses"]
-    counters["hit_rate"] = counters["hits"] / total if total else 0.0
-    return counters
+        if lru.get(key, _MISS) is _MISS:
+            lru.put(key, 1)
+    total = lru.hits + lru.misses
+    return {"hits": lru.hits, "misses": lru.misses,
+            "evictions": lru.evictions,
+            "hit_rate": lru.hits / total if total else 0.0}
 
 
 def belady_hit_rate(keys: list[str], capacity: int) -> float:
@@ -97,8 +112,7 @@ def belady_hit_rate(keys: list[str], capacity: int) -> float:
     The incoming key is itself an eviction candidate — if every resident
     is reused sooner than the missing key's next use, the miss bypasses
     the cache entirely. That is the true (bypass-allowed) Belady bound,
-    which dominates the mandatory-insert discipline every shipped policy
-    follows.
+    which dominates the mandatory-insert discipline LRU follows.
 
     A lazy max-heap of (-next_use, key) stands in for a priority queue
     with decrease-key: every access pushes the key's new next-use, and
@@ -136,15 +150,14 @@ def belady_hit_rate(keys: list[str], capacity: int) -> float:
 
 def evaluate_trace(name: str, keys: list[str],
                    fractions=CAPACITY_FRACTIONS) -> dict:
-    """Hit-rate-vs-capacity curves for one trace, every policy + oracle."""
+    """Hit-rate-vs-capacity curves for one trace, LRU + oracle."""
     n_distinct = len(set(keys))
     curves = []
     for fraction in fractions:
         capacity = max(4, int(n_distinct * fraction))
         start = time.perf_counter()
-        hit_rate = {policy: replay_policy(policy, keys, capacity)["hit_rate"]
-                    for policy in POLICIES}
-        hit_rate["oracle"] = belady_hit_rate(keys, capacity)
+        hit_rate = {"lru": replay_lru(keys, capacity)["hit_rate"],
+                    "oracle": belady_hit_rate(keys, capacity)}
         curves.append({
             "capacity": capacity,
             "capacity_fraction": fraction,
@@ -166,51 +179,35 @@ def _reference_rates(entry: dict) -> dict[str, float]:
     return entry["curves"][0]["hit_rate"]
 
 
-def run_checks(workloads: dict[str, dict]) -> tuple[list[str], list[str]]:
-    """Sanity + quality + pin checks; returns (failures, notes)."""
+def _summary(rates: dict[str, float]) -> str:
+    return (f"lru={rates['lru']:.4f}  oracle={rates['oracle']:.4f}  "
+            f"headroom={rates['oracle'] - rates['lru']:.4f}")
+
+
+def run_checks(workloads: dict[str, dict]) -> list[str]:
+    """Oracle-dominance and pin checks; returns the failures."""
     failures: list[str] = []
-    notes: list[str] = []
     eps = 1e-9
     for name, entry in workloads.items():
         for curve in entry["curves"]:
-            oracle = curve["hit_rate"]["oracle"]
-            for policy in POLICIES:
-                if curve["hit_rate"][policy] > oracle + eps:
-                    failures.append(
-                        f"{name}@{curve['capacity']}: {policy} "
-                        f"{curve['hit_rate'][policy]:.4f} beat the oracle "
-                        f"{oracle:.4f} (replay bug)")
-
-    for adversarial in ("scan", "phase_shift"):
-        entry = workloads.get(adversarial)
-        if entry is None:
-            continue
-        rates = _reference_rates(entry)
-        better = [p for p in POLICIES
-                  if p != "lru" and rates[p] > rates["lru"] + eps]
-        if better:
-            notes.append(
-                f"{adversarial}: {', '.join(sorted(better))} beat LRU "
-                f"({rates['lru']:.4f}) at the reference capacity")
-        else:
-            failures.append(
-                f"{adversarial}: no shipped policy beat LRU "
-                f"({rates['lru']:.4f}) at the reference capacity")
+            lru, oracle = curve["hit_rate"]["lru"], curve["hit_rate"]["oracle"]
+            if lru > oracle + eps:
+                failures.append(
+                    f"{name}@{curve['capacity']}: lru {lru:.4f} beat the "
+                    f"oracle {oracle:.4f} (replay bug)")
 
     for name, pins in PINNED.items():
         entry = workloads.get(name)
         if entry is None:
             continue
         rates = _reference_rates(entry)
-        for policy, pinned in pins.items():
-            got = rates.get(policy)
-            if got is None:
-                continue
-            if got < pinned - PIN_TOLERANCE:
+        for label, pinned in pins.items():
+            got = rates[label]
+            if abs(got - pinned) > PIN_TOLERANCE:
                 failures.append(
-                    f"pin regression: {name}/{policy} hit rate {got:.5f} "
-                    f"< pinned {pinned:.5f} - {PIN_TOLERANCE}")
-    return failures, notes
+                    f"pin regression: {name}/{label} hit rate {got:.5f} "
+                    f"is not within {PIN_TOLERANCE} of pinned {pinned:.5f}")
+    return failures
 
 
 def load_captured_trace(path: Path) -> list[str]:
@@ -233,18 +230,12 @@ def main(argv=None) -> int:
                              "and skip the pin check")
     args = parser.parse_args(argv)
 
-    generator = TraceGenerator(seed=args.seed)
-    traces = generator.all_traces()
-
     workloads: dict[str, dict] = {}
-    for name in WORKLOADS:
-        trace = traces[name]
-        print(f"[{name}] {trace.n_requests} requests, "
-              f"{trace.n_distinct} distinct keys...")
-        workloads[name] = entry = evaluate_trace(name, trace.keys)
-        rates = _reference_rates(entry)
-        print("      " + "  ".join(
-            f"{p}={rates[p]:.4f}" for p in (*POLICIES, "oracle")))
+    for name, keys in synthetic_traces(args.seed).items():
+        workloads[name] = entry = evaluate_trace(name, keys)
+        print(f"[{name}] {entry['n_requests']} requests, "
+              f"{entry['n_distinct']} distinct keys")
+        print("      " + _summary(_reference_rates(entry)))
 
     captures: dict[str, dict] = {}
     for raw in args.trace:
@@ -253,21 +244,20 @@ def main(argv=None) -> int:
         if not keys:
             print(f"[capture {path.name}] empty trace, skipping")
             continue
-        print(f"[capture {path.name}] {len(keys)} requests, "
-              f"{len(set(keys))} distinct keys...")
         captures[path.name] = entry = evaluate_trace(path.name, keys)
-        rates = _reference_rates(entry)
-        print("      " + "  ".join(
-            f"{p}={rates[p]:.4f}" for p in (*POLICIES, "oracle")))
+        print(f"[capture {path.name}] {entry['n_requests']} requests, "
+              f"{entry['n_distinct']} distinct keys")
+        print("      " + _summary(_reference_rates(entry)))
 
     if args.print_pins:
-        pins = {name: {p: round(_reference_rates(entry)[p], 5)
-                       for p in (*POLICIES, "oracle")}
+        pins = {name: {label: round(rate, 5)
+                       for label, rate in _reference_rates(entry).items()}
                 for name, entry in workloads.items()}
         print("PINNED = " + json.dumps(pins, indent=4))
-        failures, notes = [], ["pin check skipped (--print-pins)"]
+        failures: list[str] = []
+        notes = ["pin check skipped (--print-pins)"]
     else:
-        failures, notes = run_checks(workloads)
+        failures, notes = run_checks(workloads), []
 
     report = {
         "schema": "repro-bench-cache/1",
@@ -288,15 +278,11 @@ def main(argv=None) -> int:
 
     for note in notes:
         print(f"note: {note}")
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if any("oracle" in f and "replay bug" in f for f in failures):
-            return 2
-        if any("no shipped policy beat LRU" in f for f in failures):
-            return 3
-        return 4
-    return 0
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if any("replay bug" in f for f in failures):
+        return 2
+    return 4 if failures else 0
 
 
 if __name__ == "__main__":

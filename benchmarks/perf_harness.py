@@ -18,19 +18,16 @@ writes one machine-readable JSON file so future changes can see regressions:
    per-phase timings are embedded in the report and whose JSONL trace is
    written to ``benchmarks/results/BENCH_trace.jsonl`` for
    ``repro obs summarize``.
-5. **cache_policies** — a repeated chunked-sweep workload run under every
-   eviction policy (small ``max_entries`` forcing eviction): wall time,
-   hit/miss/eviction counters, and a bit-identity check across policies;
-   plus the access-trace capture overhead (warm all-hit passes with
-   capture off vs on — the off path must stay near-free).
+5. **cache_capture** — the access-trace capture overhead on the probe hot
+   path: warm all-hit passes of a chunked-sweep workload with capture off
+   vs on (the off path must stay near-free).
 
 Run::
 
     PYTHONPATH=src python benchmarks/perf_harness.py [--reduced] [--out PATH]
 
 Exit codes: 0 ok; 2 batched-vs-scalar or traced-vs-untraced divergence;
-3 cache layers failed to produce second-rate hits or changed results;
-4 eviction policies disagreed on sweep results.
+3 cache layers failed to produce second-rate hits or changed results.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ except ImportError:  # running from a checkout without PYTHONPATH=src
 from repro import obs
 from repro.cache import (
     ResultCache,
-    available_policies,
     cache_snapshot,
     configure_capture,
     get_recorder,
@@ -212,20 +208,17 @@ def bench_observability(configs, profile, reduced: bool, trace_out: Path) -> dic
     }
 
 
-def bench_cache_policies(configs, profile, reduced: bool,
-                         trace_out: Path) -> dict:
-    """Repeated chunked sweeps under every policy, plus capture overhead.
+def bench_cache_capture(configs, profile, reduced: bool,
+                        trace_out: Path) -> dict:
+    """Access-trace capture overhead on an all-hit chunked-sweep workload.
 
     The design space is swept in chunks (one cache entry each): every pass
     scans all chunks in order while re-sweeping a 3-chunk hot set between
-    the cold ones, with ``max_entries`` far below the chunk count. That is
-    the regime where policies differ — the scan thrashes a recency-only
-    tier while the hot set rewards frequency/ghost tracking. Results must
-    be bit-identical whichever policy manages the tier.
+    them. One pass warms a tier big enough to hold every chunk, then timed
+    passes are pure memory hits — the path the recorder hook sits on.
     """
     n_chunks = 12 if reduced else 24
     passes = 2 if reduced else 3
-    max_entries = max(2, n_chunks // 3)
     chunk_size = (len(configs) + n_chunks - 1) // n_chunks
     chunks = [configs[i:i + chunk_size]
               for i in range(0, len(configs), chunk_size)]
@@ -242,24 +235,6 @@ def bench_cache_policies(configs, profile, reduced: bool,
                                        cache=store).sum())
         return total
 
-    per_policy = {}
-    checksums = set()
-    for policy in available_policies():
-        store = ResultCache(max_entries=max_entries, policy=policy)
-        seconds, checksum = _timed(lambda: workload(store))
-        stats = store.stats()
-        checksums.add(checksum)
-        per_policy[policy] = {
-            "seconds": seconds,
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "hit_rate": stats.hit_rate,
-            "counters": store.memory.counters(),
-        }
-
-    # Capture overhead on an all-hit workload: one pass warms a tier big
-    # enough to hold every chunk, then timed passes are pure memory hits —
-    # the path the recorder hook sits on.
     warm = ResultCache(max_entries=len(chunks) + 1)
     workload(warm)
     off_s, _ = _timed(lambda: workload(warm), repeats=3)
@@ -274,9 +249,6 @@ def bench_cache_policies(configs, profile, reduced: bool,
     return {
         "n_chunks": len(chunks),
         "passes": passes,
-        "max_entries": max_entries,
-        "per_policy": per_policy,
-        "bit_identical": len(checksums) == 1,
         "capture_off_seconds": off_s,
         "capture_on_seconds": on_s,
         "capture_overhead_pct": (on_s / off_s - 1.0) * 100.0,
@@ -349,19 +321,14 @@ def main(argv=None) -> int:
         print(f"      phase {row['phase']:<12} count={row['count']:<4} "
               f"total={row['total_s']:.4f}s")
 
-    print("[6/6] eviction policies under a repeated chunked sweep...")
+    print("[6/6] cache access-trace capture overhead (all-hit sweep)...")
     cache_trace_out = Path(args.out).parent / "BENCH_cachetrace.jsonl"
-    report["layers"]["cache_policies"] = cp = bench_cache_policies(
+    report["layers"]["cache_capture"] = cc = bench_cache_capture(
         configs, profile, args.reduced, cache_trace_out)
-    for policy, row in sorted(cp["per_policy"].items()):
-        print(f"      {policy:<4} {row['seconds']:.3f}s  hits {row['hits']:<5} "
-              f"misses {row['misses']:<5} hit-rate {row['hit_rate']:.3f}  "
-              f"evictions {row['counters']['evictions']}")
-    print(f"      capture off {cp['capture_off_seconds']:.4f}s  on "
-          f"{cp['capture_on_seconds']:.4f}s  overhead "
-          f"{cp['capture_overhead_pct']:+.2f}%  "
-          f"({cp['capture_records']} records)  bit-identical "
-          f"{cp['bit_identical']}")
+    print(f"      capture off {cc['capture_off_seconds']:.4f}s  on "
+          f"{cc['capture_on_seconds']:.4f}s  overhead "
+          f"{cc['capture_overhead_pct']:+.2f}%  "
+          f"({cc['capture_records']} records)")
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -379,10 +346,6 @@ def main(argv=None) -> int:
         print("FATAL: cache layers changed results or produced no reuse",
               file=sys.stderr)
         return 3
-    if not cp["bit_identical"]:
-        print("FATAL: eviction policies disagreed on sweep results",
-              file=sys.stderr)
-        return 4
     return 0
 
 

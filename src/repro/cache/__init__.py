@@ -3,12 +3,10 @@
 Expensive, deterministic artifacts — full design-space cycle sweeps,
 preprocessed design matrices — are keyed by a stable fingerprint of their
 complete inputs (including a code-version digest) and served from a
-bounded in-memory tier backed by an optional on-disk store. The memory
-tier's eviction policy is pluggable (:mod:`repro.cache.policies`:
-LRU/LFU/2Q/ARC, selected via ``policy=`` / ``REPRO_CACHE_POLICY`` /
-``--cache-policy``), and every probe can be recorded to a replayable
+bounded in-memory LRU tier (:mod:`repro.cache.memory`) backed by an
+optional on-disk store. Every probe can be recorded to a replayable
 access trace (:mod:`repro.cache.capture`, schema ``repro-cachetrace/1``)
-for offline policy evaluation against the Belady/OPT oracle in
+and replayed offline against the Belady/OPT oracle in
 ``benchmarks/cache_oracle.py``. See :mod:`repro.cache.result_cache` for
 the orchestration layer, :mod:`repro.cache.fingerprint` for key
 construction, and :mod:`repro.cache.disk` for the persistent layer.
@@ -27,17 +25,6 @@ from repro.cache.capture import (
 from repro.cache.disk import DiskStore
 from repro.cache.fingerprint import code_version, stable_fingerprint
 from repro.cache.memory import LRUCache
-from repro.cache.policies import (
-    ARCPolicy,
-    EvictionPolicy,
-    LFUPolicy,
-    LRUPolicy,
-    POLICIES,
-    TwoQPolicy,
-    available_policies,
-    make_policy,
-    normalize_policy,
-)
 from repro.cache.result_cache import (
     CacheStats,
     ResultCache,
@@ -50,19 +37,12 @@ from repro.cache.result_cache import (
 )
 
 __all__ = [
-    "ARCPolicy",
     "AccessRecorder",
     "CACHE_TRACE_SCHEMA",
     "CacheStats",
     "DiskStore",
-    "EvictionPolicy",
-    "LFUPolicy",
     "LRUCache",
-    "LRUPolicy",
-    "POLICIES",
     "ResultCache",
-    "TwoQPolicy",
-    "available_policies",
     "cache_snapshot",
     "capture_enabled",
     "code_version",
@@ -71,8 +51,6 @@ __all__ = [
     "default_cache",
     "get_recorder",
     "is_enabled",
-    "make_policy",
-    "normalize_policy",
     "read_cache_trace",
     "reset_default_cache",
     "set_enabled",

@@ -2,8 +2,8 @@
 
 Every :meth:`repro.cache.ResultCache.get_or_compute` probe — hit or miss —
 can be recorded as one compact access record so real sweep/service
-workloads can be replayed offline through alternative eviction policies
-and the Belady/OPT oracle (``benchmarks/cache_oracle.py``). Capture is off
+workloads can be replayed offline through the memory tier's LRU and the
+Belady/OPT oracle (``benchmarks/cache_oracle.py``). Capture is off
 by default and costs one module-global ``None`` check per probe when off,
 mirroring the :mod:`repro.obs.trace` no-op discipline, so untraced hot
 paths stay bit-identical and unmeasurably close to their old wall-clock.

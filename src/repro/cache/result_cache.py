@@ -28,7 +28,7 @@ from typing import Any, Callable
 from repro.cache.capture import record_access as _record_access
 from repro.cache.disk import DiskStore
 from repro.cache.fingerprint import stable_fingerprint
-from repro.cache.policies import make_policy, normalize_policy
+from repro.cache.memory import LRUCache
 from repro.obs.metrics import default_registry as _metrics
 
 __all__ = [
@@ -56,7 +56,6 @@ class CacheStats:
     disk_hits: int
     disk_misses: int
     disk_entries: int
-    policy: str = "lru"
 
     @property
     def hits(self) -> int:
@@ -97,10 +96,8 @@ class ResultCache:
     def __init__(self, max_entries: int = 128,
                  disk_root: str | os.PathLike[str] | None = None,
                  namespace: str | None = None,
-                 disk_breaker: "Any | None" = None,
-                 policy: str = "lru") -> None:
-        self.policy = normalize_policy(policy)
-        self.memory = make_policy(self.policy, max_entries=max_entries)
+                 disk_breaker: "Any | None" = None) -> None:
+        self.memory = LRUCache(max_entries=max_entries)
         self.disk = DiskStore(disk_root) if disk_root is not None else None
         self.namespace = namespace
         self.disk_breaker = disk_breaker
@@ -198,7 +195,6 @@ class ResultCache:
             disk_hits=self.disk.hits if self.disk is not None else 0,
             disk_misses=self.disk.misses if self.disk is not None else 0,
             disk_entries=len(self.disk) if self.disk is not None else 0,
-            policy=self.policy,
         )
 
     def stats_by_namespace(self) -> dict[str, dict[str, int]]:
@@ -220,39 +216,29 @@ _DEFAULT: ResultCache | None = None
 def default_cache() -> ResultCache:
     """The process-wide cache instance (created lazily on first use).
 
-    Honours two environment variables at creation time: ``REPRO_CACHE_DIR``
-    (when set and non-empty, results are also persisted under that directory
-    so later *processes* — a resumed run, the next CLI invocation — reuse
-    them) and ``REPRO_CACHE_POLICY`` (memory-tier eviction policy:
-    ``lru``/``lfu``/``2q``/``arc``; default ``lru``).
+    Honours ``REPRO_CACHE_DIR`` at creation time: when set and non-empty,
+    results are also persisted under that directory so later *processes* —
+    a resumed run, the next CLI invocation — reuse them.
     """
     global _DEFAULT
     if _DEFAULT is None:
         disk_root = os.environ.get("REPRO_CACHE_DIR") or None
-        policy = os.environ.get("REPRO_CACHE_POLICY") or "lru"
-        _DEFAULT = ResultCache(max_entries=128, disk_root=disk_root,
-                               policy=policy)
+        _DEFAULT = ResultCache(max_entries=128, disk_root=disk_root)
     return _DEFAULT
 
 
 def configure(max_entries: int = 128,
               disk_root: str | os.PathLike[str] | None = None,
               namespace: str | None = None,
-              disk_breaker: "Any | None" = None,
-              policy: str | None = None) -> ResultCache:
+              disk_breaker: "Any | None" = None) -> ResultCache:
     """Replace the process-wide cache with one using the given settings.
 
     Service workers use ``namespace`` + ``disk_breaker`` to point every
     tenant at one shared, breaker-guarded disk tier under the spool.
-    ``policy`` selects the memory tier's eviction policy; ``None`` falls
-    back to ``REPRO_CACHE_POLICY`` and then to ``lru``.
     """
     global _DEFAULT
-    if policy is None:
-        policy = os.environ.get("REPRO_CACHE_POLICY") or "lru"
     _DEFAULT = ResultCache(max_entries=max_entries, disk_root=disk_root,
-                           namespace=namespace, disk_breaker=disk_breaker,
-                           policy=policy)
+                           namespace=namespace, disk_breaker=disk_breaker)
     return _DEFAULT
 
 
@@ -286,10 +272,8 @@ def cache_snapshot() -> dict[str, Any]:
     store = default_cache()
     snap: dict[str, Any] = {
         "enabled": is_enabled(),
-        "policy": store.policy,
         "result_cache": store.stats().as_dict(),
         "by_namespace": store.stats_by_namespace(),
-        "policy_counters": store.memory.counters(),
     }
     from repro.ml.preprocess import raw_matrix_cache  # local: avoids a cycle
 

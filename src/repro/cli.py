@@ -86,11 +86,10 @@ Result caching
 ``sweep``, ``sampled-dse``, and ``chronological`` reuse expensive artifacts
 (full-space cycle sweeps, encoded design matrices) through
 :mod:`repro.cache`. ``--cache-dir PATH`` (or ``REPRO_CACHE_DIR``) persists
-them across invocations; ``--cache-policy {lru,lfu,2q,arc}`` (or
-``REPRO_CACHE_POLICY``) selects the memory tier's eviction policy;
-``--cache-trace PATH`` records every probe to a replayable JSONL access
-trace (schema ``repro-cachetrace/1``) for ``benchmarks/cache_oracle.py``;
-``--no-cache`` recomputes everything, for reproducibility audits.
+them across invocations; ``--cache-trace PATH`` records every probe to a
+replayable JSONL access trace (schema ``repro-cachetrace/1``) for
+``benchmarks/cache_oracle.py``; ``--no-cache`` recomputes everything, for
+reproducibility audits.
 
 Fault tolerance
 ---------------
@@ -187,10 +186,6 @@ def _add_cache(p: argparse.ArgumentParser) -> None:
     g.add_argument("--cache-dir", default=None, metavar="PATH",
                    help="persist cached results under PATH (also read from "
                         "the REPRO_CACHE_DIR environment variable)")
-    g.add_argument("--cache-policy", default=None,
-                   choices=["lru", "lfu", "2q", "arc"],
-                   help="memory-tier eviction policy (also read from the "
-                        "REPRO_CACHE_POLICY environment variable; default lru)")
     g.add_argument("--cache-trace", default=None, metavar="PATH",
                    help="append every cache probe (key fingerprint, "
                         "namespace, hit/miss, timestamp) to PATH as JSONL "
@@ -464,11 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "stays empty this long (lets the first submit land)")
     p.add_argument("--max-runtime", type=float, default=None, metavar="SEC",
                    help="drain and exit after this long")
-    p.add_argument("--cache-policy", default=None,
-                   choices=["lru", "lfu", "2q", "arc"],
-                   help="eviction policy every worker shard's result cache "
-                        "runs (also read from REPRO_CACHE_POLICY; default "
-                        "lru)")
     p.add_argument("--obs", action="store_true",
                    help="observability plane: every worker shard writes a "
                         "repro-trace/1 file with one trace id per job "
@@ -673,14 +663,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.cache import ResultCache, cache_snapshot
 
     disk_root = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or None
-    policy = os.environ.get("REPRO_CACHE_POLICY") or "lru"
-    store = ResultCache(disk_root=disk_root, policy=policy)
+    store = ResultCache(disk_root=disk_root)
     where = str(disk_root) if disk_root else "(memory only; set REPRO_CACHE_DIR)"
     if args.cache_command == "stats":
         stats = store.stats()
         print(format_kv(
             {
-                "policy": stats.policy,
                 "disk entries": stats.disk_entries,
                 "disk bytes": store.disk.size_bytes() if store.disk else 0,
             },
@@ -744,7 +732,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_runtime=args.max_runtime,
         seed=args.seed,
         injector=injector,
-        cache_policy=args.cache_policy,
         obs=args.obs,
         status_file=args.status_file,
         status_interval=args.status_interval,
@@ -1108,14 +1095,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         set_enabled(False)
     cache_dir = getattr(args, "cache_dir", None)
-    cache_policy = getattr(args, "cache_policy", None)
-    if args.command != "cache" and (cache_dir or cache_policy):
-        import os
-
+    if args.command != "cache" and cache_dir:
         from repro.cache import configure
 
-        configure(disk_root=cache_dir or os.environ.get("REPRO_CACHE_DIR")
-                  or None, policy=cache_policy)
+        configure(disk_root=cache_dir)
     captured = _setup_cache_capture(args)
     observed = _setup_observability(args)
     try:

@@ -73,9 +73,6 @@ class ServiceConfig:
     max_runtime: float | None = None
     #: Chaos harness handed to the *initial* worker generation only.
     injector: FaultInjector | None = None
-    #: Eviction policy every worker shard's result cache runs
-    #: (lru/lfu/2q/arc); None falls back to REPRO_CACHE_POLICY, then lru.
-    cache_policy: str | None = None
     #: Observability plane: workers write per-shard ``repro-trace/1`` files
     #: with one trace id per job (``serve --obs``). Off by default; job
     #: execution stays bit-identical either way.
@@ -157,7 +154,6 @@ class WorkerSupervisor:
             seed=stream_seed(self.config.seed, "svc-worker", slot.index),
             poll_interval=self.config.poll_interval,
             injector=injector,
-            cache_policy=self.config.cache_policy,
             obs=self.config.obs,
         )
 

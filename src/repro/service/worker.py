@@ -106,9 +106,6 @@ class WorkerConfig:
     #: Trips the shared disk cache tier after this many consecutive I/O errors.
     disk_breaker_threshold: int = 3
     disk_breaker_reset: float = 5.0
-    #: Memory-tier eviction policy for the shard's result cache
-    #: (lru/lfu/2q/arc); None falls back to REPRO_CACHE_POLICY, then lru.
-    cache_policy: str | None = None
     #: Observability plane: when True the shard writes a ``repro-trace/1``
     #: file (``<root>/obs/trace.<name>.jsonl``) with one trace id per job.
     #: Off by default — execution stays bit-identical and span-free.
@@ -203,11 +200,9 @@ class Worker:
 
         Namespaced per spool schema so service entries never collide with a
         user's own ``REPRO_CACHE_DIR``; breaker-guarded so a sick disk
-        degrades the tier to memory-only instead of stalling every job. The
-        shard inherits the service's configured eviction policy (config
-        field, else ``REPRO_CACHE_POLICY``), and when ``REPRO_CACHE_TRACE``
-        names a path it records its cache probes to
-        ``<path>.<shard-name>`` — one capture file per shard, no
+        degrades the tier to memory-only instead of stalling every job.
+        When ``REPRO_CACHE_TRACE`` names a path the shard records its cache
+        probes to ``<path>.<shard-name>`` — one capture file per shard, no
         interleaved writers — flushed at shard exit for offline replay.
         """
         import os
@@ -219,8 +214,7 @@ class Worker:
         configure(max_entries=128,
                   disk_root=Path(self.config.root) / "cache",
                   namespace=SPOOL_SCHEMA,
-                  disk_breaker=self.disk_breaker,
-                  policy=self.config.cache_policy)
+                  disk_breaker=self.disk_breaker)
         trace_root = os.environ.get("REPRO_CACHE_TRACE")
         if trace_root:
             configure_capture(f"{trace_root}.{self.config.name}")

@@ -1,60 +1,20 @@
-"""Behavioral tests for every eviction policy, plus the shared contract.
+"""Behavioural tests of the result cache's memory tier, :class:`LRUCache`.
 
-Each policy gets targeted tests of its distinguishing behavior (LRU
-recency order, LFU frequency protection, 2Q ghost-gated promotion, ARC
-adaptation), and all four share a regression suite for the contract
-hazards: a refresh at capacity must never evict or bump the eviction
-counter, and ghost bookkeeping must stay invisible to ``len``/``in``.
+LRU is the one eviction policy the cache has; the shared cases are
+parametrized by policy name so their ids stay ``[lru]``. Together with
+``test_policy_properties.py`` and ``test_lru_contract.py`` they pin the
+tier's contract: residency, recency order, counters, refresh at capacity,
+``clear`` and the ``max_entries`` check.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cache import (
-    ARCPolicy,
-    LFUPolicy,
-    LRUPolicy,
-    POLICIES,
-    TwoQPolicy,
-    available_policies,
-    make_policy,
-    normalize_policy,
-)
+from repro.cache import LRUCache
 
+POLICIES = {"lru": LRUCache}
 ALL_POLICIES = sorted(POLICIES)
-
-
-# -- registry ----------------------------------------------------------------
-
-
-def test_registry_contents():
-    assert set(POLICIES) == {"lru", "lfu", "2q", "arc"}
-    assert available_policies() == ("2q", "arc", "lfu", "lru")
-
-
-def test_normalize_accepts_aliases_and_case():
-    assert normalize_policy("LRU") == "lru"
-    assert normalize_policy("twoq") == "2q"
-    assert normalize_policy(" arc ") == "arc"
-
-
-def test_normalize_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown cache policy"):
-        normalize_policy("fifo")
-
-
-@pytest.mark.parametrize("name", ALL_POLICIES)
-def test_make_policy_builds_named_class(name):
-    policy = make_policy(name, 8)
-    assert policy.name == name
-    assert policy.max_entries == 8
-
-
-@pytest.mark.parametrize("name", ALL_POLICIES)
-def test_capacity_must_be_positive(name):
-    with pytest.raises(ValueError, match="max_entries"):
-        make_policy(name, 0)
 
 
 # -- shared contract ---------------------------------------------------------
@@ -62,86 +22,52 @@ def test_capacity_must_be_positive(name):
 
 @pytest.mark.parametrize("name", ALL_POLICIES)
 def test_get_put_roundtrip_and_counters(name):
-    policy = make_policy(name, 4)
-    assert policy.get("a") is None
-    policy.put("a", 1)
-    assert policy.get("a") == 1
-    assert "a" in policy and len(policy) == 1
-    counters = policy.counters()
-    assert counters["policy"] == name
-    assert counters["hits"] == 1 and counters["misses"] == 1
-    assert counters["evictions"] == 0
-    assert counters["entries"] == 1 and counters["max_entries"] == 4
+    cache = POLICIES[name](4)
+    assert cache.get("a") is None
+    cache.put("a", 1)
+    assert cache.get("a") == 1
+    assert "a" in cache and len(cache) == 1
+    assert cache.hits == 1 and cache.misses == 1
+    assert cache.evictions == 0
+    assert cache.max_entries == 4
 
 
 @pytest.mark.parametrize("name", ALL_POLICIES)
 def test_size_never_exceeds_capacity(name):
-    policy = make_policy(name, 3)
+    cache = POLICIES[name](3)
     for i in range(20):
-        policy.put(f"k{i}", i)
-        assert len(policy) <= 3
-    assert policy.counters()["evictions"] == 17
-
-
-@pytest.mark.parametrize("name", ALL_POLICIES)
-def test_refresh_at_capacity_never_evicts(name):
-    """Regression: re-putting a resident key in a full cache must be a
-    value update, not an insert — no eviction, no eviction-counter bump."""
-    policy = make_policy(name, 3)
-    for i in range(3):
-        policy.put(f"k{i}", i)
-    assert len(policy) == 3 and policy.counters()["evictions"] == 0
-    for i in range(3):
-        policy.put(f"k{i}", i + 100)  # refresh every resident at capacity
-    assert len(policy) == 3
-    assert policy.counters()["evictions"] == 0
-    for i in range(3):
-        assert policy.get(f"k{i}") == i + 100
+        cache.put(f"k{i}", i)
+        assert len(cache) <= 3
+    assert cache.evictions == 17
 
 
 @pytest.mark.parametrize("name", ALL_POLICIES)
 def test_evicted_keys_are_really_gone(name):
-    """Ghost bookkeeping (2Q/ARC) must not leak into residency checks."""
-    policy = make_policy(name, 2)
+    cache = POLICIES[name](2)
     for i in range(10):
-        policy.put(f"k{i}", i)
-    resident = [f"k{i}" for i in range(10) if f"k{i}" in policy]
-    assert len(resident) == len(policy) <= 2
+        cache.put(f"k{i}", i)
+    resident = [f"k{i}" for i in range(10) if f"k{i}" in cache]
+    assert len(resident) == len(cache) <= 2
     for i in range(10):
         key = f"k{i}"
         if key not in resident:
-            assert policy.get(key) is None
-
-
-@pytest.mark.parametrize("name", ALL_POLICIES)
-def test_explicit_evict_and_clear(name):
-    policy = make_policy(name, 4)
-    for i in range(4):
-        policy.put(f"k{i}", i)
-    victim = policy.evict()
-    assert victim is not None and victim not in policy
-    assert len(policy) == 3
-    assert policy.clear() == 3
-    assert len(policy) == 0
-    assert policy.evict() is None
-    # counters survive clear(); only contents are dropped
-    assert policy.counters()["evictions"] >= 1
+            assert cache.get(key) is None
 
 
 @pytest.mark.parametrize("name", ALL_POLICIES)
 def test_get_default_does_not_shadow_none_values(name):
-    policy = make_policy(name, 4)
+    cache = POLICIES[name](4)
     sentinel = object()
-    assert policy.get("missing", sentinel) is sentinel
-    policy.put("present", None)
-    assert policy.get("present", sentinel) is None
+    assert cache.get("missing", sentinel) is sentinel
+    cache.put("present", None)
+    assert cache.get("present", sentinel) is None
 
 
 # -- LRU ---------------------------------------------------------------------
 
 
 def test_lru_evicts_least_recently_used():
-    lru = LRUPolicy(2)
+    lru = LRUCache(2)
     lru.put("a", 1)
     lru.put("b", 2)
     assert lru.get("a") == 1     # refresh a; b is now LRU
@@ -151,84 +77,9 @@ def test_lru_evicts_least_recently_used():
 
 
 def test_lru_put_refresh_updates_recency():
-    lru = LRUPolicy(2)
+    lru = LRUCache(2)
     lru.put("a", 1)
     lru.put("b", 2)
     lru.put("a", 10)             # refresh via put, not get
     lru.put("c", 3)
     assert "b" not in lru and lru.get("a") == 10
-
-
-# -- LFU ---------------------------------------------------------------------
-
-
-def test_lfu_protects_frequent_keys():
-    lfu = LFUPolicy(2)
-    lfu.put("hot", 1)
-    for _ in range(5):
-        assert lfu.get("hot") == 1
-    lfu.put("cold1", 2)
-    lfu.put("cold2", 3)          # evicts cold1 (freq 1) not hot (freq 6)
-    assert "hot" in lfu and "cold2" in lfu and "cold1" not in lfu
-
-
-def test_lfu_ties_break_by_recency():
-    lfu = LFUPolicy(2)
-    lfu.put("a", 1)
-    lfu.put("b", 2)              # both freq 1; a is older
-    lfu.put("c", 3)
-    assert "a" not in lfu and "b" in lfu
-
-
-# -- 2Q ----------------------------------------------------------------------
-
-
-def test_twoq_one_shot_keys_never_reach_main():
-    """A scan's single-use keys die in A1in without touching Am."""
-    twoq = TwoQPolicy(8)
-    twoq.put("hot", 1)
-    twoq.get("hot")
-    for i in range(50):
-        twoq.put(f"scan{i}", i)
-    assert twoq.counters()["ghost_promotions"] == 0
-    assert twoq.counters()["am"] == 0
-
-
-def test_twoq_ghost_hit_promotes_to_main():
-    twoq = TwoQPolicy(8)         # k_in=2, k_out=4
-    twoq.put("x", 1)
-    for i in range(8):           # fill to capacity, then push x out of A1in
-        twoq.put(f"f{i}", i)
-    assert "x" not in twoq       # ghost: remembered but not resident
-    twoq.put("x", 2)             # ghost hit -> straight into Am
-    assert twoq.counters()["ghost_promotions"] == 1
-    assert twoq.counters()["am"] == 1
-    assert twoq.get("x") == 2
-
-
-# -- ARC ---------------------------------------------------------------------
-
-
-def test_arc_ghost_hits_move_adaptation_target():
-    arc = ARCPolicy(4)
-    assert arc.counters()["target_p"] == 0.0
-    arc.put("a", 1)
-    arc.get("a")                 # a -> T2, so replacement spills T1 into B1
-    for i in range(4):           # churn: k0 is pushed out into the B1 ghosts
-        arc.put(f"k{i}", i)
-    assert "k0" not in arc
-    assert arc.counters()["b1_ghosts"] >= 1
-    arc.put("k0", 99)            # B1 ghost hit -> p grows (favor recency)
-    assert arc.counters()["b1_hits"] == 1
-    assert arc.counters()["target_p"] > 0.0
-
-
-def test_arc_frequent_keys_live_in_t2():
-    arc = ARCPolicy(4)
-    arc.put("a", 1)
-    arc.get("a")                 # second touch -> T2
-    assert arc.counters()["t2"] == 1 and arc.counters()["t1"] == 0
-    for i in range(3):
-        arc.put(f"k{i}", i)
-    arc.put("k3", 3)             # full: replacement prefers T1 over T2
-    assert "a" in arc

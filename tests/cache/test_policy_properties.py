@@ -1,14 +1,14 @@
-"""Property-based tests for the invariants every eviction policy shares.
+"""Property-based tests for the invariants of the memory tier.
 
-One seeded random workload generator drives all four policies through
-the same mixed get/put/evict/clear operation streams, checking after
-every step the contract :class:`repro.cache.EvictionPolicy` promises:
+One seeded random workload generator drives :class:`repro.cache.LRUCache`
+(the one eviction policy, parametrized by name so the ids stay ``[lru]``)
+through mixed get/put/clear operation streams, checking after every step:
 
 * residency never exceeds ``max_entries``;
 * a key just ``put`` is immediately gettable with its exact value;
 * an evicted key is really gone (``get`` misses, ``in`` is False);
 * hits + misses equals the number of ``get`` calls, and evictions
-  equals insertions minus residents (clears accounted separately).
+  equals insertions minus residents minus cleared entries.
 
 Runs under hypothesis when installed; falls back to a fixed
 seeded-random sweep otherwise, so the properties stay tested in minimal
@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from repro.cache import POLICIES, make_policy
+from repro.cache import LRUCache
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -49,13 +49,14 @@ except ImportError:  # pragma: no cover - exercised only without hypothesis
         return deco
 
 
+POLICIES = {"lru": LRUCache}
 ALL_POLICIES = sorted(POLICIES)
 
 
 def _run_workload(policy_name: str, seed: int, n_ops: int = 400) -> None:
     rng = random.Random(seed)
     capacity = rng.randint(1, 12)
-    policy = make_policy(policy_name, capacity)
+    cache = POLICIES[policy_name](capacity)
     n_keys = rng.randint(1, 30)
     keys = [f"k{i}" for i in range(n_keys)]
 
@@ -69,47 +70,42 @@ def _run_workload(policy_name: str, seed: int, n_ops: int = 400) -> None:
         key = rng.choice(keys)
         if op < 0.45:
             n_gets += 1
-            got = policy.get(key)
+            got = cache.get(key)
             if key in contents:
                 assert got == contents[key], \
                     f"{policy_name}: resident {key} returned {got!r}"
-        elif op < 0.85:
+        elif op < 0.95:
             value = step
-            was_resident = key in policy
-            policy.put(key, value)
+            was_resident = key in cache
+            cache.put(key, value)
             if not was_resident:
                 n_insertions += 1
             contents[key] = value
-            assert key in policy, f"{policy_name}: just-put {key} not resident"
+            assert key in cache, f"{policy_name}: just-put {key} not resident"
             n_gets += 1
-            assert policy.get(key) == value
-        elif op < 0.95:
-            victim = policy.evict()
-            if victim is not None:
-                assert victim not in policy
-                contents.pop(victim, None)
+            assert cache.get(key) == value
         else:
-            n_cleared += policy.clear()
+            n_cleared += cache.clear()
             contents.clear()
-            assert len(policy) == 0
+            assert len(cache) == 0
 
         # residency bound + mirror consistency, every single step
-        assert len(policy) <= capacity
-        evicted = [k for k in list(contents) if k not in policy]
+        assert len(cache) <= capacity
+        evicted = [k for k in list(contents) if k not in cache]
         for k in evicted:       # the policy chose these victims; mirror it
+            assert cache.get(k) is None
+            n_gets += 1
             del contents[k]
-        assert len(contents) == len(policy), \
-            f"{policy_name}: mirror {len(contents)} != resident {len(policy)}"
+        assert len(contents) == len(cache), \
+            f"{policy_name}: mirror {len(contents)} != resident {len(cache)}"
 
-    counters = policy.counters()
-    assert counters["hits"] + counters["misses"] == n_gets
-    assert counters["evictions"] == n_insertions - len(policy) - n_cleared
-    assert counters["entries"] == len(policy)
+    assert cache.hits + cache.misses == n_gets
+    assert cache.evictions == n_insertions - len(cache) - n_cleared
     # every mirrored key must still serve its exact last value
-    n = len(policy)
+    n = len(cache)
     for k, v in contents.items():
-        assert policy.get(k) == v
-    assert len(policy) == n     # reads never change residency
+        assert cache.get(k) == v
+    assert len(cache) == n      # reads never change residency
 
 
 @pytest.mark.parametrize("name", ALL_POLICIES)
@@ -121,13 +117,13 @@ def test_policy_invariants_under_random_workload(name, seed):
 @pytest.mark.parametrize("name", ALL_POLICIES)
 @seeds(n_examples=10)
 def test_capacity_one_degenerate_cache(name, seed):
-    """Every policy must behave at the smallest legal capacity."""
+    """The tier must behave at the smallest legal capacity."""
     rng = random.Random(seed)
-    policy = make_policy(name, 1)
+    cache = POLICIES[name](1)
     last = None
     for step in range(100):
         key = f"k{rng.randrange(5)}"
-        policy.put(key, step)
+        cache.put(key, step)
         last = (key, step)
-        assert len(policy) == 1
-        assert policy.get(last[0]) == last[1]
+        assert len(cache) == 1
+        assert cache.get(last[0]) == last[1]

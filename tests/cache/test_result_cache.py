@@ -7,7 +7,7 @@ import pytest
 
 from repro.cache import DiskStore, LRUCache, ResultCache
 from repro.cache import result_cache as rc_mod
-from repro.simulator import get_profile, sweep_design_space
+from repro.simulator import SPEC2000_PROFILES, get_profile, sweep_design_space
 
 
 class TestLRUCache:
@@ -163,67 +163,6 @@ class TestResultCache:
         assert cache.stats().hit_rate == pytest.approx(2 / 3)
 
 
-class TestPolicySelection:
-    """ResultCache policy wiring: constructor, env var, snapshots."""
-
-    def test_default_policy_is_lru(self):
-        cache = ResultCache()
-        assert cache.policy == "lru"
-        assert cache.stats().policy == "lru"
-        assert cache.memory.name == "lru"
-
-    @pytest.mark.parametrize("name", ["lru", "lfu", "2q", "arc"])
-    def test_explicit_policy_reaches_memory_tier(self, name):
-        cache = ResultCache(policy=name)
-        assert cache.policy == name
-        assert cache.memory.name == name
-        cache.get_or_compute(("k",), lambda: 1)
-        cache.get_or_compute(("k",), lambda: 1)
-        assert cache.stats().hits == 1
-        assert cache.memory.counters()["policy"] == name
-
-    def test_policy_alias_normalized(self):
-        assert ResultCache(policy="TwoQ").policy == "2q"
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown cache policy"):
-            ResultCache(policy="belady")
-
-    def test_env_var_selects_default_cache_policy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_POLICY", "arc")
-        rc_mod.reset_default_cache()
-        try:
-            assert rc_mod.default_cache().policy == "arc"
-        finally:
-            monkeypatch.delenv("REPRO_CACHE_POLICY")
-            rc_mod.reset_default_cache()
-
-    def test_configure_policy_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_POLICY", "lfu")
-        try:
-            rc_mod.configure(policy="2q")
-            assert rc_mod.default_cache().policy == "2q"
-        finally:
-            monkeypatch.delenv("REPRO_CACHE_POLICY")
-            rc_mod.reset_default_cache()
-
-    def test_eviction_results_identical_across_policies(self, design_space):
-        profile = get_profile("gcc")
-        chunks = [design_space[i:i + 8] for i in range(0, 64, 8)]
-        sums = set()
-        for name in ("lru", "lfu", "2q", "arc"):
-            store = ResultCache(max_entries=2, policy=name)
-            total = 0.0
-            for _ in range(2):
-                for chunk in chunks:
-                    total += float(sweep_design_space(
-                        chunk, profile, cache=store).sum())
-            assert store.stats().memory_evictions > 0
-            sums.add(total)
-        assert len(sums) == 1, "policies must not change sweep results"
-
-
 class TestNamespaceBreakdown:
     def test_by_namespace_counts(self):
         cache = ResultCache(namespace="tenant-a")
@@ -238,25 +177,35 @@ class TestNamespaceBreakdown:
         assert cache.stats_by_namespace() == {
             "(default)": {"hits": 0, "misses": 1}}
 
-    def test_snapshot_includes_policy_and_namespaces(self):
+    def test_snapshot_includes_namespaces(self):
         rc_mod.reset_default_cache()
         try:
-            rc_mod.configure(policy="lfu")
+            rc_mod.configure()
             cache = rc_mod.default_cache()
             cache.get_or_compute(("k",), lambda: 1)
             cache.get_or_compute(("k",), lambda: 1)
             snap = rc_mod.cache_snapshot()
-            assert snap["policy"] == "lfu"
             assert snap["by_namespace"] == {
                 "(default)": {"hits": 1, "misses": 1}}
-            assert snap["policy_counters"]["policy"] == "lfu"
-            assert snap["policy_counters"]["hits"] == 1
+            assert snap["result_cache"]["memory_hits"] == 1
         finally:
             rc_mod.reset_default_cache()
 
 
 class TestSweepCaching:
     """End-to-end: sweep results identical with caching off, cold, and warm."""
+
+    def test_default_tier_holds_every_profile_sweep(self, design_space):
+        """Sweeping the full space of every profile, twice, never evicts
+        from a default cache — the invariant that makes one LRU tier enough."""
+        store = ResultCache()
+        for _ in range(2):
+            for name in SPEC2000_PROFILES:
+                sweep_design_space(design_space, get_profile(name), cache=store)
+        n = len(SPEC2000_PROFILES)
+        assert store.memory.evictions == 0
+        assert len(store.memory) == n
+        assert (store.memory.hits, store.memory.misses) == (n, n)
 
     def test_sweep_cache_bit_identity(self, design_space, tmp_path):
         profile = get_profile("parser")

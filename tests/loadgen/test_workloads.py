@@ -9,7 +9,7 @@ through the invariants the trace-replay machinery depends on:
 * phase-shift boundaries land exactly where the spec schedules them.
 
 Runs under hypothesis when installed; falls back to a fixed seeded-random
-sweep otherwise (same idiom as the cache policy properties).
+sweep otherwise (same idiom as the LRU contract tests).
 """
 
 from __future__ import annotations

@@ -139,14 +139,6 @@ class TestSlotPolicy:
         assert cfgs[0].seed != cfgs[1].seed
         assert cfgs[0].name == "w0" and cfgs[1].name == "w1"
 
-    def test_cache_policy_reaches_every_worker_config(self, tmp_path):
-        sup = WorkerSupervisor(ServiceConfig(
-            root=str(tmp_path / "s"), workers=2, cache_policy="arc"))
-        assert all(sup._worker_config(s).cache_policy == "arc"
-                   for s in sup.slots)
-        default = WorkerSupervisor(ServiceConfig(root=str(tmp_path / "d")))
-        assert default._worker_config(default.slots[0]).cache_policy is None
-
 
 @pytest.mark.slow
 class TestAutoCompaction:

@@ -91,7 +91,7 @@ class TestCommands:
 
 
 class TestCacheCLI:
-    """--cache-policy / --cache-trace flags and the cache stats view."""
+    """--cache-trace flag and the cache stats view."""
 
     @pytest.fixture(autouse=True)
     def _fresh_default_cache(self):
@@ -103,34 +103,14 @@ class TestCacheCLI:
 
     def test_cache_flags_parse(self):
         args = build_parser().parse_args(
-            ["sweep", "mcf", "--cache-policy", "arc",
-             "--cache-trace", "t.jsonl"])
-        assert args.cache_policy == "arc" and args.cache_trace == "t.jsonl"
+            ["sweep", "mcf", "--cache-trace", "t.jsonl"])
+        assert args.cache_trace == "t.jsonl"
 
-    def test_unknown_cache_policy_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["sweep", "mcf", "--cache-policy", "fifo"])
-
-    def test_serve_parser_accepts_cache_policy(self):
-        args = build_parser().parse_args(
-            ["serve", "--spool", "s", "--cache-policy", "2q"])
-        assert args.cache_policy == "2q"
-        assert build_parser().parse_args(
-            ["serve", "--spool", "s"]).cache_policy is None
-
-    def test_cache_stats_reports_policy(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_POLICY", "lfu")
+    def test_cache_stats_reports_counters(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
-        assert "policy" in out and "lfu" in out
-
-    def test_sweep_with_policy_selects_default_cache(self, capsys):
-        from repro.cache import default_cache
-
-        assert main(["sweep", "applu", "--cache-policy", "lfu"]) == 0
-        assert default_cache().policy == "lfu"
-        assert "4608 configurations" in capsys.readouterr().out
+        assert "disk entries" in out and "memory_evictions" in out
 
     def test_sweep_cache_trace_writes_capture(self, tmp_path, capsys):
         from repro.cache import read_cache_trace
