@@ -44,6 +44,8 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.util.durable import read_lines
+
 __all__ = [
     "CACHE_TRACE_SCHEMA",
     "AccessRecorder",
@@ -210,15 +212,9 @@ def read_cache_trace(path: str | os.PathLike[str]) -> Iterator[dict[str, Any]]:
     obs trace reader's behaviour; a malformed line elsewhere raises with
     its line number so corrupt captures fail loudly.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            parsed = json.loads(line)
-        except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                return  # torn tail from a crashed writer
-            raise ValueError(f"{path}:{i + 1}: unparseable cache-trace line")
-        yield validate_trace_record(parsed)
+    log = read_lines(path)
+    if log.bad:
+        raise ValueError(
+            f"{path}:{log.bad[0] + 1}: unparseable cache-trace line")
+    for _, record in log.records:
+        yield validate_trace_record(record)

@@ -4,10 +4,10 @@ Entries live at ``<root>/<key[:2]>/<key>.pkl`` (fan-out subdirectories keep
 any single directory small). Each file is a small header — magic, payload
 SHA-256 checksum — followed by the pickled value, so a truncated or
 bit-rotted file is *detected* and treated as a miss (and deleted) rather
-than deserialized into garbage or a crash. Writes go through a temp file in
-the same directory plus :func:`os.replace`, so readers never observe a
-half-written entry and concurrent writers of the same key are safe (last
-writer wins with identical content).
+than deserialized into garbage or a crash. Writes are
+:func:`repro.util.durable.replace_file` atomic replaces, so readers never
+observe a half-written entry and concurrent writers of the same key are
+safe (last writer wins with identical content).
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from pathlib import Path
 from typing import Any, Iterator
+
+from repro.util import durable
 
 __all__ = ["DiskStore"]
 
@@ -87,35 +88,14 @@ class DiskStore:
         I/O failure degrades to not-cached (False) — callers for whom the
         write is load-bearing (the job spool's result store) check the
         return and turn False into a typed error; cache tiers ignore it.
-        The write path is tmp file -> fsync -> rename, all through the
-        :mod:`repro.robust.diskchaos` shim so chaos drills can fault each
-        step; without the fsync a post-rename crash could leave an empty
-        entry wearing a valid name (the checksum would catch it, but as a
-        silent miss of data the caller was told is durable).
+        The write is a synced atomic replace (temp file, fsync, rename,
+        directory fsync): the spool fsyncs a job's ``done`` event only after
+        this returns, so the entry must survive any crash that event does.
         """
-        from repro.robust import diskchaos as _fs
-
-        path = self._path(key)
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         blob = _MAGIC + hashlib.sha256(payload).hexdigest().encode() + payload
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-            try:
-                try:
-                    view = memoryview(blob)
-                    while view:
-                        view = view[_fs.fs_write(fd, view):]
-                    _fs.fs_fsync(fd)
-                finally:
-                    os.close(fd)
-                _fs.fs_replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:  # noqa: S110 - best-effort tmp cleanup before re-raise
-                    pass
-                raise
+            durable.replace_file(self._path(key), blob, sync=True)
         except OSError:
             self.io_errors += 1
             return False

@@ -15,13 +15,12 @@ per line — an undecodable or unparsable line is a counted skip
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 from repro.obs.metrics import default_registry as _metrics
 from repro.obs.trace import validate_record
+from repro.util.durable import read_lines
 from repro.util.tables import format_table
 
 __all__ = ["PhaseSummary", "TraceSummary", "read_jsonl_tolerant", "read_trace",
@@ -36,23 +35,13 @@ def read_jsonl_tolerant(path) -> tuple[list[dict], int]:
     SIGKILL'd process leaves at most torn or byte-mangled lines. Reading
     happens at the bytes layer: each line decodes and parses independently,
     and every failure — bad UTF-8, truncated JSON, a non-object line — is a
-    counted skip mirrored into the ``obs.reader.malformed_lines`` counter,
-    exactly the tolerance :mod:`repro.service.spool` applies to its own log.
+    counted skip mirrored into the ``obs.reader.malformed_lines`` counter.
+    The line classification is :func:`repro.util.durable.read_lines`, the
+    reader :mod:`repro.service.spool` applies to its own log.
     """
-    records: list[dict] = []
-    malformed = 0
-    for raw in Path(path).read_bytes().splitlines():
-        if not raw.strip():
-            continue
-        try:
-            record = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            malformed += 1
-            continue
-        if not isinstance(record, dict):
-            malformed += 1
-            continue
-        records.append(record)
+    log = read_lines(path)
+    records = [record for _, record in log.records]
+    malformed = len(log.bad) + log.torn
     if malformed:
         _metrics().counter("obs.reader.malformed_lines").inc(malformed)
     return records, malformed

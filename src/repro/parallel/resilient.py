@@ -61,6 +61,7 @@ from repro.errors import (
 from repro.obs import phase as _obs_phase
 from repro.obs.metrics import default_registry as _metrics
 from repro.parallel.executor import Executor, ProcessExecutor, SerialExecutor
+from repro.util import durable
 from repro.util.rng import stream_seed
 
 __all__ = [
@@ -133,10 +134,11 @@ class CheckpointJournal:
 
     One line per task: ``{"fp": <fingerprint>, "v": <base64 pickle>}``.
     Values round-trip through pickle, so resumed results are bit-identical
-    to freshly computed ones. Each record is flushed and fsynced, so a crash
-    loses at most the task in flight; a truncated final line (the crash
-    artifact) is tolerated on load, any earlier corruption raises
-    :class:`~repro.errors.CheckpointError`.
+    to freshly computed ones. Each record is a
+    :func:`repro.util.durable.append_line`, so a crash loses at most the
+    task in flight, and a failed or torn append is repaired by the next
+    one; a torn final line is tolerated on load, any earlier corruption
+    raises :class:`~repro.errors.CheckpointError`.
 
     Service workers sharing a checkpoint directory pass ``lock=True``: an
     advisory ``flock`` on a ``<path>.lock`` sidecar (see
@@ -165,32 +167,24 @@ class CheckpointJournal:
             self._completed = self._load()
         elif self.path.exists():
             self.path.unlink()
-        self._fh = None
 
     def _load(self) -> dict[str, Any]:
-        if not self.path.exists():
+        try:
+            log = durable.read_lines(self.path)
+        except FileNotFoundError:
             return {}
+        if log.bad:
+            raise CheckpointError(
+                f"corrupt checkpoint journal {self.path} at line "
+                f"{log.bad[0] + 1}: not a UTF-8 JSON object")
         completed: dict[str, Any] = {}
-        lines = self.path.read_text().splitlines()
-        for lineno, line in enumerate(lines):
-            if not line.strip():
-                continue
+        for lineno, rec in log.records:
             try:
-                rec = json.loads(line)
                 completed[rec["fp"]] = pickle.loads(base64.b64decode(rec["v"]))
             except Exception as exc:
-                if lineno == len(lines) - 1:
-                    # Torn final write from a crash mid-record. Drop it from
-                    # the file too: the resumed run appends, and a record
-                    # written onto the torn fragment would merge into one
-                    # permanently unparseable line.
-                    self.path.write_text(
-                        "".join(kept + "\n" for kept in lines[:-1])
-                    )
-                    break
                 raise CheckpointError(
-                    f"corrupt checkpoint journal {self.path} at line {lineno + 1}: {exc}"
-                ) from exc
+                    f"corrupt checkpoint journal {self.path} at line "
+                    f"{lineno + 1}: {exc}") from exc
         return completed
 
     @property
@@ -202,23 +196,14 @@ class CheckpointJournal:
         return dict(self._completed)
 
     def record(self, fingerprint: str, value: Any) -> None:
-        # Write + flush + fsync through the diskchaos shim: journal appends
-        # are a durability path the disk-fault drills must reach. A failed
-        # append raises typed — the task's result was NOT journaled, so a
-        # resume will recompute it rather than trust a torn record.
-        from repro.robust import diskchaos as _fs
-
+        # A failed append raises typed: the task's result was NOT journaled,
+        # so a resume recomputes it rather than trust a torn record.
         if fingerprint in self._completed:
             return
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
         payload = base64.b64encode(pickle.dumps(value, protocol=4)).decode("ascii")
+        line = json.dumps({"fp": fingerprint, "v": payload}) + "\n"
         try:
-            _fs.fs_file_write(
-                self._fh, json.dumps({"fp": fingerprint, "v": payload}) + "\n")
-            self._fh.flush()
-            _fs.fs_fsync(self._fh.fileno())
+            durable.append_line(self.path, line.encode("utf-8"))
         except OSError as exc:
             raise CheckpointError(
                 f"checkpoint journal append failed at {self.path}: {exc}"
@@ -226,9 +211,6 @@ class CheckpointJournal:
         self._completed[fingerprint] = value
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
         if self._lock is not None:
             self._lock.release()
 

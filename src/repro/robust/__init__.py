@@ -30,10 +30,11 @@ silent failures into observable, recoverable ones:
   worker mid-task, seeded slow workers) live on ``FaultInjector`` itself
   and drive the service supervision drills.
 * :mod:`repro.robust.diskchaos` — **disk-fault injection**: a seeded
-  filesystem shim (ENOSPC, EIO on write/fsync, short writes, torn writes
-  followed by a :class:`SimulatedCrash`, rename failures) that the spool
-  log, disk cache tier, checkpoint journal, and compaction swap all write
-  through, so every durability path has a chaos test.
+  fault hook (ENOSPC, EIO on write/fsync, short writes, torn writes
+  followed by a :class:`SimulatedCrash`, rename failures) in front of
+  :mod:`repro.util.durable`, which the spool log, disk cache tier,
+  checkpoint journal, and compaction swap all write through, so every
+  durability path has a chaos test.
 * :mod:`repro.robust.doctor` — **environment self-check** behind
   ``repro doctor``.
 

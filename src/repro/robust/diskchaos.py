@@ -1,13 +1,12 @@
-"""Seeded disk-fault injection: one shim in front of every durability write.
+"""Seeded disk-fault injection for the durable-file primitives.
 
 The spool log, the disk cache tier, the checkpoint journal, and the
 compaction swap all promise crash consistency — promises that are only as
-good as their behaviour when the filesystem misbehaves. This module is the
-single choke point those layers write through (``fs_open``, ``fs_write``,
-``fs_fsync``, ``fs_replace``, ``fs_fsync_dir``, ``fs_file_write``): plain
-one-line passthroughs to :mod:`os` until a :class:`DiskFaultInjector` is
-installed, at which point every call may be made to fail the way real disks
-fail:
+good as their behaviour when the filesystem misbehaves. They all write
+through :mod:`repro.util.durable`, whose ``fs_write``, ``fs_fsync``,
+``fs_replace`` and ``fs_fsync_dir`` call :mod:`os` directly until
+:func:`install` sets a :class:`DiskFaultInjector` as its fault hook, at
+which point every call may be made to fail the way real disks fail:
 
 * **ENOSPC / EIO on write** — the classic full-disk and dying-disk errors;
   callers must surface them typed, not wedge.
@@ -29,8 +28,8 @@ fired. :class:`SimulatedCrash` derives from ``BaseException`` so it sails
 through the broad ``except Exception`` recovery paths the way SIGKILL
 would — a simulated crash must never be "handled".
 
-Determinism contract: with the same seed and the same sequence of shim
-calls, the same faults fire. The injector hashes ``(seed, op, call_index)``
+Determinism contract: with the same seed and the same sequence of
+primitive calls, the same faults fire. The injector hashes ``(seed, op, call_index)``
 through the repo's named-stream derivation, so adding faults to one
 operation kind never perturbs another.
 """
@@ -45,18 +44,13 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from repro.util import durable
 from repro.util.rng import stream_seed
 
 __all__ = [
     "DiskFaultInjector",
     "SimulatedCrash",
     "active",
-    "fs_file_write",
-    "fs_fsync",
-    "fs_fsync_dir",
-    "fs_open",
-    "fs_replace",
-    "fs_write",
     "injected",
     "install",
     "uninstall",
@@ -75,12 +69,12 @@ class SimulatedCrash(BaseException):
 
 @dataclass
 class DiskFaultInjector:
-    """Seeded fault plan for the filesystem shim.
+    """Seeded fault plan for the durable-file primitives.
 
     Probabilistic rates (``p_*``) draw one uniform per call from a stream
     keyed by ``(seed, op, call_index)``; deterministic ``*_at`` tuples name
     exact 0-based call indices per operation kind. ``calls`` counts every
-    shim call by op; ``fired`` counts injected faults by fault name — both
+    primitive call by op; ``fired`` counts injected faults by fault name — both
     are assertable after a drill.
     """
 
@@ -118,7 +112,7 @@ class DiskFaultInjector:
         self.calls.clear()
         self.fired.clear()
 
-    # -- per-operation fault decisions (called by the shim functions) --------
+    # -- per-operation fault decisions (called through the fault hook) -------
 
     def on_write(self, fd: int, data: Any) -> int:
         """Decide one ``os.write``: full write, short write, error, crash."""
@@ -162,23 +156,18 @@ class DiskFaultInjector:
         os.replace(src, dst)
 
 
-_active: DiskFaultInjector | None = None
-
-
 def install(injector: DiskFaultInjector) -> None:
-    """Route every shim call through ``injector`` until :func:`uninstall`."""
-    global _active
-    _active = injector
+    """Route every durable-file primitive through ``injector``."""
+    durable.fault_hook = injector
 
 
 def uninstall() -> None:
-    global _active
-    _active = None
+    durable.fault_hook = None
 
 
 def active() -> DiskFaultInjector | None:
-    """The currently installed injector (None: shim is a passthrough)."""
-    return _active
+    """The currently installed injector (None: plain ``os`` calls)."""
+    return durable.fault_hook
 
 
 @contextlib.contextmanager
@@ -189,87 +178,3 @@ def injected(injector: DiskFaultInjector) -> Iterator[DiskFaultInjector]:
         yield injector
     finally:
         uninstall()
-
-
-# -- the shim: durability paths call these instead of os.* -------------------
-
-
-def fs_open(path: Any, flags: int, mode: int = 0o644) -> int:
-    return os.open(path, flags, mode)
-
-
-def fs_write(fd: int, data: Any) -> int:
-    """``os.write`` that may be made short, fail typed, or tear-and-crash."""
-    if _active is None:
-        return os.write(fd, data)
-    return _active.on_write(fd, data)
-
-
-def fs_fsync(fd: int) -> None:
-    if _active is None:
-        os.fsync(fd)
-        return
-    _active.on_fsync(fd)
-
-
-def fs_replace(src: Any, dst: Any) -> None:
-    if _active is None:
-        os.replace(src, dst)
-        return
-    _active.on_replace(src, dst)
-
-
-def fs_fsync_dir(path: Any) -> None:
-    """fsync a directory so a rename inside it is durable.
-
-    Outside chaos runs a directory that cannot be fsync'd (odd filesystems,
-    sandboxes) is tolerated silently — the rename itself already happened —
-    but an *installed* injector's EIO is surfaced, because the swap
-    protocols under test must treat it as a failed swap.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        fs_fsync(fd)
-    except OSError:
-        if _active is not None:
-            raise
-    finally:
-        os.close(fd)
-
-
-def fs_file_write(fh: Any, data: Any) -> None:
-    """Buffered-file write through the same write-fault plan.
-
-    For callers that write via a Python file object (the checkpoint
-    journal) rather than a raw fd. A short write is simulated by writing
-    the prefix and raising EIO — a buffered writer cannot meaningfully
-    resume a partial ``write`` the way the fd loop does.
-    """
-    if _active is None:
-        fh.write(data)
-        return
-    inj = _active
-    i = inj._next_index("write")
-    u = inj._roll("write", i)
-    if i in inj.torn_crash_at:
-        inj._fire("torn_crash")
-        fh.write(data[: max(1, len(data) // 2)])
-        fh.flush()
-        raise SimulatedCrash(f"torn write at write call {i}")
-    if i in inj.enospc_at or u < inj.p_enospc:
-        inj._fire("enospc")
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-    if i in inj.eio_write_at or u < inj.p_enospc + inj.p_eio_write:
-        inj._fire("eio_write")
-        raise OSError(errno.EIO, os.strerror(errno.EIO))
-    if (i in inj.short_write_at
-            or u < inj.p_enospc + inj.p_eio_write + inj.p_short_write) \
-            and len(data) > 1:
-        inj._fire("short_write")
-        fh.write(data[: max(1, len(data) // 2)])
-        fh.flush()
-        raise OSError(errno.EIO, "injected short buffered write")
-    fh.write(data)

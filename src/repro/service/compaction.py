@@ -8,13 +8,14 @@ to a one-line marker, making folds O(live jobs + tail) and recovery time
 bounded — without ever having a moment where a crash loses an event.
 
 **The swap protocol** (all under the spool's flock, so no claim/submit can
-interleave; every step goes through the :mod:`repro.robust.diskchaos` shim
-so the chaos drills can fault each one)::
+interleave; both swaps are :mod:`repro.util.durable` atomic replaces with
+``sync=True``, so the chaos drills can fault every step)::
 
     1. fold snapshot + log  ->  new state, generation G = old G + 1
-    2. write .spoolsnap.tmp, fsync
+    2. write a temp beside spoolsnap.json, fsync
     3. rename -> spoolsnap.json, fsync dir          (atomic: snapshot live)
-    4. write .spool.jsonl.tmp = one 'compact' marker line {gen: G}, fsync
+    4. write a temp beside spool.jsonl = one 'compact' marker line
+       {gen: G}, fsync
     5. rename -> spool.jsonl, fsync dir             (atomic: tail reset)
     6. GC checkpoint journals / result files no retained job can ever use
 
@@ -56,7 +57,7 @@ from typing import Any
 
 from repro.errors import ServiceError
 from repro.obs.metrics import default_registry as _metrics
-from repro.robust import diskchaos as _fs
+from repro.robust.diskchaos import SimulatedCrash
 from repro.service.spool import (
     COMPACT_EV,
     SNAPSHOT_SCHEMA,
@@ -65,6 +66,7 @@ from repro.service.spool import (
     read_snapshot,
 )
 from repro.service.spool import snapshot_record as _snapshot_record
+from repro.util import durable
 
 __all__ = [
     "CRASH_POINTS",
@@ -141,19 +143,7 @@ class CompactionStats:
 
 def _crash_hook(crash_at: str | None, point: str) -> None:
     if crash_at == point:
-        raise _fs.SimulatedCrash(f"injected compaction crash at {point}")
-
-
-def _write_file_durable(path: Path, payload: bytes) -> None:
-    """Write a whole small file through the shim: open, drain, fsync."""
-    fd = _fs.fs_open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-    try:
-        view = memoryview(payload)
-        while view:
-            view = view[_fs.fs_write(fd, view):]
-        _fs.fs_fsync(fd)
-    finally:
-        os.close(fd)
+        raise SimulatedCrash(f"injected compaction crash at {point}")
 
 
 def compact(spool: JobSpool, policy: CompactionPolicy | None = None, *,
@@ -205,20 +195,17 @@ def compact(spool: JobSpool, policy: CompactionPolicy | None = None, *,
             "n_events_folded": prev_folded + len(tail),
             "jobs": [_snapshot_record(j, raw[j]) for j in retained],
         }
-        snap_tmp = spool.root / ".spoolsnap.tmp"
-        _write_file_durable(
-            snap_tmp, (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"))
+        snap_tmp = durable.write_temp(
+            spool.snapshot_path,
+            (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"),
+            sync=True)
         _crash_hook(crash_at, "pre-snapshot-rename")
-        _fs.fs_replace(snap_tmp, spool.snapshot_path)
-        _fs.fs_fsync_dir(spool.root)
+        durable.commit_temp(snap_tmp, spool.snapshot_path, sync=True)
         _crash_hook(crash_at, "post-snapshot-rename")
 
         marker = json.dumps({"ev": COMPACT_EV, "gen": gen, "t": time.time()},
                             sort_keys=True) + "\n"
-        log_tmp = spool.root / ".spool.jsonl.tmp"
-        _write_file_durable(log_tmp, marker.encode("utf-8"))
-        _fs.fs_replace(log_tmp, spool.log_path)
-        _fs.fs_fsync_dir(spool.root)
+        durable.replace_file(spool.log_path, marker.encode("utf-8"), sync=True)
         _crash_hook(crash_at, "post-log-swap")
 
         n_gc_ckpt, n_gc_res = _gc(spool, raw, set(retained), policy)
@@ -385,42 +372,26 @@ def verify_spool(root: str | os.PathLike[str],
     generation = int(snap.get("generation", 0)) if snap else 0
 
     # log --------------------------------------------------------------------
-    log_path = root / "spool.jsonl"
     parsed: list[tuple[int, dict[str, Any]]] = []
-    bad_lines: list[int] = []
-    torn_tail = False
-    lines: list[str] = []
-    if log_path.exists():
-        try:
-            lines = log_path.read_text().splitlines()
-        except OSError as exc:
-            add("log", False, f"unreadable spool log: {exc}")
-            lines = []
-            bad_lines = [-1]
-        for lineno, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                ev = json.loads(line)
-                if not isinstance(ev, dict):
-                    raise ValueError("not a JSON object")
-            except ValueError:
-                if lineno == len(lines) - 1:
-                    torn_tail = True
-                else:
-                    bad_lines.append(lineno + 1)
-                continue
-            parsed.append((lineno, ev))
-    if bad_lines:
-        if bad_lines != [-1]:
+    try:
+        log = durable.read_lines(root / "spool.jsonl")
+    except FileNotFoundError:
+        log = durable.Lines([], [], False, 0)
+    except OSError as exc:
+        log = None
+        add("log", False, f"unreadable spool log: {exc}")
+    if log is not None:
+        parsed = log.records
+        if log.bad:
             add("log", False,
-                f"{len(bad_lines)} corrupt interior line(s) at "
-                f"{bad_lines[:8]} of {len(lines)} — event history lost")
-    else:
-        add("log", True,
-            f"{len(parsed)} event(s) in {len(lines)} line(s)"
-            + (", torn tail (crash artifact; repaired on next append)"
-               if torn_tail else ""))
+                f"{len(log.bad)} corrupt interior line(s) at "
+                f"{[i + 1 for i in log.bad[:8]]} of {log.n_lines} — "
+                "event history lost")
+        else:
+            add("log", True,
+                f"{len(parsed)} event(s) in {log.n_lines} line(s)"
+                + (", torn tail (crash artifact; repaired on next append)"
+                   if log.torn else ""))
 
     # marker/generation consistency ------------------------------------------
     marker_gen: int | None = None

@@ -20,13 +20,11 @@ Layout of a spool directory::
 **Events, not states.** The log records immutable facts — ``submit``,
 ``lease``, ``renew``, ``done``, ``fail`` — one JSON object per line; the
 current state of a job is a pure fold over its events
-(:meth:`JobSpool.jobs`). Appends happen under the flock, with
-flush+fsync, so a line is either fully present or (after a crash
-mid-write) a torn tail that the fold tolerates exactly like
-:class:`~repro.parallel.CheckpointJournal` does. The next append under the
-flock *repairs* a torn tail (truncates back to the last complete line)
-before writing, so a crashed writer can never smear its fragment into the
-following record — the torn bytes were never acknowledged to anyone.
+(:meth:`JobSpool.jobs`). Appends happen under the flock through
+:func:`repro.util.durable.append_line`, so a line is either fully present
+or (after a crash mid-write) a torn tail that the fold tolerates exactly
+like :class:`~repro.parallel.CheckpointJournal` does, and that the next
+append repairs before writing.
 
 **Snapshot + tail.** An unbounded log would make every fold O(history).
 :mod:`repro.service.compaction` periodically folds the log into a
@@ -56,8 +54,8 @@ that is already queued, running, or done is *free* — the job id is a
 content fingerprint, so concurrent tenants share one execution and one
 cached result; resubmitting a *failed* job re-opens it.
 
-**Disk-fault degradation.** Every append goes through the
-:mod:`repro.robust.diskchaos` shim and a write circuit breaker: an append
+**Disk-fault degradation.** Every append goes through a write circuit
+breaker, and :mod:`repro.robust.diskchaos` can fault every step: an append
 that fails (ENOSPC, EIO) surfaces as a typed
 :class:`~repro.errors.ServiceError`, and repeated failures open the
 breaker, putting the spool in *read-only mode* — further mutations shed
@@ -76,9 +74,9 @@ from typing import Any
 from repro.cache.disk import DiskStore
 from repro.errors import CircuitOpenError, ServiceError, ServiceOverloadError
 from repro.obs.metrics import default_registry as _metrics
-from repro.robust import diskchaos as _fs
 from repro.robust.breaker import CircuitBreaker
 from repro.service.jobs import JobSpec, JobView, job_id
+from repro.util import durable
 from repro.util.locking import FileLock
 
 __all__ = [
@@ -305,9 +303,10 @@ class JobSpool:
         if config is None and spool.config_path.exists():
             spool.config = cls._read_config(spool.config_path)
         else:
-            tmp = spool.config_path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(spool.config.as_dict(), indent=2) + "\n")
-            os.replace(tmp, spool.config_path)
+            durable.replace_file(
+                spool.config_path,
+                (json.dumps(spool.config.as_dict(), indent=2) + "\n").encode(),
+                sync=False)
         return spool
 
     @classmethod
@@ -329,46 +328,11 @@ class JobSpool:
 
     # -- event log -----------------------------------------------------------
 
-    def _repair_torn_tail(self, fd: int) -> None:
-        # A crash mid-append leaves a torn final line. Those bytes were
-        # never acknowledged (write+fsync completes before any mutator
-        # returns), so truncating back to the last complete line loses
-        # nothing — and it must happen before *our* write, or the fragment
-        # and our record would merge into one unparseable mid-log line.
-        size = os.fstat(fd).st_size
-        if size == 0 or os.pread(fd, 1, size - 1) == b"\n":
-            return
-        pos, cut, chunk = size - 1, 0, 4096
-        while pos > 0:
-            start = max(0, pos - chunk)
-            buf = os.pread(fd, pos - start, start)
-            nl = buf.rfind(b"\n")
-            if nl >= 0:
-                cut = start + nl + 1
-                break
-            pos = start
-        os.ftruncate(fd, cut)
-        _metrics().counter("service.spool.torn_repaired").inc()
-
     def _append(self, record: dict[str, Any]) -> None:
-        # Caller holds the flock. O_APPEND + write-until-drained + fsync: a
-        # crash leaves at most a torn final line, which the fold tolerates
-        # and the next append repairs. A short write (ENOSPC, signal) must
-        # be resumed, not ignored — a truncated line with later appends
-        # after it is mid-log corruption. All I/O goes through the
-        # diskchaos shim so chaos drills can fault every step.
-        self.root.mkdir(parents=True, exist_ok=True)
+        # Caller holds the flock; append_line repairs a torn tail first.
         line = json.dumps(record, sort_keys=True) + "\n"
-        fd = _fs.fs_open(self.log_path,
-                         os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            self._repair_torn_tail(fd)
-            view = memoryview(line.encode("utf-8"))
-            while view:
-                view = view[_fs.fs_write(fd, view):]
-            _fs.fs_fsync(fd)
-        finally:
-            os.close(fd)
+        if durable.append_line(self.log_path, line.encode("utf-8")):
+            _metrics().counter("service.spool.torn_repaired").inc()
 
     def _guarded_append(self, record: dict[str, Any]) -> None:
         """Append with typed degradation: breaker-gated, OSError -> typed.
@@ -403,25 +367,15 @@ class JobSpool:
         non-object interior lines are corruption and raise — an event log
         with a hole in the middle has lost history no fold can recover.
         """
-        if not self.log_path.exists():
+        try:
+            log = durable.read_lines(self.log_path)
+        except FileNotFoundError:
             return [], 0
-        lines = self.log_path.read_text().splitlines()
-        events: list[tuple[int, dict[str, Any]]] = []
-        for lineno, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                ev = json.loads(line)
-                if not isinstance(ev, dict):
-                    raise ValueError("not a JSON object")
-            except ValueError as exc:
-                if lineno == len(lines) - 1:
-                    break  # torn tail from a crash mid-append
-                raise ServiceError(
-                    f"corrupt spool log {self.log_path} at line "
-                    f"{lineno + 1}: {exc}") from exc
-            events.append((lineno, ev))
-        return events, len(lines)
+        if log.bad:
+            raise ServiceError(
+                f"corrupt spool log {self.log_path} at line "
+                f"{log.bad[0] + 1}: not a UTF-8 JSON object")
+        return log.records, log.n_lines
 
     @staticmethod
     def _reconcile(snap: dict[str, Any] | None,
@@ -673,12 +627,10 @@ class JobSpool:
                                   "job": job}
         if breakers:
             record["breakers"] = breakers
-        hb_dir = self.root / "hb"
         try:
-            hb_dir.mkdir(parents=True, exist_ok=True)
-            tmp = hb_dir / f".{worker}.tmp"
-            tmp.write_text(json.dumps(record) + "\n")
-            _fs.fs_replace(tmp, hb_dir / f"{worker}.json")
+            durable.replace_file(self.root / "hb" / f"{worker}.json",
+                                 (json.dumps(record) + "\n").encode(),
+                                 sync=False)
         except OSError:
             _metrics().counter("service.heartbeat.write_failures").inc()
 

@@ -32,7 +32,6 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from repro.parallel.resilient import FaultInjector
 from repro.robust.chaos import sigkill_process
 from repro.service.spool import JobSpool, SpoolConfig
 from repro.service.worker import WorkerConfig, worker_main
+from repro.util import durable
 from repro.util.rng import stream_seed
 
 __all__ = ["STATUS_SCHEMA", "ServiceConfig", "WorkerSupervisor"]
@@ -351,22 +351,20 @@ class WorkerSupervisor:
     def write_status(self) -> None:
         """Atomically refresh the status file (no-op without one configured).
 
-        Written tmp + ``os.replace`` so a reader never sees a torn JSON
+        An unsynced atomic replace, so a reader never sees a torn JSON
         document; write failures are counted, never allowed to take the
         serve loop down.
         """
         if not self.config.status_file:
             return
         import json
-        import os
 
-        path = Path(self.config.status_file)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.parent / f".{path.name}.tmp"
-            tmp.write_text(json.dumps(self.status_snapshot(), indent=2,
-                                      sort_keys=True, default=str) + "\n")
-            os.replace(tmp, path)
+            durable.replace_file(
+                self.config.status_file,
+                (json.dumps(self.status_snapshot(), indent=2, sort_keys=True,
+                            default=str) + "\n").encode(),
+                sync=False)
         except OSError:
             _metrics().counter("service.status.write_failures").inc()
 

@@ -71,6 +71,7 @@ from repro.parallel.resilient import (
 from repro.robust.breaker import CircuitBreaker
 from repro.service.jobs import JobSpec, JobView
 from repro.service.spool import JobSpool
+from repro.util import durable
 from repro.util.rng import stream_seed
 
 __all__ = ["WorkerConfig", "Worker", "worker_main", "drain_queue"]
@@ -491,13 +492,12 @@ class Worker:
             "final": final,
             "metrics": _metrics().snapshot(),
         }
-        out_dir = self.spool.root / "metrics"
         try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            tmp = out_dir / f".{self.config.name}.tmp"
-            tmp.write_text(json.dumps(doc, indent=2, sort_keys=True,
-                                      default=str) + "\n")
-            os.replace(tmp, out_dir / f"{self.config.name}.json")
+            durable.replace_file(
+                self.spool.root / "metrics" / f"{self.config.name}.json",
+                (json.dumps(doc, indent=2, sort_keys=True, default=str)
+                 + "\n").encode(),
+                sync=False)
         except OSError:
             _metrics().counter("service.metrics.export_failures").inc()
 

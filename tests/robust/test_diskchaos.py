@@ -8,6 +8,7 @@ import pytest
 from repro.errors import CheckpointError
 from repro.robust import DiskFaultInjector, SimulatedCrash
 from repro.robust import diskchaos
+from repro.util import durable
 
 
 @pytest.fixture(autouse=True)
@@ -43,11 +44,11 @@ class TestDeterministicFaults:
         fd = os.open(tmp_path / "f", os.O_WRONLY | os.O_CREAT)
         try:
             with diskchaos.injected(DiskFaultInjector(enospc_at=(1,))) as inj:
-                assert diskchaos.fs_write(fd, b"aa") == 2
+                assert durable.fs_write(fd, b"aa") == 2
                 with pytest.raises(OSError) as ei:
-                    diskchaos.fs_write(fd, b"bb")
+                    durable.fs_write(fd, b"bb")
                 assert ei.value.errno == errno.ENOSPC
-                assert diskchaos.fs_write(fd, b"cc") == 2
+                assert durable.fs_write(fd, b"cc") == 2
                 assert inj.calls == {"write": 3}
                 assert inj.fired == {"enospc": 1}
         finally:
@@ -58,7 +59,7 @@ class TestDeterministicFaults:
         fd = os.open(tmp_path / "f", os.O_WRONLY | os.O_CREAT)
         try:
             with diskchaos.injected(DiskFaultInjector(short_write_at=(0,))):
-                assert diskchaos.fs_write(fd, b"abcdef") == 3
+                assert durable.fs_write(fd, b"abcdef") == 3
         finally:
             os.close(fd)
         assert (tmp_path / "f").read_bytes() == b"abc"
@@ -69,7 +70,7 @@ class TestDeterministicFaults:
             with diskchaos.injected(DiskFaultInjector(torn_crash_at=(0,))):
                 with pytest.raises(SimulatedCrash):
                     try:
-                        diskchaos.fs_write(fd, b"abcdef")
+                        durable.fs_write(fd, b"abcdef")
                     except Exception:  # must NOT swallow the crash
                         pytest.fail("SimulatedCrash caught by except Exception")
         finally:
@@ -83,7 +84,7 @@ class TestDeterministicFaults:
             with diskchaos.injected(
                     DiskFaultInjector(crash_after_fsync_at=(0,))):
                 with pytest.raises(SimulatedCrash):
-                    diskchaos.fs_fsync(fd)
+                    durable.fs_fsync(fd)
         finally:
             os.close(fd)
         assert (tmp_path / "f").read_bytes() == b"data"
@@ -93,7 +94,7 @@ class TestDeterministicFaults:
         try:
             with diskchaos.injected(DiskFaultInjector(eio_fsync_at=(0,))):
                 with pytest.raises(OSError) as ei:
-                    diskchaos.fs_fsync(fd)
+                    durable.fs_fsync(fd)
                 assert ei.value.errno == errno.EIO
         finally:
             os.close(fd)
@@ -104,10 +105,10 @@ class TestDeterministicFaults:
         dst.write_text("old")
         with diskchaos.injected(DiskFaultInjector(rename_at=(0,))):
             with pytest.raises(OSError):
-                diskchaos.fs_replace(src, dst)
+                durable.fs_replace(src, dst)
         assert dst.read_text() == "old"
         assert src.read_text() == "new"
-        diskchaos.fs_replace(src, dst)  # passthrough once uninstalled
+        durable.fs_replace(src, dst)  # passthrough once uninstalled
         assert dst.read_text() == "new"
 
     def test_injected_scope_always_uninstalls(self):
@@ -116,15 +117,6 @@ class TestDeterministicFaults:
                 assert diskchaos.active() is not None
                 raise RuntimeError("boom")
         assert diskchaos.active() is None
-
-    def test_file_write_short_raises_after_prefix(self, tmp_path):
-        path = tmp_path / "f"
-        with open(path, "w", encoding="utf-8") as fh:
-            with diskchaos.injected(DiskFaultInjector(short_write_at=(0,))):
-                with pytest.raises(OSError):
-                    diskchaos.fs_file_write(fh, "abcdef")
-        assert path.read_text() == "abc"
-
 
 class TestDiskStoreUnderFaults:
     def test_put_failure_is_contained_and_counted(self, tmp_path):
@@ -155,6 +147,18 @@ class TestDiskStoreUnderFaults:
             assert store.put("k", "v") is False
         assert store.get("k", default="absent") == "absent"
 
+    def test_directory_fsync_fault_fails_the_put(self, tmp_path):
+        # fsync 0 is the entry's own; fsync 1 makes its rename durable.
+        # Without it a power cut could keep the spool's fsynced "done"
+        # event while losing the result file's directory entry.
+        from repro.cache.disk import DiskStore
+
+        store = DiskStore(tmp_path / "cache")
+        with diskchaos.injected(DiskFaultInjector(eio_fsync_at=(1,))) as inj:
+            assert store.put("k", "v") is False
+        assert inj.fired == {"eio_fsync": 1}
+        assert store.io_errors == 1
+
 
 class TestJournalUnderFaults:
     def test_append_failure_is_typed(self, tmp_path):
@@ -175,3 +179,34 @@ class TestJournalUnderFaults:
             assert resumed.completed() == {"fp0": {"ok": 1}}
         finally:
             resumed.close()
+
+    def test_short_write_is_resumed_and_the_record_intact(self, tmp_path):
+        from repro.parallel.resilient import CheckpointJournal
+
+        journal = CheckpointJournal(tmp_path / "j.jsonl")
+        with diskchaos.injected(DiskFaultInjector(short_write_at=(0,))) as inj:
+            journal.record("fp0", {"ok": 1})
+        journal.close()
+        assert inj.fired == {"short_write": 1}
+        assert inj.calls["write"] == 2  # prefix landed, remainder resumed
+        resumed = CheckpointJournal(tmp_path / "j.jsonl", resume=True)
+        assert resumed.completed() == {"fp0": {"ok": 1}}
+        resumed.close()
+
+    def test_failed_append_does_not_poison_later_records(self, tmp_path):
+        # A prefix of "b" lands, then the disk fills: the fragment must be
+        # repaired by the next append, not smeared into "c".
+        from repro.parallel.resilient import CheckpointJournal
+
+        journal = CheckpointJournal(tmp_path / "j.jsonl")
+        journal.record("a", 1)
+        with diskchaos.injected(
+                DiskFaultInjector(short_write_at=(0,), enospc_at=(1,))):
+            with pytest.raises(CheckpointError, match="append failed"):
+                journal.record("b", 2)
+        journal.record("c", 3)
+        journal.record("d", 4)
+        journal.close()
+        resumed = CheckpointJournal(tmp_path / "j.jsonl", resume=True)
+        assert resumed.completed() == {"a": 1, "c": 3, "d": 4}
+        resumed.close()
