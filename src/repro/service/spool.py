@@ -243,13 +243,13 @@ def read_snapshot(root: str | os.PathLike[str]) -> dict[str, Any] | None:
     """
     path = Path(root) / SNAPSHOT_NAME
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except FileNotFoundError:
         return None
     except OSError as exc:
         raise ServiceError(f"unreadable spool snapshot {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))  # UnicodeDecodeError is a ValueError
         if not isinstance(doc, dict):
             raise ValueError("not a JSON object")
     except ValueError as exc:

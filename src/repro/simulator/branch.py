@@ -44,14 +44,10 @@ class BranchPredictor(ABC):
         """Train on the actual outcome."""
 
 
-def _ctr_predict(ctr: int) -> bool:
-    return ctr >= 2
-
-
 def _ctr_update(ctr: int, taken: bool) -> int:
     if taken:
-        return min(ctr + 1, 3)
-    return max(ctr - 1, 0)
+        return ctr + 1 if ctr < 3 else 3
+    return ctr - 1 if ctr > 0 else 0
 
 
 class PerfectPredictor(BranchPredictor):
@@ -84,18 +80,15 @@ class BimodalPredictor(BranchPredictor):
     def __init__(self, table_size: int = 8192) -> None:
         if table_size <= 0 or table_size & (table_size - 1):
             raise ValueError(f"table_size must be a power of two, got {table_size}")
-        self.table = np.full(table_size, 2, dtype=np.int8)  # weakly taken
+        self.table = [2] * table_size  # weakly taken
         self.mask = table_size - 1
 
-    def _index(self, pc: int) -> int:
-        return (pc >> 2) & self.mask
-
     def predict(self, pc: int) -> bool:
-        return bool(self.table[self._index(pc)] >= 2)
+        return self.table[(pc >> 2) & self.mask] >= 2
 
     def update(self, pc: int, taken: bool) -> None:
-        i = self._index(pc)
-        self.table[i] = _ctr_update(int(self.table[i]), taken)
+        i = (pc >> 2) & self.mask
+        self.table[i] = _ctr_update(self.table[i], taken)
 
 
 class TwoLevelPredictor(BranchPredictor):
@@ -121,25 +114,25 @@ class TwoLevelPredictor(BranchPredictor):
             if val <= 0 or val & (val - 1):
                 raise ValueError(f"{what} must be a power of two, got {val}")
         self.history_bits = history_bits
-        self.histories = np.zeros(l1_size, dtype=np.int64)
+        self.histories = [0] * l1_size
         self.l1_mask = l1_size - 1
-        self.table = np.full(table_size, 2, dtype=np.int8)
+        self.table = [2] * table_size
         self.mask = table_size - 1
+        self.history_mask = (1 << history_bits) - 1
 
     def _index(self, pc: int) -> int:
-        hist = int(self.histories[(pc >> 2) & self.l1_mask])
+        hist = self.histories[(pc >> 2) & self.l1_mask]
         return ((pc >> 2) ^ (hist << 3)) & self.mask
 
     def predict(self, pc: int) -> bool:
-        return bool(self.table[self._index(pc)] >= 2)
+        return self.table[self._index(pc)] >= 2
 
     def update(self, pc: int, taken: bool) -> None:
-        i = self._index(pc)
-        self.table[i] = _ctr_update(int(self.table[i]), taken)
         h = (pc >> 2) & self.l1_mask
-        self.histories[h] = (
-            (int(self.histories[h]) << 1) | int(taken)
-        ) & ((1 << self.history_bits) - 1)
+        hist = self.histories[h]
+        i = ((pc >> 2) ^ (hist << 3)) & self.mask
+        self.table[i] = _ctr_update(self.table[i], taken)
+        self.histories[h] = ((hist << 1) | taken) & self.history_mask
 
 
 class CombiningPredictor(BranchPredictor):
@@ -157,7 +150,7 @@ class CombiningPredictor(BranchPredictor):
             raise ValueError(f"chooser_size must be a power of two, got {chooser_size}")
         self.bimodal = BimodalPredictor(table_size=max(table_size // 2, 2))
         self.twolevel = TwoLevelPredictor(history_bits, table_size)
-        self.chooser = np.full(chooser_size, 2, dtype=np.int8)  # prefer 2-level
+        self.chooser = [2] * chooser_size  # prefer 2-level
         self.cmask = chooser_size - 1
 
     def predict(self, pc: int) -> bool:
@@ -169,7 +162,7 @@ class CombiningPredictor(BranchPredictor):
         p_t = self.twolevel.predict(pc)
         if p_b != p_t:
             i = (pc >> 2) & self.cmask
-            self.chooser[i] = _ctr_update(int(self.chooser[i]), p_t == taken)
+            self.chooser[i] = _ctr_update(self.chooser[i], p_t == taken)
         self.bimodal.update(pc, taken)
         self.twolevel.update(pc, taken)
 
@@ -198,14 +191,10 @@ def simulate_predictor(
         raise ValueError(f"pcs {pcs.shape} and taken {taken.shape} differ")
     if isinstance(predictor, PerfectPredictor):
         return np.zeros(pcs.shape[0], dtype=bool)
-    miss = np.empty(pcs.shape[0], dtype=bool)
-    pcs_l = pcs.tolist()
-    taken_l = taken.tolist()
     predict = predictor.predict
     update = predictor.update
-    for i in range(len(pcs_l)):
-        pc = pcs_l[i]
-        t = taken_l[i]
-        miss[i] = predict(pc) != t
+    miss: list[bool] = []
+    for pc, t in zip(pcs.tolist(), taken.tolist()):
+        miss.append(predict(pc) != t)
         update(pc, t)
-    return miss
+    return np.array(miss, dtype=bool)

@@ -328,6 +328,16 @@ class TestSnapshotParsing:
         with pytest.raises(ServiceError):
             spool.jobs()
 
+    def test_non_utf8_snapshot_is_typed(self, spool):
+        populate(spool)
+        compact(spool)
+        data = spool.snapshot_path.read_bytes()
+        spool.snapshot_path.write_bytes(data[:10] + b"\xff\xfe" + data[10:])
+        with pytest.raises(ServiceError, match="corrupt spool snapshot"):
+            read_snapshot(spool.root)
+        with pytest.raises(ServiceError):
+            spool.jobs()
+
     def test_unknown_snapshot_schema_is_typed(self, spool):
         compact(spool)
         doc = json.loads(spool.snapshot_path.read_text())

@@ -105,6 +105,71 @@ class TestAccessStream:
         assert m_big <= m_small
 
 
+def _pc_like(rng, n, jump_every=7):
+    """Consecutive 4-byte PCs with a random jump about every ``jump_every``
+    instructions, as a fetch stream runs through basic blocks."""
+    steps = np.where(rng.random(n) < 1 / jump_every, rng.integers(-4096, 4096, n) * 4, 4)
+    return (1 << 22) + np.cumsum(steps).astype(np.uint64)
+
+
+def _runs(rng, n, span):
+    """Random addresses, each repeated for a run of 1-8 accesses."""
+    addrs = rng.integers(0, span, n).astype(np.uint64)
+    return np.repeat(addrs, rng.integers(1, 9, n))
+
+
+def _assert_stream_equals_scalar(make, chunks):
+    """``access_stream`` over ``chunks`` leaves the hits, stats and sets that
+    calling ``access`` on every address does."""
+    a, b = make(), make()
+    for addrs in chunks:
+        stream_hits = a.access_stream(addrs)
+        assert stream_hits.dtype == bool and stream_hits.shape == addrs.shape
+        np.testing.assert_array_equal(
+            stream_hits, np.array([b.access(int(x)) for x in addrs], dtype=bool))
+    assert (a.stats.accesses, a.stats.misses) == (b.stats.accesses, b.stats.misses)
+    assert a._sets == b._sets
+
+
+GEOMETRIES = [(1024, 32, 2), (8 * 1024, 32, 4), (4 * 1024, 64, 8), (2048, 128, 4)]
+
+
+class TestStreamWithRepeats:
+    """The stream kernel collapses back-to-back accesses to one block."""
+
+    @pytest.mark.parametrize("geom", GEOMETRIES)
+    def test_pc_like_stream(self, geom):
+        addrs = _pc_like(np.random.default_rng(2), 3000)
+        _assert_stream_equals_scalar(lambda: Cache(*geom), [addrs])
+
+    @pytest.mark.parametrize("geom", GEOMETRIES)
+    def test_random_runs(self, geom):
+        addrs = _runs(np.random.default_rng(3), 800, 1 << 14)
+        _assert_stream_equals_scalar(lambda: Cache(*geom), [addrs])
+
+    @pytest.mark.parametrize("geom", GEOMETRIES)
+    def test_next_call_starts_on_last_block(self, geom):
+        rng = np.random.default_rng(4)
+        first = _runs(rng, 300, 1 << 13)
+        # Flipping the lowest address bit stays in the block.
+        second = np.concatenate([first[-1:] ^ np.uint64(1), _runs(rng, 300, 1 << 13)])
+        third = np.concatenate([second[-1:], second[-1:], _pc_like(rng, 500)])
+        _assert_stream_equals_scalar(lambda: Cache(*geom), [first, second, third])
+
+    def test_all_one_block(self):
+        addrs = np.full(50, 96, dtype=np.uint64)
+        _assert_stream_equals_scalar(lambda: Cache(1024, 32, 4), [addrs, addrs[:1]])
+
+    def test_empty_stream(self):
+        empty = np.array([], dtype=np.uint64)
+        c = Cache(1024, 32, 4)
+        hits = c.access_stream(empty)
+        assert hits.shape == (0,) and hits.dtype == bool
+        assert (c.stats.accesses, c.stats.misses) == (0, 0)
+        _assert_stream_equals_scalar(lambda: Cache(1024, 32, 4),
+                                     [empty, np.array([0, 0, 32], dtype=np.uint64), empty])
+
+
 class TestMultiLevel:
     def test_l1_hit_zero_latency(self):
         h = MultiLevelCache(Cache(1024, 32, 4), Cache(4096, 64, 4), None,

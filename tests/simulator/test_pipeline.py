@@ -1,10 +1,13 @@
 """Tests for the detailed out-of-order pipeline timing model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.simulator.config import enumerate_design_space
-from repro.simulator.isa import OpClass, Trace
+from repro.simulator.interval import DEFAULT_LATENCIES
+from repro.simulator.isa import FU_CLASSES, OP_LATENCY, OpClass, Trace
 from repro.simulator.pipeline import simulate_pipeline
 
 
@@ -140,3 +143,81 @@ class TestInterface:
         with pytest.raises(ValueError):
             simulate_pipeline(trace, configs[0], np.zeros(2), np.zeros(3),
                               np.zeros(3, dtype=bool))
+
+
+def _scan_scoreboard(trace, config, mem_latency, ifetch_latency, mispredicted,
+                     latencies=DEFAULT_LATENCIES):
+    """The scoreboard written out literally: per-instruction numpy arrays,
+    ``max()``, a linear scan for the earliest-free unit of each pool, and
+    LSQ ordinals from a cumulative sum. Returns the cycle count."""
+    n = len(trace)
+    width, ruu, lsq = config.width, config.ruu_size, config.lsq_size
+    depth = latencies.frontend_depth if width == 4 else latencies.frontend_depth_wide
+    ops = trace.op
+    base_lat = np.array([OP_LATENCY[OpClass(v)] for v in range(7)], dtype=np.float64)
+    exec_lat = base_lat[ops] + mem_latency
+    pools = {name: [0.0] * config.fu_count(name)
+             for name in ("ialu", "imult", "memport", "fpalu", "fpmult")}
+    fetch_t, complete_t, commit_t = np.zeros(n), np.zeros(n), np.zeros(n)
+    is_mem = (ops == int(OpClass.LOAD)) | (ops == int(OpClass.STORE))
+    mem_seq = np.cumsum(is_mem) - 1
+    mem_commit = []
+    barrier = 0.0
+    for i in range(n):
+        ft = barrier + ifetch_latency[i]
+        if i >= width:
+            ft = max(ft, fetch_t[i - width] + 1.0)
+        if i >= ruu:
+            ft = max(ft, commit_t[i - ruu])
+        fetch_t[i] = ft
+        ready = ft + 1.0
+        d = int(trace.dep_dist[i])
+        if 0 < d <= i:
+            ready = max(ready, complete_t[i - d])
+        if is_mem[i] and mem_seq[i] >= lsq:
+            ready = max(ready, mem_commit[mem_seq[i] - lsq])
+        pool = pools[FU_CLASSES[OpClass(int(ops[i]))]]
+        u_min = min(range(len(pool)), key=pool.__getitem__)
+        issue = max(ready, pool[u_min])
+        pool[u_min] = issue + 1.0
+        complete_t[i] = issue + exec_lat[i]
+        ct = complete_t[i]
+        if i >= 1:
+            ct = max(ct, commit_t[i - 1])
+        if i >= width:
+            ct = max(ct, commit_t[i - width] + 1.0)
+        commit_t[i] = ct
+        if is_mem[i]:
+            mem_commit.append(ct)
+        if mispredicted[i]:
+            barrier = max(barrier, complete_t[i] + depth)
+    return float(commit_t[-1])
+
+
+class TestScanReference:
+    """The heap-pool list kernel equals the literal scan scoreboard bit for
+    bit, on random streams and machine shapes the Table-1 space never uses
+    (one-unit and odd-sized pools, an RUU narrower than the width, a tiny
+    LSQ)."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_streams_and_shapes(self, configs, seed):
+        rng = np.random.default_rng(seed)
+        # Every (width, RUU below / near / above width) pair, on a short
+        # stream that exposes start-up timing and on a long one.
+        width = (1, 2, 4, 8)[seed % 4]
+        ruu = (1, width // 2 + 1, 3 * width)[seed % 3]
+        n = 9 if seed < 12 else 600
+        ops = rng.integers(0, 7, n)
+        trace = _mk_trace(ops.tolist(), rng.integers(0, 12, n).tolist())
+        mem = np.where((ops == 2) | (ops == 3),
+                       rng.choice([0.0, 0.0, 10.0, 36.0, 250.0, 2.5], n), 0.0)
+        ifetch = np.where(rng.random(n) < 0.05, rng.choice([10.0, 30.0], n), 0.0)
+        mis = (ops == int(OpClass.BRANCH)) & (rng.random(n) < 0.3)
+        cfg = dataclasses.replace(
+            configs[int(rng.integers(len(configs)))], width=width,
+            ruu_size=ruu, lsq_size=int(rng.integers(1, 12)),
+            **{f"fu_{name}": int(rng.integers(1, 6))
+               for name in ("ialu", "imult", "memport", "fpalu", "fpmult")})
+        got = simulate_pipeline(trace, cfg, mem, ifetch, mis).cycles
+        assert got == _scan_scoreboard(trace, cfg, mem, ifetch, mis)

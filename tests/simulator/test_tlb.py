@@ -69,3 +69,47 @@ class TestStream:
         m_s = int((~small.access_stream(addrs)).sum())
         m_l = int((~large.access_stream(addrs)).sum())
         assert m_l <= m_s
+
+
+def _assert_stream_equals_scalar(reach, chunks):
+    """``access_stream`` over ``chunks`` leaves the hits, stats and LRU order
+    that calling ``access`` on every address does."""
+    a, b = Tlb(reach), Tlb(reach)
+    for addrs in chunks:
+        stream_hits = a.access_stream(addrs)
+        assert stream_hits.dtype == bool and stream_hits.shape == addrs.shape
+        np.testing.assert_array_equal(
+            stream_hits, np.array([b.access(int(x)) for x in addrs], dtype=bool))
+    assert (a.stats.accesses, a.stats.misses) == (b.stats.accesses, b.stats.misses)
+    assert list(a._map) == list(b._map)
+
+
+class TestStreamWithRepeats:
+    """The stream kernel collapses back-to-back accesses to one page."""
+
+    @pytest.mark.parametrize("reach", [4096, 4 * 4096, 64 * 4096])
+    def test_pc_like_stream(self, rng, reach):
+        # Consecutive 4-byte PCs with a jump of up to 64 pages about every
+        # seventh instruction.
+        steps = np.where(rng.random(20000) < 1 / 7,
+                         rng.integers(-(1 << 16), 1 << 16, 20000) * 4, 4)
+        addrs = (1 << 28) + np.cumsum(steps).astype(np.uint64)
+        _assert_stream_equals_scalar(reach, [addrs])
+
+    @pytest.mark.parametrize("reach", [4096, 4 * 4096, 64 * 4096])
+    def test_next_call_starts_on_last_page(self, rng, reach):
+        pages = np.repeat(rng.integers(0, 96, 600), rng.integers(1, 9, 600))
+        addrs = (pages * 4096 + rng.integers(0, 4096, pages.size)).astype(np.uint64)
+        chunks = np.split(addrs, [700, 1400])
+        chunks[1] = np.concatenate([chunks[0][-1:], chunks[1]])
+        chunks[2] = np.concatenate([chunks[1][-1:] ^ np.uint64(1), chunks[2]])  # same page
+        _assert_stream_equals_scalar(reach, chunks)
+
+    def test_empty_stream(self):
+        empty = np.array([], dtype=np.uint64)
+        t = Tlb(4 * 4096)
+        hits = t.access_stream(empty)
+        assert hits.shape == (0,) and hits.dtype == bool
+        assert (t.stats.accesses, t.stats.misses) == (0, 0)
+        _assert_stream_equals_scalar(4 * 4096, [empty, np.array([0, 0, 4096], dtype=np.uint64),
+                                                empty])
