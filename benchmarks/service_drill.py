@@ -27,13 +27,16 @@ spool directory), the way CI drives it:
    job's spans share its single trace id across submit/lease/execute/retry
    and every record validates against ``repro-trace/1``; ``repro obs
    report`` must print non-empty p50/p95/p99 for all four SLO histograms;
+   the shard metrics snapshots must merge (``--metrics-out``) into one
+   ``repro-metrics/1`` document covering at least two snapshots with a
+   nonzero ``executor.tasks.completed``;
    both runs must stay bit-identical to the serial oracle; and the traced
    run may not cost more than 5% extra wall-clock (with a small absolute
    floor so scheduler noise on a ~seconds-long drill cannot flake CI).
 
-Artifacts (spool event log, job listing, merged timeline, obs report,
-final status snapshot, drill report JSON) are copied to
-``benchmarks/results/`` for CI upload.
+Artifacts (spool event log, job listing, merged timeline, aggregated
+shard metrics, obs report, final status snapshot, drill report JSON) are
+copied to ``benchmarks/results/`` for CI upload.
 
 Run::
 
@@ -154,11 +157,24 @@ def obs_drill(workdir: Path, out_dir: Path, report: dict) -> None:
 
     # Merge the timeline through the CLI and validate every record.
     timeline_path = out_dir / "BENCH_service_timeline.jsonl"
+    metrics_path = out_dir / "BENCH_service_metrics.json"
     p = _cli("obs", "aggregate", "--spool", str(traced_dir),
-             "--out", str(timeline_path))
+             "--out", str(timeline_path), "--metrics-out", str(metrics_path))
     if p.returncode != 0:
         _fail(f"obs aggregate rc={p.returncode}: {p.stderr}")
     print(p.stdout, end="")
+
+    # The shard snapshots must merge into one repro-metrics/1 document
+    # that counted the drill's completed tasks.
+    agg = json.loads(metrics_path.read_text())
+    completed = agg.get("metrics", {}).get("executor.tasks.completed", {})
+    if agg.get("schema") != "repro-metrics/1" or len(agg.get("shards", [])) < 2 \
+            or not completed.get("value", 0) > 0:
+        _fail(f"aggregated metrics wrong shape: schema={agg.get('schema')!r}, "
+              f"shards={agg.get('shards')}, "
+              f"executor.tasks.completed={completed.get('value')}")
+    report["obs_metrics_shards"] = len(agg["shards"])
+
     records = [json.loads(line)
                for line in timeline_path.read_text().splitlines()]
     for rec in records:

@@ -76,10 +76,12 @@ Observability
 -------------
 Every workflow subcommand accepts ``--trace-file PATH`` (JSONL span stream
 covering the sweep/encode/train/predict/holdout phases), ``--metrics-file
-PATH`` (counter/gauge/histogram snapshot plus a final cache-counter
-snapshot), and ``--profile`` (aggregate cProfile report on stderr). All
-three are off by default and leave results bit-identical — see
-:mod:`repro.obs`.
+PATH`` (``repro-metrics/1`` counter/gauge/histogram snapshot plus a final
+cache-counter snapshot), and ``--profile`` (per-phase span totals plus a
+cProfile report of the whole command on stderr). All three are off by
+default and leave results bit-identical — see :mod:`repro.obs`. An
+unwritable ``--trace-file``, ``--metrics-file`` or ``--cache-trace`` path
+is a one-line ``repro: error:`` before any work starts.
 
 Result caching
 --------------
@@ -175,8 +177,8 @@ def _add_obs(p: argparse.ArgumentParser) -> None:
                    help="write a JSON metrics snapshot (counters, histograms, "
                         "final cache counters) to PATH on exit")
     g.add_argument("--profile", action="store_true",
-                   help="profile the hot paths with cProfile and print the "
-                        "report to stderr")
+                   help="print per-phase span totals and a cProfile report "
+                        "of the whole command to stderr")
 
 
 def _add_cache(p: argparse.ArgumentParser) -> None:
@@ -346,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "to PATH")
     sp.add_argument("--metrics-out", default=None, metavar="PATH",
                     help="write the aggregated shard metrics (JSON, "
-                         "repro-metrics-agg/1) to PATH")
+                         "repro-metrics/1 plus shards, per_shard and "
+                         "conflicts) to PATH")
     sp = obs_sub.add_parser(
         "report",
         help="print the service SLO table: p50/p95/p99 queue-wait, "
@@ -1011,11 +1014,27 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_output(flag: str, path: str) -> None:
+    """Fail before any work starts when an output ``path`` is unwritable."""
+    from pathlib import Path
+
+    out = Path(path)
+    try:
+        existed = out.exists()
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.open("a").close()
+        if not existed:
+            out.unlink()
+    except OSError as exc:
+        raise ReproError(f"{flag} {path}: cannot write ({exc})") from None
+
+
 def _setup_cache_capture(args: argparse.Namespace) -> bool:
     """Install the cache access-trace recorder when ``--cache-trace`` asks."""
     trace_path = getattr(args, "cache_trace", None)
     if not trace_path:
         return False
+    _check_output("--cache-trace", trace_path)
     from repro.cache import configure_capture
 
     configure_capture(trace_path)
@@ -1023,19 +1042,50 @@ def _setup_cache_capture(args: argparse.Namespace) -> bool:
 
 
 def _setup_observability(args: argparse.Namespace) -> bool:
-    """Configure tracing/metrics/profiling from the obs flags; True if any on."""
+    """Configure tracing/metrics/profiling from the obs flags; True if any on.
+
+    Every flag installs the same registry-backed tracer: its
+    ``span.<name>.seconds`` histograms are the per-phase table ``--profile``
+    prints, next to one ``cProfile`` run over the whole command.
+    """
     trace_file = getattr(args, "trace_file", None)
     metrics_file = getattr(args, "metrics_file", None)
     want_profile = getattr(args, "profile", False)
     if not (trace_file or metrics_file or want_profile):
         return False
+    for flag, path in (("--trace-file", trace_file),
+                       ("--metrics-file", metrics_file)):
+        if path:
+            _check_output(flag, path)
     from repro import obs
 
-    if trace_file or metrics_file:
-        obs.configure(trace_path=trace_file, registry=obs.default_registry())
+    obs.configure(trace_path=trace_file, registry=obs.default_registry())
     if want_profile:
-        obs.enable_profiling()
+        import cProfile
+
+        args.profiler = cProfile.Profile()
+        args.profiler.enable()
     return True
+
+
+def _profile_report(profiler, registry, top: int = 20) -> str:
+    """``--profile`` report: per-phase span totals, then pstats' top ``top``."""
+    import io
+    import pstats
+
+    sections = {name[len("span."):-len(".seconds")]: registry.get(name)
+                for name in registry.names()
+                if name.startswith("span.") and name.endswith(".seconds")}
+    lines = ["profiled sections (wall-clock):"]
+    width = max(map(len, sections), default=0)
+    for name, hist in sorted(sections.items(), key=lambda kv: -kv[1].sum):
+        lines.append(f"  {name.ljust(width)}  calls={hist.count:<5d}"
+                     f"  total={hist.sum:.4f}s")
+    buf = io.StringIO()
+    pstats.Stats(profiler, stream=buf).sort_stats("cumulative") \
+        .print_stats(top)
+    lines.append(buf.getvalue().rstrip())
+    return "\n".join(lines)
 
 
 def _finalize_observability(args: argparse.Namespace) -> None:
@@ -1048,6 +1098,9 @@ def _finalize_observability(args: argparse.Namespace) -> None:
     from repro import obs
     from repro.cache import cache_snapshot
 
+    profiler = getattr(args, "profiler", None)
+    if profiler is not None:
+        profiler.disable()
     snapshot = cache_snapshot()
     tracer = obs.get_tracer()
     if tracer is not None:
@@ -1055,11 +1108,10 @@ def _finalize_observability(args: argparse.Namespace) -> None:
     metrics_file = getattr(args, "metrics_file", None)
     if metrics_file:
         obs.default_registry().export(metrics_file, extra={"cache": snapshot})
-    profiler = obs.get_profiler()
     if profiler is not None:
-        print(profiler.report(), file=sys.stderr)
+        print(_profile_report(profiler, obs.default_registry()),
+              file=sys.stderr)
     obs.shutdown()
-    obs.disable_profiling()
 
 
 _COMMANDS = {
@@ -1099,9 +1151,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.cache import configure
 
         configure(disk_root=cache_dir)
-    captured = _setup_cache_capture(args)
-    observed = _setup_observability(args)
+    captured = observed = False
     try:
+        captured = _setup_cache_capture(args)
+        observed = _setup_observability(args)
         return _COMMANDS[args.command](args)
     except ReproError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)

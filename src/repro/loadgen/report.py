@@ -55,8 +55,6 @@ def build_report(result: LoadResult, *,
                  source: str = "run",
                  malformed_lines: int = 0) -> dict[str, Any]:
     """Fold one run into the ``repro-loadreport/1`` document."""
-    hist = latency_histogram(result)
-    snap = hist.snapshot()
     counts = result.counts()
     errors: dict[str, int] = {}
     for o in result.outcomes:
@@ -73,14 +71,7 @@ def build_report(result: LoadResult, *,
         "wall_s": result.wall_s,
         "throughput_rps": (counts.get("done", 0) / result.wall_s
                            if result.wall_s > 0 else 0.0),
-        "latency": {
-            "count": snap["count"],
-            "p50": hist.quantile(0.50),
-            "p95": hist.quantile(0.95),
-            "p99": hist.quantile(0.99),
-            "mean": snap["mean"],
-            "max": snap["max"],
-        },
+        "latency": latency_histogram(result).summary(),
         "malformed_lines": int(malformed_lines),
     }
 

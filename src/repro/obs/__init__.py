@@ -1,20 +1,22 @@
-"""Observability: metrics registry, span tracing, and profiling hooks.
+"""Observability: metrics registry and span tracing.
 
 ``repro.obs`` is the measurement substrate for every layer of the pipeline.
 It is deliberately zero-dependency (stdlib only, plus :mod:`repro.util` for
 table rendering) so any subsystem — cache, parallel, simulator, ml, cli —
 can instrument itself without import cycles.
 
-Three cooperating pieces, each off by default and individually enableable:
+Two cooperating pieces, each off by default:
 
 * :mod:`repro.obs.metrics` — process-wide :class:`MetricsRegistry` of
-  counters/gauges/histograms; exported to JSON (``--metrics-file``) or a
-  text table.
+  counters/gauges/histograms; exported as one ``repro-metrics/1`` JSON
+  document (``--metrics-file``, worker shard snapshots, and the
+  cross-shard aggregate alike) or a text table.
 * :mod:`repro.obs.trace` — span-based tracing producing a JSONL event
   stream (``--trace-file``) with parent/child nesting, monotonic timings,
   and per-span exception capture; summarized by ``repro obs summarize``.
-* :mod:`repro.obs.profiling` — opt-in aggregate ``cProfile`` plus
-  wall-clock section timers around the hot paths (``--profile``).
+  Spans are the only stopwatch: a tracer configured with ``registry=``
+  feeds ``span.<name>.seconds`` histograms, which is all ``--profile``
+  reads for its per-phase table (next to one whole-command ``cProfile``).
 
 On top of the per-process substrate sits the *service plane* (DESIGN §13):
 :mod:`repro.obs.aggregate` merges per-shard trace files and metrics
@@ -33,25 +35,20 @@ Instrumented code uses one primitive::
         cycles = compute()
         sp.set(method=resolved)
 
-:func:`phase` opens a trace span *and* a profiling section under one name.
-When neither tracing nor profiling is configured (the default) it returns a
-shared no-op context manager — two global reads, no allocation beyond the
-keyword dict — so instrumented paths remain bit-identical and within noise
-of their uninstrumented wall-clock.
+:func:`phase` is :func:`~repro.obs.trace.span`. When no tracer is
+configured (the default) it returns a shared no-op context manager — one
+global read, no allocation beyond the keyword dict — so instrumented paths
+remain bit-identical and within noise of their uninstrumented wall-clock.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.obs import profiling, trace
 from repro.obs.aggregate import (
     Timeline,
     aggregate_metrics,
     merge_timeline,
     read_shard_metrics,
     read_shard_traces,
-    snapshot_quantile,
     write_timeline,
 )
 from repro.obs.metrics import (
@@ -62,14 +59,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     default_registry,
     reset_default_registry,
-)
-from repro.obs.profiling import (
-    Profiler,
-    disable_profiling,
-    enable_profiling,
-    get_profiler,
-    profiled,
-    profiling_enabled,
+    snapshot_quantile,
 )
 from repro.obs.slo import (
     SLO_BUCKETS,
@@ -112,7 +102,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "PhaseSummary",
-    "Profiler",
     "TRACE_SCHEMA",
     "Timeline",
     "TraceSummary",
@@ -124,15 +113,10 @@ __all__ = [
     "configure",
     "current_trace_id",
     "default_registry",
-    "disable_profiling",
-    "enable_profiling",
-    "get_profiler",
     "get_tracer",
     "merge_timeline",
     "phase",
     "phase_rows",
-    "profiled",
-    "profiling_enabled",
     "read_jsonl_tolerant",
     "read_shard_metrics",
     "read_shard_traces",
@@ -153,34 +137,7 @@ __all__ = [
 ]
 
 
-class _PhaseContext:
-    """Span + profiling section opened together under one phase name."""
-
-    __slots__ = ("_name", "_attrs", "_span_cm", "_section_cm")
-
-    def __init__(self, name: str, attrs: dict[str, Any]) -> None:
-        self._name = name
-        self._attrs = attrs
-        self._span_cm = None
-        self._section_cm = None
-
-    def __enter__(self):
-        self._span_cm = trace.span(self._name, **self._attrs)
-        handle = self._span_cm.__enter__()
-        self._section_cm = profiling.profiled(self._name)
-        self._section_cm.__enter__()
-        return handle
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        try:
-            self._section_cm.__exit__(exc_type, exc, tb)
-        finally:
-            self._span_cm.__exit__(exc_type, exc, tb)
-        return False
-
-
-def phase(name: str, **attrs: Any):
-    """Open a traced + profiled phase; shared no-op when both are off."""
-    if not trace.tracing_enabled() and not profiling.profiling_enabled():
-        return trace._NULL_SPAN
-    return _PhaseContext(name, attrs)
+# ``phase`` is ``span`` under the name instrumented modules import. Kept
+# as an alias: ``simulator/interval.py`` is hashed by ``code_version()``,
+# so renaming its call would move ``tests/golden/golden_load_report.json``.
+phase = span

@@ -3,8 +3,9 @@
 A running service scatters its telemetry by construction: every worker
 shard appends to its own ``repro-trace/1`` JSONL file (single-writer, no
 cross-process locking on the hot path) and flushes its own
-``repro-shardmetrics/1`` registry snapshot from the heartbeat path. This
-module is the read side that puts the pieces back together:
+``repro-metrics/1`` registry snapshot (stamped with ``shard``, ``pid``,
+``t`` and ``final``) from the heartbeat path. This module is the read side
+that puts the pieces back together:
 
 * :func:`merge_timeline` — one causally-ordered timeline across every
   shard *and* the spool's own queue events (submit/lease/done/fail are
@@ -14,7 +15,8 @@ module is the read side that puts the pieces back together:
   parent/child links within a shard survive.
 * :func:`read_shard_metrics` / :func:`aggregate_metrics` — sum counters,
   merge fixed-bucket histograms, and sum gauges across shard snapshots,
-  keeping the per-shard breakdown alongside the totals. Snapshots are
+  keeping the per-shard breakdown alongside the totals in one more
+  ``repro-metrics/1`` document. Snapshots are
   deduplicated by ``(shard, pid)`` with the newest winning, so a crash
   salvage that leaves one generation's snapshot under two names never
   double-counts.
@@ -29,17 +31,15 @@ stays importable by every subsystem without cycles.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.obs.summarize import read_jsonl_tolerant
-from repro.obs.trace import TRACE_SCHEMA, validate_record
+from repro.obs.metrics import METRICS_SCHEMA
+from repro.obs.summarize import read_jsonl_tolerant, read_trace
+from repro.obs.trace import TRACE_SCHEMA
 
 __all__ = [
-    "SHARD_METRICS_SCHEMA",
-    "METRICS_AGG_SCHEMA",
     "Timeline",
     "aggregate_metrics",
     "merge_timeline",
@@ -48,16 +48,9 @@ __all__ = [
     "read_shard_metrics",
     "read_shard_traces",
     "read_spool_events",
-    "snapshot_quantile",
     "spool_timeline_records",
     "write_timeline",
 ]
-
-#: One shard's registry snapshot, flushed from the worker heartbeat path.
-SHARD_METRICS_SCHEMA = "repro-shardmetrics/1"
-
-#: The cross-shard merge produced by :func:`aggregate_metrics`.
-METRICS_AGG_SCHEMA = "repro-metrics-agg/1"
 
 #: Spool queue events that become timeline entries (others are internal).
 _SPOOL_EVENT_NAMES = ("submit", "lease", "renew", "done", "fail")
@@ -98,15 +91,10 @@ def read_shard_traces(spool_root) -> tuple[list[dict], int]:
         return [], 0
     for path in sorted(root.glob("trace.*.jsonl")):
         shard = path.name[len("trace."):-len(".jsonl")]
-        parsed, bad = read_jsonl_tolerant(path)
+        parsed, bad = read_trace(path)
         malformed += bad
         top = offset
         for rec in parsed:
-            try:
-                validate_record(rec)
-            except ValueError:
-                malformed += 1
-                continue
             rec = dict(rec)
             rec["shard"] = shard
             rec["span_id"] = int(rec["span_id"]) + offset
@@ -232,8 +220,10 @@ def read_shard_metrics(spool_root) -> tuple[list[dict], int]:
     The supervisor salvages a dead worker's last snapshot under a
     generation-suffixed name before the replacement overwrites the live
     one, so the same (shard, pid) snapshot can exist twice; the newest
-    ``t`` wins and nothing is counted twice. Bare pre-plane snapshots
-    (a raw registry dict with no wrapper) are tolerated.
+    ``t`` wins and nothing is counted twice. A ``--metrics-file`` export
+    dropped into the directory counts as a shard named after its file.
+    Bare pre-plane snapshots (a raw registry dict with no ``schema``) are
+    tolerated; a document with any other schema counts as unreadable.
     """
     root = metrics_dir(spool_root)
     if not root.is_dir():
@@ -243,18 +233,18 @@ def read_shard_metrics(spool_root) -> tuple[list[dict], int]:
     for path in sorted(root.glob("*.json")):
         try:
             doc = json.loads(path.read_bytes().decode("utf-8"))
+            mtime = path.stat().st_mtime
         except (OSError, ValueError):
             unreadable += 1
             continue
-        if not isinstance(doc, dict):
+        if not isinstance(doc, dict) or \
+                doc.get("schema", METRICS_SCHEMA) != METRICS_SCHEMA:
             unreadable += 1
             continue
-        if doc.get("schema") == SHARD_METRICS_SCHEMA:
-            docs.append(doc)
-        else:  # bare registry snapshot from a pre-plane worker
-            docs.append({"schema": SHARD_METRICS_SCHEMA, "shard": path.stem,
-                         "pid": None, "t": path.stat().st_mtime,
-                         "final": False, "metrics": doc})
+        if "schema" not in doc:  # bare registry snapshot, pre-plane worker
+            doc = {"schema": METRICS_SCHEMA, "metrics": doc}
+        docs.append({"shard": path.stem, "pid": None,
+                     "t": mtime, "final": False, **doc})
     newest: dict[tuple, dict] = {}
     for doc in docs:
         key = (doc.get("shard"), doc.get("pid"))
@@ -294,7 +284,8 @@ def _merge_metric(into: dict, snap: dict, name: str,
 def aggregate_metrics(snapshots: Iterable[dict]) -> dict[str, Any]:
     """Sum/merge shard snapshots into one service-wide metrics document.
 
-    Returns ``{schema, shards, metrics, per_shard, conflicts}`` where
+    Returns a ``repro-metrics/1`` document with three more fields,
+    ``{schema, shards, metrics, per_shard, conflicts}``, where
     ``metrics`` maps each name to a merged snapshot (counters/gauges
     summed, histogram buckets added elementwise) and ``conflicts`` names
     metrics whose shards disagreed on type or bucket boundaries (kept from
@@ -318,31 +309,10 @@ def aggregate_metrics(snapshots: Iterable[dict]) -> dict[str, Any]:
             else:
                 _merge_metric(merged[name], snap, name, conflicts)
     return {
-        "schema": METRICS_AGG_SCHEMA,
+        "schema": METRICS_SCHEMA,
         "shards": shards,
         "metrics": {name: merged[name] for name in sorted(merged)},
         "per_shard": per_shard,
         "conflicts": sorted(set(conflicts)),
     }
 
-
-def snapshot_quantile(snap: dict, q: float) -> float:
-    """Bucket-upper-bound quantile over an exported histogram snapshot.
-
-    The merged histograms in an aggregate document are plain dicts, not
-    live :class:`~repro.obs.metrics.Histogram` objects; this mirrors
-    :meth:`Histogram.quantile` over that representation.
-    """
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    count = int(snap.get("count") or 0)
-    if count == 0:
-        return 0.0
-    rank = q * count
-    running = 0
-    for bound, c in zip(snap["buckets"], snap["counts"]):
-        running += c
-        if running >= rank:
-            return float(bound)
-    mx = snap.get("max")
-    return float(mx) if mx is not None else float(snap["buckets"][-1])

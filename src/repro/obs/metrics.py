@@ -29,13 +29,19 @@ from typing import Any, Mapping, Sequence
 
 __all__ = [
     "DEFAULT_BUCKETS",
+    "METRICS_SCHEMA",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "default_registry",
     "reset_default_registry",
+    "snapshot_quantile",
 ]
+
+#: The one metrics document: ``--metrics-file`` exports, worker shard
+#: snapshots and the cross-shard aggregate all carry this schema.
+METRICS_SCHEMA = "repro-metrics/1"
 
 #: Default histogram boundaries (seconds): spans range from sub-millisecond
 #: encoder calls to multi-minute full-space NN sweeps.
@@ -174,17 +180,19 @@ class Histogram:
         Returns the recorded maximum for quantiles landing in the overflow
         bucket, and 0.0 for an empty histogram.
         """
-        if not (0.0 <= q <= 1.0):
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self._count == 0:
-            return 0.0
-        rank = q * self._count
-        running = 0
-        for bound, c in zip(self.buckets, self._counts):
-            running += c
-            if running >= rank:
-                return bound
-        return self._max
+        return snapshot_quantile(self.snapshot(), q)
+
+    def summary(self) -> dict[str, Any]:
+        """The latency cell reports print: count, p50/p95/p99, mean, max."""
+        snap = self.snapshot()
+        return {
+            "count": snap["count"],
+            "p50": snapshot_quantile(snap, 0.50),
+            "p95": snapshot_quantile(snap, 0.95),
+            "p99": snapshot_quantile(snap, 0.99),
+            "mean": snap["mean"],
+            "max": snap["max"],
+        }
 
     def snapshot(self) -> dict[str, Any]:
         return {
@@ -198,6 +206,28 @@ class Histogram:
             "min": self._min if self._count else None,
             "max": self._max if self._count else None,
         }
+
+
+def snapshot_quantile(snap: Mapping[str, Any], q: float) -> float:
+    """Bucket-upper-bound quantile over a histogram snapshot.
+
+    The one bucket walk behind :meth:`Histogram.quantile`; it also serves
+    the merged histograms of an aggregate document, which are plain dicts.
+    Quantiles landing in the overflow bucket return the recorded maximum.
+    """
+    if not (0.0 <= q <= 1.0):
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    count = int(snap.get("count") or 0)
+    if count == 0:
+        return 0.0
+    rank = q * count
+    running = 0
+    for bound, c in zip(snap["buckets"], snap["counts"]):
+        running += c
+        if running >= rank:
+            return float(bound)
+    mx = snap.get("max")
+    return float(mx) if mx is not None else float(snap["buckets"][-1])
 
 
 class MetricsRegistry:
@@ -246,7 +276,7 @@ class MetricsRegistry:
                     for name in sorted(self._metrics)}
 
     def to_json(self, extra: Mapping[str, Any] | None = None, indent: int = 2) -> str:
-        doc: dict[str, Any] = {"schema": "repro-metrics/1", "metrics": self.snapshot()}
+        doc: dict[str, Any] = {"schema": METRICS_SCHEMA, "metrics": self.snapshot()}
         if extra:
             doc.update(extra)
         return json.dumps(doc, indent=indent, sort_keys=True) + "\n"

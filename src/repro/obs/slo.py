@@ -170,17 +170,8 @@ def slo_snapshot(slos: dict[str, dict[str, Histogram]]) -> dict[str, dict]:
         out[kind] = {}
         for metric in SLO_METRICS:
             hist = slos[kind].get(metric)
-            if hist is None:
-                continue
-            snap = hist.snapshot()
-            out[kind][metric] = {
-                "count": snap["count"],
-                "p50": hist.quantile(0.50),
-                "p95": hist.quantile(0.95),
-                "p99": hist.quantile(0.99),
-                "mean": snap["mean"],
-                "max": snap["max"],
-            }
+            if hist is not None:
+                out[kind][metric] = hist.summary()
     return out
 
 

@@ -477,27 +477,19 @@ class Worker:
         cache access capture — a step too expensive (and one-shot) for the
         periodic path.
         """
-        import json
         import os
 
         if final:
             from repro.cache.capture import shutdown_capture
 
             shutdown_capture()  # flush any per-shard access trace
-        doc = {
-            "schema": "repro-shardmetrics/1",
-            "shard": self.config.name,
-            "pid": os.getpid(),
-            "t": time.time(),
-            "final": final,
-            "metrics": _metrics().snapshot(),
-        }
+        doc = _metrics().to_json(extra={
+            "shard": self.config.name, "pid": os.getpid(), "t": time.time(),
+            "final": final})
         try:
             durable.replace_file(
                 self.spool.root / "metrics" / f"{self.config.name}.json",
-                (json.dumps(doc, indent=2, sort_keys=True, default=str)
-                 + "\n").encode(),
-                sync=False)
+                doc.encode(), sync=False)
         except OSError:
             _metrics().counter("service.metrics.export_failures").inc()
 

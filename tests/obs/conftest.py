@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import disable_profiling, reset_default_registry, shutdown
+from repro.obs import reset_default_registry, shutdown
 
 
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
-    """Fresh tracer/registry/profiler before and after every obs test."""
+    """Fresh tracer/registry before and after every obs test."""
     shutdown()
-    disable_profiling()
     reset_default_registry()
     yield
     shutdown()
-    disable_profiling()
     reset_default_registry()

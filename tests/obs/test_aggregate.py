@@ -7,8 +7,6 @@ import json
 import pytest
 
 from repro.obs.aggregate import (
-    METRICS_AGG_SCHEMA,
-    SHARD_METRICS_SCHEMA,
     aggregate_metrics,
     merge_timeline,
     metrics_dir,
@@ -16,11 +14,10 @@ from repro.obs.aggregate import (
     read_shard_metrics,
     read_shard_traces,
     read_spool_events,
-    snapshot_quantile,
     spool_timeline_records,
     write_timeline,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import METRICS_SCHEMA, MetricsRegistry, snapshot_quantile
 from repro.obs.trace import Tracer, validate_record
 
 
@@ -166,7 +163,7 @@ def _snapshot_doc(shard, pid, t, n=3, final=False):
     reg.gauge("queue.depth").set(float(n))
     for i in range(n):
         reg.histogram("fit.seconds").observe(0.01 * (i + 1))
-    return {"schema": SHARD_METRICS_SCHEMA, "shard": shard, "pid": pid,
+    return {"schema": METRICS_SCHEMA, "shard": shard, "pid": pid,
             "t": t, "final": final, "metrics": reg.snapshot()}
 
 
@@ -205,6 +202,37 @@ class TestReadShardMetrics:
         assert docs[0]["pid"] is None
         assert docs[0]["metrics"]["c"]["value"] == 1
 
+    def test_metrics_file_export_aggregates_like_a_shard(self, tmp_path):
+        # A --metrics-file export is the same repro-metrics/1 document a
+        # worker flushes, so dropped into the spool it merges as a shard.
+        mdir = metrics_dir(tmp_path)
+        mdir.mkdir(parents=True)
+        (mdir / "w0.json").write_text(
+            json.dumps(_snapshot_doc("w0", 42, t=200.0, n=2)))
+        reg = MetricsRegistry()
+        reg.counter("jobs.done").inc(5)
+        reg.export(mdir / "cli-run.json", extra={"cache": {"hits": 1}})
+        docs, unreadable = read_shard_metrics(tmp_path)
+        assert unreadable == 0
+        assert [d["shard"] for d in docs] == ["cli-run", "w0"]
+        assert docs[0]["pid"] is None
+        agg = aggregate_metrics(docs)
+        assert agg["shards"] == ["cli-run", "w0@42"]
+        assert agg["metrics"]["jobs.done"]["value"] == 7
+
+    def test_other_schema_counts_as_unreadable(self, tmp_path):
+        mdir = metrics_dir(tmp_path)
+        mdir.mkdir(parents=True)
+        doc = _snapshot_doc("w0", 42, t=200.0)
+        (mdir / "ok.json").write_text(json.dumps(doc))
+        doc["schema"] = "repro-shardmetrics/1"
+        (mdir / "old.json").write_text(json.dumps({**doc, "pid": 43}))
+        (mdir / "trace.json").write_text(
+            json.dumps({"schema": "repro-trace/1", "kind": "span"}))
+        docs, unreadable = read_shard_metrics(tmp_path)
+        assert unreadable == 2
+        assert [(d["shard"], d["pid"]) for d in docs] == [("w0", 42)]
+
     def test_unreadable_files_counted(self, tmp_path):
         mdir = metrics_dir(tmp_path)
         mdir.mkdir(parents=True)
@@ -222,7 +250,7 @@ class TestAggregateMetrics:
     def test_counters_gauges_sum_histograms_merge(self):
         agg = aggregate_metrics([_snapshot_doc("w0", 1, 10.0, n=2),
                                  _snapshot_doc("w1", 2, 11.0, n=3)])
-        assert agg["schema"] == METRICS_AGG_SCHEMA
+        assert agg["schema"] == "repro-metrics/1"
         assert agg["shards"] == ["w0@1", "w1@2"]
         assert agg["metrics"]["jobs.done"]["value"] == 5
         assert agg["metrics"]["queue.depth"]["value"] == 5.0

@@ -22,6 +22,7 @@ from repro.obs.metrics import (
     default_registry,
     reset_default_registry,
 )
+from repro.obs.slo import SLO_BUCKETS
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -168,6 +169,31 @@ class TestHistogramProperties:
         snap = h.snapshot()
         assert snap["min"] == pytest.approx(values.min())
         assert snap["max"] == pytest.approx(values.max())
+
+    @seeds(n_examples=25)
+    def test_summary_equals_hand_built_latency_cell(self, seed):
+        """summary() equals the latency cell built by hand from snapshot()."""
+        rng = np.random.default_rng(seed)
+        h = Histogram("h", buckets=SLO_BUCKETS)
+        # exponential tails overflow the last bound now and then
+        for v in rng.exponential(rng.choice([0.01, 1.0, 200.0]),
+                                 size=int(rng.integers(0, 80))):
+            h.observe(float(v))
+        snap = h.snapshot()
+
+        def walk(q):  # reference bucket walk, independent of the code
+            if snap["count"] == 0:
+                return 0.0
+            running = 0
+            for bound, c in zip(h.buckets, snap["counts"]):
+                running += c
+                if running >= q * snap["count"]:
+                    return bound
+            return snap["max"]
+
+        assert h.summary() == {
+            "count": snap["count"], "p50": walk(0.50), "p95": walk(0.95),
+            "p99": walk(0.99), "mean": snap["mean"], "max": snap["max"]}
 
 
 class TestRegistry:

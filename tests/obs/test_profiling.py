@@ -1,74 +1,76 @@
-"""Profiling hooks: opt-in gating, section totals, nested-section safety."""
+"""Profiling through spans: opt-in gating, per-phase span histograms,
+nesting under a live cProfile, and the ``--profile`` report."""
 
 from __future__ import annotations
 
-from repro.obs import profiling
-from repro.obs.profiling import (
-    Profiler,
-    disable_profiling,
-    enable_profiling,
-    get_profiler,
-    profiled,
-    profiling_enabled,
-)
+import cProfile
+
+import pytest
+
+from repro import obs
+from repro.cli import _profile_report
+from repro.obs import default_registry, phase
 
 
 def _busy(n: int = 2_000) -> int:
     return sum(i * i for i in range(n))
 
 
+def _registry_tracer():
+    """The tracer ``--profile`` installs: no sink, span histograms only."""
+    obs.configure(registry=default_registry())
+    return default_registry()
+
+
 class TestGating:
     def test_disabled_by_default(self):
-        assert not profiling_enabled()
-        assert get_profiler() is None
-        assert profiled("sweep") is profiling._NULL_SECTION
-
-    def test_enable_disable_roundtrip(self):
-        p = enable_profiling()
-        assert profiling_enabled()
-        assert enable_profiling() is p  # idempotent
-        disable_profiling()
-        assert not profiling_enabled()
+        assert obs.get_tracer() is None
+        assert not obs.tracing_enabled()
+        assert phase("sweep") is obs.trace._NULL_SPAN
 
 
 class TestSections:
     def test_sections_accumulate_calls_and_time(self):
-        p = enable_profiling()
+        reg = _registry_tracer()
         for _ in range(3):
-            with profiled("train"):
+            with phase("train"):
                 _busy()
-        entry = p.sections["train"]
-        assert entry["calls"] == 3
-        assert entry["seconds"] > 0
+        hist = reg.get("span.train.seconds")
+        assert hist.count == 3
+        assert hist.sum > 0
 
     def test_nested_sections_do_not_reenable_cprofile(self):
-        # cProfile.enable() while already profiling raises; the depth
-        # counter must make the inner section a wall-clock-only timer.
-        p = enable_profiling()
-        with profiled("sweep"):
-            with profiled("encode"):
-                _busy()
-        assert p.sections["sweep"]["calls"] == 1
-        assert p.sections["encode"]["calls"] == 1
+        # Phases are spans, so nesting them inside a live cProfile never
+        # touches the profiler (enabling cProfile twice would raise).
+        reg = _registry_tracer()
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            with phase("sweep"):
+                with phase("encode"):
+                    _busy()
+        finally:
+            profiler.disable()
+        assert reg.get("span.sweep.seconds").count == 1
+        assert reg.get("span.encode.seconds").count == 1
 
     def test_exception_still_records_section(self):
-        p = enable_profiling()
-        try:
-            with profiled("train"):
+        reg = _registry_tracer()
+        with pytest.raises(RuntimeError):
+            with phase("train"):
                 raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert p.sections["train"]["calls"] == 1
-        assert not p._depth  # profiler released
+        assert reg.get("span.train.seconds").count == 1
+        assert reg.get("span.train.errors").value == 1
 
     def test_report_lists_sections_and_functions(self):
-        enable_profiling()
-        with profiled("sweep"):
+        reg = _registry_tracer()
+        profiler = cProfile.Profile()
+        profiler.enable()
+        with phase("sweep"):
             _busy()
-        report = get_profiler().report(top=5)
-        assert "profiled sections" in report
+        profiler.disable()
+        report = _profile_report(profiler, reg, top=5)
+        assert "profiled sections (wall-clock):" in report
         assert "sweep" in report
+        assert "calls=1" in report
         assert "cumulative" in report  # pstats section present
-
-    def test_fresh_profiler_has_no_sections(self):
-        assert Profiler().sections == {}

@@ -144,7 +144,7 @@ class TestHeartbeatTelemetry:
         default_registry().counter("service.jobs.completed").inc(3)
         w.heartbeat()
         doc = json.loads((spool.root / "metrics" / "w0.json").read_text())
-        assert doc["schema"] == "repro-shardmetrics/1"
+        assert doc["schema"] == "repro-metrics/1"
         assert doc["shard"] == "w0"
         assert doc["pid"] == os.getpid()
         assert doc["final"] is False
@@ -267,7 +267,7 @@ class TestObsCli:
         mdir = root / "metrics"
         mdir.mkdir()
         (mdir / "w0.json").write_text(json.dumps({
-            "schema": "repro-shardmetrics/1", "shard": "w0", "pid": 1,
+            "schema": "repro-metrics/1", "shard": "w0", "pid": 1,
             "t": 105.0, "final": True,
             "metrics": {"c": {"type": "counter", "value": 2}}}))
         out = tmp_path / "timeline.jsonl"

@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -88,6 +93,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "standardized beta" in out
         assert "sensitivity importance" in out
+
+
+class TestUnwritableOutputs:
+    """An obs output path that cannot be written is a one-line error."""
+
+    @pytest.mark.parametrize("flag", ["--trace-file", "--metrics-file",
+                                      "--cache-trace"])
+    def test_fails_before_the_run_without_traceback(self, flag, tmp_path):
+        blocker = tmp_path / "regular-file"
+        blocker.write_text("")
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        p = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "mcf", flag,
+             str(blocker / "out.json")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert p.returncode == 1
+        assert p.stdout == ""  # no part of the sweep ran
+        assert "Traceback" not in p.stderr
+        lines = p.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro: error: ")
+        assert flag in lines[0] and str(blocker) in lines[0]
 
 
 class TestCacheCLI:
