@@ -1,8 +1,9 @@
 """Offline cache headroom benchmark: the LRU memory tier vs the Belady oracle.
 
 Replays access traces — four seeded synthetic key streams built from
-:class:`repro.loadgen.workloads.ReqGenEngine` by default, or captured
-``repro-cachetrace/1`` files via ``--trace`` — through the result cache's
+:class:`repro.loadgen.workloads.ReqGenEngine` by default, or the
+``cache.probe`` events of ``repro-trace/1`` files (``--trace-file`` runs,
+``serve --obs`` shard traces) via ``--trace`` — through the result cache's
 LRU memory tier (:class:`repro.cache.LRUCache`) and a clairvoyant
 Belady/OPT oracle, and writes hit-rate-vs-capacity curves to
 ``benchmarks/results/BENCH_cache.json``.
@@ -15,7 +16,7 @@ headroom any other eviction policy could win on that workload.
 Run::
 
     PYTHONPATH=src python benchmarks/cache_oracle.py [--out PATH]
-        [--trace CAPTURE.jsonl ...] [--seed N]
+        [--trace TRACE.jsonl ...] [--seed N]
 
 Exit codes: 0 ok; 2 LRU beat the oracle (replay bug); 4 a hit rate moved
 more than ``PIN_TOLERANCE`` away from its pinned value on a synthetic
@@ -36,13 +37,14 @@ try:
 except ImportError:  # running from a checkout without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.cache import LRUCache, read_cache_trace  # noqa: E402
+from repro.cache import LRUCache  # noqa: E402
 from repro.loadgen.workloads import (  # noqa: E402
     WORKLOAD_SHAPES,
     ReqGenEngine,
     SpecCatalog,
     WorkloadSpec,
 )
+from repro.obs.summarize import read_trace  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -211,8 +213,11 @@ def run_checks(workloads: dict[str, dict]) -> list[str]:
 
 
 def load_captured_trace(path: Path) -> list[str]:
-    """Key sequence of a captured ``repro-cachetrace/1`` file, in order."""
-    return [record["key"] for record in read_cache_trace(path)]
+    """Probe keys of a ``repro-trace/1`` file's ``cache.probe`` events, in
+    file order; spans, other events and a torn tail are skipped."""
+    records, _ = read_trace(path)
+    return [r["attrs"]["key"] for r in records
+            if r["kind"] == "event" and r["name"] == "cache.probe"]
 
 
 def main(argv=None) -> int:
@@ -220,9 +225,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=str(RESULTS_DIR / "BENCH_cache.json"),
                         metavar="PATH", help="where to write the JSON report")
     parser.add_argument("--trace", action="append", default=[],
-                        metavar="CAPTURE.jsonl",
-                        help="also replay a captured repro-cachetrace/1 file "
-                             "(repeatable; pins never apply to captures)")
+                        metavar="TRACE.jsonl",
+                        help="also replay the cache.probe events of a "
+                             "repro-trace/1 file (repeatable; pins never "
+                             "apply to captures)")
     parser.add_argument("--seed", type=int, default=0,
                         help="synthetic trace seed (pins assume 0)")
     parser.add_argument("--print-pins", action="store_true",

@@ -18,9 +18,11 @@ writes one machine-readable JSON file so future changes can see regressions:
    per-phase timings are embedded in the report and whose JSONL trace is
    written to ``benchmarks/results/BENCH_trace.jsonl`` for
    ``repro obs summarize``.
-5. **cache_capture** — the access-trace capture overhead on the probe hot
-   path: warm all-hit passes of a chunked-sweep workload with capture off
-   vs on (the off path must stay near-free).
+5. **cache_capture** — the probe-path overhead of tracing: warm all-hit
+   passes of a chunked-sweep workload with tracing off vs on, where every
+   probe becomes a ``cache.probe`` event in
+   ``benchmarks/results/BENCH_probes.jsonl`` (the off path must stay
+   near-free).
 
 Run::
 
@@ -47,13 +49,7 @@ except ImportError:  # running from a checkout without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro import obs
-from repro.cache import (
-    ResultCache,
-    cache_snapshot,
-    configure_capture,
-    get_recorder,
-    shutdown_capture,
-)
+from repro.cache import ResultCache, cache_snapshot
 from repro.core import model_builders, run_sampled_dse
 from repro.ml.preprocess import raw_matrix_cache
 from repro.obs.summarize import phase_rows, read_trace, summarize_trace
@@ -210,12 +206,12 @@ def bench_observability(configs, profile, reduced: bool, trace_out: Path) -> dic
 
 def bench_cache_capture(configs, profile, reduced: bool,
                         trace_out: Path) -> dict:
-    """Access-trace capture overhead on an all-hit chunked-sweep workload.
+    """Probe-path tracing overhead on an all-hit chunked-sweep workload.
 
     The design space is swept in chunks (one cache entry each): every pass
     scans all chunks in order while re-sweeping a 3-chunk hot set between
     them. One pass warms a tier big enough to hold every chunk, then timed
-    passes are pure memory hits — the path the recorder hook sits on.
+    passes are pure memory hits — the path the ``cache.probe`` event sits on.
     """
     n_chunks = 12 if reduced else 24
     passes = 2 if reduced else 3
@@ -240,20 +236,20 @@ def bench_cache_capture(configs, profile, reduced: bool,
     off_s, _ = _timed(lambda: workload(warm), repeats=3)
     trace_out.parent.mkdir(parents=True, exist_ok=True)
     trace_out.unlink(missing_ok=True)
-    configure_capture(trace_out)
+    obs.configure(trace_path=trace_out)
     try:
         on_s, _ = _timed(lambda: workload(warm), repeats=3)
-        n_recorded = get_recorder().n_recorded
     finally:
-        shutdown_capture()
+        obs.shutdown()
+    records, _ = read_trace(trace_out)
     return {
         "n_chunks": len(chunks),
         "passes": passes,
-        "capture_off_seconds": off_s,
-        "capture_on_seconds": on_s,
-        "capture_overhead_pct": (on_s / off_s - 1.0) * 100.0,
-        "capture_records": n_recorded,
-        "capture_file": str(trace_out),
+        "tracing_off_seconds": off_s,
+        "tracing_on_seconds": on_s,
+        "probe_overhead_pct": (on_s / off_s - 1.0) * 100.0,
+        "probe_events": sum(1 for r in records if r["name"] == "cache.probe"),
+        "trace_file": str(trace_out),
     }
 
 
@@ -321,20 +317,21 @@ def main(argv=None) -> int:
         print(f"      phase {row['phase']:<12} count={row['count']:<4} "
               f"total={row['total_s']:.4f}s")
 
-    print("[6/6] cache access-trace capture overhead (all-hit sweep)...")
-    cache_trace_out = Path(args.out).parent / "BENCH_cachetrace.jsonl"
+    print("[6/6] cache-probe tracing overhead (all-hit sweep)...")
+    probes_out = Path(args.out).parent / "BENCH_probes.jsonl"
     report["layers"]["cache_capture"] = cc = bench_cache_capture(
-        configs, profile, args.reduced, cache_trace_out)
-    print(f"      capture off {cc['capture_off_seconds']:.4f}s  on "
-          f"{cc['capture_on_seconds']:.4f}s  overhead "
-          f"{cc['capture_overhead_pct']:+.2f}%  "
-          f"({cc['capture_records']} records)")
+        configs, profile, args.reduced, probes_out)
+    print(f"      tracing off {cc['tracing_off_seconds']:.4f}s  on "
+          f"{cc['tracing_on_seconds']:.4f}s  overhead "
+          f"{cc['probe_overhead_pct']:+.2f}%  "
+          f"({cc['probe_events']} probe events)")
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
     print(f"wrote {trace_out}")
+    print(f"wrote {probes_out}")
 
     diverged = not (sim["bit_identical"] and par["bit_identical"]
                     and ob["bit_identical"])

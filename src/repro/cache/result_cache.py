@@ -9,7 +9,10 @@ function — promoting disk hits into memory and persisting fresh results to
 disk. Every probe appends a ``"hit:…"``/``"miss:…"``/eviction event to
 :attr:`ResultCache.events`, mirroring the ``ResilientExecutor.events``
 convention, so tests and the perf harness can assert on cache behaviour
-without reaching into internals.
+without reaching into internals. When a tracer is live, every probe is
+also one ``cache.probe`` event (``key``, ``namespace``, ``kind``, ``hit``,
+``layer``) in the ``repro-trace/1`` stream, replayable offline through
+``benchmarks/cache_oracle.py --trace``.
 
 The module-level :func:`default_cache` is the process-wide instance the
 simulator and encoder use when asked to cache: memory-only by default, with
@@ -25,11 +28,11 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.cache.capture import record_access as _record_access
 from repro.cache.disk import DiskStore
 from repro.cache.fingerprint import stable_fingerprint
 from repro.cache.memory import LRUCache
 from repro.obs.metrics import default_registry as _metrics
+from repro.obs.trace import annotate as _annotate
 
 __all__ = [
     "CacheStats",
@@ -173,11 +176,12 @@ class ResultCache:
         return value
 
     def _account(self, key: str, kind: str, hit: bool, layer: str | None) -> None:
-        """Per-namespace breakdown + optional access-trace capture."""
+        """Per-namespace breakdown + a ``cache.probe`` trace event."""
         ns = self.namespace if self.namespace is not None else "(default)"
         counts = self.namespace_counts.setdefault(ns, {"hits": 0, "misses": 0})
         counts["hits" if hit else "misses"] += 1
-        _record_access(key, self.namespace, kind, hit, layer)
+        _annotate("cache.probe", key=key, namespace=self.namespace, kind=kind,
+                  hit=hit, layer=layer)
 
     def _note_evictions(self, before: int) -> None:
         n_evicted = self.memory.evictions - before

@@ -80,18 +80,18 @@ PATH`` (``repro-metrics/1`` counter/gauge/histogram snapshot plus a final
 cache-counter snapshot), and ``--profile`` (per-phase span totals plus a
 cProfile report of the whole command on stderr). All three are off by
 default and leave results bit-identical — see :mod:`repro.obs`. An
-unwritable ``--trace-file``, ``--metrics-file`` or ``--cache-trace`` path
-is a one-line ``repro: error:`` before any work starts.
+unwritable ``--trace-file`` or ``--metrics-file`` path is a one-line
+``repro: error:`` before any work starts.
 
 Result caching
 --------------
 ``sweep``, ``sampled-dse``, and ``chronological`` reuse expensive artifacts
 (full-space cycle sweeps, encoded design matrices) through
 :mod:`repro.cache`. ``--cache-dir PATH`` (or ``REPRO_CACHE_DIR``) persists
-them across invocations; ``--cache-trace PATH`` records every probe to a
-replayable JSONL access trace (schema ``repro-cachetrace/1``) for
-``benchmarks/cache_oracle.py``; ``--no-cache`` recomputes everything, for
-reproducibility audits.
+them across invocations; ``--no-cache`` recomputes everything, for
+reproducibility audits. Under ``--trace-file`` every cache probe is one
+``cache.probe`` event, which ``benchmarks/cache_oracle.py --trace``
+replays offline.
 
 Fault tolerance
 ---------------
@@ -188,11 +188,6 @@ def _add_cache(p: argparse.ArgumentParser) -> None:
     g.add_argument("--cache-dir", default=None, metavar="PATH",
                    help="persist cached results under PATH (also read from "
                         "the REPRO_CACHE_DIR environment variable)")
-    g.add_argument("--cache-trace", default=None, metavar="PATH",
-                   help="append every cache probe (key fingerprint, "
-                        "namespace, hit/miss, timestamp) to PATH as JSONL "
-                        "(schema repro-cachetrace/1) for offline replay "
-                        "through benchmarks/cache_oracle.py")
 
 
 def _add_robust(p: argparse.ArgumentParser) -> None:
@@ -800,6 +795,7 @@ def _cmd_spool(args: argparse.Namespace) -> int:
         render_verify,
         verify_spool,
     )
+    from repro.util import durable
 
     root = Path(args.spool)
     if not root.is_dir():
@@ -840,10 +836,10 @@ def _cmd_spool(args: argparse.Namespace) -> int:
                 "expected-jobs file must map job id -> terminal state")
     report = verify_spool(root, expect_jobs=expect_jobs)
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(_json.dumps(report, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
+        durable.replace_file(
+            args.out,
+            (_json.dumps(report, indent=2, sort_keys=True) + "\n").encode(),
+            sync=False)
     if args.json:
         print(_json.dumps(report, sort_keys=True))
     else:
@@ -876,6 +872,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             read_shard_metrics,
             write_timeline,
         )
+        from repro.util import durable
 
         timeline = merge_timeline(root)
         print(f"timeline: {timeline.summary()}")
@@ -892,11 +889,10 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             print(f"metrics: conflict: shards disagree on {name!r} "
                   "(kept first shard's)", file=sys.stderr)
         if args.metrics_out:
-            out = Path(args.metrics_out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(_json.dumps(agg, indent=2, sort_keys=True,
-                                       default=str) + "\n")
-            print(f"metrics: wrote aggregate -> {out}")
+            durable.replace_file(args.metrics_out, (_json.dumps(
+                agg, indent=2, sort_keys=True, default=str) + "\n").encode(),
+                sync=False)
+            print(f"metrics: wrote aggregate -> {args.metrics_out}")
         return 0
 
     # report
@@ -1029,18 +1025,6 @@ def _check_output(flag: str, path: str) -> None:
         raise ReproError(f"{flag} {path}: cannot write ({exc})") from None
 
 
-def _setup_cache_capture(args: argparse.Namespace) -> bool:
-    """Install the cache access-trace recorder when ``--cache-trace`` asks."""
-    trace_path = getattr(args, "cache_trace", None)
-    if not trace_path:
-        return False
-    _check_output("--cache-trace", trace_path)
-    from repro.cache import configure_capture
-
-    configure_capture(trace_path)
-    return True
-
-
 def _setup_observability(args: argparse.Namespace) -> bool:
     """Configure tracing/metrics/profiling from the obs flags; True if any on.
 
@@ -1151,9 +1135,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.cache import configure
 
         configure(disk_root=cache_dir)
-    captured = observed = False
+    observed = False
     try:
-        captured = _setup_cache_capture(args)
         observed = _setup_observability(args)
         return _COMMANDS[args.command](args)
     except ReproError as exc:
@@ -1171,13 +1154,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     finally:
-        if captured:
-            from repro.cache import shutdown_capture
-
-            n = shutdown_capture()
-            if n:
-                print(f"repro: cache trace: {n} access record(s) -> "
-                      f"{args.cache_trace}", file=sys.stderr)
         if observed:
             _finalize_observability(args)
 

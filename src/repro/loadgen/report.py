@@ -26,6 +26,7 @@ from typing import Any
 from repro.errors import ReproError
 from repro.obs.metrics import Histogram
 from repro.obs.slo import SLO_BUCKETS
+from repro.util import durable
 from repro.util.tables import format_kv, format_table
 from repro.loadgen.runner import OUTCOMES, LoadResult
 from repro.loadgen.workloads import WorkloadSpec
@@ -78,8 +79,9 @@ def build_report(result: LoadResult, *,
 
 def write_report(path: str | os.PathLike[str], doc: dict[str, Any]) -> Path:
     out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    durable.replace_file(
+        out, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode(),
+        sync=False)
     return out
 
 

@@ -8,7 +8,7 @@ split from real KV-store load drivers):
   shaped like real traffic: a stable ``static`` hot set, a ``phase_shift``
   hot set that relocates wholesale, an ``oscillating`` (diurnal) pair of
   working sets, and a ``scan`` that sweeps a long cold region through a
-  small hot set. These mirror the cache-trace workloads the eviction
+  small hot set. These mirror the synthetic key streams the eviction
   oracle replays, because the service's result/dedup layer *is* a cache
   and should be hammered with the same adversaries.
 * **When** it arrives — ``open``-loop pacing (Poisson arrivals at a target

@@ -38,6 +38,7 @@ from typing import Any, Iterable
 from repro.obs.metrics import METRICS_SCHEMA
 from repro.obs.summarize import read_jsonl_tolerant, read_trace
 from repro.obs.trace import TRACE_SCHEMA
+from repro.util import durable
 
 __all__ = [
     "Timeline",
@@ -205,10 +206,9 @@ def merge_timeline(spool_root) -> Timeline:
 def write_timeline(timeline: Timeline, path) -> Path:
     """Persist a merged timeline as JSONL (one ``repro-trace/1`` line each)."""
     out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        for rec in timeline.records:
-            fh.write(json.dumps(rec, sort_keys=True, default=str) + "\n")
+    durable.replace_file(out, "".join(
+        json.dumps(rec, sort_keys=True, default=str) + "\n"
+        for rec in timeline.records).encode(), sync=False)
     return out
 
 

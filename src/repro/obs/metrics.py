@@ -27,6 +27,8 @@ import threading
 from bisect import bisect_left
 from typing import Any, Mapping, Sequence
 
+from repro.util import durable
+
 __all__ = [
     "DEFAULT_BUCKETS",
     "METRICS_SCHEMA",
@@ -282,12 +284,9 @@ class MetricsRegistry:
         return json.dumps(doc, indent=indent, sort_keys=True) + "\n"
 
     def export(self, path, extra: Mapping[str, Any] | None = None) -> None:
-        """Write the JSON snapshot to ``path`` (creating parent directories)."""
-        from pathlib import Path
-
-        out = Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(self.to_json(extra=extra))
+        """Atomically replace ``path`` with the JSON snapshot."""
+        durable.replace_file(path, self.to_json(extra=extra).encode(),
+                             sync=False)
 
     def render_table(self, title: str | None = None) -> str:
         """One line per metric: ``<name>  <type>  <value summary>``."""

@@ -30,12 +30,12 @@ __all__ = ["PhaseSummary", "TraceSummary", "read_jsonl_tolerant", "read_trace",
 def read_jsonl_tolerant(path) -> tuple[list[dict], int]:
     """Parse a JSONL file, skipping (and counting) lines a crash mangled.
 
-    The writers this reads after (tracer, shard metrics flush, cache
-    capture) append whole lines but cannot fsync every record, so a
-    SIGKILL'd process leaves at most torn or byte-mangled lines. Reading
-    happens at the bytes layer: each line decodes and parses independently,
-    and every failure — bad UTF-8, truncated JSON, a non-object line — is a
-    counted skip mirrored into the ``obs.reader.malformed_lines`` counter.
+    The writers this reads after (the tracer, the spool log) append whole
+    lines, so a SIGKILL'd process leaves at most torn or byte-mangled
+    lines. Reading happens at the bytes layer: each line decodes and parses
+    independently, and every failure — bad UTF-8, truncated JSON, a
+    non-object line — is a counted skip mirrored into the
+    ``obs.reader.malformed_lines`` counter.
     The line classification is :func:`repro.util.durable.read_lines`, the
     reader :mod:`repro.service.spool` applies to its own log.
     """

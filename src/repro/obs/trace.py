@@ -274,12 +274,13 @@ class Tracer:
         return span_id
 
     def _write(self, record: dict[str, Any]) -> None:
+        if self.path is None and self._stream is None:
+            with self._lock:  # registry-only: count, never serialize
+                self.n_records += 1
+            return
         line = json.dumps(record, sort_keys=True, default=str)
         with self._lock:
             if self._stream is None:
-                if self.path is None:
-                    self.n_records += 1
-                    return
                 from pathlib import Path
 
                 p = Path(self.path)

@@ -49,8 +49,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence, TypeVar
 
-import numpy as np
-
 from repro.errors import (
     CheckpointError,
     InjectedFault,
@@ -62,7 +60,7 @@ from repro.obs import phase as _obs_phase
 from repro.obs.metrics import default_registry as _metrics
 from repro.parallel.executor import Executor, ProcessExecutor, SerialExecutor
 from repro.util import durable
-from repro.util.rng import stream_seed
+from repro.util.rng import child_rng, stream_seed
 
 __all__ = [
     "RetryPolicy",
@@ -125,7 +123,7 @@ class RetryPolicy:
         )
         if base <= 0.0 or self.jitter == 0.0:
             return base
-        u = np.random.default_rng(stream_seed(seed, "backoff", attempt)).random()
+        u = child_rng(seed, "backoff", attempt).random()
         return base * (1.0 + self.jitter * (2.0 * u - 1.0))
 
 
@@ -281,9 +279,7 @@ class FaultInjector:
             raise InjectedFault(f"injected fault at task {index} (attempt {attempt})")
         if not (self.p_exception or self.p_delay or self.p_crash):
             return
-        u = np.random.default_rng(
-            stream_seed(self.seed, "inject", index, attempt)
-        ).random()
+        u = child_rng(self.seed, "inject", index, attempt).random()
         if u < self.p_crash:
             self._crash()
         elif u < self.p_crash + self.p_exception:

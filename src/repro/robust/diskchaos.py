@@ -42,10 +42,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-import numpy as np
-
 from repro.util import durable
-from repro.util.rng import stream_seed
+from repro.util.rng import child_rng
 
 __all__ = [
     "DiskFaultInjector",
@@ -102,8 +100,7 @@ class DiskFaultInjector:
         return i
 
     def _roll(self, op: str, index: int) -> float:
-        return float(np.random.default_rng(
-            stream_seed(self.seed, "diskchaos", op, index)).random())
+        return float(child_rng(self.seed, "diskchaos", op, index).random())
 
     def _fire(self, fault: str) -> None:
         self.fired[fault] = self.fired.get(fault, 0) + 1

@@ -33,8 +33,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ServiceError
 from repro.obs.metrics import default_registry as _metrics
 from repro.parallel.resilient import FaultInjector
@@ -42,7 +40,7 @@ from repro.robust.chaos import sigkill_process
 from repro.service.spool import JobSpool, SpoolConfig
 from repro.service.worker import WorkerConfig, worker_main
 from repro.util import durable
-from repro.util.rng import stream_seed
+from repro.util.rng import child_rng, stream_seed
 
 __all__ = ["STATUS_SCHEMA", "ServiceConfig", "WorkerSupervisor"]
 
@@ -174,8 +172,8 @@ class WorkerSupervisor:
         base = min(
             self.config.restart_backoff_base * 2.0 ** (slot.restarts - 1),
             self.config.restart_backoff_max)
-        u = np.random.default_rng(stream_seed(
-            self.config.seed, "svc-restart", slot.index, slot.restarts)).random()
+        u = child_rng(self.config.seed, "svc-restart", slot.index,
+                      slot.restarts).random()
         return base * (0.5 + u)  # [0.5x, 1.5x)
 
     def _salvage_metrics(self, slot: _Slot) -> None:

@@ -47,7 +47,7 @@ only multiply processes without adding throughput.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -69,7 +69,7 @@ from repro.parallel.resilient import (
     RetryPolicy,
 )
 from repro.robust.breaker import CircuitBreaker
-from repro.service.jobs import JobSpec, JobView
+from repro.service.jobs import JobView
 from repro.service.spool import JobSpool
 from repro.util import durable
 from repro.util.rng import stream_seed
@@ -202,13 +202,7 @@ class Worker:
         Namespaced per spool schema so service entries never collide with a
         user's own ``REPRO_CACHE_DIR``; breaker-guarded so a sick disk
         degrades the tier to memory-only instead of stalling every job.
-        When ``REPRO_CACHE_TRACE`` names a path the shard records its cache
-        probes to ``<path>.<shard-name>`` — one capture file per shard, no
-        interleaved writers — flushed at shard exit for offline replay.
         """
-        import os
-
-        from repro.cache.capture import configure_capture
         from repro.cache.result_cache import configure
         from repro.service.spool import SPOOL_SCHEMA
 
@@ -216,9 +210,6 @@ class Worker:
                   disk_root=Path(self.config.root) / "cache",
                   namespace=SPOOL_SCHEMA,
                   disk_breaker=self.disk_breaker)
-        trace_root = os.environ.get("REPRO_CACHE_TRACE")
-        if trace_root:
-            configure_capture(f"{trace_root}.{self.config.name}")
 
     def heartbeat(self, job: str | None = None) -> None:
         """Beat liveness *and* keep shard telemetry current.
@@ -473,16 +464,10 @@ class Worker:
 
         Called from the heartbeat path throughout the shard's life (capped
         by ``metrics_flush_s``) and once more at exit with ``final=True``,
-        which also covers the last partial flush interval and flushes the
-        cache access capture — a step too expensive (and one-shot) for the
-        periodic path.
+        which also covers the last partial flush interval.
         """
         import os
 
-        if final:
-            from repro.cache.capture import shutdown_capture
-
-            shutdown_capture()  # flush any per-shard access trace
         doc = _metrics().to_json(extra={
             "shard": self.config.name, "pid": os.getpid(), "t": time.time(),
             "final": final})

@@ -1,159 +1,89 @@
-"""Tests for cache access-trace capture (schema ``repro-cachetrace/1``)."""
+"""Tests for cache probes recorded as ``cache.probe`` span-trace events."""
 
 from __future__ import annotations
 
-import json
+import io
 
 import pytest
 
-from repro.cache import (
-    CACHE_TRACE_SCHEMA,
-    AccessRecorder,
-    ResultCache,
-    capture_enabled,
-    configure_capture,
-    get_recorder,
-    read_cache_trace,
-    shutdown_capture,
-    validate_trace_record,
-)
-from repro.cache.capture import record_access
+from repro import obs
+from repro.cache import ResultCache
+from repro.obs.summarize import read_trace
+
+PROBE_FIELDS = {"key", "namespace", "kind", "hit", "layer"}
 
 
 @pytest.fixture(autouse=True)
-def _no_leaked_recorder():
-    shutdown_capture()
+def _no_leaked_tracer():
+    obs.shutdown()
     yield
-    shutdown_capture()
+    obs.shutdown()
 
 
-# -- AccessRecorder ----------------------------------------------------------
-
-
-def test_recorder_records_and_snapshots():
-    rec = AccessRecorder()
-    rec.record("deadbeef", None, "sweep-cycles", True, "memory")
-    rec.record("cafebabe", "tenant-a", "design-matrix", False, None)
-    snap = rec.snapshot()
-    assert [r["key"] for r in snap] == ["deadbeef", "cafebabe"]
-    assert snap[0]["schema"] == CACHE_TRACE_SCHEMA
-    assert snap[1]["namespace"] == "tenant-a" and snap[1]["layer"] is None
-    for r in snap:
-        validate_trace_record(r)
-
-
-def test_ring_bound_drops_oldest_and_counts():
-    rec = AccessRecorder(capacity=3)
-    for i in range(10):
-        rec.record(f"k{i}", None, "kind", False, None)
-    assert len(rec) == 3
-    assert rec.n_recorded == 10 and rec.n_dropped == 7
-    assert [r["key"] for r in rec.snapshot()] == ["k7", "k8", "k9"]
-
-
-def test_recorder_rejects_nonpositive_capacity():
-    with pytest.raises(ValueError, match="capacity"):
-        AccessRecorder(capacity=0)
-
-
-def test_flush_appends_jsonl_and_clears_ring(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    rec = AccessRecorder(path)
-    rec.record("aa", None, "kind", True, "disk")
-    assert rec.flush() == 1
-    rec.record("bb", None, "kind", False, None)
-    assert rec.flush() == 1         # second flush appends, ring was cleared
-    assert rec.flush() == 0         # nothing buffered
-    assert [r["key"] for r in read_cache_trace(path)] == ["aa", "bb"]
-    assert rec.n_flushed == 2 and len(rec) == 0
-
-
-def test_flush_without_path_retains_buffer():
-    rec = AccessRecorder()
-    rec.record("aa", None, "kind", False, None)
-    assert rec.flush() == 0
-    assert len(rec) == 1
-
-
-# -- module-global capture plumbing ------------------------------------------
+def _probes(records):
+    return [r for r in records if r["name"] == "cache.probe"]
 
 
 def test_capture_disabled_is_noop():
-    assert not capture_enabled()
-    assert get_recorder() is None
-    record_access("k", None, "kind", False, None)   # must not raise
-    assert shutdown_capture() == 0
+    assert obs.get_tracer() is None
+    cache = ResultCache()
+    assert cache.get_or_compute(("k",), lambda: 1, kind="kind") == 1
+    stream = io.StringIO()
+    obs.configure(stream=stream)
+    obs.shutdown()
+    cache.get_or_compute(("k",), lambda: 1, kind="kind")   # no tracer again
+    assert stream.getvalue() == ""
+    assert cache.events == ["miss:kind", "hit:memory:kind"]
 
 
 def test_configure_and_shutdown_roundtrip(tmp_path):
     path = tmp_path / "trace.jsonl"
-    rec = configure_capture(path)
-    assert capture_enabled() and get_recorder() is rec
-    record_access("k1", "ns", "kind", True, "memory")
-    assert shutdown_capture() == 1
-    assert not capture_enabled()
-    records = list(read_cache_trace(path))
-    assert len(records) == 1 and records[0]["namespace"] == "ns"
+    obs.configure(trace_path=path)
+    ResultCache(namespace="ns").get_or_compute(("k1",), lambda: 1, kind="kind")
+    obs.shutdown()
+    records, malformed = read_trace(path)
+    assert malformed == 0
+    probes = _probes(records)
+    assert len(probes) == 1 and probes[0]["attrs"]["namespace"] == "ns"
 
 
 def test_reconfigure_flushes_previous_recorder(tmp_path):
     first = tmp_path / "a.jsonl"
-    configure_capture(first)
-    record_access("k1", None, "kind", False, None)
-    configure_capture(tmp_path / "b.jsonl")     # must flush the first
-    assert [r["key"] for r in read_cache_trace(first)] == ["k1"]
-    shutdown_capture()
+    cache = ResultCache()
+    obs.configure(trace_path=first)
+    cache.get_or_compute(("k1",), lambda: 1, kind="kind")
+    obs.configure(trace_path=tmp_path / "b.jsonl")   # closes the first
+    records, _ = read_trace(first)
+    assert [r["attrs"]["hit"] for r in _probes(records)] == [False]
+    assert not (tmp_path / "b.jsonl").exists()
 
 
 def test_result_cache_probes_are_recorded(tmp_path):
-    configure_capture(tmp_path / "trace.jsonl")
+    path = tmp_path / "trace.jsonl"
+    obs.configure(trace_path=path)
     cache = ResultCache(disk_root=tmp_path / "store", namespace="t")
     cache.get_or_compute({"q": 1}, lambda: 41, kind="answer")   # miss
     cache.get_or_compute({"q": 1}, lambda: 41, kind="answer")   # memory hit
     cache.memory.clear()
     cache.get_or_compute({"q": 1}, lambda: 41, kind="answer")   # disk hit
-    shutdown_capture()
-    records = list(read_cache_trace(tmp_path / "trace.jsonl"))
-    assert [(r["hit"], r["layer"]) for r in records] == [
+    obs.shutdown()
+    records, _ = read_trace(path)
+    probes = _probes(records)
+    assert all(r["kind"] == "event" for r in probes)
+    assert all(set(r["attrs"]) == PROBE_FIELDS for r in probes)
+    attrs = [r["attrs"] for r in probes]
+    assert [(a["hit"], a["layer"]) for a in attrs] == [
         (False, None), (True, "memory"), (True, "disk")]
-    assert all(r["namespace"] == "t" and r["kind"] == "answer"
-               for r in records)
-    assert len({r["key"] for r in records}) == 1
-
-
-# -- schema validation and the reader ----------------------------------------
-
-
-def test_validate_rejects_bad_records():
-    good = {"schema": CACHE_TRACE_SCHEMA, "key": "k", "namespace": None,
-            "kind": "kind", "hit": True, "layer": "memory", "t": 1.0}
-    validate_trace_record(good)
-    with pytest.raises(ValueError, match="must be an object"):
-        validate_trace_record([good])
-    with pytest.raises(ValueError, match="missing field"):
-        validate_trace_record({k: v for k, v in good.items() if k != "kind"})
-    with pytest.raises(ValueError, match="unknown cache-trace schema"):
-        validate_trace_record(dict(good, schema="repro-cachetrace/999"))
-    with pytest.raises(ValueError, match="layer"):
-        validate_trace_record(dict(good, layer="l4"))
-    with pytest.raises(ValueError, match="hit without a serving layer"):
-        validate_trace_record(dict(good, layer=None))
-    with pytest.raises(ValueError, match="type"):
-        validate_trace_record(dict(good, hit="yes"))
+    assert all(a["namespace"] == "t" and a["kind"] == "answer" for a in attrs)
+    assert len({a["key"] for a in attrs}) == 1
 
 
 def test_reader_tolerates_torn_tail(tmp_path):
     path = tmp_path / "trace.jsonl"
-    rec = {"schema": CACHE_TRACE_SCHEMA, "key": "k", "namespace": None,
-           "kind": "kind", "hit": False, "layer": None, "t": 1.0}
-    path.write_text(json.dumps(rec) + "\n" + '{"schema": "repro-cach')
-    assert [r["key"] for r in read_cache_trace(path)] == ["k"]
-
-
-def test_reader_raises_on_mid_file_corruption(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    rec = {"schema": CACHE_TRACE_SCHEMA, "key": "k", "namespace": None,
-           "kind": "kind", "hit": False, "layer": None, "t": 1.0}
-    path.write_text("not json\n" + json.dumps(rec) + "\n")
-    with pytest.raises(ValueError, match=":1:"):
-        list(read_cache_trace(path))
+    obs.configure(trace_path=path)
+    ResultCache().get_or_compute(("k",), lambda: 1, kind="kind")
+    obs.shutdown()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"schema": "repro-tra')
+    records, malformed = read_trace(path)
+    assert len(_probes(records)) == 1 and malformed == 1

@@ -6,6 +6,7 @@ the same way the benchmark script itself runs.
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -20,11 +21,14 @@ from cache_oracle import (  # noqa: E402
     PINNED,
     belady_hit_rate,
     evaluate_trace,
+    load_captured_trace,
     replay_lru,
     run_checks,
     synthetic_traces,
 )
 
+from repro import obs  # noqa: E402
+from repro.cache import ResultCache  # noqa: E402
 from repro.loadgen.workloads import WORKLOAD_SHAPES  # noqa: E402
 
 
@@ -159,3 +163,26 @@ def test_run_checks_pass_at_the_pins():
         }],
     }
     assert run_checks({"scan": entry}) == []
+
+
+def test_load_captured_trace_reads_probe_keys_in_file_order(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    cache = ResultCache()
+    obs.configure(trace_path=path)
+    try:
+        with obs.span("sweep"):
+            for part in ("b", "a", "b", "c"):
+                cache.get_or_compute((part,), lambda: 1, kind="kind")
+        obs.annotate("cache-snapshot", entries=3)
+    finally:
+        obs.shutdown()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"schema": "repro-trace/1", "kind": "ev')   # torn tail
+    records = list(map(json.loads, path.read_text().splitlines()[:-1]))
+    probe_keys = [r["attrs"]["key"] for r in records
+                  if r["name"] == "cache.probe"]
+    assert {r["name"] for r in records} == {"sweep", "cache.probe",
+                                            "cache-snapshot"}
+    keys = load_captured_trace(path)
+    assert keys == probe_keys and len(keys) == 4
+    assert keys[0] == keys[2] and len(set(keys)) == 3

@@ -210,3 +210,28 @@ class TestJournalUnderFaults:
         resumed = CheckpointJournal(tmp_path / "j.jsonl", resume=True)
         assert resumed.completed() == {"a": 1, "c": 3, "d": 4}
         resumed.close()
+
+
+class TestDocumentWritersUnderFaults:
+    """Whole-document writers go through one atomic replace."""
+
+    def test_failed_rename_keeps_the_previous_document(self, tmp_path):
+        from repro.loadgen.report import write_report
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        registry.counter("jobs").inc()
+        writers = {
+            "report.json": lambda p: write_report(p, {"n": 2}),
+            "metrics.json": lambda p: registry.export(p, extra={"n": 2}),
+        }
+        for name, write in writers.items():
+            path = tmp_path / name
+            path.write_bytes(b'{"n": 1}\n')
+            with diskchaos.injected(DiskFaultInjector(rename_at=(0,))):
+                with pytest.raises(OSError):
+                    write(path)
+            assert path.read_bytes() == b'{"n": 1}\n', name
+            assert not list(tmp_path.glob(".*.tmp"))  # temp cleaned up
+            write(path)  # once uninstalled the replace lands
+            assert b'"n": 2' in path.read_bytes()

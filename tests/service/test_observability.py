@@ -119,6 +119,22 @@ class TestWorkerTracing:
         doc = json.loads((spool.root / "metrics" / "w7.json").read_text())
         assert doc["final"] is True
 
+    def test_obs_worker_trace_holds_cache_probes_of_the_job(self, tmp_path):
+        spool = JobSpool.ensure(tmp_path / "s")
+        # fit jobs sweep the full space through the shared result cache
+        jid = spool.submit(JobSpec(kind="fit", app="gcc", model="LR-E",
+                                   rate=0.01, n_instructions=N_INSTR))
+        cfg = WorkerConfig(root=str(spool.root), name="w7", obs=True,
+                           max_jobs=1)
+        assert Worker(cfg, spool=spool).run() == 1
+        path = spool.root / "obs" / "trace.w7.jsonl"
+        records = [json.loads(x) for x in path.read_text().splitlines()]
+        probes = [r for r in records if r["name"] == "cache.probe"]
+        assert probes and all(r["kind"] == "event" for r in probes)
+        assert {r["trace_id"] for r in probes} == {jid}
+        assert {r["attrs"]["namespace"] for r in probes} == {
+            "repro-spool/1"}
+
     def test_untraced_worker_writes_no_trace_file(self, tmp_path):
         spool = JobSpool.ensure(tmp_path / "s")
         spool.submit(sweep_spec())

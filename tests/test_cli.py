@@ -98,8 +98,7 @@ class TestCommands:
 class TestUnwritableOutputs:
     """An obs output path that cannot be written is a one-line error."""
 
-    @pytest.mark.parametrize("flag", ["--trace-file", "--metrics-file",
-                                      "--cache-trace"])
+    @pytest.mark.parametrize("flag", ["--trace-file", "--metrics-file"])
     def test_fails_before_the_run_without_traceback(self, flag, tmp_path):
         blocker = tmp_path / "regular-file"
         blocker.write_text("")
@@ -117,20 +116,14 @@ class TestUnwritableOutputs:
 
 
 class TestCacheCLI:
-    """--cache-trace flag and the cache stats view."""
+    """Cache probes in the --trace-file stream and the cache stats view."""
 
     @pytest.fixture(autouse=True)
     def _fresh_default_cache(self):
-        from repro.cache import reset_default_cache, shutdown_capture
+        from repro.cache import reset_default_cache
 
         yield
-        shutdown_capture()
         reset_default_cache()
-
-    def test_cache_flags_parse(self):
-        args = build_parser().parse_args(
-            ["sweep", "mcf", "--cache-trace", "t.jsonl"])
-        assert args.cache_trace == "t.jsonl"
 
     def test_cache_stats_reports_counters(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
@@ -138,15 +131,16 @@ class TestCacheCLI:
         out = capsys.readouterr().out
         assert "disk entries" in out and "memory_evictions" in out
 
-    def test_sweep_cache_trace_writes_capture(self, tmp_path, capsys):
-        from repro.cache import read_cache_trace
+    def test_sweep_cache_trace_writes_capture(self, tmp_path):
+        from repro.obs import read_trace
 
         trace = tmp_path / "trace.jsonl"
-        assert main(["sweep", "applu", "--cache-trace", str(trace)]) == 0
-        records = list(read_cache_trace(trace))
-        assert records and all(r["kind"] == "sweep-cycles" for r in records)
-        err = capsys.readouterr().err
-        assert "cache trace" in err and str(trace) in err
+        assert main(["sweep", "applu", "--trace-file", str(trace)]) == 0
+        records, malformed = read_trace(trace)
+        probes = [r for r in records if r["name"] == "cache.probe"]
+        assert malformed == 0 and probes
+        assert all(r["kind"] == "event"
+                   and r["attrs"]["kind"] == "sweep-cycles" for r in probes)
 
     def test_stats_shows_namespace_breakdown_after_probes(self, capsys):
         from repro.cache import default_cache
