@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.cache.fingerprint import stable_fingerprint
 from repro.errors import ServiceOverloadError
 from repro.service.jobs import JobSpec, job_id
 
@@ -49,12 +50,14 @@ class VirtualClock:
 class SimTarget:
     """In-memory service model implementing the load-runner target protocol.
 
-    Service time for a job is drawn once, from a per-job seeded stream
-    (``random.Random(f"{seed}/{job_id}")``), uniform in
+    Service time for a job is drawn once, from a per-spec seeded stream
+    (``random.Random(f"{seed}/{stable_fingerprint(spec)}")``), uniform in
     ``[base_latency, base_latency + jitter]`` — so the same trace against
-    the same seed completes on the identical schedule. Duplicate specs
-    share one in-flight execution and one completion, exactly like the
-    spool's fingerprint dedup.
+    the same seed completes on the identical schedule. The seed leaves out
+    the simulator code version that :func:`~repro.service.jobs.job_id`
+    carries, so editing the simulator does not move the schedule.
+    Duplicate specs share one in-flight execution and one completion,
+    exactly like the spool's fingerprint dedup.
     """
 
     clock: Callable[[], float]
@@ -73,8 +76,8 @@ class SimTarget:
     n_shed: int = 0
     max_in_flight: int = 0
 
-    def service_time(self, token: str) -> float:
-        rng = random.Random(f"{self.seed}/{token}")
+    def service_time(self, spec: JobSpec) -> float:
+        rng = random.Random(f"{self.seed}/{stable_fingerprint(spec)}")
         return self.base_latency + rng.random() * self.jitter
 
     def issue(self, spec: JobSpec) -> str:
@@ -94,7 +97,7 @@ class SimTarget:
                 f"sim queue at its bound {bound}; job rejected",
                 depth=len(self._inflight), max_depth=bound)
         self.n_issued += 1
-        self._inflight[token] = self.clock() + self.service_time(token)
+        self._inflight[token] = self.clock() + self.service_time(spec)
         self.max_in_flight = max(self.max_in_flight, len(self._inflight))
         return token
 

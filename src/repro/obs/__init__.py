@@ -137,7 +137,5 @@ __all__ = [
 ]
 
 
-# ``phase`` is ``span`` under the name instrumented modules import. Kept
-# as an alias: ``simulator/interval.py`` is hashed by ``code_version()``,
-# so renaming its call would move ``tests/golden/golden_load_report.json``.
+# ``phase`` is ``span`` under the name the instrumented modules import.
 phase = span

@@ -135,6 +135,20 @@ class TestGoldenLoadReplay:
         requests, _ = trace_requests
         assert _document(_replay(requests)) == actual
 
+    def test_replay_does_not_depend_on_the_simulator_code_version(
+            self, actual, trace_requests, monkeypatch):
+        # Editing a simulator source changes code_version() and so every
+        # job_id; the sim target's service times must not follow it.
+        import repro.cache.fingerprint as fingerprint
+        import repro.service.jobs as jobs
+
+        requests, _ = trace_requests
+        before = jobs.job_id(requests[0].spec)
+        monkeypatch.setattr(fingerprint, "code_version", lambda: "another-version")
+        monkeypatch.setattr(jobs, "code_version", fingerprint.code_version)
+        assert jobs.job_id(requests[0].spec) != before
+        assert _document(_replay(requests)) == actual
+
     def test_report_renders(self, actual):
         text = render_report(actual, title="golden replay")
         assert text.startswith("golden replay")

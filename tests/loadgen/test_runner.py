@@ -68,7 +68,7 @@ class TestSimRuns:
                               clock=clock, sleep=clock.sleep, poll=0.001)
         for outcome in result.outcomes:
             assert outcome.outcome == "done"
-            expected = target.service_time(outcome.token)
+            expected = target.service_time(requests[outcome.i].spec)
             # Completion is observed on the poll after it happens.
             assert expected <= outcome.latency <= expected + 0.01
 
