@@ -13,9 +13,12 @@ This module evaluates a whole block of configurations at once:
 * :func:`evaluate_design_space_batch` computes every CPI component
   column-wise. The *leaf* quantities that involve transcendental functions or
   the analytic locality model (cache/TLB miss rates, MLP overlap, base CPI,
-  branch mispredict rates, L2 latency) are computed **once per unique value**
-  by calling the exact same scalar functions the per-config path uses, then
-  scattered back to columns with ``np.unique(..., return_inverse=True)``.
+  branch mispredict rates, L2 latency) are computed **once per unique key
+  row** by calling the exact same scalar functions the per-config path uses,
+  then scattered back to columns. :func:`_gather` finds the unique rows by
+  coding each row as one ``int64`` (per-column dense ranks combined
+  row-major) and running a 1-D ``np.unique`` on that code, which yields
+  the rows in lexicographic order without sorting whole rows.
   Everything downstream of the leaves is plain float64 arithmetic applied
   element-wise in the same operation order as the scalar code.
 
@@ -57,6 +60,8 @@ _INT_FIELDS = (
     "itlb_size", "dtlb_size",
     "fu_ialu", "fu_imult", "fu_memport", "fu_fpalu", "fu_fpmult",
 )
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -161,13 +166,27 @@ def _gather(keys: np.ndarray, compute: Callable[[tuple[int, ...]], float]) -> np
 
     ``keys`` is (n, k) int64; ``compute`` receives each unique row as a tuple
     of Python ints — so calls hit the same ``lru_cache`` memo the scalar path
-    uses and produce the exact same floats.
+    uses and produce the exact same floats. Rows are visited in the
+    lexicographic order ``np.unique(keys, axis=0)`` would give.
+
+    Each row becomes one ``int64`` code: the dense, order-preserving rank of
+    every column value, combined row-major. When the product of the column
+    cardinalities would overflow, the partial code is first re-ranked to
+    its distinct values (fewer than ``n``), which preserves its order.
     """
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    vals = np.fromiter(
-        (compute(tuple(int(v) for v in row)) for row in uniq),
-        dtype=np.float64, count=uniq.shape[0])
-    return vals[inverse.ravel()]
+    code = np.zeros(keys.shape[0], dtype=np.int64)
+    n_codes = 1
+    for column in keys.T:
+        levels, rank = np.unique(column, return_inverse=True)
+        if n_codes * len(levels) > _INT64_MAX:
+            distinct, code = np.unique(code, return_inverse=True)
+            n_codes = len(distinct)
+        code = code * len(levels) + rank
+        n_codes *= len(levels)
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    vals = np.fromiter((compute(tuple(row)) for row in keys[first].tolist()),
+                       dtype=np.float64, count=first.shape[0])
+    return vals[inverse]
 
 
 def _miss_column(mem: MemoryBehavior, size: np.ndarray, line: np.ndarray,

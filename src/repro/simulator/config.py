@@ -26,6 +26,7 @@ tied and constant ones are then handled exactly as the paper describes
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, fields
 from typing import Iterator
@@ -132,7 +133,16 @@ class MicroarchConfig:
 
 
 def enumerate_design_space() -> Iterator[MicroarchConfig]:
-    """Yield all 4608 Table-1 configurations in deterministic order."""
+    """Yield all 4608 Table-1 configurations in deterministic order.
+
+    The configurations are built once per process and shared between calls
+    (they are frozen); each call returns a fresh iterator over them.
+    """
+    return iter(_table1_space())
+
+
+@functools.lru_cache(maxsize=1)
+def _table1_space() -> tuple[MicroarchConfig, ...]:
     l1_sizes = (16 * KB, 32 * KB, 64 * KB)
     l1_lines = (32, 64)
     l2_sizes = (256 * KB, 1024 * KB)
@@ -144,12 +154,8 @@ def enumerate_design_space() -> Iterator[MicroarchConfig]:
     tlb_options = ((256 * KB, 512 * KB), (1024 * KB, 2048 * KB))
     wrongpath = (True, False)
 
-    for (l1d, l1i, line, l2s, l2a, (l3s, l3l, l3a), bp,
-         (w, ruu, lsq, ialu, imult, mem, fpalu, fpmult),
-         (itlb, dtlb), wp) in itertools.product(
-            l1_sizes, l1_sizes, l1_lines, l2_sizes, l2_assocs, l3_options,
-            predictors, width_clusters, tlb_options, wrongpath):
-        yield MicroarchConfig(
+    return tuple(
+        MicroarchConfig(
             l1d_size=l1d, l1d_line=line, l1d_assoc=4,
             l1i_size=l1i, l1i_line=line, l1i_assoc=4,
             l2_size=l2s, l2_line=128, l2_assoc=l2a,
@@ -161,6 +167,12 @@ def enumerate_design_space() -> Iterator[MicroarchConfig]:
             fu_ialu=ialu, fu_imult=imult, fu_memport=mem,
             fu_fpalu=fpalu, fu_fpmult=fpmult,
         )
+        for (l1d, l1i, line, l2s, l2a, (l3s, l3l, l3a), bp,
+             (w, ruu, lsq, ialu, imult, mem, fpalu, fpmult),
+             (itlb, dtlb), wp) in itertools.product(
+            l1_sizes, l1_sizes, l1_lines, l2_sizes, l2_assocs, l3_options,
+            predictors, width_clusters, tlb_options, wrongpath)
+    )
 
 
 _NUMERIC_FIELDS = [

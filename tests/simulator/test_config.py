@@ -1,5 +1,7 @@
 """Tests for the Table-1 design space (4608 configurations)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,58 @@ class TestEnumeration:
 
     def test_l1_lines_shared(self, design_space):
         assert all(c.l1d_line == c.l1i_line for c in design_space)
+
+
+class TestMemoizedEnumeration:
+    """The space is built once per process; every call still behaves like
+    a fresh enumeration."""
+
+    def test_repeated_calls_yield_table1_order(self):
+        # Free axes in Table-1 order, the last one varying fastest.
+        expected = [
+            (l1d, l1i, line, l2s, l2a, l3s, bp, w, itlb, wp)
+            for l1d, l1i, line, l2s, l2a, l3s, bp, w, itlb, wp in itertools.product(
+                (16 * KB, 32 * KB, 64 * KB), (16 * KB, 32 * KB, 64 * KB), (32, 64),
+                (256 * KB, 1024 * KB), (4, 8), (0, 8 * MB),
+                ("perfect", "bimodal", "2level", "combining"), (4, 8),
+                (256 * KB, 1024 * KB), (True, False))
+        ]
+        first, second = list(enumerate_design_space()), list(enumerate_design_space())
+        assert first == second
+        assert [(c.l1d_size, c.l1i_size, c.l1d_line, c.l2_size, c.l2_assoc,
+                 c.l3_size, c.branch_predictor, c.width, c.itlb_size,
+                 c.issue_wrongpath) for c in first] == expected
+
+    def test_each_call_returns_a_fresh_iterator(self):
+        a, b = enumerate_design_space(), enumerate_design_space()
+        assert a is not b
+        assert next(a) == next(b)
+        assert len(list(a)) == DESIGN_SPACE_SIZE - 1
+        assert len(list(enumerate_design_space())) == DESIGN_SPACE_SIZE
+
+    def test_mutating_a_returned_list_leaves_the_space_intact(self):
+        configs = list(enumerate_design_space())
+        head = configs[0]
+        configs.reverse()
+        del configs[:100]
+        configs.append(head)
+        again = list(enumerate_design_space())
+        assert again is not configs
+        assert len(again) == DESIGN_SPACE_SIZE
+        assert again[0] == head
+
+    def test_worker_sweep_job_equals_library_sweep_slice(self, tmp_path):
+        from repro.service import JobSpec, JobSpool, drain_queue
+        from repro.simulator import get_profile, sweep_design_space
+
+        spool = JobSpool.ensure(tmp_path / "spool")
+        spec = JobSpec(kind="sweep", app="gcc", start=8, stop=16,
+                       n_instructions=1_000_000)
+        jid = spool.submit(spec)
+        assert drain_queue(spool) == 1
+        library = sweep_design_space(list(enumerate_design_space()),
+                                     get_profile("gcc"), n_instructions=1_000_000)
+        assert np.array_equal(np.asarray(spool.result(jid)["cycles"]), library[8:16])
 
 
 class TestValidation:
