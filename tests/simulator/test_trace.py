@@ -1,11 +1,20 @@
 """Tests for the synthetic trace generator."""
 
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.simulator.isa import OpClass
 from repro.simulator.trace import TraceGenerator, generate_trace
-from repro.simulator.workloads import get_profile
+from repro.simulator.workloads import SPEC2000_PROFILES, get_profile
+
+#: "app/seed/length" -> Trace field -> SHA-256 of its dtype string and bytes.
+_TRACE_DIGESTS = json.loads(
+    (Path(__file__).with_name("trace_digests.json")).read_text())
 
 
 class TestBasics:
@@ -111,3 +120,36 @@ class TestReuseFidelity:
         # gcc's mid component (weight 0.085, median 600 blocks) puts roughly
         # 4-14% of reuses beyond 512 blocks, boosted by spatial continuation.
         assert 0.02 < frac_deep < 0.25
+
+
+class TestTraceBitPin:
+    """Bit pin of the generator: the SHA-256 of every :class:`Trace` array.
+
+    Trace generation is the input of the detailed path (SimPoint, the
+    fidelity check), and its loops are where speed work happens. For all
+    12 profiles × seeds {0, 7} × lengths {3, 1234, 50 000}, each array's
+    dtype and bytes must hash to the value in ``trace_digests.json``. The
+    recorded digests must not be regenerated to admit a generator change:
+    a rewrite is only correct if it reproduces them as they stand.
+    """
+
+    @staticmethod
+    def _digests(trace) -> dict[str, str]:
+        out = {}
+        for f in dataclasses.fields(trace):
+            arr = np.ascontiguousarray(getattr(trace, f.name))
+            h = hashlib.sha256(arr.dtype.str.encode())
+            h.update(arr.tobytes())
+            out[f.name] = h.hexdigest()
+        return out
+
+    @pytest.mark.parametrize("key", sorted(_TRACE_DIGESTS))
+    def test_arrays_match_recorded_digests(self, key):
+        app, seed, length = key.split("/")
+        trace = generate_trace(get_profile(app), int(length), seed=int(seed))
+        assert self._digests(trace) == _TRACE_DIGESTS[key]
+
+    def test_grid_is_complete(self):
+        want = {f"{app}/{seed}/{length}" for app in SPEC2000_PROFILES
+                for seed in (0, 7) for length in (3, 1234, 50_000)}
+        assert set(_TRACE_DIGESTS) == want
