@@ -13,10 +13,12 @@ from repro.simulator import (
     ConfigBlock,
     evaluate_config,
     evaluate_design_space_batch,
+    enumerate_design_space,
     get_profile,
     pack_design_space,
     sweep_design_space,
 )
+from repro.simulator.analytic import PREDICTORS
 from repro.simulator.batch import _gather
 from repro.simulator.interval import _miss
 from repro.simulator.workloads import SPEC2000_PROFILES
@@ -51,6 +53,50 @@ class TestPackDesignSpace:
         cols["width"] = cols["width"][:2]
         with pytest.raises(ValueError, match="width"):
             ConfigBlock(**cols)
+
+
+def _reference_pack(configs):
+    """The per-field ``getattr`` transpose the single-pass pack replaced."""
+    cols = {f.name: np.array([getattr(c, f.name) for c in configs], dtype=np.int64)
+            for f in dataclasses.fields(ConfigBlock)
+            if f.name not in ("predictor", "issue_wrongpath")}
+    cols["predictor"] = np.array([PREDICTORS.index(c.branch_predictor) for c in configs],
+                                 dtype=np.int64)
+    cols["issue_wrongpath"] = np.array([c.issue_wrongpath for c in configs], dtype=bool)
+    return cols
+
+
+def _assert_block_equals(block, reference):
+    got = block.to_arrays()
+    assert list(got) == list(reference)
+    for name, want in reference.items():
+        assert got[name].dtype == want.dtype, name
+        assert got[name].tobytes() == want.tobytes(), name
+
+
+class TestTable1Memo:
+    def test_full_space_returns_the_shared_block(self, design_space):
+        block = pack_design_space(list(enumerate_design_space()))
+        assert block is pack_design_space(design_space)
+        _assert_block_equals(block, _reference_pack(design_space))
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ConfigBlock)])
+    def test_shared_columns_are_read_only(self, design_space, name):
+        column = getattr(pack_design_space(design_space), name)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+
+    @pytest.mark.parametrize("variant", ["copies", "reordered", "slice"])
+    def test_other_lists_take_the_generic_pack(self, design_space, variant):
+        configs = {
+            "copies": [dataclasses.replace(c) for c in design_space],
+            "reordered": design_space[1:] + design_space[:1],
+            "slice": design_space[1000:1200],
+        }[variant]
+        block = pack_design_space(configs)
+        assert block is not pack_design_space(design_space)
+        assert block.l1d_size.flags.writeable
+        _assert_block_equals(block, _reference_pack(configs))
 
 
 def _reference_gather(keys, compute):
