@@ -30,15 +30,6 @@ Subcommands
     leases), and the observability plane (status-file writability, shard
     metrics snapshot freshness vs. heartbeats, spool-vs-span clock skew).
     Exits nonzero when any check fails.
-``loadgen``
-    Load generation and traffic replay (:mod:`repro.loadgen`): ``run``
-    generates a seeded synthetic workload (static/phase_shift/oscillating/
-    scan shapes, open- or closed-loop pacing), drives it into a target
-    (service spool, in-process library, or deterministic sim), and writes
-    a replayable ``repro-reqtrace/1`` trace plus a ``repro-loadreport/1``
-    client-observed SLO report; ``replay`` re-issues a recorded trace
-    bit-identically; ``record`` captures a spool's real submissions into a
-    replayable trace; ``report`` renders a saved load report.
 ``serve`` / ``submit`` / ``jobs``
     The fault-tolerant job service (:mod:`repro.service`): ``serve`` runs
     N supervised worker shards against a durable spool directory,
@@ -140,7 +131,6 @@ from repro.core import (
 )
 from repro.core.chronological import chronological_datasets
 from repro.errors import ReproError
-from repro.loadgen.workloads import WORKLOAD_SHAPES
 from repro.parallel import (
     CheckpointJournal,
     Executor,
@@ -351,78 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
              "lease-to-start, execute, and end-to-end latency per job kind")
     sp.add_argument("--spool", required=True, metavar="DIR",
                     help="service spool directory (the serve --spool value)")
-
-    p = sub.add_parser(
-        "loadgen", help="load generation and traffic replay (repro.loadgen)")
-    lg_sub = p.add_subparsers(dest="loadgen_command", required=True)
-
-    def _add_target(sp: argparse.ArgumentParser) -> None:
-        g = sp.add_argument_group("target")
-        g.add_argument("--target", default=None,
-                       choices=["service", "library", "sim"],
-                       help="what to hammer: a service spool, the in-process "
-                            "library entry points, or the deterministic sim "
-                            "(default: service when --spool is given, else "
-                            "library)")
-        g.add_argument("--spool", default=None, metavar="DIR",
-                       help="service spool directory (implies "
-                            "--target service)")
-        g.add_argument("--deadline", type=float, default=None, metavar="SEC",
-                       help="per-job deadline passed through to the service")
-        g.add_argument("--timeout", type=float, default=120.0, metavar="SEC",
-                       help="per-request completion timeout (default 120)")
-        g.add_argument("--time-scale", type=float, default=1.0,
-                       help="multiply planned open-loop arrival offsets "
-                            "(0 issues everything immediately)")
-        sp.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="write the issued request stream as a "
-                             "repro-reqtrace/1 trace")
-        sp.add_argument("--report-out", default=None, metavar="PATH",
-                        help="write the repro-loadreport/1 JSON document")
-
-    sp = lg_sub.add_parser(
-        "run", help="generate a seeded workload and drive it into a target")
-    sp.add_argument("--workload", default="static", choices=list(WORKLOAD_SHAPES),
-                    help="traffic shape (default static)")
-    sp.add_argument("--pacing", default="closed", choices=["open", "closed"],
-                    help="open loop (Poisson arrivals at --rate) or closed "
-                         "loop (fixed --concurrency window; default)")
-    sp.add_argument("--n-requests", type=int, default=100, metavar="N")
-    sp.add_argument("--n-keys", type=int, default=20, metavar="N",
-                    help="distinct jobs in the catalog (default 20)")
-    sp.add_argument("--rate", type=float, default=8.0,
-                    help="open-loop mean arrival rate, req/s (default 8)")
-    sp.add_argument("--concurrency", type=int, default=4,
-                    help="closed-loop in-flight window (default 4)")
-    sp.add_argument("--hot-fraction", type=float, default=0.2)
-    sp.add_argument("--hot-weight", type=float, default=0.8)
-    sp.add_argument("--n-phases", type=int, default=4)
-    sp.add_argument("--period", type=int, default=25)
-    sp.add_argument("--n-instructions", type=int, default=1_000_000,
-                    help="instructions per generated sweep job "
-                         "(default 1e6: small, CI-sized jobs)")
-    _add_common(sp)
-    _add_target(sp)
-
-    sp = lg_sub.add_parser(
-        "replay", help="re-issue a recorded repro-reqtrace/1 trace")
-    sp.add_argument("trace", metavar="TRACE.JSONL")
-    sp.add_argument("--concurrency", type=int, default=None,
-                    help="closed-loop window override (default: the trace "
-                         "header's workload pacing, else open loop)")
-    _add_common(sp)
-    _add_target(sp)
-
-    sp = lg_sub.add_parser(
-        "record",
-        help="capture a spool's real submit events into a replayable trace")
-    sp.add_argument("--spool", required=True, metavar="DIR")
-    sp.add_argument("--out", required=True, metavar="PATH",
-                    help="trace file to write (repro-reqtrace/1)")
-
-    sp = lg_sub.add_parser(
-        "report", help="render a saved repro-loadreport/1 document")
-    sp.add_argument("report", metavar="REPORT.JSON")
 
     sub.add_parser(
         "doctor",
@@ -903,113 +821,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _loadgen_target(args: argparse.Namespace):
-    """Build (target, clock, sleep) from the loadgen target flags."""
-    import time as _time
-
-    from repro.loadgen import LibraryTarget, ServiceTarget, SimTarget, VirtualClock
-
-    name = args.target or ("service" if args.spool else "library")
-    if name == "service":
-        if not args.spool:
-            raise ReproError("--target service requires --spool DIR")
-        return (ServiceTarget(args.spool, deadline_s=args.deadline),
-                _time.monotonic, _time.sleep)
-    if name == "sim":
-        clock = VirtualClock()
-        return (SimTarget(clock=clock, seed=getattr(args, "seed", 0)),
-                clock, clock.sleep)
-    return LibraryTarget(), _time.monotonic, _time.sleep
-
-
-def _loadgen_execute(args: argparse.Namespace, requests, *, workload=None,
-                     header=None, concurrency, source: str,
-                     malformed: int = 0) -> int:
-    """Shared run/replay tail: drive, emit trace + report, render."""
-    from repro.loadgen import (
-        build_report,
-        render_report,
-        run_requests,
-        write_report,
-        write_reqtrace,
-    )
-
-    target, clock, sleep = _loadgen_target(args)
-    result = run_requests(requests, target, concurrency=concurrency,
-                          timeout_s=args.timeout, time_scale=args.time_scale,
-                          clock=clock, sleep=sleep)
-    if args.trace_out:
-        out = write_reqtrace(args.trace_out, requests, workload=workload,
-                             source=source, header=header)
-        print(f"repro loadgen: trace -> {out}", file=sys.stderr)
-    doc = build_report(result, workload=workload or (header or {}).get("workload"),
-                       source=source, malformed_lines=malformed)
-    if args.report_out:
-        out = write_report(args.report_out, doc)
-        print(f"repro loadgen: report -> {out}", file=sys.stderr)
-    print(render_report(doc, title=f"load report ({source})"))
-    counts = result.counts()
-    # Requests the run could not finish are an operator signal, not an
-    # error: the report already states them, exit 0 keeps pipelines alive.
-    if counts.get("timeout", 0):
-        print(f"repro loadgen: {counts['timeout']} request(s) timed out "
-              f"after {args.timeout:g}s", file=sys.stderr)
-    return 0
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.loadgen import (
-        SpecCatalog,
-        WorkloadSpec,
-        build_requests,
-        read_report,
-        read_reqtrace,
-        render_report,
-        requests_from_spool,
-        write_reqtrace,
-    )
-
-    if args.loadgen_command == "run":
-        wl = WorkloadSpec(
-            workload=args.workload, pacing=args.pacing,
-            n_requests=args.n_requests, n_keys=args.n_keys, seed=args.seed,
-            rate=args.rate, concurrency=args.concurrency,
-            hot_fraction=args.hot_fraction, hot_weight=args.hot_weight,
-            n_phases=args.n_phases, period=args.period)
-        catalog = SpecCatalog(n_instructions=args.n_instructions)
-        requests = build_requests(wl, catalog)
-        return _loadgen_execute(
-            args, requests, workload=wl, source="run",
-            concurrency=wl.concurrency if wl.pacing == "closed" else None)
-
-    if args.loadgen_command == "replay":
-        requests, header, malformed = read_reqtrace(args.trace)
-        concurrency = args.concurrency
-        if concurrency is None:
-            wl_doc = (header or {}).get("workload") or {}
-            if wl_doc.get("pacing") == "closed":
-                concurrency = int(wl_doc.get("concurrency", 4))
-        if malformed:
-            print(f"repro loadgen: {malformed} malformed trace line(s) "
-                  "skipped", file=sys.stderr)
-        return _loadgen_execute(args, requests, header=header,
-                                source="replay", concurrency=concurrency,
-                                malformed=malformed)
-
-    if args.loadgen_command == "record":
-        requests, malformed = requests_from_spool(args.spool)
-        out = write_reqtrace(args.out, requests,
-                             source=f"spool:{args.spool}")
-        print(f"repro loadgen: recorded {len(requests)} request(s) -> {out}"
-              + (f" ({malformed} malformed line(s) skipped)"
-                 if malformed else ""))
-        return 0
-
-    # report
-    print(render_report(read_report(args.report)))
-    return 0
-
-
 def _check_output(flag: str, path: str) -> None:
     """Fail before any work starts when an output ``path`` is unwritable."""
     from pathlib import Path
@@ -1105,7 +916,6 @@ _COMMANDS = {
     "importance": _cmd_importance,
     "cache": _cmd_cache,
     "obs": _cmd_obs,
-    "loadgen": _cmd_loadgen,
     "doctor": _cmd_doctor,
     "serve": _cmd_serve,
     "submit": _cmd_submit,

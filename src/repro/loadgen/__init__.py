@@ -1,49 +1,24 @@
-"""Load generation and traffic replay for the job service (DESIGN §14).
+"""Load generation for the job service (DESIGN §12).
 
 The harness splits client traffic into orthogonal pieces:
 
 * :mod:`repro.loadgen.workloads` — *what and when*: seeded synthetic
   traffic shapes (static hot set, phase shift, oscillating, scan) with
   open-loop (Poisson) or closed-loop pacing.
-* :mod:`repro.loadgen.trace` — the durable ``repro-reqtrace/1`` request
-  trace: every run records one, any recording replays bit-identically,
-  and real spool activity can be captured into one.
-* :mod:`repro.loadgen.runner` — pace a request stream into a pluggable
-  target (live service spool, in-process library, deterministic sim) and
-  observe every outcome.
-* :mod:`repro.loadgen.report` — client-observed SLO report
-  (``repro-loadreport/1``) in the shared fixed latency buckets.
-* :mod:`repro.loadgen.sim` — virtual time + a deterministic service model
-  for golden-pinned regression tests.
+* :mod:`repro.loadgen.runner` — pace a request stream into a target (a
+  live or daemonless service spool) and observe every outcome.
 
-CLI: ``repro loadgen run|replay|record|report``. Benchmark gate:
-``benchmarks/load_harness.py`` (the CI ``load-drill`` job).
+The benchmark's ``serve`` workload (``perfbench/serve.py``) drives a live
+two-worker service through :func:`run_requests` and
+:class:`ServiceTarget`; the cache oracle replays the same traffic shapes.
 """
 
-from repro.loadgen.report import (
-    LOADREPORT_SCHEMA,
-    build_report,
-    latency_histogram,
-    read_report,
-    render_report,
-    write_report,
-)
 from repro.loadgen.runner import (
     OUTCOMES,
-    LibraryTarget,
     LoadResult,
     RequestOutcome,
     ServiceTarget,
     run_requests,
-    run_workload,
-)
-from repro.loadgen.sim import SimTarget, VirtualClock
-from repro.loadgen.trace import (
-    REQTRACE_SCHEMA,
-    read_reqtrace,
-    requests_from_spool,
-    validate_reqtrace_record,
-    write_reqtrace,
 )
 from repro.loadgen.workloads import (
     PACING_MODES,
@@ -56,31 +31,16 @@ from repro.loadgen.workloads import (
 )
 
 __all__ = [
-    "LOADREPORT_SCHEMA",
     "OUTCOMES",
     "PACING_MODES",
-    "REQTRACE_SCHEMA",
     "WORKLOAD_SHAPES",
-    "LibraryTarget",
     "LoadResult",
     "ReqGenEngine",
     "Request",
     "RequestOutcome",
     "ServiceTarget",
-    "SimTarget",
     "SpecCatalog",
-    "VirtualClock",
     "WorkloadSpec",
-    "build_report",
     "build_requests",
-    "latency_histogram",
-    "read_report",
-    "read_reqtrace",
-    "render_report",
-    "requests_from_spool",
     "run_requests",
-    "run_workload",
-    "validate_reqtrace_record",
-    "write_report",
-    "write_reqtrace",
 ]

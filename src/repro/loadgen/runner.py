@@ -16,17 +16,15 @@ anything with two methods:
     Non-blocking poll: which of these tokens are terminal right now?
     ``state`` is ``"done"`` or ``"failed"``.
 
-Three targets ship: :class:`ServiceTarget` (a live or daemonless spool —
-the real thing), :class:`LibraryTarget` (synchronous in-process execution
-through the library entry points, for service-less runs), and
-:class:`~repro.loadgen.sim.SimTarget` (deterministic model, for golden
-pins). Pacing is one loop for both disciplines: a request is issued once
+:class:`ServiceTarget` (a live or daemonless spool) is the target that
+ships; the tests drive the same loop against a deterministic service
+model. Pacing is one loop for both disciplines: a request is issued once
 its planned ``t_offset`` has passed (open loop) *and* the concurrency
 window has room (closed loop; open loop passes ``concurrency=None``).
 
 Time is injectable (``clock``/``sleep``) so the identical code path runs
-against the wall clock in benchmarks and against
-:class:`~repro.loadgen.sim.VirtualClock` in deterministic tests.
+against the wall clock in benchmarks and against a virtual clock in
+deterministic tests.
 """
 
 from __future__ import annotations
@@ -35,19 +33,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import ReproError, ServiceOverloadError
-from repro.service.jobs import JobSpec, job_id
+from repro.errors import ServiceOverloadError
+from repro.service.jobs import JobSpec
 from repro.service.spool import JobSpool
-from repro.loadgen.workloads import Request, WorkloadSpec, build_requests
+from repro.loadgen.workloads import Request
 
 __all__ = [
     "OUTCOMES",
-    "LibraryTarget",
     "LoadResult",
     "RequestOutcome",
     "ServiceTarget",
     "run_requests",
-    "run_workload",
 ]
 
 #: Terminal request outcomes, in reporting order.
@@ -58,7 +54,7 @@ OUTCOMES = ("done", "failed", "shed", "timeout")
 class RequestOutcome:
     """What happened to one planned request, in run-relative time."""
 
-    i: int                    # the request's trace index
+    i: int                    # the request's index in its stream
     key: str
     token: str | None         # completion token; None when shed
     outcome: str              # one of OUTCOMES
@@ -79,11 +75,6 @@ class LoadResult:
         for o in self.outcomes:
             out[o.outcome] = out.get(o.outcome, 0) + 1
         return out
-
-    def latencies(self) -> list[float]:
-        """Client-observed latencies of completed (done) requests."""
-        return [o.latency for o in self.outcomes
-                if o.outcome == "done" and o.latency is not None]
 
 
 class ServiceTarget:
@@ -114,54 +105,6 @@ class ServiceTarget:
         return out
 
 
-class LibraryTarget:
-    """Service-less target: execute each job synchronously, in process.
-
-    ``issue`` runs the sweep through the library entry points and caches
-    the outcome by content fingerprint (same dedup contract as the spool),
-    so a hot-set workload measures the cache exactly as the service would.
-    Failures become recorded outcomes, never harness exceptions.
-    """
-
-    def __init__(self) -> None:
-        self._done: dict[str, tuple[str, str | None]] = {}
-        self.n_executed = 0
-        self.n_deduped = 0
-
-    def issue(self, spec: JobSpec) -> str:
-        token = job_id(spec)
-        if token in self._done:
-            self.n_deduped += 1
-            return token
-        try:
-            self._execute(spec)
-        except Exception as exc:  # typed failure -> recorded outcome
-            self._done[token] = ("failed", type(exc).__name__)
-        else:
-            self._done[token] = ("done", None)
-        return token
-
-    def _execute(self, spec: JobSpec) -> Any:
-        if spec.kind != "sweep":
-            raise ReproError(
-                f"library target executes sweep jobs only, got {spec.kind!r} "
-                "(run fit jobs through a service spool)")
-        from repro.simulator import (
-            enumerate_design_space,
-            get_profile,
-            sweep_design_space,
-        )
-
-        self.n_executed += 1
-        configs = list(enumerate_design_space())[spec.start:spec.stop]
-        return sweep_design_space(configs, get_profile(spec.app),
-                                  n_instructions=spec.n_instructions,
-                                  cache=True)
-
-    def completed(self, tokens: list[str]) -> dict[str, tuple[str, str | None]]:
-        return {t: self._done[t] for t in tokens if t in self._done}
-
-
 @dataclass
 class _Pending:
     """Requests awaiting one token's completion (dedup'd share a token)."""
@@ -173,13 +116,12 @@ def run_requests(requests: list[Request], target: Any, *,
                  concurrency: int | None = None,
                  timeout_s: float = 120.0,
                  poll: float = 0.02,
-                 time_scale: float = 1.0,
                  clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep) -> LoadResult:
     """Issue ``requests`` against ``target`` and observe every outcome.
 
     ``concurrency=None`` runs open loop: arrivals honour each request's
-    planned ``t_offset`` (scaled by ``time_scale``) with unbounded
+    planned ``t_offset`` with unbounded
     in-flight. An integer runs closed loop: at most that many requests in
     flight, the next issued the moment a slot frees. Every request ends in
     exactly one of :data:`OUTCOMES`; a token quiet past ``timeout_s``
@@ -205,7 +147,7 @@ def run_requests(requests: list[Request], target: Any, *,
             if concurrency is not None and in_flight() >= concurrency:
                 break
             req = requests[next_up]
-            if req.t_offset * time_scale > now - t0:
+            if req.t_offset > now - t0:
                 break
             next_up += 1
             progressed = True
@@ -252,15 +194,3 @@ def run_requests(requests: list[Request], target: Any, *,
             sleep(poll)
     return LoadResult(outcomes=[o for o in outcomes if o is not None],
                       wall_s=clock() - t0)
-
-
-def run_workload(wl: WorkloadSpec, target: Any, **kwargs: Any) -> LoadResult:
-    """Generate ``wl``'s request stream and run it with its own pacing.
-
-    Closed-loop specs supply their concurrency window; open-loop specs run
-    unbounded on their Poisson schedule. Keyword arguments pass through to
-    :func:`run_requests` (notably ``clock``/``sleep``/``time_scale``).
-    """
-    kwargs.setdefault(
-        "concurrency", wl.concurrency if wl.pacing == "closed" else None)
-    return run_requests(build_requests(wl), target, **kwargs)

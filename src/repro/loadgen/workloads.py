@@ -19,15 +19,13 @@ split from real KV-store load drivers):
 
 Everything is a pure function of ``WorkloadSpec.seed`` via per-stream
 ``random.Random`` instances — no global state — so the same spec always
-yields the same request list, which is what makes the emitted
-``repro-reqtrace/1`` traces bit-identically replayable.
+yields the same request list.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.service.jobs import JobSpec
 
@@ -54,9 +52,7 @@ class Request:
 
     ``t_offset`` is the planned arrival in seconds from run start — the
     open-loop pacer's Poisson schedule, or ``0.0`` under closed-loop pacing
-    (arrival is "as soon as the concurrency window opens"). It is part of
-    the recorded trace, so a replay re-issues the identical schedule
-    instead of re-rolling it.
+    (arrival is "as soon as the concurrency window opens").
     """
 
     i: int
@@ -112,18 +108,6 @@ class WorkloadSpec:
             raise ValueError(f"n_phases must be >= 1, got {self.n_phases}")
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
-
-    def as_dict(self) -> dict[str, Any]:
-        import dataclasses
-
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "WorkloadSpec":
-        import dataclasses
-
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in d.items() if k in known})
 
 
 @dataclass(frozen=True)

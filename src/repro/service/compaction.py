@@ -77,7 +77,6 @@ __all__ = [
     "maybe_compact",
     "render_verify",
     "should_compact",
-    "spool_history_events",
     "verify_spool",
 ]
 
@@ -300,30 +299,6 @@ def maybe_compact(spool: JobSpool, policy: CompactionPolicy | None = None,
     if not should_compact(spool, policy):
         return None
     return compact(spool, policy)
-
-
-# -- recorded history for loadgen --------------------------------------------
-
-
-def spool_history_events(root: str | os.PathLike[str],
-                         ) -> list[dict[str, Any]]:
-    """The spool's submission-bearing event stream, compaction-aware.
-
-    Jobs folded into the snapshot are re-emitted as synthetic ``submit``
-    events (carrying their original spec/timestamp/deadline) ahead of the
-    live tail, so ``repro loadgen record`` recovers the full request
-    history from a compacted spool — with the same crash-window
-    reconciliation as the queue fold, never double-emitting a submission
-    that exists in both snapshot and pre-swap log.
-    """
-    spool = JobSpool.open(root)
-    base, tail = spool._events()
-    synthetic = [{
-        "ev": "submit", "id": jid, "spec": rec["spec"].as_dict(),
-        "t": rec["submitted_t"], "deadline_s": rec["deadline_s"],
-        "trace_id": rec["trace_id"],
-    } for jid, rec in base.items()]
-    return synthetic + tail
 
 
 # -- fsck --------------------------------------------------------------------

@@ -1,22 +1,20 @@
-"""The load runner against every target: sim, service spool, library."""
+"""The load runner against the deterministic sim and a service spool."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.loadgen import (
-    LibraryTarget,
     ServiceTarget,
-    SimTarget,
     SpecCatalog,
-    VirtualClock,
     WorkloadSpec,
     build_requests,
     run_requests,
-    run_workload,
 )
 from repro.loadgen.workloads import Request
-from repro.service import JobSpec, SpoolConfig, JobSpool, drain_queue, job_id
+from repro.service import JobSpec, SpoolConfig, JobSpool, drain_queue
+
+from .fakes import SimTarget, VirtualClock
 
 
 def _sim_pair(**kwargs):
@@ -35,7 +33,9 @@ class TestSimRuns:
     def test_every_request_gets_exactly_one_outcome(self):
         target, clock = _sim_pair(seed=1)
         wl = WorkloadSpec(workload="static", n_requests=40, n_keys=10, seed=1)
-        result = run_workload(wl, target, clock=clock, sleep=clock.sleep)
+        result = run_requests(build_requests(wl), target,
+                              concurrency=wl.concurrency,
+                              clock=clock, sleep=clock.sleep)
         assert len(result.outcomes) == 40
         assert sorted(o.i for o in result.outcomes) == list(range(40))
         assert result.counts()["done"] == 40
@@ -46,7 +46,8 @@ class TestSimRuns:
 
         def once():
             target, clock = _sim_pair(seed=7, fail_every=5)
-            return run_workload(wl, target, clock=clock, sleep=clock.sleep)
+            return run_requests(build_requests(wl), target, concurrency=None,
+                                clock=clock, sleep=clock.sleep)
 
         a, b = once(), once()
         assert a.outcomes == b.outcomes
@@ -97,15 +98,6 @@ class TestPacing:
         for outcome in result.outcomes:
             assert outcome.t_issue >= outcome.i * 1.0
         assert result.wall_s >= 3.0
-
-    def test_time_scale_compresses_the_schedule(self):
-        target, clock = _sim_pair(seed=6, base_latency=0.001, jitter=0.0)
-        catalog = SpecCatalog()
-        requests = [Request(i=i, key=catalog.key(i), t_offset=i * 100.0,
-                            spec=catalog.spec(i)) for i in range(3)]
-        result = run_requests(requests, target, time_scale=0.0,
-                              clock=clock, sleep=clock.sleep)
-        assert result.wall_s < 1.0
 
     def test_bad_arguments_rejected(self):
         target, clock = _sim_pair()
@@ -182,21 +174,3 @@ class TestServiceTarget:
         spec = JobSpec(kind="sweep", app="gcc", start=0, stop=2)
         jid = target.issue(spec)
         assert target.spool.jobs()[jid].deadline_s == 9.5
-
-
-class TestLibraryTarget:
-    def test_sweeps_execute_and_dedup_in_process(self):
-        target = LibraryTarget()
-        catalog = SpecCatalog(n_instructions=50_000)
-        spec = catalog.spec(0)
-        token = target.issue(spec)
-        assert token == job_id(spec)
-        assert target.issue(spec) == token
-        assert target.n_executed == 1 and target.n_deduped == 1
-        assert target.completed([token]) == {token: ("done", None)}
-
-    def test_fit_jobs_fail_typed_not_raise(self):
-        target = LibraryTarget()
-        token = target.issue(JobSpec(kind="fit", app="gcc"))
-        state, error_type = target.completed([token])[token]
-        assert state == "failed" and error_type == "ReproError"

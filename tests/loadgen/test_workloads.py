@@ -1,7 +1,7 @@
 """Property-based tests for the workload generators' determinism contract.
 
 One shrinkable (or seeded-fallback) integer seed drives every shape
-through the invariants the trace-replay machinery depends on:
+through the invariants the load runner and the cache oracle depend on:
 
 * same spec (same seed) ⇒ the identical request stream, twice;
 * open-loop inter-arrival gaps are non-negative and offsets non-decreasing;
@@ -195,12 +195,3 @@ class TestValidation:
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ValueError):
             WorkloadSpec(**bad)
-
-    def test_round_trips_through_dict(self):
-        wl = WorkloadSpec(workload="scan", pacing="open", seed=17, rate=3.5)
-        assert WorkloadSpec.from_dict(wl.as_dict()) == wl
-
-    def test_from_dict_ignores_unknown_keys(self):
-        assert WorkloadSpec.from_dict(
-            {"workload": "static", "schema": "x", "future_field": 1}
-        ) == WorkloadSpec(workload="static")

@@ -216,13 +216,15 @@ class TestDocumentWritersUnderFaults:
     """Whole-document writers go through one atomic replace."""
 
     def test_failed_rename_keeps_the_previous_document(self, tmp_path):
-        from repro.loadgen.report import write_report
+        from repro.obs.aggregate import Timeline, write_timeline
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
         registry.counter("jobs").inc()
+        timeline = Timeline(records=({"n": 2},), shards=(), n_spans=0,
+                            n_spool_events=0, n_malformed=0)
         writers = {
-            "report.json": lambda p: write_report(p, {"n": 2}),
+            "timeline.jsonl": lambda p: write_timeline(timeline, p),
             "metrics.json": lambda p: registry.export(p, extra={"n": 2}),
         }
         for name, write in writers.items():

@@ -17,11 +17,7 @@ from repro.service import (
     should_compact,
     verify_spool,
 )
-from repro.service.compaction import (
-    CRASH_POINTS,
-    render_verify,
-    spool_history_events,
-)
+from repro.service.compaction import CRASH_POINTS, render_verify
 from repro.service.spool import _SnapshotRaced
 
 
@@ -239,18 +235,6 @@ class TestReconcile:
         parsed, _ = spool._parse_log()
         with pytest.raises(_SnapshotRaced):
             JobSpool._reconcile(stale, parsed)
-
-
-class TestHistoryEvents:
-    def test_one_submit_per_job_after_compaction(self, spool):
-        ids = populate(spool)
-        before = [e["id"] for e in spool_history_events(spool.root)
-                  if e["ev"] == "submit"]
-        compact(spool)
-        after = [e["id"] for e in spool_history_events(spool.root)
-                 if e["ev"] == "submit"]
-        assert before == after == [ids["done"], ids["failed"],
-                                   ids["running"], ids["pending"]]
 
 
 class TestVerify:

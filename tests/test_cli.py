@@ -331,82 +331,6 @@ class TestServiceCommands:
         assert "(no jobs)" in capsys.readouterr().out
 
 
-class TestLoadgenCLI:
-    def test_run_sim_writes_trace_and_report(self, tmp_path, capsys):
-        import json
-
-        trace = tmp_path / "t.jsonl"
-        report = tmp_path / "r.json"
-        rc = main(["loadgen", "run", "--target", "sim", "--n-requests", "20",
-                   "--workload", "scan", "--pacing", "open", "--rate", "100",
-                   "--seed", "6", "--trace-out", str(trace),
-                   "--report-out", str(report)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "load report (run)" in out and "outcome" in out
-        assert trace.exists() and report.exists()
-        doc = json.loads(report.read_text())
-        assert doc["schema"] == "repro-loadreport/1"
-        assert doc["outcomes"]["done"] == 20
-
-    def test_replay_is_bit_identical(self, tmp_path, capsys):
-        trace = tmp_path / "t.jsonl"
-        replayed = tmp_path / "t2.jsonl"
-        assert main(["loadgen", "run", "--target", "sim", "--n-requests",
-                     "15", "--seed", "9", "--trace-out", str(trace)]) == 0
-        assert main(["loadgen", "replay", str(trace), "--target", "sim",
-                     "--seed", "9", "--trace-out", str(replayed)]) == 0
-        assert trace.read_bytes() == replayed.read_bytes()
-        assert "load report (replay)" in capsys.readouterr().out
-
-    def test_replay_derives_closed_window_from_header(self, tmp_path, capsys):
-        trace = tmp_path / "t.jsonl"
-        assert main(["loadgen", "run", "--target", "sim", "--pacing",
-                     "closed", "--concurrency", "2", "--n-requests", "10",
-                     "--trace-out", str(trace)]) == 0
-        assert main(["loadgen", "replay", str(trace), "--target", "sim"]) == 0
-
-    def test_record_then_replay_spool_traffic(self, tmp_path, capsys):
-        from repro.service import JobSpool, drain_queue
-
-        spool = str(tmp_path / "s")
-        trace = tmp_path / "rec.jsonl"
-        assert main(["submit", "--spool", spool, "sweep", "gcc",
-                     "--stop", "4", "--n-instructions", "100000"]) == 0
-        assert main(["submit", "--spool", spool, "sweep", "mcf",
-                     "--stop", "4", "--n-instructions", "100000"]) == 0
-        capsys.readouterr()
-        assert main(["loadgen", "record", "--spool", spool,
-                     "--out", str(trace)]) == 0
-        assert "recorded 2 request(s)" in capsys.readouterr().out
-        drain_queue(JobSpool.open(spool))
-        # Replaying the recording against the same spool dedups into the
-        # already-done jobs: everything completes immediately.
-        assert main(["loadgen", "replay", str(trace), "--spool", spool]) == 0
-        out = capsys.readouterr().out
-        assert "done     2" in out
-
-    def test_report_renders_saved_document(self, tmp_path, capsys):
-        report = tmp_path / "r.json"
-        assert main(["loadgen", "run", "--target", "sim", "--n-requests",
-                     "5", "--report-out", str(report)]) == 0
-        capsys.readouterr()
-        assert main(["loadgen", "report", str(report)]) == 0
-        assert "client-observed latency" in capsys.readouterr().out
-
-    def test_missing_trace_exits_typed(self, tmp_path, capsys):
-        rc = main(["loadgen", "replay", str(tmp_path / "absent.jsonl"),
-                   "--target", "sim"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "no request trace" in err and "Traceback" not in err
-
-    def test_service_target_requires_spool(self, capsys):
-        rc = main(["loadgen", "run", "--target", "service"])
-        assert rc == 1
-        assert "--spool" in capsys.readouterr().err
-
-
 class TestSpoolCommands:
     """repro spool compact/verify against a populated spool directory."""
 
