@@ -168,7 +168,7 @@ class CheckpointJournal:
 
     def _load(self) -> dict[str, Any]:
         try:
-            log = durable.read_lines(self.path)
+            log, _ = durable.complete_lines(self.path.read_bytes())
         except FileNotFoundError:
             return {}
         if log.bad:

@@ -24,7 +24,7 @@ import time
 
 from repro.errors import ServiceError, exit_code_for
 from repro.service.jobs import JobSpec, JobView
-from repro.service.spool import JobSpool
+from repro.service.spool import JobSpool, _job_view
 
 __all__ = ["submit_job", "wait_for", "poll_jobs", "list_jobs", "format_jobs",
            "JobFailed"]
@@ -72,7 +72,7 @@ def wait_for(root: str | JobSpool, jid: str, timeout: float = 60.0,
     spool = root if isinstance(root, JobSpool) else JobSpool.open(root)
     deadline = time.monotonic() + timeout
     while True:
-        view = spool.jobs().get(jid)
+        view = poll_jobs(spool, [jid]).get(jid)
         if view is None:
             raise ServiceError(f"unknown job {jid!r} in spool {spool.root}")
         if view.state == "done":
@@ -93,12 +93,15 @@ def poll_jobs(root: str | JobSpool, jids: list[str]) -> dict[str, JobView]:
 
     The load runner (and anything else watching many jobs at once) calls
     this instead of ``wait_for`` per job — one fold of the event log per
-    poll instead of one per job per poll. Unknown ids are simply absent
-    from the result; nothing blocks, nothing raises on a pending queue.
+    poll instead of one per job per poll, and a view built only for the
+    ids asked about. Unknown ids are simply absent from the result;
+    nothing blocks, nothing raises on a pending queue.
     """
     spool = root if isinstance(root, JobSpool) else JobSpool.open(root)
-    views = spool.jobs()
-    return {jid: views[jid] for jid in jids if jid in views}
+    records = spool._records()
+    now = time.time()
+    return {jid: _job_view(jid, records[jid], now)
+            for jid in jids if jid in records}
 
 
 def list_jobs(root: str | JobSpool) -> list[JobView]:

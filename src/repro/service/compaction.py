@@ -1,11 +1,11 @@
 """Crash-consistent spool compaction: fold history, swap atomically, GC.
 
 An append-only event log is the right durability primitive and the wrong
-steady state: every :meth:`~repro.service.spool.JobSpool.jobs` fold replays
-the whole history, and the log grows without bound. Compaction folds the
-log into a pre-computed ``repro-spoolsnap/1`` snapshot and resets the log
-to a one-line marker, making folds O(live jobs + tail) and recovery time
-bounded — without ever having a moment where a crash loses an event.
+steady state: a process opening the spool folds the whole history, and
+the log grows without bound. Compaction folds the log into a pre-computed
+``repro-spoolsnap/1`` snapshot and resets the log to a one-line marker,
+making a cold fold O(live jobs + tail) and recovery time bounded — without
+ever having a moment where a crash loses an event.
 
 **The swap protocol** (all under the spool's flock, so no claim/submit can
 interleave; both swaps are :mod:`repro.util.durable` atomic replaces with
@@ -19,7 +19,7 @@ interleave; both swaps are :mod:`repro.util.durable` atomic replaces with
     5. rename -> spool.jsonl, fsync dir             (atomic: tail reset)
     6. GC checkpoint journals / result files no retained job can ever use
 
-**Crash matrix.** The reader (:meth:`JobSpool._events`) reconciles every
+**Crash matrix.** The reader (:meth:`JobSpool._reconcile`) reconciles every
 state a crash can leave (DESIGN §15):
 
 * crash before step 3: old snapshot + old log — nothing happened.
@@ -62,7 +62,6 @@ from repro.service.spool import (
     COMPACT_EV,
     SNAPSHOT_SCHEMA,
     JobSpool,
-    fold_events,
     read_snapshot,
 )
 from repro.service.spool import snapshot_record as _snapshot_record
@@ -164,18 +163,18 @@ def compact(spool: JobSpool, policy: CompactionPolicy | None = None, *,
         prev_gen = int(snap.get("generation", 0)) if snap else 0
         prev_folded = int(snap.get("n_events_folded", 0)) if snap else 0
         gen = prev_gen + 1
-        parsed, _n_lines = spool._parse_log()
-        base, tail = spool._reconcile(snap, parsed)
-        raw = fold_events(tail, base)
+        raw = spool._records()
+        fold = spool._fold
+        n_tail = fold.n_events if fold is not None else 0
         try:
             log_bytes_before = spool.log_path.stat().st_size
         except OSError:
             log_bytes_before = 0
         # Skip count for the crash window between the two renames. The
-        # index after the last *parsed* line, not the raw line count: a
+        # index after the last *folded* line, not the raw line count: a
         # torn final fragment is truncated away by the next append, so
         # counting it would make the reader skip that append's record.
-        n_log_lines = (parsed[-1][0] + 1) if parsed else 0
+        n_log_lines = fold.n_lines if fold is not None else 0
 
         order = list(raw)  # dict insertion order == submission order
         terminal_ids = [j for j in order if raw[j]["terminal"] is not None]
@@ -191,7 +190,7 @@ def compact(spool: JobSpool, policy: CompactionPolicy | None = None, *,
             "generation": gen,
             "created_t": time.time(),
             "n_log_lines": n_log_lines,
-            "n_events_folded": prev_folded + len(tail),
+            "n_events_folded": prev_folded + n_tail,
             "jobs": [_snapshot_record(j, raw[j]) for j in retained],
         }
         snap_tmp = durable.write_temp(
@@ -211,7 +210,7 @@ def compact(spool: JobSpool, policy: CompactionPolicy | None = None, *,
 
         stats = CompactionStats(
             generation=gen,
-            n_events_folded=len(tail),
+            n_events_folded=n_tail,
             n_jobs=len(retained),
             n_live=sum(1 for j in retained if raw[j]["terminal"] is None),
             n_terminal=sum(
@@ -224,7 +223,7 @@ def compact(spool: JobSpool, policy: CompactionPolicy | None = None, *,
             duration_s=time.monotonic() - t0,
         )
     _metrics().counter("service.compaction.runs").inc()
-    _metrics().counter("service.compaction.events_folded").inc(len(tail))
+    _metrics().counter("service.compaction.events_folded").inc(n_tail)
     _metrics().gauge("service.compaction.generation").set(gen)
     return stats
 

@@ -11,6 +11,8 @@ through the three protocols here:
   newline (those bytes were never acknowledged), write until drained, fsync.
 * :func:`read_lines` — classify a JSONL file line by line at the bytes
   layer; each caller applies its own policy to failed and torn lines.
+  :func:`complete_lines` classifies only the newline-terminated lines of
+  bytes already read, for the logs :func:`append_line` repairs.
 
 Every write, fsync and rename on these paths goes through ``fs_*``: plain
 :mod:`os` calls until :mod:`repro.robust.diskchaos` sets :data:`fault_hook`
@@ -25,9 +27,9 @@ import os
 from pathlib import Path
 from typing import Any, NamedTuple
 
-__all__ = ["Lines", "append_line", "commit_temp", "fault_hook", "fs_fsync",
-           "fs_fsync_dir", "fs_replace", "fs_write", "read_lines",
-           "replace_file", "write_temp"]
+__all__ = ["Lines", "append_line", "commit_temp", "complete_lines",
+           "fault_hook", "fs_fsync", "fs_fsync_dir", "fs_replace", "fs_write",
+           "read_lines", "replace_file", "write_temp"]
 
 #: Installed disk-fault injector (``None``: every primitive is plain ``os``).
 fault_hook: Any = None
@@ -188,7 +190,33 @@ class Lines(NamedTuple):
 
 def read_lines(path: str | os.PathLike[str]) -> Lines:
     """Parse ``path`` as JSONL, skipping blank lines; only I/O errors raise."""
-    lines = Path(path).read_bytes().splitlines()
+    return _parse_lines(Path(path).read_bytes())
+
+
+def complete_lines(data: bytes, line0: int = 0) -> tuple[Lines, int]:
+    """Classify the newline-terminated lines of ``data``: ``(lines, n_used)``.
+
+    For logs written by :func:`append_line`, whose next append truncates an
+    unterminated final fragment: a reader that counted it would go
+    backwards, so a record counts only once its newline has landed.
+    ``data`` starts on a line boundary whose index is ``line0``. A final
+    complete line that fails is ``torn`` when nothing follows it (and
+    ``n_used``, the bytes through the last line read, stops before it),
+    ``bad`` when a fragment does.
+    """
+    cut = data.rfind(b"\n") + 1
+    lines = _parse_lines(data[:cut], line0)
+    if lines.torn and cut < len(data):
+        lines = lines._replace(bad=[*lines.bad, line0 + lines.n_lines - 1],
+                               torn=False)
+    elif lines.torn:
+        cut = data.rfind(b"\n", 0, cut - 1) + 1
+    return lines, cut
+
+
+def _parse_lines(data: bytes, line0: int = 0) -> Lines:
+    """:func:`read_lines` over bytes whose first line has index ``line0``."""
+    lines = data.splitlines()
     records: list[tuple[int, dict[str, Any]]] = []
     bad: list[int] = []
     torn = False
@@ -200,9 +228,9 @@ def read_lines(path: str | os.PathLike[str]) -> Lines:
         except ValueError:  # UnicodeDecodeError and JSONDecodeError
             record = None
         if isinstance(record, dict):
-            records.append((i, record))
+            records.append((line0 + i, record))
         elif i == len(lines) - 1:
             torn = True
         else:
-            bad.append(i)
+            bad.append(line0 + i)
     return Lines(records, bad, torn, len(lines))

@@ -195,6 +195,22 @@ class TestCheckpointResume:
         journal = CheckpointJournal(path, resume=True)
         assert journal.n_completed == 4
 
+    def test_unterminated_final_record_is_not_restored(self, tmp_path):
+        """A record whose newline never landed is truncated by the next
+        append, so restoring it would drop it from the journal for good."""
+        path = tmp_path / "j.jsonl"
+        journal = CheckpointJournal(path)
+        journal.record("a", 1)
+        journal.record("b", 2)
+        journal.close()
+        path.write_bytes(path.read_bytes()[:-1])  # b's newline is missing
+        resumed = CheckpointJournal(path, resume=True)
+        assert resumed.completed() == {"a": 1}
+        resumed.record("b", 2)  # recomputed, and journaled this time
+        resumed.close()
+        assert CheckpointJournal(path, resume=True).completed() == \
+            {"a": 1, "b": 2}
+
     def test_mid_file_corruption_raises(self, tmp_path):
         from repro.errors import CheckpointError
 

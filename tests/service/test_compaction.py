@@ -232,7 +232,7 @@ class TestReconcile:
         compact(spool)
         snap = read_snapshot(spool.root)
         stale = dict(snap, generation=snap["generation"] - 1)
-        parsed, _ = spool._parse_log()
+        parsed, _ = spool._parse_log(spool.log_path.read_bytes())
         with pytest.raises(_SnapshotRaced):
             JobSpool._reconcile(stale, parsed)
 

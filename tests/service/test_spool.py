@@ -1,6 +1,7 @@
 """Tests for the durable job spool: fold semantics, leases, backpressure."""
 
 import json
+import random
 import time
 
 import pytest
@@ -10,7 +11,15 @@ from repro.obs.metrics import default_registry
 from repro.robust import DiskFaultInjector, SimulatedCrash
 from repro.robust import diskchaos
 from repro.robust.breaker import CircuitBreaker
-from repro.service import JobSpec, JobSpool, SpoolConfig, job_id
+from repro.service import (
+    CompactionPolicy,
+    JobSpec,
+    JobSpool,
+    SpoolConfig,
+    compact,
+    job_id,
+    maybe_compact,
+)
 
 
 def spec(start=0, stop=8, app="gcc", **kw):
@@ -222,6 +231,20 @@ class TestDurability:
         with pytest.raises(ServiceError, match="corrupt spool log"):
             spool.jobs()
 
+    def test_unterminated_final_line_never_counts(self, spool):
+        """A line whose newline never landed is truncated by the next
+        append, so counting it would let the fold go backwards."""
+        jid = spool.submit(spec())
+        spool.claim("w0", now=100.0)
+        with open(spool.log_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"ev": "done", "id": jid, "worker": "w0",
+                                 "elapsed": 0.1, "t": 101.0}))
+        assert spool.jobs(now=105.0)[jid].state == "running"
+        spool.submit(spec(start=1, stop=2))  # repairs the tail
+        assert spool.jobs(now=105.0)[jid].state == "running"
+        assert JobSpool.open(spool.root).jobs(now=105.0)[jid].state \
+            == "running"
+
     def test_fold_survives_reopen(self, spool, tmp_path):
         jid = spool.submit(spec())
         spool.claim("w0", now=100.0)
@@ -229,6 +252,160 @@ class TestDurability:
         reopened = JobSpool.open(tmp_path / "spool")
         assert reopened.jobs()[jid].state == "done"
         assert reopened.result(jid) == 42
+
+
+class TestIncrementalFold:
+    """A long-lived instance folds only new bytes, yet always agrees with a
+    fresh ``JobSpool.open(root)`` folding snapshot + tail from scratch."""
+
+    NOW = 150.0
+
+    @pytest.fixture()
+    def three(self, tmp_path):
+        """Two writers and a long-lived reader on one spool directory."""
+        root = tmp_path / "spool"
+        a = JobSpool.ensure(root, SpoolConfig(max_depth=1000, lease_ttl=10.0))
+        return a, JobSpool.open(root), JobSpool.open(root)
+
+    def agree(self, reader, now=NOW):
+        fresh = JobSpool.open(reader.root).jobs(now=now)
+        assert reader.jobs(now=now) == fresh
+        return fresh
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_sequences_match_a_fresh_fold(self, three, seed):
+        rng = random.Random(seed)
+        writers, reader = three[:2], three[2]
+        specs = [spec(start=i, stop=i + 1) for i in range(12)]
+        ids = [job_id(s) for s in specs]
+        for step in range(160):
+            w = rng.choice(writers)
+            t = 100.0 + step * 0.5
+            op = rng.choice(("submit", "submit", "lease", "renew", "done",
+                             "fail"))
+            jid = rng.choice(ids)
+            worker = rng.choice(("w0", "w1"))
+            if op == "submit":
+                w.submit(rng.choice(specs))
+            elif op == "lease":
+                w.claim(worker, now=t)
+            elif op == "renew":
+                w.renew(jid, worker, now=t)
+            elif op == "done":
+                w.complete(jid, worker, step, elapsed=0.1)
+            else:
+                w.fail(jid, worker, "TaskFailed", f"boom {step}", 0.1)
+            self.agree(reader, now=t)
+        assert reader.depth(now=self.NOW) == JobSpool.open(
+            reader.root).depth(now=self.NOW)
+
+    def test_compaction_by_another_instance_between_reads(self, three):
+        a, b, reader = three
+        first = a.submit(spec(start=0, stop=1))
+        a.claim("w0", now=100.0)
+        a.complete(first, "w0", 1, elapsed=0.1)
+        b.submit(spec(start=1, stop=2))
+        before = self.agree(reader)
+        offset = a.log_path.stat().st_size
+        assert maybe_compact(b, CompactionPolicy(max_events=1)) is not None
+        assert reader.jobs(now=self.NOW) == before
+        b.claim("w1", now=140.0)
+        # Grow the new log past the reader's old offset before it reads.
+        i = 2
+        while a.log_path.stat().st_size <= offset:
+            a.submit(spec(start=i, stop=i + 1))
+            i += 1
+        views = self.agree(reader)
+        assert views[job_id(spec(start=1, stop=2))].n_leases == 1
+        assert len(views) == i
+        compact(a)
+        a.submit(spec(start=i, stop=i + 1))
+        assert len(self.agree(reader)) == i + 1
+
+    def test_crash_between_the_two_renames(self, three):
+        """New snapshot, old log: the reader must take the snapshot's
+        ``n_log_lines`` skip count, not fold those lines a second time,
+        and must see what the snapshot pruned."""
+        a, b, reader = three
+        done = a.submit(spec(start=0, stop=1))
+        a.claim("w0", now=140.0)
+        a.complete(done, "w0", 1, elapsed=0.1)
+        running = a.submit(spec(start=1, stop=2))
+        a.claim("w0", now=145.0)
+        a.submit(spec(start=2, stop=3))
+        assert done in self.agree(reader)
+        with pytest.raises(SimulatedCrash):
+            compact(b, CompactionPolicy(retain_terminal=0),
+                    crash_at="post-snapshot-rename")
+        views = self.agree(reader)
+        assert done not in views
+        assert views[running].n_leases == 1  # not 2
+        b.claim("w1", now=146.0)
+        b.renew(running, "w0", now=146.0)
+        views = self.agree(reader)
+        assert views[running].lease_expires == 156.0
+        compact(a)
+        assert self.agree(reader) == views
+
+    def test_torn_tail_then_its_repair(self, three):
+        a, b, reader = three
+        a.submit(spec(start=0, stop=1))
+        self.agree(reader)
+        with open(a.log_path, "a", encoding="utf-8") as fh:
+            fh.write('{"ev": "subm')  # crash mid-append
+        assert len(self.agree(reader)) == 1
+        b.submit(spec(start=1, stop=2))  # truncates the fragment first
+        assert len(self.agree(reader)) == 2
+
+    def test_bad_final_line_then_interior_raises(self, three):
+        a, b, reader = three
+        a.submit(spec(start=0, stop=1))
+        self.agree(reader)
+        with open(a.log_path, "a", encoding="utf-8") as fh:
+            fh.write("not json\n")  # complete, but not an event
+        assert len(self.agree(reader)) == 1  # tolerated while final
+        b.submit(spec(start=1, stop=2))  # now the bad line is interior
+        with pytest.raises(ServiceError, match="corrupt spool log"):
+            JobSpool.open(a.root).jobs()
+        with pytest.raises(ServiceError, match="corrupt spool log"):
+            reader.jobs()
+
+    def test_rewritten_shorter_log_is_refolded(self, three):
+        a, _, reader = three
+        keep = a.submit(spec(start=0, stop=1))
+        size = a.log_path.stat().st_size
+        a.submit(spec(start=1, stop=2))
+        assert len(self.agree(reader)) == 2
+        with open(a.log_path, "r+b") as fh:  # same inode, same head line
+            fh.truncate(size)
+        assert list(self.agree(reader)) == [keep]
+
+    @pytest.mark.parametrize("compacted", [False, True])
+    def test_warm_read_decodes_only_the_new_lines(self, three, monkeypatch,
+                                                  compacted):
+        a, b, reader = three
+        for i in range(5):
+            a.submit(spec(start=i, stop=i + 1))
+        if compacted:
+            compact(b)
+        reader.jobs()
+        k = 7
+        for i in range(k):  # 4 events from a, 3 from b
+            w = a if i % 2 == 0 else b
+            w.submit(spec(start=10 + i, stop=11 + i))
+        decoded = []
+        real = json.loads
+
+        def counting(text, *args, **kwargs):
+            decoded.append(text)
+            return real(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        assert len(reader.jobs()) == 12
+        assert len(decoded) == k
+        decoded.clear()
+        reader.depth()
+        assert decoded == []
 
 
 class TestCoordination:

@@ -100,6 +100,27 @@ class TestReadLines:
         assert (len(log.records), log.bad, log.torn) == (2, [], False)
 
 
+class TestCompleteLines:
+    def test_unterminated_record_is_not_counted(self):
+        log, used = durable.complete_lines(b'{"i": 0}\n{"i": 1}')
+        assert (log.records, log.bad, log.torn) == ([(0, {"i": 0})], [], False)
+        assert used == len(b'{"i": 0}\n')
+
+    def test_line_indices_start_at_line0(self):
+        log, used = durable.complete_lines(b'\n{"i": 4}\n', line0=3)
+        assert log.records == [(4, {"i": 4})]
+        assert used == 10
+
+    def test_failed_final_line_is_torn_and_not_used(self):
+        log, used = durable.complete_lines(b'{"i": 0}\nnot json\n')
+        assert (log.records, log.bad, log.torn) == ([(0, {"i": 0})], [], True)
+        assert used == len(b'{"i": 0}\n')
+
+    def test_failed_line_before_a_fragment_is_bad(self):
+        log, _ = durable.complete_lines(b'{"i": 0}\nnot json\n{"i": 2')
+        assert (log.bad, log.torn) == ([1], False)
+
+
 # -- caller policies over one non-UTF-8 byte ----------------------------------
 
 
