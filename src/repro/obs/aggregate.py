@@ -22,10 +22,11 @@ that puts the pieces back together:
   double-counts.
 
 Every reader here is torn-tail tolerant (:func:`~repro.obs.summarize.
-read_jsonl_tolerant`): a SIGKILL'd shard tears its final line, it does not
-poison the merged view. This module deliberately reads the spool log as
-plain JSONL rather than importing :mod:`repro.service` — the obs layer
-stays importable by every subsystem without cycles.
+read_trace`): a SIGKILL'd shard tears its final line, it does not
+poison the merged view. The spool log is read as the spool folds it,
+through :func:`repro.util.durable.complete_lines`, but without importing
+:mod:`repro.service` — the obs layer stays importable by every subsystem
+without cycles.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.obs.metrics import METRICS_SCHEMA
-from repro.obs.summarize import read_jsonl_tolerant, read_trace
+from repro.obs.metrics import METRICS_SCHEMA, default_registry as _metrics
+from repro.obs.summarize import read_trace
 from repro.obs.trace import TRACE_SCHEMA
 from repro.util import durable
 
@@ -68,11 +69,22 @@ def metrics_dir(spool_root) -> Path:
 
 
 def read_spool_events(spool_root) -> tuple[list[dict], int]:
-    """The spool's raw event log, torn-tail tolerant, oldest first."""
-    path = Path(spool_root) / "spool.jsonl"
-    if not path.exists():
+    """The spool's raw event log, oldest first, and its malformed-line count.
+
+    A line counts only once its newline has landed, as in the spool's own
+    fold: an unterminated final fragment is an append in flight or a torn
+    tail the next append truncates, so counting it would let a job's
+    completion appear in one read and vanish from the next.
+    """
+    try:
+        data = (Path(spool_root) / "spool.jsonl").read_bytes()
+    except FileNotFoundError:
         return [], 0
-    return read_jsonl_tolerant(path)
+    log, _ = durable.complete_lines(data)
+    malformed = len(log.bad) + log.torn
+    if malformed:
+        _metrics().counter("obs.reader.malformed_lines").inc(malformed)
+    return [record for _, record in log.records], malformed
 
 
 def read_shard_traces(spool_root) -> tuple[list[dict], int]:

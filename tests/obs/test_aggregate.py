@@ -18,7 +18,9 @@ from repro.obs.aggregate import (
     write_timeline,
 )
 from repro.obs.metrics import METRICS_SCHEMA, MetricsRegistry, snapshot_quantile
+from repro.obs.slo import fold_job_timings
 from repro.obs.trace import Tracer, validate_record
+from repro.util import durable
 
 
 def _write_shard_trace(root, shard, names, t0=100.0):
@@ -73,6 +75,42 @@ class TestReadShardTraces:
 
     def test_missing_obs_dir_is_empty(self, tmp_path):
         assert read_shard_traces(tmp_path) == ([], 0)
+
+
+class TestReadSpoolEvents:
+    """The spool log counts a line only once its newline has landed, as the
+    spool's own fold does: the next append truncates an unterminated tail."""
+
+    @staticmethod
+    def _line(ev):
+        return json.dumps(ev).encode() + b"\n"
+
+    def test_unterminated_done_never_counts_then_vanishes(self, tmp_path):
+        submit, lease, done, other, _ = _spool_events()
+        path = tmp_path / "spool.jsonl"
+        # j1's done line written without its newline: an append in flight.
+        path.write_bytes(self._line(submit) + self._line(lease) + self._line(done)[:-1])
+        events, malformed = read_spool_events(tmp_path)
+        assert (events, malformed) == ([submit, lease], 0)
+        assert fold_job_timings(events)["j1"].terminal_t is None
+        # The next append truncates the fragment: j1 still has no terminal.
+        durable.append_line(path, self._line(other))
+        events, malformed = read_spool_events(tmp_path)
+        assert (events, malformed) == ([submit, lease, other], 0)
+        assert fold_job_timings(events)["j1"].terminal_t is None
+
+    def test_terminated_done_counts(self, tmp_path):
+        submit, lease, done, _, _ = _spool_events()
+        (tmp_path / "spool.jsonl").write_bytes(
+            self._line(submit) + self._line(lease) + self._line(done))
+        events, _ = read_spool_events(tmp_path)
+        assert fold_job_timings(events)["j1"].terminal_t == 12.0
+
+    def test_malformed_lines_counted(self, tmp_path):
+        submit, lease, *_ = _spool_events()
+        (tmp_path / "spool.jsonl").write_bytes(
+            self._line(submit) + b"{torn\n" + self._line(lease) + b"[1]\n")
+        assert read_spool_events(tmp_path) == ([submit, lease], 2)
 
 
 class TestSpoolTimeline:
