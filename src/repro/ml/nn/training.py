@@ -51,6 +51,7 @@ A failure stays with the request whose replica diverged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf, isfinite
 from typing import Sequence
 
 import numpy as np
@@ -290,8 +291,12 @@ def train_stack(
 class _Stack:
     """The per-replica state of the replicas still training, one row each.
 
-    :meth:`drop` removes rows from every per-replica array at once, and from
-    the data where it has a replica axis.
+    The optimizer state is arrays with a replica axis. The scalars the loop
+    tests once per epoch (divergence bound, best validation loss, patience
+    counter) are Python lists: at these sizes a numpy call costs more than
+    the Python float work it would replace. :meth:`drop` removes rows from
+    every per-replica array and list at once, and from the data where it
+    has a replica axis.
     """
 
     def __init__(self, W: np.ndarray, config: TrainingConfig, has_val: bool,
@@ -312,20 +317,22 @@ class _Stack:
             self.lr = np.full(R, config.learning_rate)  # gd keeps a rate per replica
             self.prev_loss = np.full(R, np.inf)
             self._per_row = ("velocity", "lr", "prev_loss")
-        self.bound = np.full(R, np.inf)
-        self.best_val = np.full(R, np.inf)
-        self.since_best = np.zeros(R, dtype=np.int64)
+        self.bound = [inf] * R
+        self.best_val = [inf] * R
+        self.since_best = [0] * R
         self.X, self.y, self.Xv, self.yv = data
 
     def drop(self, keep: np.ndarray) -> None:
-        for name in ("W", *self._per_row, "bound", "best_val", "since_best"):
+        for name in ("W", *self._per_row):
             setattr(self, name, getattr(self, name)[keep])
         self.best_w = self.best_w[keep] if self.has_val else self.W
         for name in ("X", "y", "Xv", "yv"):
             A = getattr(self, name)
             if A is not None and A.ndim == 3:
                 setattr(self, name, A[keep])
-        self.rows = [i for i, kept in zip(self.rows, keep) if kept]
+        kept = keep.tolist()
+        for name in ("rows", "bound", "best_val", "since_best"):
+            setattr(self, name, [v for v, k in zip(getattr(self, name), kept) if k])
 
 
 def _float_array(A, name: str) -> np.ndarray:
@@ -413,32 +420,35 @@ def train_replicas(
             i = st.rows[row]
             for w, view in zip(nets[i].weights, layout.views(st.best_w[row:row + 1])):
                 w[...] = view[0]
-            finished[i] = (epochs_run, stopped_early, float(st.best_val[row]))
+            finished[i] = (epochs_run, stopped_early, st.best_val[row])
 
+    patience, keep_frac = config.patience, 1.0 - config.min_delta
     for epoch in range(config.max_epochs):
         epochs_run = epoch + 1
         acts = _forward(st.X, layers, hidden, output)
         loss, diff = _mse(acts[-1], st.y)
-        for i, value in zip(st.rows, loss.tolist()):
+        losses = loss.tolist()
+        for i, value in zip(st.rows, losses):
             history[i].append(value)
         if epoch == 0:
-            st.bound = np.maximum(np.where(np.isfinite(loss), loss, 1.0), 1.0) \
-                * config.divergence_factor
-        sound = np.isfinite(loss) & (loss <= st.bound)
-        if not sound.all():
-            for row in np.flatnonzero(~sound):
-                failures.append((st.rows[row], _diverged(
-                    f"training diverged at epoch {epochs_run}: loss={float(loss[row])!r} "
-                    f"(bound {st.bound[row]:.3g})",
-                    {"epoch": epochs_run, "loss": float(loss[row]),
-                     "bound": float(st.bound[row]), "optimizer": config.optimizer},
-                )))
+            st.bound = [max(v if isfinite(v) else 1.0, 1.0) * config.divergence_factor
+                        for v in losses]
+        sound = [isfinite(v) and v <= b for v, b in zip(losses, st.bound)]
+        if not all(sound):
+            for row, (ok, v, b) in enumerate(zip(sound, losses, st.bound)):
+                if not ok:
+                    failures.append((st.rows[row], _diverged(
+                        f"training diverged at epoch {epochs_run}: loss={v!r} (bound {b:.3g})",
+                        {"epoch": epochs_run, "loss": v, "bound": b,
+                         "optimizer": config.optimizer},
+                    )))
             # The diverged replicas leave the stack before their update.
-            st.drop(sound)
+            keep = np.array(sound)
+            st.drop(keep)
             if not st.rows:
                 break
-            acts = [a[sound] if a.ndim == 3 else a for a in acts]
-            loss, diff = loss[sound], diff[sound]
+            acts = [a[keep] if a.ndim == 3 else a for a in acts]
+            loss, diff = loss[keep], diff[keep]
             G = np.empty_like(st.W)
             layers = layout.layers(st.W, G)
         _backward(acts, diff, layers, hidden, output)
@@ -471,24 +481,32 @@ def train_replicas(
 
         if not has_val:
             continue
-        val_loss = _mse(_forward(st.Xv, layers, hidden, output)[-1], st.yv)[0]
-        finite = np.isfinite(val_loss)
-        clean = finite.all()
-        if not clean:
-            for row in np.flatnonzero(~finite):
-                failures.append((st.rows[row], _diverged(
-                    f"validation loss went non-finite at epoch {epochs_run}",
-                    {"epoch": epochs_run, "loss": float(val_loss[row]),
-                     "optimizer": config.optimizer},
-                )))
-        improved = val_loss < st.best_val * (1.0 - config.min_delta)
-        np.copyto(st.best_w, st.W, where=improved[:, None])
-        st.best_val = np.where(improved, val_loss, st.best_val)
-        st.since_best = np.where(improved, 0, st.since_best + 1)
-        done = st.since_best >= config.patience
-        if clean and not done.any():
+        val_losses = _mse(_forward(st.Xv, layers, hidden, output)[-1], st.yv)[0].tolist()
+        best_val, since_best = st.best_val, st.since_best
+        improved: list[int] = []
+        stop = False
+        for row, v in enumerate(val_losses):
+            if v < best_val[row] * keep_frac:
+                best_val[row], since_best[row] = v, 0
+                improved.append(row)
+            else:
+                # A non-finite loss never improves, so it lands here too.
+                since_best[row] += 1
+                stop = stop or since_best[row] >= patience or not isfinite(v)
+        if improved:
+            if len(improved) == len(val_losses):
+                np.copyto(st.best_w, st.W)
+            else:
+                st.best_w[improved] = st.W[improved]
+        if not stop:
             continue
-        done &= finite
+        finite = np.isfinite(val_losses)
+        for row in np.flatnonzero(~finite).tolist():
+            failures.append((st.rows[row], _diverged(
+                f"validation loss went non-finite at epoch {epochs_run}",
+                {"epoch": epochs_run, "loss": val_losses[row], "optimizer": config.optimizer},
+            )))
+        done = (np.array(since_best) >= patience) & finite
         finish(done, epochs_run, stopped_early=True)
         # Compact: the stopped and diverged replicas leave the stack.
         st.drop(~done & finite)
@@ -506,7 +524,7 @@ def train_replicas(
         epochs_run, stopped_early, best = finished[i]
         results[i] = TrainingResult(
             final_train_loss=net.loss(X[i], y2[i]) if per_replica else net.loss(X, y2),
-            best_val_loss=best if has_val and np.isfinite(best) else None,
+            best_val_loss=best if has_val and isfinite(best) else None,
             epochs_run=epochs_run,
             stopped_early=stopped_early,
             loss_history=history[i],

@@ -6,10 +6,11 @@ replica that diverges."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import NumericalError
 from repro.ml.nn.network import MLP
-from repro.ml.nn.training import TrainingConfig, train, train_stack
+from repro.ml.nn.training import TrainingConfig, train, train_replicas, train_stack
 from repro.obs.metrics import default_registry
 
 
@@ -276,3 +277,104 @@ class TestDivergenceIsolation:
         before = counter.value
         train_replicas(_nets([0, 1, 2], hidden="linear"), X, y, self.CFG, Xv, yv)
         assert counter.value == before
+
+
+def _against_lone_calls(nets, X, y, cfg, Xv=None, yv=None):
+    """Train ``nets`` as one stack on per-replica data and each clone alone;
+    assert every outcome, error and weight byte agrees. Returns the stack's
+    results and failures."""
+    alone = [net.clone() for net in nets]
+    results, failures = train_replicas(nets, X, y, cfg, Xv, yv)
+    errors = dict(failures)
+    assert len(errors) == len(failures)
+    for r, (net, lone) in enumerate(zip(nets, alone)):
+        try:
+            expected = train(lone, X[r], y[r], cfg, None if Xv is None else Xv[r],
+                             None if yv is None else yv[r])
+        except NumericalError as exc:
+            assert results[r] is None
+            got = errors.pop(r)
+            # repr, so that a NaN loss in the context compares equal.
+            assert repr((str(got), got.cause, got.context)) == \
+                repr((str(exc), exc.cause, exc.context))
+        else:
+            assert r not in errors
+            assert results[r] == expected
+        assert [w.tobytes() for w in net.weights] == [w.tobytes() for w in lone.weights]
+    assert not errors
+    # Failures are recorded in detection order: by epoch, then by index.
+    order = [(e.context["epoch"], i) for i, e in failures]
+    assert order == sorted(order)
+    return results, failures
+
+
+class TestBookkeepingAgainstLoneCalls:
+    """The per-replica scalars (divergence bound, best validation loss,
+    patience) and the snapshot rows copied on improvement: random stacks,
+    and one case per rare path, against lone ``train`` calls."""
+
+    CFG = TrainingConfig(max_epochs=80, patience=20, rprop_init=0.2, divergence_factor=20.0)
+
+    def test_max_epochs_with_validation_keeps_best_loss(self):
+        X, y, Xv, yv = _per_replica_data(6)
+        results, failures = _against_lone_calls(_nets(range(6), hidden="linear"),
+                                                X, y, self.CFG, Xv, yv)
+        assert not failures
+        # Some replicas run to max_epochs, where the final finish reads their
+        # best validation loss; the others stop early.
+        full = [r.epochs_run for r in results if not r.stopped_early]
+        assert full == [80] * len(full) and 0 < len(full) < len(results)
+        assert all(r.best_val_loss is not None for r in results)
+
+    def test_rprop_divergence_after_a_snapshot(self):
+        X, y, Xv, yv = _per_replica_data(6)
+        X[5] *= 30.0
+        results, failures = _against_lone_calls(_nets(range(6), hidden="linear"),
+                                                X, y, self.CFG, Xv, yv)
+        # Epoch 1 always improves on an infinite best loss, so replica 5
+        # took a snapshot before its training loss broke the bound.
+        assert [(i, e.context["epoch"]) for i, e in failures] == [(5, 2)]
+        assert results[5] is None and all(r is not None for r in results[:5])
+
+    def test_non_finite_validation_loss(self):
+        X, y, Xv, yv = _per_replica_data(4)
+        Xv[1, 3, 2] = np.inf
+        Xv[2, 0, 0] = np.nan
+        results, failures = _against_lone_calls(_nets(range(4), hidden="linear"),
+                                                X, y, self.CFG, Xv, yv)
+        assert [(i, e.context["epoch"]) for i, e in failures] == [(1, 1), (2, 1)]
+        assert all("validation loss went non-finite" in str(e) for _, e in failures)
+        assert results[0] is not None and results[3] is not None
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 6),
+           optimizer=st.sampled_from(["rprop", "gd"]), with_val=st.booleans())
+    def test_random_stacks(self, seed, R, optimizer, with_val):
+        rng = np.random.default_rng(seed)
+        n, n_val = int(rng.integers(2, 30)), int(rng.integers(1, 9))
+        X, Xv = rng.random((R, n, 3)), rng.random((R, n_val, 3))
+        y, yv = np.stack([_target(x) for x in X]), np.stack([_target(x) for x in Xv])
+        poisoned = []
+        for r in range(R):
+            kind = rng.integers(4)
+            if kind == 1:
+                X[r] *= 30.0  # may diverge, at any epoch
+            elif kind == 2:
+                Xv[r, rng.integers(n_val), rng.integers(3)] = np.nan
+                poisoned.append(r)
+            elif kind == 3:
+                Xv[r, rng.integers(n_val), rng.integers(3)] = np.inf  # finite under tanh
+        cfg = TrainingConfig(optimizer=optimizer, max_epochs=int(rng.integers(5, 60)),
+                             patience=int(rng.integers(1, 70)), learning_rate=0.3,
+                             max_rate=0.8, rprop_init=0.2, divergence_factor=20.0)
+        nets = _nets(rng.integers(1000, size=R).tolist(),
+                     hidden=rng.choice(["linear", "tanh"]))
+        for net in nets:
+            if rng.random() < 0.3:
+                net.mask_input(int(rng.integers(3)))
+        if not with_val:
+            _against_lone_calls(nets, X, y, cfg)
+            return
+        _, failures = _against_lone_calls(nets, X, y, cfg, Xv, yv)
+        # A NaN validation input fails its replica at the first epoch.
+        assert all((r, 1) in [(i, e.context["epoch"]) for i, e in failures] for r in poisoned)
