@@ -1,15 +1,18 @@
-"""Does zero-padding a topology keep the forward matmul bit-identical?
+"""Do zero-padded or joined matmuls keep the forward pass bit-identical?
 
 Stacking networks of different topologies in one training stack would mean
 padding them to a common shape with zero weights (and masks). That is only
 a speed-up if every result keeps its bits, so this probe asks the BLAS
 directly, for the shapes the NN builders train: ``A (n, k) @ W (k, h)``
-against two padded forms,
+against three altered forms:
 
 * **output padding** — ``W`` gets ``p`` zero columns; compare the first
   ``h`` columns of the product;
 * **inner padding** — ``A`` gets ``p`` zero columns and ``W`` ``p`` zero
-  rows; compare the whole product.
+  rows; compare the whole product;
+* **joined rows** — ``A`` gets ``p`` more rows of data, as joining a
+  training set and a validation set in one matmul would; compare the
+  first ``n`` rows.
 
 A case counts as changed when any byte differs. Run from the repository
 root::
@@ -17,7 +20,7 @@ root::
     PYTHONPATH=src python benchmarks/blas_padding_probe.py
 
 It prints the numpy version and BLAS, then the changed/probed counts per
-kind of padding.
+kind.
 """
 
 from __future__ import annotations
@@ -43,16 +46,18 @@ def blas_name() -> str:
 def probe(seed: int = 0) -> dict[str, tuple[int, int]]:
     """``kind -> (changed, probed)`` over every shape and pad width."""
     rng = np.random.default_rng(seed)
-    changed = {"output": 0, "inner": 0}
+    changed = {"output padding": 0, "inner padding": 0, "joined rows": 0}
     probed = 0
     for n, k, h, p in itertools.product(ROWS, FAN_IN, FAN_OUT, PADS):
         A = rng.uniform(-1.0, 1.0, (n, k))
         W = rng.uniform(-1.0, 1.0, (k, h))
         ref = (A @ W).tobytes()
         out = A @ np.hstack([W, np.zeros((k, p))])
-        changed["output"] += np.ascontiguousarray(out[:, :h]).tobytes() != ref
+        changed["output padding"] += np.ascontiguousarray(out[:, :h]).tobytes() != ref
         inner = np.hstack([A, np.zeros((n, p))]) @ np.vstack([W, np.zeros((p, h))])
-        changed["inner"] += inner.tobytes() != ref
+        changed["inner padding"] += inner.tobytes() != ref
+        joined = np.vstack([A, rng.uniform(-1.0, 1.0, (p, k))]) @ W
+        changed["joined rows"] += joined[:n].tobytes() != ref
         probed += 1
     return {kind: (count, probed) for kind, count in changed.items()}
 
@@ -60,7 +65,7 @@ def probe(seed: int = 0) -> dict[str, tuple[int, int]]:
 def main() -> int:
     print(f"numpy {np.__version__}, BLAS {blas_name()}")
     for kind, (count, probed) in probe().items():
-        print(f"{kind} padding: {count} of {probed} forward matmuls changed")
+        print(f"{kind}: {count} of {probed} forward matmuls changed")
     return 0
 
 

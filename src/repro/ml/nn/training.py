@@ -16,11 +16,13 @@ steepest descent", paper §3.2). We implement:
   chronological neural nets over-fit exactly as the paper reports.
 
 Datasets here are small (tens to hundreds of records), so full-batch
-updates are both the faithful and the fast choice, and an epoch's cost is
-numpy call overhead rather than arithmetic. One kernel,
-:func:`train_replicas`, therefore trains a stack of R same-topology
-networks at once; :func:`train_stack` is the same stack raising its first
-divergence, and :func:`train` its R = 1 case.
+updates are both the faithful and the fast choice. An epoch's time goes
+into the number of numpy calls it makes, at a few microseconds each, not
+into arithmetic or allocation: a Table-2 pass runs ~40k epochs of a few
+dozen calls each. One kernel, :func:`train_replicas`, therefore trains a
+stack of R same-topology networks at once, so one call serves R replicas;
+:func:`train_stack` is the same stack raising its first divergence, and
+:func:`train` its R = 1 case.
 
 * The data is shared by the stack (``X`` of shape ``(n, k)``) or given per
   replica (``X`` of shape ``(R, n, k)``, targets ``(R, n)``, validation set
@@ -31,10 +33,15 @@ divergence, and :func:`train` its R = 1 case.
   are stacked ``np.matmul`` calls on ``(R, n, k)`` arrays.
 * The optimizer update runs once per epoch over the whole flat buffer, with
   ``np.where`` in place of boolean indexing; gd keeps a rate per replica.
-* Each replica has its own patience counter, best-weights snapshot (one
-  masked ``np.copyto`` per epoch), divergence bound and
-  :class:`TrainingResult`. A replica that stops leaves the stack, and so
-  does one that diverges: its error is recorded and the others train on.
+* Each replica has its own patience counter, best validation loss,
+  divergence bound, best-weights snapshot and :class:`TrainingResult`.
+  The scalars live in Python lists, read from the one ``tolist()`` of each
+  epoch's training and validation losses, so the per-epoch tests are float
+  work rather than numpy calls. A snapshot copies only the rows that
+  improved, and only in an epoch where some did; numpy masks are built
+  only when a replica stops, diverges or reaches ``max_epochs``. A replica
+  that stops leaves the stack, and so does one that diverges: its error is
+  recorded and the others train on.
 
 A stacked network ends bit for bit where a lone :func:`train` call would
 leave it: every update is element-wise, stacked ``matmul`` calls BLAS once

@@ -308,6 +308,8 @@ def _against_lone_calls(nets, X, y, cfg, Xv=None, yv=None):
     return results, failures
 
 
+# Infinite and NaN inputs warn in matmul and in the input mask's multiply.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestBookkeepingAgainstLoneCalls:
     """The per-replica scalars (divergence bound, best validation loss,
     patience) and the snapshot rows copied on improvement: random stacks,
