@@ -475,30 +475,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_method(args: argparse.Namespace) -> str:
-    """Batched kernels unless a flag demands per-config task dispatch.
-
-    Retries, timeouts, checkpoints, and chaos all operate on individual
-    tasks; keeping those sweeps per-config preserves their journal
-    fingerprints and failure granularity. Otherwise the vectorized batch
-    path runs (bit-identical, ~10x faster).
-    """
-    wants_task_level = (
-        args.retries > 0 or args.task_timeout is not None
-        or args.checkpoint is not None or args.chaos is not None
-    )
-    return "scalar" if wants_task_level else "batch"
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     configs = list(enumerate_design_space())
-    method = _sweep_method(args)
-    # Task-level runs bypass the cycles cache too: a cache hit would skip
-    # dispatch entirely, leaving nothing for the journal/retry machinery.
+    # Task-level runs (a resilient executor) bypass the cycles cache: a
+    # cache hit would skip dispatch entirely, leaving nothing for the
+    # journal/retry machinery.
     with _make_executor(args) as ex:
+        cached = not args.no_cache and not isinstance(ex, ResilientExecutor)
         cycles = sweep_design_space(configs, get_profile(args.app), executor=ex,
-                                    method=method,
-                                    cache=method == "batch" and not args.no_cache)
+                                    cache=cached)
     prof = profile_responses(cycles)
     print(f"{args.app}: {len(configs)} configurations")
     print(f"  cycle range (best/worst)   : {prof.range:.2f}x")

@@ -20,7 +20,7 @@ from repro.ml.dataset import Dataset
 from repro.ml.metrics import ErrorSummary, summarize_errors
 from repro.ml.selection import ErrorEstimate, ModelBuilder, estimate_error
 from repro.obs import phase as _obs_phase
-from repro.parallel.executor import Executor, default_executor
+from repro.parallel.executor import Executor
 from repro.specdata.generator import generate_family_records
 from repro.specdata.schema import SystemRecord, records_to_dataset
 
@@ -175,7 +175,6 @@ def run_rolling_chronological(
     target: str = "specint_rate",
     records: Sequence[SystemRecord] | None = None,
     executor: Executor | None = None,
-    parallel: bool | None = None,
 ) -> list[ChronologicalResult]:
     """Rolling-origin evaluation: every consecutive year pair in the archive.
 
@@ -187,8 +186,6 @@ def run_rolling_chronological(
 
     Each fold derives its own RNG from ``(seed, year)``, so fanning the
     folds out over an ``executor`` is bit-identical to the serial loop.
-    With ``parallel`` set (and no ``executor``), the sweep creates — and
-    always closes — a :func:`repro.parallel.default_executor` itself.
     """
     recs = list(records) if records is not None else generate_family_records(family, seed=seed)
     years = sorted({r.year for r in recs})
@@ -201,7 +198,4 @@ def run_rolling_chronological(
         raise ValueError(f"{family}: no usable consecutive year pairs")
     if executor is not None:
         return executor.map(_run_year_pair, tasks)
-    if parallel is not None:
-        with default_executor(len(tasks), parallel) as ex:
-            return ex.map(_run_year_pair, tasks)
     return [_run_year_pair(t) for t in tasks]

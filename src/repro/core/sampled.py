@@ -22,7 +22,7 @@ import numpy as np
 from repro.ml.dataset import Dataset
 from repro.ml.selection import ErrorEstimate, ModelBuilder, estimate_error
 from repro.obs import phase as _obs_phase
-from repro.parallel.executor import Executor, default_executor
+from repro.parallel.executor import Executor
 from repro.util.stats import mean_absolute_percentage_error
 
 if TYPE_CHECKING:  # import cycle: repro.robust.ladder imports core.models
@@ -167,20 +167,13 @@ def run_rate_sweep(
     rng: np.random.Generator,
     n_cv_reps: int = 5,
     executor: Executor | None = None,
-    parallel: bool | None = None,
     ladder: "DegradationLadder | None" = None,
 ) -> list[SampledDseResult]:
     """Run the workflow across sampling rates (the x-axis of Figures 2-6).
 
     Pass an ``executor`` to fan out (and make resilient) the per-rate model
-    fits, or set ``parallel`` to let the sweep create — and always close —
-    a :func:`repro.parallel.default_executor` itself. ``ladder`` is passed
-    through to :func:`run_sampled_dse`.
+    fits. ``ladder`` is passed through to :func:`run_sampled_dse`.
     """
-    if executor is None and parallel is not None:
-        with default_executor(len(rates) * len(builders) * n_cv_reps, parallel) as ex:
-            return run_rate_sweep(space, builders, rates, rng,
-                                  n_cv_reps=n_cv_reps, executor=ex, ladder=ladder)
     return [
         run_sampled_dse(space, builders, rate, rng, n_cv_reps=n_cv_reps,
                         executor=executor, ladder=ladder)

@@ -79,7 +79,7 @@ class TaskFailure:
     attempts: int        # attempts consumed, including the final one
     error_type: str      # exception class name (or "TaskTimeout")
     message: str
-    kind: str = "exception"  # "exception" | "timeout" | "crash"
+    kind: str = "exception"  # "exception" | "timeout"
 
     def summary(self) -> str:
         return (

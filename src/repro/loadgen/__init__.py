@@ -4,7 +4,7 @@ The harness splits client traffic into orthogonal pieces:
 
 * :mod:`repro.loadgen.workloads` — *what and when*: seeded synthetic
   traffic shapes (static hot set, phase shift, oscillating, scan) with
-  open-loop (Poisson) or closed-loop pacing.
+  open-loop (Poisson) pacing.
 * :mod:`repro.loadgen.runner` — pace a request stream into a target (a
   live or daemonless service spool) and observe every outcome.
 

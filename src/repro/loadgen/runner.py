@@ -18,9 +18,8 @@ anything with two methods:
 
 :class:`ServiceTarget` (a live or daemonless spool) is the target that
 ships; the tests drive the same loop against a deterministic service
-model. Pacing is one loop for both disciplines: a request is issued once
-its planned ``t_offset`` has passed (open loop) *and* the concurrency
-window has room (closed loop; open loop passes ``concurrency=None``).
+model. Pacing is open loop: a request is issued once its planned
+``t_offset`` has passed, however many requests are still in flight.
 
 Time is injectable (``clock``/``sleep``) so the identical code path runs
 against the wall clock in benchmarks and against a virtual clock in
@@ -82,16 +81,14 @@ class ServiceTarget:
 
     Works identically against a live supervisor-backed daemon (workers
     drain the queue while we poll) and a bare spool that something else —
-    ``drain_queue``, a later daemon — will service. ``deadline_s`` rides
-    along on every submission.
+    ``drain_queue``, a later daemon — will service.
     """
 
-    def __init__(self, root: str, deadline_s: float | None = None) -> None:
+    def __init__(self, root: str) -> None:
         self.spool = JobSpool.ensure(root)
-        self.deadline_s = deadline_s
 
     def issue(self, spec: JobSpec) -> str:
-        return self.spool.submit(spec, deadline_s=self.deadline_s)
+        return self.spool.submit(spec)
 
     def completed(self, tokens: list[str]) -> dict[str, tuple[str, str | None]]:
         from repro.service.client import poll_jobs
@@ -113,22 +110,17 @@ class _Pending:
 
 
 def run_requests(requests: list[Request], target: Any, *,
-                 concurrency: int | None = None,
                  timeout_s: float = 120.0,
                  poll: float = 0.02,
                  clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep) -> LoadResult:
     """Issue ``requests`` against ``target`` and observe every outcome.
 
-    ``concurrency=None`` runs open loop: arrivals honour each request's
-    planned ``t_offset`` with unbounded
-    in-flight. An integer runs closed loop: at most that many requests in
-    flight, the next issued the moment a slot frees. Every request ends in
-    exactly one of :data:`OUTCOMES`; a token quiet past ``timeout_s``
-    times out rather than hanging the run.
+    Arrivals honour each request's planned ``t_offset`` with unbounded
+    in-flight (open loop). Every request ends in exactly one of
+    :data:`OUTCOMES`; a token quiet past ``timeout_s`` times out rather
+    than hanging the run.
     """
-    if concurrency is not None and concurrency < 1:
-        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     if timeout_s <= 0:
         raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
     t0 = clock()
@@ -136,16 +128,11 @@ def run_requests(requests: list[Request], target: Any, *,
     pending: dict[str, _Pending] = {}
     next_up = 0
 
-    def in_flight() -> int:
-        return sum(len(p.entries) for p in pending.values())
-
     while next_up < len(requests) or pending:
         progressed = False
         now = clock()
-        # Issue every request whose arrival has come and whose slot exists.
+        # Issue every request whose arrival has come.
         while next_up < len(requests):
-            if concurrency is not None and in_flight() >= concurrency:
-                break
             req = requests[next_up]
             if req.t_offset > now - t0:
                 break

@@ -11,11 +11,8 @@ split from real KV-store load drivers):
   small hot set. These mirror the synthetic key streams the eviction
   oracle replays, because the service's result/dedup layer *is* a cache
   and should be hammered with the same adversaries.
-* **When** it arrives — ``open``-loop pacing (Poisson arrivals at a target
-  rate: clients do not wait for each other, the queue absorbs bursts) or
-  ``closed``-loop pacing (a fixed concurrency window: each virtual client
-  issues its next request only after its previous one completes — the
-  runner enforces the window; offsets are all zero).
+* **When** it arrives — ``open``-loop pacing: Poisson arrivals at a target
+  rate; clients do not wait for each other, and the queue absorbs bursts.
 
 Everything is a pure function of ``WorkloadSpec.seed`` via per-stream
 ``random.Random`` instances — no global state — so the same spec always
@@ -43,16 +40,15 @@ __all__ = [
 WORKLOAD_SHAPES = ("static", "phase_shift", "oscillating", "scan")
 
 #: Arrival disciplines the pacer understands.
-PACING_MODES = ("open", "closed")
+PACING_MODES = ("open",)
 
 
 @dataclass(frozen=True)
 class Request:
     """One planned client request: what to submit and when.
 
-    ``t_offset`` is the planned arrival in seconds from run start — the
-    open-loop pacer's Poisson schedule, or ``0.0`` under closed-loop pacing
-    (arrival is "as soon as the concurrency window opens").
+    ``t_offset`` is the planned arrival in seconds from run start, on the
+    open-loop pacer's Poisson schedule.
     """
 
     i: int
@@ -66,14 +62,12 @@ class WorkloadSpec:
     """Complete, deterministic description of one traffic shape."""
 
     workload: str = "static"
-    pacing: str = "closed"
+    pacing: str = "open"
     n_requests: int = 100
     n_keys: int = 20
     seed: int = 0
     #: Open-loop mean arrival rate (requests/second of *planned* time).
     rate: float = 8.0
-    #: Closed-loop in-flight window (virtual client count).
-    concurrency: int = 4
     #: Fraction of the key space that is hot (static/scan shapes).
     hot_fraction: float = 0.2
     #: Probability a request draws from the hot set (static/phase_shift/scan).
@@ -96,8 +90,6 @@ class WorkloadSpec:
             raise ValueError(f"n_keys must be >= 2, got {self.n_keys}")
         if self.rate <= 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
-        if self.concurrency < 1:
-            raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
         if not 0.0 < self.hot_fraction < 1.0:
             raise ValueError(
                 f"hot_fraction must be in (0, 1), got {self.hot_fraction}")
@@ -233,13 +225,9 @@ class ReqGenEngine:
     def arrival_offsets(self) -> list[float]:
         """Planned arrival offsets (seconds from run start), non-decreasing.
 
-        Open loop draws exponential inter-arrival gaps (a Poisson process
-        at ``rate``); closed loop plans every arrival at ``0.0`` — the
-        runner's concurrency window is the clock there.
+        Exponential inter-arrival gaps: a Poisson process at ``rate``.
         """
         wl = self.wl
-        if wl.pacing == "closed":
-            return [0.0] * wl.n_requests
         rng = self._rng("arrivals")
         t = 0.0
         out = []

@@ -1,13 +1,8 @@
 """Parallel execution substrate (serial / process-pool map, partitioning,
 fault-tolerant wrapper with retries, timeouts, and checkpoint/resume)."""
 
-from repro.parallel.executor import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    default_executor,
-)
-from repro.parallel.partition import balanced_chunks, chunk_bounds, interleaved_chunks
+from repro.parallel.executor import Executor, ProcessExecutor, SerialExecutor
+from repro.parallel.partition import chunk_bounds
 from repro.parallel.resilient import (
     CheckpointJournal,
     FaultInjector,
@@ -20,10 +15,7 @@ __all__ = [
     "Executor",
     "ProcessExecutor",
     "SerialExecutor",
-    "default_executor",
-    "balanced_chunks",
     "chunk_bounds",
-    "interleaved_chunks",
     "CheckpointJournal",
     "FaultInjector",
     "ResilientExecutor",

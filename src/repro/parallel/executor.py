@@ -1,15 +1,16 @@
 """Executor abstraction: run independent tasks serially or across processes.
 
-The library's heavy loops — simulating 4608 microarchitecture configurations,
-training nine models per task, running repeated-holdout cross-validation —
-are embarrassingly parallel. All of them funnel through :class:`Executor` so
-callers choose the execution backend in one place:
+The library's heavy loops — design-space sweeps (a few fixed-length slices
+of the 4608 configurations), training nine models per task, running
+repeated-holdout cross-validation — are embarrassingly parallel. All of
+them funnel through :class:`Executor`, and callers hand the driver the
+backend they want:
 
 * ``SerialExecutor`` — plain loop; zero overhead, fully deterministic, the
   right default for tests and small inputs.
-* ``ProcessExecutor`` — ``concurrent.futures.ProcessPoolExecutor`` with
-  chunked dispatch. Results are always returned in input order, so parallel
-  and serial execution are bit-identical for deterministic task functions.
+* ``ProcessExecutor`` — ``concurrent.futures.ProcessPoolExecutor``.
+  Results are always returned in input order, so parallel and serial
+  execution are bit-identical for deterministic task functions.
 
 Task functions must be picklable (module-level functions or partials of
 them), per the usual multiprocessing contract.
@@ -22,7 +23,7 @@ from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Sequence, TypeVar
 
-__all__ = ["Executor", "SerialExecutor", "ProcessExecutor", "default_executor"]
+__all__ = ["Executor", "SerialExecutor", "ProcessExecutor"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -35,10 +36,6 @@ class Executor(ABC):
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         """Apply ``fn`` to every item and return results in input order."""
 
-    def starmap(self, fn: Callable[..., R], items: Sequence[tuple]) -> list[R]:
-        """Apply ``fn(*item)`` to every tuple item, preserving order."""
-        return self.map(_StarCall(fn), items)
-
     def close(self) -> None:
         """Release any backing resources (no-op by default)."""
 
@@ -47,16 +44,6 @@ class Executor(ABC):
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-
-class _StarCall:
-    """Picklable ``fn(*args)`` adapter (lambdas can't cross process borders)."""
-
-    def __init__(self, fn: Callable[..., Any]) -> None:
-        self.fn = fn
-
-    def __call__(self, args: tuple) -> Any:
-        return self.fn(*args)
 
 
 class SerialExecutor(Executor):
@@ -70,24 +57,16 @@ class SerialExecutor(Executor):
 
 
 class ProcessExecutor(Executor):
-    """Run tasks on a process pool, chunked to amortize IPC overhead.
+    """Run tasks on a process pool of ``max_workers`` (default: all CPUs).
 
-    Parameters
-    ----------
-    max_workers:
-        Pool size; defaults to ``os.cpu_count()``.
-    chunksize:
-        Items per dispatch; ``None`` picks ``ceil(n / (4 * workers))`` which
-        keeps per-item IPC cost low while still load-balancing.
+    :meth:`map` dispatches ``ceil(n / (4 * workers))`` items per chunk,
+    which keeps per-item IPC cost low while still load-balancing.
     """
 
-    def __init__(self, max_workers: int | None = None, chunksize: int | None = None) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and max_workers <= 0:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if chunksize is not None and chunksize <= 0:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         self.max_workers = max_workers or (os.cpu_count() or 1)
-        self.chunksize = chunksize
         self._pool: ProcessPoolExecutor | None = None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -96,8 +75,6 @@ class ProcessExecutor(Executor):
         return self._pool
 
     def _pick_chunksize(self, n_items: int) -> int:
-        if self.chunksize is not None:
-            return self.chunksize
         return max(1, -(-n_items // (4 * self.max_workers)))
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
@@ -140,15 +117,3 @@ class ProcessExecutor(Executor):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ProcessExecutor(max_workers={self.max_workers})"
-
-
-def default_executor(n_items: int | None = None, parallel: bool | None = None) -> Executor:
-    """Choose an executor.
-
-    ``parallel=None`` auto-selects: processes when the host has >1 CPU and the
-    workload is large enough (>= 256 items) to amortize pool startup.
-    """
-    if parallel is None:
-        cpus = os.cpu_count() or 1
-        parallel = cpus > 1 and (n_items is None or n_items >= 256)
-    return ProcessExecutor() if parallel else SerialExecutor()

@@ -1,7 +1,8 @@
 """Deterministic work partitioning for parallel sweeps.
 
-Design-space sweeps fan thousands of independent simulations across worker
-processes. These helpers split index ranges into balanced chunks so that
+Design-space sweeps fan slices of the configuration list across worker
+processes. :func:`chunk_bounds` splits an index range into balanced chunks
+so that
 
 * every chunk's work is contiguous (cache-friendly when slicing arrays),
 * the partition is a function of (n_items, n_chunks) only — independent of
@@ -11,11 +12,7 @@ processes. These helpers split index ranges into balanced chunks so that
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, TypeVar
-
-__all__ = ["balanced_chunks", "chunk_bounds", "interleaved_chunks"]
-
-T = TypeVar("T")
+__all__ = ["chunk_bounds"]
 
 
 def chunk_bounds(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -38,22 +35,3 @@ def chunk_bounds(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
         bounds.append((start, start + size))
         start += size
     return bounds
-
-
-def balanced_chunks(items: Sequence[T], n_chunks: int) -> Iterator[Sequence[T]]:
-    """Yield contiguous balanced slices of ``items``."""
-    for start, stop in chunk_bounds(len(items), n_chunks):
-        yield items[start:stop]
-
-
-def interleaved_chunks(items: Sequence[T], n_chunks: int) -> Iterator[list[T]]:
-    """Yield round-robin chunks (``items[i::n_chunks]``).
-
-    Useful when per-item cost varies systematically along the sequence
-    (e.g. design-space enumeration orders configs from small to large
-    caches): interleaving balances cost without profiling.
-    """
-    if n_chunks <= 0:
-        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
-    for i in range(min(n_chunks, len(items)) or 0):
-        yield list(items[i::n_chunks])

@@ -1,11 +1,12 @@
 """Resilient execution: retries, timeouts, checkpoint/resume, fault injection.
 
-The library's sweeps are long and embarrassingly parallel — 4608 simulated
-configurations per application, nine models times five holdout repetitions —
-and a single crashed worker or hung task must not throw the whole run away.
-:class:`ResilientExecutor` wraps any :class:`~repro.parallel.Executor` and
-adds, without changing the ``map``/``starmap`` contract (results always come
-back complete and in input order, or an exception is raised):
+The library's sweeps are long and embarrassingly parallel — slices of 4608
+simulated configurations per application, nine models times five holdout
+repetitions — and a single crashed worker or hung task must not throw the
+whole run away. :class:`ResilientExecutor` wraps any
+:class:`~repro.parallel.Executor` and adds, without changing the ``map``
+contract (results always come back complete and in input order, or an
+exception is raised):
 
 * **Retries** — a :class:`RetryPolicy` with exponential backoff and
   deterministic jitter (seeded via :mod:`repro.util.rng`, so reruns sleep
@@ -18,9 +19,9 @@ back complete and in input order, or an exception is raised):
   by a stable task fingerprint) records every completed task; a resumed
   sweep skips work already journaled and returns bit-identical results.
 * **Graceful degradation** — on ``BrokenProcessPool`` (a worker died
-  mid-task) the pool is rebuilt up to ``max_pool_rebuilds`` times, then the
-  remaining work falls back to in-process serial execution; every downgrade
-  is recorded in :attr:`ResilientExecutor.events`.
+  mid-task) the pool is rebuilt once; a second death finishes the remaining
+  work in-process, serially. Every downgrade is recorded in
+  :attr:`ResilientExecutor.events`.
 * **Fault injection** — a seeded :class:`FaultInjector` can probabilistically
   (or at chosen task indices) raise exceptions, inject delays, or hard-crash
   pool workers, for chaos testing the layers above.
@@ -72,6 +73,10 @@ __all__ = [
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: ``BrokenProcessPool`` events absorbed by rebuilding the pool; the next
+#: one finishes the remaining work serially.
+_POOL_REBUILDS = 1
 
 
 def task_fingerprint(fn: Callable, index: int, item: Any) -> str:
@@ -320,26 +325,6 @@ class _TaskCall:
         return self.fn(item)
 
 
-class _ChunkCall:
-    """Picklable wrapper running a batch of task attempts in one dispatch.
-
-    Returns one ``(ok, value_or_exception)`` pair per task, so a single bad
-    task inside a chunk fails alone instead of poisoning its chunk-mates.
-    """
-
-    def __init__(self, call: _TaskCall) -> None:
-        self.call = call
-
-    def __call__(self, payload: list[tuple[int, int, Any]]) -> list[tuple[bool, Any]]:
-        out: list[tuple[bool, Any]] = []
-        for packed in payload:
-            try:
-                out.append((True, self.call(packed)))
-            except Exception as exc:
-                out.append((False, exc))
-        return out
-
-
 @dataclass
 class _Pending:
     """One schedulable task attempt."""
@@ -369,12 +354,6 @@ class ResilientExecutor(Executor):
         ``CheckpointJournal(path, resume=True)`` to skip completed tasks.
     injector:
         Optional chaos harness applied to every task attempt.
-    max_pool_rebuilds:
-        How many ``BrokenProcessPool`` events to absorb by rebuilding the
-        pool before degrading to serial execution.
-    fall_back_to_serial:
-        Whether to finish remaining work in-process once the rebuild budget
-        is spent. When False, un-run tasks are recorded as crash failures.
     """
 
     def __init__(
@@ -385,8 +364,6 @@ class ResilientExecutor(Executor):
         task_timeout: float | None = None,
         journal: CheckpointJournal | str | Path | None = None,
         injector: FaultInjector | None = None,
-        max_pool_rebuilds: int = 1,
-        fall_back_to_serial: bool = True,
         seed: int = 0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -399,8 +376,6 @@ class ResilientExecutor(Executor):
             journal = CheckpointJournal(journal)
         self.journal = journal
         self.injector = injector
-        self.max_pool_rebuilds = max_pool_rebuilds
-        self.fall_back_to_serial = fall_back_to_serial
         self.seed = seed
         self._sleep = sleep
         #: Operational log: "pool-rebuild", "serial-downgrade",
@@ -523,59 +498,6 @@ class ResilientExecutor(Executor):
 
     # -- process-pool backend ----------------------------------------------
 
-    def _drain_chunked(
-        self,
-        wrapped: "_TaskCall",
-        items: list[Any],
-        fps: list[str],
-        pending: deque,
-        results: list[Any],
-        failures: list[TaskFailure],
-    ) -> None:
-        """First-pass dispatch in chunks: one IPC round-trip per chunk.
-
-        Per-task submits cost a pickling round-trip each — 4608 of them for a
-        full design sweep. When no per-task timeout or fault injector needs
-        task-level dispatch, the initial attempts ride in chunks sized by the
-        pool's heuristic; each task inside a chunk still succeeds or fails
-        individually (journaled and retried exactly as before). Tasks needing
-        a retry, and everything after a pool crash, drop back to the per-task
-        loop, which owns backoff timing and the rebuild budget.
-        """
-        pool: ProcessExecutor = self.inner  # type: ignore[assignment]
-        chunksize = pool._pick_chunksize(len(pending))
-        if chunksize <= 1:
-            return
-        tasks = list(pending)
-        pending.clear()
-        chunks = [tasks[i:i + chunksize] for i in range(0, len(tasks), chunksize)]
-        chunk_call = _ChunkCall(wrapped)
-        futures = []
-        broken = False
-        for chunk in chunks:
-            if broken:
-                pending.extend(chunk)
-                continue
-            payload = [(t.index, t.attempt, items[t.index]) for t in chunk]
-            try:
-                futures.append((chunk, pool.submit(chunk_call, payload)))
-            except BrokenProcessPool:
-                pending.extend(chunk)
-                broken = True
-        for chunk, fut in futures:
-            try:
-                outcomes = fut.result()
-            except BrokenProcessPool:
-                # Not these tasks' fault: requeue at the same attempt and let
-                # the per-task loop spend the rebuild budget.
-                pending.extend(chunk)
-                continue
-            for task, (ok, value) in zip(chunk, outcomes):
-                if ok:
-                    self._complete(task.index, fps[task.index], value, results)
-                else:
-                    self._on_error(task, value, fps, pending, failures)
-
     def _run_pool(
         self,
         wrapped: _TaskCall,
@@ -586,12 +508,7 @@ class ResilientExecutor(Executor):
         failures: list[TaskFailure],
     ) -> None:
         pool: ProcessExecutor = self.inner  # type: ignore[assignment]
-        if self.task_timeout is None and self.injector is None:
-            # Chunked first pass; leftovers (retries, crash requeues) below.
-            self._drain_chunked(wrapped, items, fps, pending, results, failures)
-            if not pending and not failures:
-                return
-        rebuilds_left = self.max_pool_rebuilds
+        rebuilds_left = _POOL_REBUILDS
         # Window = pool width: every submitted task starts immediately, so
         # the per-task timeout clock (started at submit) is fair.
         window = max(1, pool.max_workers)
@@ -653,7 +570,7 @@ class ResilientExecutor(Executor):
                     else:
                         self._complete(task.index, fps[task.index], value, results)
 
-            # 3) Pool death: rebuild, degrade to serial, or give up.
+            # 3) Pool death: rebuild once, then degrade to serial.
             if broken:
                 requeue_inflight()
                 if rebuilds_left > 0:
@@ -662,23 +579,11 @@ class ResilientExecutor(Executor):
                     self.events.append("pool-rebuild")
                     _metrics().counter("executor.pool_rebuilds").inc()
                     continue
-                if self.fall_back_to_serial:
-                    self.events.append("serial-downgrade")
-                    _metrics().counter("executor.serial_downgrades").inc()
-                    ordered = deque(sorted(pending, key=lambda t: t.index))
-                    pending.clear()
-                    self._run_serial(wrapped, items, fps, ordered, results, failures)
-                    return
-                for task in sorted(pending, key=lambda t: t.index):
-                    failures.append(TaskFailure(
-                        index=task.index,
-                        fingerprint=fps[task.index],
-                        attempts=task.attempt,
-                        error_type="BrokenProcessPool",
-                        message="worker process died and pool rebuild budget is spent",
-                        kind="crash",
-                    ))
+                self.events.append("serial-downgrade")
+                _metrics().counter("executor.serial_downgrades").inc()
+                ordered = deque(sorted(pending, key=lambda t: t.index))
                 pending.clear()
+                self._run_serial(wrapped, items, fps, ordered, results, failures)
                 return
 
             # 4) Enforce per-task timeouts; kill the pool to reclaim hung

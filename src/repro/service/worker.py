@@ -133,9 +133,9 @@ class _SweepTask:
 
     Runs in the worker process itself (serial inner executor), so it may
     hold live references to the spool. Checkpoint fingerprints hash the
-    task *payload* ``(config, profile, n_instructions)`` — identical to the
-    simulator's own scalar path — plus this class's qualname, so resumed
-    journals match across worker generations.
+    task *payload* ``(config, profile, n_instructions)`` — the tuple
+    :func:`repro.simulator.interval._eval_cycles` evaluates — plus this
+    class's qualname, so resumed journals match across worker generations.
     """
 
     def __init__(self, spool: JobSpool, worker: str, job_id: str,

@@ -13,8 +13,8 @@ deterministic implementations:
   protocol (``issue``/``completed``): content-fingerprint dedup like the
   real spool, seeded per-job service times, optional admission shedding
   (in-flight bound, mirroring ``max_depth``) and every-Nth-job failure
-  injection. It also tracks ``max_in_flight`` so closed-loop concurrency
-  claims are assertable.
+  injection. It also tracks ``max_in_flight`` so open-loop overlap claims
+  are assertable.
 """
 
 from __future__ import annotations

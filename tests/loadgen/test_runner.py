@@ -12,7 +12,7 @@ from repro.loadgen import (
     run_requests,
 )
 from repro.loadgen.workloads import Request
-from repro.service import JobSpec, SpoolConfig, JobSpool, drain_queue
+from repro.service import SpoolConfig, JobSpool, drain_queue
 
 from .fakes import SimTarget, VirtualClock
 
@@ -34,7 +34,6 @@ class TestSimRuns:
         target, clock = _sim_pair(seed=1)
         wl = WorkloadSpec(workload="static", n_requests=40, n_keys=10, seed=1)
         result = run_requests(build_requests(wl), target,
-                              concurrency=wl.concurrency,
                               clock=clock, sleep=clock.sleep)
         assert len(result.outcomes) == 40
         assert sorted(o.i for o in result.outcomes) == list(range(40))
@@ -46,7 +45,7 @@ class TestSimRuns:
 
         def once():
             target, clock = _sim_pair(seed=7, fail_every=5)
-            return run_requests(build_requests(wl), target, concurrency=None,
+            return run_requests(build_requests(wl), target,
                                 clock=clock, sleep=clock.sleep)
 
         a, b = once(), once()
@@ -65,7 +64,7 @@ class TestSimRuns:
     def test_latencies_match_the_sim_service_times(self):
         target, clock = _sim_pair(seed=4)
         requests = _distinct_requests(5)
-        result = run_requests(requests, target, concurrency=1,
+        result = run_requests(requests, target,
                               clock=clock, sleep=clock.sleep, poll=0.001)
         for outcome in result.outcomes:
             assert outcome.outcome == "done"
@@ -75,17 +74,11 @@ class TestSimRuns:
 
 
 class TestPacing:
-    def test_closed_loop_respects_the_window(self):
-        target, clock = _sim_pair(seed=5)
-        result = run_requests(_distinct_requests(20), target, concurrency=3,
-                              clock=clock, sleep=clock.sleep)
-        assert result.counts()["done"] == 20
-        assert target.max_in_flight <= 3
-
     def test_open_loop_overlaps_beyond_any_window(self):
         target, clock = _sim_pair(seed=5)
-        run_requests(_distinct_requests(20), target, concurrency=None,
-                     clock=clock, sleep=clock.sleep)
+        result = run_requests(_distinct_requests(20), target,
+                              clock=clock, sleep=clock.sleep)
+        assert result.counts()["done"] == 20
         assert target.max_in_flight > 3
 
     def test_open_loop_honours_planned_offsets(self):
@@ -102,8 +95,6 @@ class TestPacing:
     def test_bad_arguments_rejected(self):
         target, clock = _sim_pair()
         with pytest.raises(ValueError):
-            run_requests([], target, concurrency=0)
-        with pytest.raises(ValueError):
             run_requests([], target, timeout_s=0.0)
 
 
@@ -111,7 +102,7 @@ class TestShedAndTimeout:
     def test_shed_requests_are_recorded_not_raised(self):
         target, clock = _sim_pair(seed=7, max_in_flight_allowed=2,
                                   base_latency=5.0, jitter=0.0)
-        result = run_requests(_distinct_requests(6), target, concurrency=None,
+        result = run_requests(_distinct_requests(6), target,
                               clock=clock, sleep=clock.sleep, timeout_s=30.0)
         counts = result.counts()
         assert counts["shed"] == 4 and counts["done"] == 2
@@ -144,14 +135,15 @@ class TestServiceTarget:
         root = str(tmp_path / "spool")
         target = ServiceTarget(root)
         wl = WorkloadSpec(workload="static", n_requests=8, n_keys=3, seed=2,
-                          concurrency=4)
+                          rate=1000.0)
         requests = build_requests(wl, SpecCatalog(n_instructions=50_000))
-        # Interleave the runner with an inline worker: issue everything
-        # (closed window), drain, then let the runner observe completions.
+        # Interleave the runner with an inline worker: issue the first
+        # requests and drain them, then let the runner observe completions
+        # while every sleep drains whatever it issued since.
         for req in requests[:4]:
             target.issue(req.spec)
         drain_queue(target.spool)
-        result = run_requests(requests, target, concurrency=4, timeout_s=30.0,
+        result = run_requests(requests, target, timeout_s=30.0,
                               poll=0.01,
                               sleep=lambda s: drain_queue(target.spool))
         assert result.counts()["done"] == 8
@@ -162,15 +154,9 @@ class TestServiceTarget:
         JobSpool.ensure(root, SpoolConfig(max_depth=2))
         target = ServiceTarget(str(root))
         requests = _distinct_requests(5, n_instructions=50_000)
-        result = run_requests(requests, target, concurrency=None,
+        result = run_requests(requests, target,
                               timeout_s=1.0, poll=0.2)
         counts = result.counts()
         assert counts["shed"] == 3
         # Nothing drains the spool, so admitted jobs time out.
         assert counts["timeout"] == 2
-
-    def test_deadline_rides_along(self, tmp_path):
-        target = ServiceTarget(str(tmp_path / "spool"), deadline_s=9.5)
-        spec = JobSpec(kind="sweep", app="gcc", start=0, stop=2)
-        jid = target.issue(spec)
-        assert target.spool.jobs()[jid].deadline_s == 9.5

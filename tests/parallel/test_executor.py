@@ -1,23 +1,14 @@
 """Tests for the executor abstraction (serial / process-pool)."""
 
 import math
-import os
 
 import pytest
 
-from repro.parallel.executor import (
-    ProcessExecutor,
-    SerialExecutor,
-    default_executor,
-)
+from repro.parallel.executor import ProcessExecutor, SerialExecutor
 
 
 def _square(x):
     return x * x
-
-
-def _add(a, b):
-    return a + b
 
 
 class TestSerialExecutor:
@@ -27,9 +18,6 @@ class TestSerialExecutor:
 
     def test_empty_input(self):
         assert SerialExecutor().map(_square, []) == []
-
-    def test_starmap(self):
-        assert SerialExecutor().starmap(_add, [(1, 2), (3, 4)]) == [3, 7]
 
     def test_context_manager(self):
         with SerialExecutor() as ex:
@@ -47,41 +35,16 @@ class TestProcessExecutor:
             assert ex.map(_square, [5]) == [25]
             assert ex._pool is None  # pool never started
 
-    def test_starmap(self):
-        with ProcessExecutor(max_workers=2) as ex:
-            assert ex.starmap(_add, [(1, 2), (3, 4)]) == [3, 7]
-
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             ProcessExecutor(max_workers=0)
-        with pytest.raises(ValueError):
-            ProcessExecutor(chunksize=0)
 
     def test_chunksize_heuristic(self):
         ex = ProcessExecutor(max_workers=4)
         assert ex._pick_chunksize(1600) == math.ceil(1600 / 16)
         assert ex._pick_chunksize(1) == 1
 
-    def test_explicit_chunksize_respected(self):
-        ex = ProcessExecutor(max_workers=2, chunksize=7)
-        assert ex._pick_chunksize(1000) == 7
-
     def test_reuse_after_map(self):
         with ProcessExecutor(max_workers=2) as ex:
             assert ex.map(_square, [1, 2, 3]) == [1, 4, 9]
             assert ex.map(_square, [4, 5, 6]) == [16, 25, 36]
-
-
-class TestDefaultExecutor:
-    def test_small_workload_serial(self):
-        assert isinstance(default_executor(n_items=10), SerialExecutor)
-
-    def test_explicit_flag_wins(self):
-        assert isinstance(default_executor(n_items=10, parallel=True), ProcessExecutor)
-        assert isinstance(default_executor(n_items=10_000, parallel=False), SerialExecutor)
-
-    def test_large_workload_parallel_when_multicore(self):
-        ex = default_executor(n_items=10_000)
-        if (os.cpu_count() or 1) > 1:
-            assert isinstance(ex, ProcessExecutor)
-        ex.close()

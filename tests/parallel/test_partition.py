@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.parallel.partition import balanced_chunks, chunk_bounds, interleaved_chunks
+from repro.parallel.partition import chunk_bounds
 
 
 class TestChunkBounds:
@@ -35,26 +35,3 @@ class TestChunkBounds:
     def test_sizes_differ_by_at_most_one(self, n, k):
         sizes = [hi - lo for lo, hi in chunk_bounds(n, k)]
         assert max(sizes) - min(sizes) <= 1
-
-
-class TestBalancedChunks:
-    def test_slices_match_bounds(self):
-        items = list(range(7))
-        chunks = list(balanced_chunks(items, 3))
-        assert chunks == [[0, 1, 2], [3, 4], [5, 6]]
-
-
-class TestInterleavedChunks:
-    def test_round_robin(self):
-        chunks = list(interleaved_chunks(list(range(7)), 3))
-        assert chunks == [[0, 3, 6], [1, 4], [2, 5]]
-
-    def test_rejects_zero_chunks(self):
-        with pytest.raises(ValueError):
-            list(interleaved_chunks([1], 0))
-
-    @given(st.lists(st.integers(), max_size=100), st.integers(1, 16))
-    def test_partition_property(self, items, k):
-        chunks = list(interleaved_chunks(items, k))
-        flat = sorted(x for c in chunks for x in c)
-        assert flat == sorted(items)

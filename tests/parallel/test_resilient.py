@@ -6,6 +6,8 @@ runs), worker-crash recovery (pool rebuild then serial downgrade), and the
 seeded failure-injection harness itself.
 """
 
+import json
+import os
 import pickle
 import time
 
@@ -100,10 +102,6 @@ class TestSerialResilience:
     def test_plain_map_matches_serial(self):
         with ResilientExecutor() as ex:
             assert ex.map(_double, range(10)) == [2 * i for i in range(10)]
-
-    def test_starmap_passthrough(self):
-        with ResilientExecutor() as ex:
-            assert ex.starmap(lambda a, b: a + b, [(1, 2), (3, 4)]) == [3, 7]
 
     def test_transient_fault_is_retried(self):
         ex = ResilientExecutor(
@@ -292,16 +290,6 @@ class TestProcessPoolResilience:
             assert "pool-rebuild" in ex.events
             assert "serial-downgrade" in ex.events
 
-    def test_crash_without_fallback_records_crash_failures(self):
-        inj = FaultInjector(crash_indices=(0,))
-        with ResilientExecutor(ProcessExecutor(max_workers=2), injector=inj,
-                               retry=NO_BACKOFF, max_pool_rebuilds=0,
-                               fall_back_to_serial=False) as ex:
-            with pytest.raises(SweepAborted) as ei:
-                ex.map(_double, range(4))
-        assert all(f.kind == "crash" for f in ei.value.failures)
-        assert ei.value.failures[0].error_type == "BrokenProcessPool"
-
     def test_timeout_kills_hung_worker(self):
         with ResilientExecutor(ProcessExecutor(max_workers=2),
                                task_timeout=1.0,
@@ -340,45 +328,83 @@ class TestProcessPoolResilience:
 
 
 class TestSweepIntegration:
-    """The design-space sweep driver survives interruption and resumes."""
+    """The design-space sweep runs fixed-length slices through any executor:
+    interrupted sweeps resume, and every backend is bit-identical."""
 
     def test_interrupted_design_sweep_resumes_bit_identical(self, tmp_path, design_space):
         from repro.simulator import get_profile, sweep_design_space
+        from repro.simulator.interval import SWEEP_SLICE
 
-        configs = design_space[:40]
         profile = get_profile("gzip")
-        reference = sweep_design_space(configs, profile)  # plain serial
+        reference = sweep_design_space(design_space, profile, method="scalar")
+        n_slices = -(-len(design_space) // SWEEP_SLICE)
 
+        # Slice 3 fails on every attempt: the other slices are journaled.
         path = tmp_path / "sweep.jsonl"
         ex1 = ResilientExecutor(
             journal=CheckpointJournal(path),
-            injector=FaultInjector(fail_indices=(20,)),
+            injector=FaultInjector(fail_indices=(3,)),
             retry=RetryPolicy(max_attempts=1))
         with pytest.raises(SweepAborted) as ei:
-            sweep_design_space(configs, profile, executor=ex1)
-        assert ei.value.n_completed == 39
+            sweep_design_space(design_space, profile, executor=ex1)
+        assert ei.value.n_completed == n_slices - 1
+        assert [f.index for f in ei.value.failures] == [3]
 
         ex2 = ResilientExecutor(journal=CheckpointJournal(path, resume=True))
-        resumed = sweep_design_space(configs, profile, executor=ex2)
+        resumed = sweep_design_space(design_space, profile, executor=ex2)
         np.testing.assert_array_equal(resumed, reference)  # bit-identical
-        assert any(e.startswith("restored:39") for e in ex2.events)
+        assert f"restored:{n_slices - 1}" in ex2.events
+        assert len(path.read_text().splitlines()) == n_slices
 
-    def test_sweep_parallel_flag_closes_pool(self, design_space, monkeypatch):
-        from repro.parallel import executor as executor_mod
+    def test_pool_sweep_matches_serial_batch_and_scalar(self, design_space):
         from repro.simulator import get_profile, sweep_design_space
 
-        closed = []
-        orig_close = executor_mod.SerialExecutor.close
+        profile = get_profile("mcf")
+        serial = sweep_design_space(design_space, profile)
+        scalar = sweep_design_space(design_space, profile, method="scalar")
+        with ProcessExecutor(max_workers=2) as ex:
+            pooled = sweep_design_space(design_space, profile, executor=ex)
+        np.testing.assert_array_equal(pooled, serial)
+        np.testing.assert_array_equal(pooled, scalar)
 
-        def tracking_close(self):
-            closed.append(self)
-            return orig_close(self)
+    def test_slice_fingerprints_do_not_depend_on_cpu_count(
+            self, tmp_path, design_space, monkeypatch):
+        from repro.simulator import get_profile, sweep_design_space
+        from repro.simulator.interval import SWEEP_SLICE
 
-        monkeypatch.setattr(executor_mod.SerialExecutor, "close", tracking_close)
-        out = sweep_design_space(design_space[:8], get_profile("gzip"),
-                                 parallel=False)
-        assert len(out) == 8
-        assert closed, "internally created executor was never closed"
+        profile = get_profile("applu")
+        fingerprints = []
+        for cpus in (1, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            path = tmp_path / f"cpus{cpus}.jsonl"
+            with ResilientExecutor(journal=CheckpointJournal(path)) as ex:
+                sweep_design_space(design_space, profile, executor=ex)
+            fingerprints.append(
+                [json.loads(line)["fp"] for line in path.read_text().splitlines()])
+        assert fingerprints[0] == fingerprints[1]
+        assert len(fingerprints[0]) == -(-len(design_space) // SWEEP_SLICE)
+
+    def test_pool_journal_resumes_in_a_serial_run(self, tmp_path, design_space):
+        from repro.simulator import get_profile, sweep_design_space
+
+        profile = get_profile("swim")
+        configs = design_space[:1500]
+        path = tmp_path / "sweep.jsonl"
+        with ResilientExecutor(ProcessExecutor(max_workers=2),
+                               journal=CheckpointJournal(path)) as ex:
+            pooled = sweep_design_space(configs, profile, executor=ex)
+        with ResilientExecutor(journal=CheckpointJournal(path, resume=True)) as ex:
+            resumed = sweep_design_space(configs, profile, executor=ex)
+        np.testing.assert_array_equal(resumed, pooled)
+        assert "restored:3" in ex.events
+
+    def test_scalar_oracle_takes_no_executor(self, design_space):
+        from repro.parallel import SerialExecutor
+        from repro.simulator import get_profile, sweep_design_space
+
+        with pytest.raises(ValueError, match="scalar"):
+            sweep_design_space(design_space[:4], get_profile("gcc"),
+                               executor=SerialExecutor(), method="scalar")
 
 
 class TestDriverDeterminism:

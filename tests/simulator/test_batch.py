@@ -207,12 +207,12 @@ class TestSweepMethods:
         scalar = sweep_design_space(subset, profile, method="scalar")
         assert np.array_equal(batch, scalar)
 
-    def test_auto_is_batch_when_serial(self, design_space):
+    def test_default_method_matches_scalar(self, design_space):
         profile = get_profile("gcc")
         subset = design_space[:16]
-        auto = sweep_design_space(subset, profile)
+        default = sweep_design_space(subset, profile)
         scalar = sweep_design_space(subset, profile, method="scalar")
-        assert np.array_equal(auto, scalar)
+        assert np.array_equal(default, scalar)
 
     def test_unknown_method_rejected(self, design_space):
         with pytest.raises(ValueError, match="method"):
