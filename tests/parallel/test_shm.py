@@ -26,12 +26,19 @@ class TestRoundTrip:
         assert np.array_equal(out["arr"], obj["arr"])
         assert out["meta"] == obj["meta"]
 
-    def test_inline_fallback_round_trip(self):
-        obj = [1, 2, 3]
-        with SharedPayload(obj, use_shm=False) as shipped:
-            assert shipped.handle.name is None
-            assert shipped.handle.inline is not None
-            assert attach_payload(shipped.handle) == obj
+    def test_inline_fallback_round_trip(self, monkeypatch):
+        """No shared memory (no module, or /dev/shm refuses the block):
+        the pickled bytes ride inline in the handle instead."""
+        refused = staticmethod(lambda payload, digest: None)
+        for target, name, value in ((SharedPayload, "_create_segment", refused),
+                                    (shm_mod, "_shm", None)):
+            monkeypatch.setattr(target, name, value)
+            obj = {"x": np.arange(5)}
+            with SharedPayload(obj) as shipped:
+                assert shipped.handle.name is None
+                assert shipped.handle.inline is not None
+                assert np.array_equal(attach_payload(shipped.handle)["x"], obj["x"])
+            shm_mod._ATTACHED.clear()
 
     def test_attach_is_memoized_per_process(self):
         with SharedPayload({"x": 1}) as shipped:
