@@ -11,7 +11,8 @@ Every regenerated table is printed and also written to
 Environment knobs:
 
 * ``REPRO_BENCH_FAST=1`` — reduce sampling rates and CV repetitions for a
-  quick smoke run (the full run takes ~10-20 minutes).
+  quick smoke run (the full ``pytest benchmarks/ --benchmark-only`` run
+  took 2 min 51 s on a 2-core x86 host).
 """
 
 from __future__ import annotations

@@ -207,7 +207,7 @@ def _make_ladder(args: argparse.Namespace):
 def _add_resilience(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("fault tolerance")
     g.add_argument("--parallel", action="store_true",
-                   help="run sweep tasks on a process pool")
+                   help="run tasks (sweep slices, holdout estimates) on a process pool")
     g.add_argument("--retries", type=int, default=0, metavar="N",
                    help="retry each failed task up to N times "
                         "(exponential backoff, deterministic jitter)")

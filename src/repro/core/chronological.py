@@ -18,7 +18,7 @@ import numpy as np
 from repro.errors import DataIntegrityError
 from repro.ml.dataset import Dataset
 from repro.ml.metrics import ErrorSummary, summarize_errors
-from repro.ml.selection import ErrorEstimate, ModelBuilder, estimate_error
+from repro.ml.selection import ErrorEstimate, ModelBuilder, estimate_errors
 from repro.obs import phase as _obs_phase
 from repro.parallel.executor import Executor
 from repro.specdata.generator import generate_family_records
@@ -107,8 +107,9 @@ def run_chronological(
     Every candidate trains on the ``train_year`` announcements; errors are
     measured on ``test_year``. CV estimates on the training year are also
     computed (the paper uses them to pick the deployment model before the
-    future data exists). ``executor`` fans out the holdout fits without
-    changing any number (shared randomness stays in this driver). With a
+    future data exists). ``executor`` runs each whole holdout estimate as
+    one task without changing any number (shared randomness stays in this
+    driver). With a
     ``ladder``, numerical failures and gate rejections degrade each model
     down the fallback chain instead of aborting the family; clean fits are
     bit-identical to a ladder-less run.
@@ -129,6 +130,9 @@ def run_chronological(
     deployed: dict[str, str] = {}
     with _obs_phase("chronological", family=family, train_year=train_year,
                     test_year=test_year, n_models=len(builders)):
+        if ladder is None:
+            estimates = estimate_errors(builders, train, rng, n_reps=n_cv_reps,
+                                        executor=executor)
         for label, builder in builders.items():
             if ladder is not None:
                 model, estimates[label], walk = ladder.fit_model(
@@ -136,9 +140,6 @@ def run_chronological(
                     executor=executor)
                 deployed[label] = walk.deployed
             else:
-                estimates[label] = estimate_error(builder, train, rng,
-                                                  n_reps=n_cv_reps,
-                                                  executor=executor)
                 model = builder()
                 with _obs_phase("train", model=label, n_records=train.n_records):
                     model.fit(train)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from repro.ml.dataset import Dataset
-from repro.ml.selection import ErrorEstimate, ModelBuilder, estimate_error
+from repro.ml.selection import ErrorEstimate, ModelBuilder, estimate_errors
 from repro.obs import phase as _obs_phase
 from repro.parallel.executor import Executor
 from repro.util.stats import mean_absolute_percentage_error
@@ -107,11 +107,12 @@ def run_sampled_dse(
         ``"max"`` (paper default) or ``"mean"`` — which estimate drives the
         select meta-method.
     executor:
-        Optional executor for the holdout repetitions (the heavy model
-        fits). All shared randomness stays in this driver, so results are
-        bit-identical with and without an executor — and a
-        :class:`repro.parallel.ResilientExecutor` adds retry, timeout, and
-        checkpoint/resume behaviour without changing the numbers.
+        Optional executor for the holdout estimates (the heavy model fits),
+        one task per whole estimate. All shared randomness stays in this
+        driver, so results are bit-identical with and without an executor —
+        and a :class:`repro.parallel.ResilientExecutor` adds retry, timeout,
+        and checkpoint/resume (one journal line per estimate) behaviour
+        without changing the numbers.
     ladder:
         Optional :class:`~repro.robust.ladder.DegradationLadder`. When set,
         each model is trained through the ladder: numerical failures and
@@ -128,6 +129,9 @@ def run_sampled_dse(
                     n_models=len(builders)):
         sample, _ = space.sample(n, rng)
 
+        if ladder is None:
+            estimates = estimate_errors(builders, sample, rng, n_reps=n_cv_reps,
+                                        executor=executor)
         outcomes: dict[str, ModelOutcome] = {}
         for label, builder in builders.items():
             deployed: str | None = None
@@ -137,8 +141,7 @@ def run_sampled_dse(
                     executor=executor)
                 deployed = walk.deployed
             else:
-                estimate = estimate_error(builder, sample, rng, n_reps=n_cv_reps,
-                                          executor=executor)
+                estimate = estimates[label]
                 model = builder()
                 with _obs_phase("train", model=label, n_records=sample.n_records):
                     model.fit(sample)

@@ -29,7 +29,7 @@ from repro.util.stats import mean_absolute_percentage_error
 if TYPE_CHECKING:  # import cycle: repro.robust.gates imports this module
     from repro.robust.gates import ValidationGate
 
-__all__ = ["ErrorEstimate", "estimate_error", "select_model", "ModelBuilder"]
+__all__ = ["ErrorEstimate", "estimate_error", "estimate_errors", "select_model", "ModelBuilder"]
 
 #: A zero-argument factory producing a fresh, unfit model.
 ModelBuilder = Callable[[], PredictiveModel]
@@ -63,39 +63,64 @@ class ErrorEstimate:
         return self.max if statistic == "max" else self.mean
 
 
-def _holdout_reps(builder: ModelBuilder, parts: list[tuple[Dataset, Dataset]]) -> list[float]:
-    """Holdout repetitions: per ``(fit, eval)`` pair, fit a fresh model on
-    one half and score MAPE on the other. The fits go through the model's
-    :meth:`~repro.ml.base.PredictiveModel.fit_many`, so models that can
-    share training work do."""
-    models = [builder() for _ in parts]
-    type(models[0]).fit_many(models, [fit_part for fit_part, _ in parts])
-    return [mean_absolute_percentage_error(model.predict(eval_part), eval_part.target)
-            for model, (_, eval_part) in zip(models, parts)]
+def _holdout_reps(builder: ModelBuilder, train: Dataset,
+                  splits: list[tuple[np.ndarray, np.ndarray]]) -> ErrorEstimate:
+    """One whole estimate: per ``(fit, eval)`` index pair, fit a fresh model
+    on one half of ``train`` and score MAPE on the other. The fits go through
+    :meth:`~repro.ml.base.PredictiveModel.fit_many`, so models that can share
+    training work do (an estimate's NN builds train in lockstep)."""
+    models = [builder() for _ in splits]
+    name = models[0].name
+    with _obs_phase("holdout", model=name, n_reps=len(splits),
+                    n_records=train.n_records):
+        parts = [(train.take(s), train.take(r)) for s, r in splits]
+        type(models[0]).fit_many(models, [fit_part for fit_part, _ in parts])
+        errors = [mean_absolute_percentage_error(model.predict(eval_part), eval_part.target)
+                  for model, (_, eval_part) in zip(models, parts)]
+    return ErrorEstimate(model_name=name, per_rep=tuple(errors))
 
 
-def _holdout_rep(args: tuple[ModelBuilder, Dataset, Dataset]) -> float:
-    """One holdout repetition: fit on one half, score MAPE on the other.
-
-    Module-level so repetitions can cross a process boundary.
-    """
-    builder, fit_part, eval_part = args
-    return _holdout_reps(builder, [(fit_part, eval_part)])[0]
-
-
-def _holdout_rep_shared(args) -> float:
-    """One holdout repetition against a shared-memory-shipped training set.
-
-    The task carries only a payload handle plus the rep's index pair; the
-    dataset itself is attached (and deserialized once per worker process)
-    via :func:`repro.parallel.shm.attach_payload`. ``train.take`` here
-    builds exactly the datasets :meth:`Dataset.random_split` would have.
-    """
+def _holdout_task(args) -> ErrorEstimate:
+    """One executor task: a whole estimate over a shared-memory training set
+    (attached and deserialized once per process); module-level so it can
+    cross a process boundary."""
     from repro.parallel.shm import attach_payload
 
-    builder, handle, sel_idx, rest_idx = args
-    train = attach_payload(handle)
-    return _holdout_rep((builder, train.take(sel_idx), train.take(rest_idx)))
+    builder, handle, splits = args
+    return _holdout_reps(builder, attach_payload(handle), splits)
+
+
+def estimate_errors(
+    builders: Mapping[str, ModelBuilder],
+    train: Dataset,
+    rng: np.random.Generator,
+    n_reps: int = 5,
+    holdout: float = 0.5,
+    executor: Executor | None = None,
+) -> dict[str, ErrorEstimate]:
+    """Estimate every candidate's predictive error on ``train``, keyed by label.
+
+    All splits are drawn serially from ``rng`` first, ``n_reps`` per label
+    in ``builders`` order (the stream one :func:`estimate_error` per label
+    draws), so no number depends on the executor. With one, each label's
+    whole estimate is one task, and ``train`` ships once through shared
+    memory on every backend, serial too: a task's fingerprint hashes the
+    payload handle, so a pool run's journal restores in a serial resume.
+    """
+    if n_reps <= 0:
+        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+    splits = {label: [train.random_split_indices(holdout, rng) for _ in range(n_reps)]
+              for label in builders}
+    if executor is None:
+        return {label: _holdout_reps(builder, train, splits[label])
+                for label, builder in builders.items()}
+    from repro.parallel.shm import SharedPayload
+
+    with SharedPayload(train) as shipped:
+        estimates = executor.map(
+            _holdout_task,
+            [(builder, shipped.handle, splits[label]) for label, builder in builders.items()])
+    return dict(zip(builders, estimates))
 
 
 def estimate_error(
@@ -112,41 +137,12 @@ def estimate_error(
     ``train`` and measures mean |percentage error| on the remainder —
     Clementine's train/"simulate" split, repeated ``n_reps`` times.
 
-    The splits are always drawn serially from ``rng`` (so the stream of
-    draws — and therefore every number produced — is identical whether or
-    not an ``executor`` is given); only the model fits, which consume no
-    shared randomness, are fanned out. Without an executor, all
-    repetitions are fit by one ``fit_many`` call (the five NN builds of an
-    estimate train in lockstep). When the executor is backed by a
-    process pool, the training set crosses the process boundary once, as a
-    shared-memory payload, instead of twice per repetition inside each task.
+    The one-model case of :func:`estimate_errors`: an ``executor`` runs the
+    whole estimate as one task, and the numbers do not depend on it.
     """
-    if n_reps <= 0:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
-    splits = [train.random_split_indices(holdout, rng) for _ in range(n_reps)]
-    name = builder().name
-    with _obs_phase("holdout", model=name, n_reps=n_reps,
-                    n_records=train.n_records):
-        if executor is None:
-            errors = _holdout_reps(builder, [(train.take(s), train.take(r)) for s, r in splits])
-        elif _process_backed(executor):
-            from repro.parallel.shm import SharedPayload
-
-            with SharedPayload(train) as shipped:
-                errors = executor.map(
-                    _holdout_rep_shared,
-                    [(builder, shipped.handle, s, r) for s, r in splits])
-        else:
-            errors = executor.map(
-                _holdout_rep, [(builder, train.take(s), train.take(r)) for s, r in splits])
-    return ErrorEstimate(model_name=name, per_rep=tuple(errors))
-
-
-def _process_backed(executor: Executor) -> bool:
-    """True when tasks will cross a process boundary (worth shipping via shm)."""
-    from repro.parallel.executor import ProcessExecutor
-
-    return isinstance(getattr(executor, "inner", executor), ProcessExecutor)
+    (estimate,) = estimate_errors({"model": builder}, train, rng, n_reps=n_reps,
+                                  holdout=holdout, executor=executor).values()
+    return estimate
 
 
 def select_model(
@@ -158,7 +154,7 @@ def select_model(
     executor: Executor | None = None,
     gate: "ValidationGate | None" = None,
 ) -> tuple[str, dict[str, ErrorEstimate]]:
-    """Run :func:`estimate_error` for every candidate and pick the winner.
+    """Run :func:`estimate_errors` over every candidate and pick the winner.
 
     Returns ``(winning_name, all_estimates)``. The winner minimizes the
     chosen estimate statistic (paper default: the max over repetitions);
@@ -174,13 +170,11 @@ def select_model(
     if not builders:
         raise ValueError("no candidate builders given")
     _check_statistic(statistic)
-    estimates: dict[str, ErrorEstimate] = {}
+    estimates = estimate_errors(builders, train, rng, n_reps=n_reps, executor=executor)
     excluded: dict[str, str] = {}
     best_name: str | None = None
     best_value = np.inf
-    for name, builder in builders.items():
-        est = estimate_error(builder, train, rng, n_reps=n_reps, executor=executor)
-        estimates[name] = est
+    for name, est in estimates.items():
         if gate is not None:
             check = gate.check_estimate(est)
             if not check.passed:

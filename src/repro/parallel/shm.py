@@ -1,8 +1,8 @@
 """Ship a large read-only payload to process workers once, not per task.
 
 A design-space sweep fans slices of one packed design space across a
-process pool, and holdout estimation fans index pairs over one dataset; the
-naive encoding serializes that space (or dataset) into every task tuple,
+process pool, and holdout estimation fans whole estimates over one dataset;
+the naive encoding serializes that space (or dataset) into every task tuple,
 pickling data that never changes once per task. This module ships such a
 payload exactly once:
 

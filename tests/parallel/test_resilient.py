@@ -21,6 +21,7 @@ from repro.parallel import (
     ProcessExecutor,
     ResilientExecutor,
     RetryPolicy,
+    SerialExecutor,
     task_fingerprint,
 )
 
@@ -407,22 +408,76 @@ class TestSweepIntegration:
                                executor=SerialExecutor(), method="scalar")
 
 
+#: Executor backends an executor-threaded model-fit driver must be
+#: bit-identical across; ``executor=None`` is the reference they match.
+_FIT_BACKENDS = {
+    "serial": SerialExecutor,
+    "process": lambda: ProcessExecutor(max_workers=2),
+    "resilient-process": lambda: ResilientExecutor(ProcessExecutor(max_workers=2)),
+}
+
+
+def _fit_case(case, executor, space_dataset, spec_archive):
+    """Run one model-fit driver; return its per-label (per_rep, true error)
+    and its selected label, the values every backend must reproduce."""
+    from repro.core import model_builders, run_chronological, run_sampled_dse
+    from repro.ml.selection import estimate_error, select_model
+
+    builders = model_builders(("LR-B", "NN-Q"))
+    sample, _ = space_dataset("gzip").sample(40, np.random.default_rng(0))
+    if case == "estimate_error":
+        est = estimate_error(builders["NN-Q"], sample, np.random.default_rng(5),
+                             n_reps=3, executor=executor)
+        return {"NN-Q": (est.per_rep, None)}, None
+    if case == "select_model":
+        label, ests = select_model(builders, sample, np.random.default_rng(5),
+                                   n_reps=3, executor=executor)
+        return {k: (e.per_rep, None) for k, e in ests.items()}, label
+    if case == "run_sampled_dse":
+        res = run_sampled_dse(space_dataset("gzip"), builders, 0.01,
+                              np.random.default_rng(5), n_cv_reps=2, executor=executor)
+        return ({k: (o.estimate.per_rep, o.true_error) for k, o in res.outcomes.items()},
+                res.select_label)
+    res = run_chronological("pentium-d", builders, seed=0, n_cv_reps=2,
+                            records=spec_archive("pentium-d"), executor=executor)
+    return ({k: (res.estimates[k].per_rep, res.errors[k].mean) for k in builders},
+            res.best_label)
+
+
 class TestDriverDeterminism:
     """Executor-threaded drivers return bit-identical results vs serial."""
 
-    def test_estimate_error_executor_identical(self, space_dataset, rng):
-        from repro.core import model_builders
-        from repro.ml.selection import estimate_error
+    @pytest.mark.parametrize("backend", sorted(_FIT_BACKENDS))
+    @pytest.mark.parametrize("case", ["estimate_error", "select_model",
+                                      "run_sampled_dse", "run_chronological"])
+    def test_estimate_error_executor_identical(
+            self, case, backend, space_dataset, spec_archive):
+        reference = _fit_case(case, None, space_dataset, spec_archive)
+        with _FIT_BACKENDS[backend]() as ex:
+            assert _fit_case(case, ex, space_dataset, spec_archive) == reference
 
-        space = space_dataset("gzip")
-        sample, _ = space.sample(40, rng)
-        builder = model_builders(("LR-B",))["LR-B"]
-        serial = estimate_error(
-            builder, sample, np.random.default_rng(5), n_reps=3)
-        with ResilientExecutor() as ex:
-            resilient = estimate_error(
-                builder, sample, np.random.default_rng(5), n_reps=3, executor=ex)
-        assert serial.per_rep == resilient.per_rep
+    def test_pool_fit_journal_resumes_in_a_serial_run(self, tmp_path, space_dataset):
+        from repro.core import model_builders, run_sampled_dse
+
+        space = space_dataset("applu")
+        builders = model_builders(("LR-B", "NN-Q"))
+        path = tmp_path / "fits.jsonl"
+
+        def run(ex):
+            res = run_sampled_dse(space, builders, 0.01, np.random.default_rng(3),
+                                  n_cv_reps=3, executor=ex)
+            return {k: (o.estimate.per_rep, o.true_error) for k, o in res.outcomes.items()}
+
+        with ResilientExecutor(ProcessExecutor(max_workers=2),
+                               journal=CheckpointJournal(path)) as ex:
+            pooled = run(ex)
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(builders)  # one line per whole estimate
+        with ResilientExecutor(journal=CheckpointJournal(path, resume=True)) as ex:
+            resumed = run(ex)
+        assert resumed == pooled
+        assert f"restored:{len(builders)}" in ex.events
+        assert path.read_text().splitlines() == lines
 
     def test_rolling_chronological_executor_identical(self, spec_archive):
         from repro.core import model_builders, run_rolling_chronological
