@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.stats import rankdata
 
 from repro.ml.base import PredictiveModel
 from repro.ml.dataset import Dataset
@@ -71,14 +70,33 @@ def top_k_recall(
     return len(pred_top & true_top) / k
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Tie-averaged 1-based ranks of a 1-D float array.
+
+    Bit-identical to ``scipy.stats.rankdata(x)``, NaN policy included: any
+    NaN makes every rank NaN, since ranks relative to a NaN are undefined.
+    """
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    new = np.concatenate(([True], xs[1:] != xs[:-1]))
+    dense = np.empty(x.size, dtype=np.intp)
+    dense[order] = np.cumsum(new)
+    # count[d] = number of elements in the first d distinct values, so
+    # tie group d spans ordinal ranks count[d-1] + 1 .. count[d].
+    count = np.append(np.flatnonzero(new), x.size)
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def rank_correlation(predicted: np.ndarray, actual: np.ndarray) -> float:
     """Spearman rank correlation between predictions and ground truth."""
     predicted = np.asarray(predicted, dtype=np.float64).ravel()
     actual = np.asarray(actual, dtype=np.float64).ravel()
     if predicted.shape != actual.shape or predicted.size < 2:
         raise ValueError("need >= 2 paired observations")
-    rp = rankdata(predicted)  # tie-averaged ranks
-    ra = rankdata(actual)
+    rp = _average_ranks(predicted)
+    ra = _average_ranks(actual)
     rp -= rp.mean()
     ra -= ra.mean()
     denom = float(np.sqrt((rp @ rp) * (ra @ ra)))

@@ -25,9 +25,11 @@ import numpy as np
 
 __all__ = ["DoctorCheck", "DoctorReport", "run_doctor"]
 
-#: Oldest numpy this codebase is exercised against (``default_rng``,
-#: ``Generator.choice`` semantics the seeded streams rely on).
-_MIN_NUMPY = (1, 22)
+#: Oldest numpy and scipy the package declares (``pyproject.toml``): numpy
+#: for the ``Generator`` semantics the seeded streams rely on, scipy for the
+#: ``scipy.special`` ufuncs the analytic and least-squares kernels call.
+_MIN_NUMPY = (1, 24)
+_MIN_SCIPY = (1, 10)
 
 
 @dataclass(frozen=True)
@@ -77,25 +79,27 @@ def _check_python() -> DoctorCheck:
         f"{platform.python_version()} ({'>= 3.10 required' if not ok else sys.executable})")
 
 
-def _check_numpy() -> DoctorCheck:
+def _version_floor(name: str, version: str, floor: tuple[int, int]) -> DoctorCheck:
     try:
-        parts = tuple(int(p) for p in np.__version__.split(".")[:2])
+        parts = tuple(int(p) for p in version.split(".")[:2])
     except ValueError:
-        parts = _MIN_NUMPY  # dev builds ("2.0.0.dev0+...") parse fine; be lenient
-    ok = parts >= _MIN_NUMPY
-    want = ".".join(str(v) for v in _MIN_NUMPY)
-    return DoctorCheck(
-        "numpy", ok,
-        f"{np.__version__}" + ("" if ok else f" (need >= {want})"))
+        parts = floor  # dev builds ("2.0.0.dev0+...") parse fine; be lenient
+    ok = parts >= floor
+    want = ".".join(str(v) for v in floor)
+    return DoctorCheck(name, ok, version + ("" if ok else f" (need >= {want})"))
+
+
+def _check_numpy() -> DoctorCheck:
+    return _version_floor("numpy", np.__version__, _MIN_NUMPY)
 
 
 def _check_scipy() -> DoctorCheck:
-    # scipy is optional everywhere in this codebase; report presence only.
     try:
         import scipy
-        return DoctorCheck("scipy", True, f"{scipy.__version__} (optional)")
     except ImportError:
-        return DoctorCheck("scipy", True, "not installed (optional — pure-numpy paths in use)")
+        want = ".".join(str(v) for v in _MIN_SCIPY)
+        return DoctorCheck("scipy", False, f"not installed (need >= {want})")
+    return _version_floor("scipy", scipy.__version__, _MIN_SCIPY)
 
 
 def _check_cache_dir() -> DoctorCheck:

@@ -34,7 +34,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special as spsp
-from scipy import stats as sps
 
 from repro.simulator.workloads import BLOCK, PAGE, BranchBehavior, MemoryBehavior
 
@@ -52,15 +51,22 @@ _N_QUANTILES = 96  # discretization of each lognormal component
 
 
 @lru_cache(maxsize=None)
-def _quantile_grid(n: int) -> np.ndarray:
-    """Midpoint quantile levels (cached; identical for every component)."""
-    return (np.arange(n) + 0.5) / n
+def _normal_grid(n: int) -> np.ndarray:
+    """Standard-normal quantiles at the midpoint levels ``(i + 0.5) / n``.
+
+    Cached and read-only: the grid is identical for every component.
+    ``scipy.stats.norm.ppf(q)`` evaluates ``ndtri(q) * 1.0 + 0.0`` for
+    ``0 < q < 1``; calling the ufunc directly gives the same bits without
+    importing ``scipy.stats`` or paying its argument handling per call.
+    """
+    z = spsp.ndtri((np.arange(n) + 0.5) / n)
+    z.flags.writeable = False
+    return z
 
 
 def _component_distances(median: float, sigma: float, n: int = _N_QUANTILES) -> np.ndarray:
     """Representative reuse distances (quantile midpoints) of a component."""
-    q = _quantile_grid(n)
-    return median * np.exp(sigma * sps.norm.ppf(q))
+    return median * np.exp(sigma * _normal_grid(n))
 
 
 def component_survival(median: float, sigma: float, capacity_blocks: float) -> float:
@@ -68,7 +74,9 @@ def component_survival(median: float, sigma: float, capacity_blocks: float) -> f
     if capacity_blocks <= 0:
         return 1.0
     z = (np.log(capacity_blocks) - np.log(median)) / sigma
-    return float(sps.norm.sf(z))
+    # The standard-normal survival ``norm.sf(z)``, which reaches
+    # ``ndtr(-z)`` after its identity loc/scale and support masks.
+    return float(spsp.ndtr(-z))
 
 
 def set_associative_hit_given_distance(

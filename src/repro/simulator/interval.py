@@ -255,9 +255,10 @@ def _eval_block_slice(args: tuple) -> list[float]:
 #: ``len(configs)`` alone, so a sweep's task list — and with it every
 #: checkpoint fingerprint and seeded fault index — is the same on any host.
 #: Slices buy resume and fault granularity, not speed: the batch kernel
-#: sweeps all 4608 configs in ~6 ms on a 2-core x86 host, and each slice
-#: task adds ~2 ms, so 512 (9 tasks, ~26 ms) keeps the full space at a
-#: handful of journal lines while costing little next to process startup.
+#: sweeps all 4608 configs in ~5 ms on a 2-core x86 host (~9 ms with the
+#: miss-rate memo cleared), and each slice task adds ~1.2 ms, so 512
+#: (9 tasks, ~16 ms) keeps the full space at a handful of journal lines
+#: while costing little next to process startup.
 SWEEP_SLICE = 512
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.models import model_builders
 from repro.core.search import (
+    _average_ranks,
     evaluate_search_quality,
     rank_correlation,
     regret,
@@ -83,6 +84,56 @@ class TestRankCorrelation:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             rank_correlation(np.array([1.0]), np.array([1.0]))
+
+    def test_nan_propagates(self):
+        y = np.array([1.0, 2.0, 3.0])
+        assert np.isnan(rank_correlation(np.array([1.0, np.nan, 2.0]), y))
+
+
+# Few distinct values so ties are the rule, not the exception; signed
+# zeros compare equal and must share a rank.
+_TIE_HEAVY = st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, np.inf, -np.inf])
+
+
+class TestAverageRanksMatchRankdata:
+    """``rank_correlation`` ranks with numpy instead of importing
+    ``scipy.stats``; the ranks must equal ``scipy.stats.rankdata`` (average
+    method, ``nan_policy="propagate"``) bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(x):
+        from scipy.stats import rankdata
+
+        ours, theirs = _average_ranks(x), rankdata(x)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_TIE_HEAVY, min_size=1, max_size=60),
+           st.lists(st.integers(0, 59), max_size=3))
+    def test_heavy_ties_and_nans(self, values, nan_at):
+        x = np.array(values)
+        x[[i for i in nan_at if i < x.size]] = np.nan
+        self.assert_same_bits(x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=200))
+    def test_arbitrary_floats(self, values):
+        self.assert_same_bits(np.array(values))
+
+    def test_rank_correlation_equals_rankdata_spearman(self):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(27)
+        for _ in range(50):
+            n = int(rng.integers(2, 400))
+            pred = rng.integers(0, 6, n).astype(float)
+            actual = np.round(pred + rng.normal(scale=2.0, size=n))
+            rp, ra = rankdata(pred), rankdata(actual)
+            rp -= rp.mean()
+            ra -= ra.mean()
+            expected = float((rp @ ra) / float(np.sqrt((rp @ rp) * (ra @ ra))))
+            assert rank_correlation(pred, actual) == expected
 
 
 class TestEvaluateSearchQuality:

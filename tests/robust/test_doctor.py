@@ -1,6 +1,9 @@
 """Tests for the ``repro doctor`` environment self-check."""
 
 import io
+import re
+import sys
+from pathlib import Path
 
 from repro.cli import main
 from repro.robust import run_doctor
@@ -58,6 +61,55 @@ class TestRunDoctor:
         assert not report.ok
         assert report.checks[0].name == "numpy"
         assert "probe exploded" in report.checks[0].detail
+
+
+class TestDependencyFloors:
+    """numpy and scipy are both hard dependencies; doctor checks each
+    against the floor ``pyproject.toml`` declares."""
+
+    @staticmethod
+    def declared_floor(package):
+        pyproject = Path(__file__).parents[2] / "pyproject.toml"
+        m = re.search(rf'"{package}>=(\d+)\.(\d+)"', pyproject.read_text())
+        assert m, f"{package} floor not found in pyproject.toml"
+        return int(m.group(1)), int(m.group(2))
+
+    def test_floors_match_pyproject(self):
+        import repro.robust.doctor as doctor_mod
+
+        assert doctor_mod._MIN_NUMPY == self.declared_floor("numpy")
+        assert doctor_mod._MIN_SCIPY == self.declared_floor("scipy")
+
+    def test_installed_scipy_passes_without_optional_wording(self):
+        check = next(c for c in run_doctor().checks if c.name == "scipy")
+        assert check.passed
+        assert "optional" not in check.detail
+
+    def test_old_scipy_fails(self, monkeypatch):
+        import scipy
+
+        from repro.robust.doctor import _check_scipy
+
+        monkeypatch.setattr(scipy, "__version__", "1.9.3")
+        check = _check_scipy()
+        assert not check.passed
+        assert check.detail == "1.9.3 (need >= 1.10)"
+
+    def test_missing_scipy_fails(self, monkeypatch):
+        from repro.robust.doctor import _check_scipy
+
+        monkeypatch.setitem(sys.modules, "scipy", None)  # import raises
+        check = _check_scipy()
+        assert not check.passed
+        assert "not installed" in check.detail
+
+    def test_old_numpy_fails(self, monkeypatch):
+        import repro.robust.doctor as doctor_mod
+
+        monkeypatch.setattr(doctor_mod.np, "__version__", "1.23.5")
+        check = doctor_mod._check_numpy()
+        assert not check.passed
+        assert check.detail == "1.23.5 (need >= 1.24)"
 
 
 class TestServiceProbes:

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simulator.analytic import (
     PREDICTORS,
+    _component_distances,
+    _normal_grid,
     component_survival,
     mispredict_rate,
     miss_rate,
@@ -27,6 +29,63 @@ class TestComponentSurvival:
 
     def test_zero_capacity_always_misses(self):
         assert component_survival(100.0, 1.0, 0) == 1.0
+
+
+class TestScipyStatsEquality:
+    """The analytic kernel calls ``scipy.special`` ufuncs instead of
+    ``scipy.stats.norm``; every value must equal the ``norm`` method it
+    replaced bit for bit."""
+
+    # (median, sigma, capacity) chosen so z = (log c - log m) / sigma hits
+    # +0, -0, +inf, -inf and NaN, plus ordinary and far-tail values.
+    CASES = [
+        (100.0, 1.0, 100.0),    # +0
+        (100.0, -1.0, 100.0),   # -0
+        (100.0, 0.0, 200.0),    # +inf
+        (100.0, 0.0, 50.0),     # -inf
+        (100.0, 0.0, 100.0),    # 0 / 0 = NaN
+        (np.nan, 1.0, 100.0),   # NaN median
+        (100.0, 1.0, 1e300),
+        (1e-300, 0.05, 1e300),
+        (1e300, 0.05, 1e-300),
+    ] + [(m, s, c) for m in (1.0, 37.5, 4096.0) for s in (0.1, 0.9, 2.7)
+         for c in (0.5, 1.0, 64.0, 1e4, 1e7)]
+
+    @pytest.mark.parametrize("median,sigma,capacity", CASES)
+    def test_component_survival_equals_norm_sf(self, median, sigma, capacity):
+        from scipy.stats import norm
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = (np.log(capacity) - np.log(median)) / sigma
+            got = component_survival(median, sigma, capacity)
+        expected = float(norm.sf(z))
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.signbit(got) == np.signbit(expected)
+
+    def test_ndtr_of_negated_z_equals_norm_sf_on_grid(self):
+        from scipy.special import ndtr
+        from scipy.stats import norm
+
+        z = np.concatenate([np.linspace(-40.0, 40.0, 801), np.geomspace(1e-300, 1e300, 61),
+                            -np.geomspace(1e-300, 1e300, 61),
+                            [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        np.testing.assert_array_equal(ndtr(-z), norm.sf(z))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 96, 97, 1000])
+    def test_component_distances_equal_norm_ppf(self, n):
+        from scipy.stats import norm
+
+        q = (np.arange(n) + 0.5) / n
+        for median, sigma in [(1.0, 1.0), (12.5, 0.3), (3000.0, 2.2), (0.01, 0.0)]:
+            expected = median * np.exp(sigma * norm.ppf(q))
+            got = _component_distances(median, sigma, n)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_normal_grid_is_shared_and_read_only(self):
+        grid = _normal_grid(96)
+        assert grid is _normal_grid(96)
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
 
 
 class TestSetAssociativeCorrection:
