@@ -14,6 +14,8 @@ sweep otherwise (same idiom as the LRU contract tests).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -176,6 +178,35 @@ class TestPhaseShift:
                 assert key < half
             else:
                 assert key >= half
+
+
+class TestServeSchedule:
+    """The benchmark's ``serve`` workload plans its steady phase with exactly
+    this call; its request schedule must not move for a given seed."""
+
+    SHA256 = {
+        1: "db09b7f02724cea8571063c16b991aea4b6d06cce15885d7f415452242482c83",
+        2: "1470d668424c403118659255b60f0a4ffc4c82296031586288ea96f263256818",
+        3: "11fd26c672a678c1b841c070d8cf81828b30eafc15b2f6a1417b84494c479869",
+        4: "35a39c264d4269a0ea0b353e5e4c8561d92b1deab39ca46ba59aace31729f136",
+        5: "80c2a5020c16650ab5175415e474c596baddd1aa65eb96cd396a2a7ac548b24a",
+        6: "b8fb0032a6345a54dba30aa40ee26d29b7f4da6c9124e8747cc7d441521ae451",
+        7: "9c7ec8c1fcec2b005979ad1ea7bda28e30852e299abdc2b6abd5d14a080534ef",
+        8: "911115525d3028f092739b8cb7c4ef17a5134be097662a1a5659ec2c9fd4ce2e",
+        9: "231cab4de5df985e4347ee0d75fc401732e75455b885ac5519893708f209ab7c",
+        10: "0ff76a862a4f0a11c36f1469bc370342f3379a68ff5192643bbdb2277b3347e8",
+        11: "2112e5b268322cb0fe57c67910d74b0a0cc6e5bf9bfec94085f1c2c9ef0c9694",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(SHA256))
+    def test_static_open_schedule_is_pinned(self, seed):
+        wl = WorkloadSpec(workload="static", pacing="open", n_requests=200,
+                          n_keys=40, seed=seed, rate=25.0)
+        digest = hashlib.sha256()
+        for r in build_requests(wl):
+            spec = json.dumps(r.spec.as_dict(), sort_keys=True)
+            digest.update(f"{r.i} {r.key} {r.t_offset!r} {spec}\n".encode())
+        assert digest.hexdigest() == self.SHA256[seed]
 
 
 class TestValidation:
