@@ -95,8 +95,8 @@ TaskTimeout 4, SweepAborted 5, CheckpointError 6, ServiceError 11,
 ServiceOverloadError 12, CircuitOpenError 13, JobDeadlineExceeded 14) and a
 one-line stderr message instead of a traceback. A hidden ``--chaos`` flag
 drives the failure-injection harness for chaos runs (e.g.
-``--chaos exc=0.1,crash=0.01``); ``serve`` has matching hidden
-``--chaos-sigkill-at`` / ``--chaos-slow`` flags for supervision drills.
+``--chaos exc=0.1,crash=0.01``); ``serve`` has a matching hidden
+``--chaos-sigkill-at`` flag for supervision drills.
 
 Examples
 --------
@@ -402,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Chaos harness for supervision drills; hidden like the sweep one.
     p.add_argument("--chaos-sigkill-at", type=int, default=None,
                    help=argparse.SUPPRESS)
-    p.add_argument("--chaos-slow", type=float, default=None,
-                   help=argparse.SUPPRESS)
     _add_common(p)
 
     p = sub.add_parser("submit", help="submit a job to a running service spool")
@@ -613,14 +611,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ServiceConfig, WorkerSupervisor
 
     injector = None
-    if args.chaos_sigkill_at is not None or args.chaos_slow is not None:
-        injector = FaultInjector(
-            seed=args.seed,
-            sigkill_indices=(args.chaos_sigkill_at,)
-            if args.chaos_sigkill_at is not None else (),
-            slow_indices=(0,) if args.chaos_slow is not None else (),
-            slow_seconds=args.chaos_slow or 0.2,
-        )
+    if args.chaos_sigkill_at is not None:
+        injector = FaultInjector(seed=args.seed,
+                                 sigkill_indices=(args.chaos_sigkill_at,))
     config = ServiceConfig(
         root=args.spool,
         workers=args.workers,
@@ -706,10 +699,7 @@ def _cmd_spool(args: argparse.Namespace) -> int:
 
     if args.spool_command == "compact":
         policy = CompactionPolicy(
-            retain_terminal=args.retain_terminal,
-            gc_checkpoints=not args.no_gc,
-            gc_results=not args.no_gc,
-        )
+            retain_terminal=args.retain_terminal, gc=not args.no_gc)
         spool = JobSpool(root)
         stats = compact(spool, policy)
         if args.json:

@@ -2,15 +2,14 @@
 
 The harness splits client traffic into orthogonal pieces:
 
-* :mod:`repro.loadgen.workloads` — *what and when*: seeded synthetic
-  traffic shapes (static hot set, phase shift, oscillating, scan) with
-  open-loop (Poisson) pacing.
+* :mod:`repro.loadgen.workloads` — *what and when*: a seeded static hot
+  set of keys with open-loop (Poisson) pacing.
 * :mod:`repro.loadgen.runner` — pace a request stream into a target (a
   live or daemonless service spool) and observe every outcome.
 
 The benchmark's ``serve`` workload (``perfbench/serve.py``) drives a live
 two-worker service through :func:`run_requests` and
-:class:`ServiceTarget`; the cache oracle replays the same traffic shapes.
+:class:`ServiceTarget`.
 """
 
 from repro.loadgen.runner import (

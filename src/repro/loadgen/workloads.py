@@ -1,16 +1,12 @@
-"""Seeded synthetic traffic shapes and pacing for the load harness.
+"""Seeded client traffic and pacing for the load harness.
 
 A *workload* answers two independent questions about client traffic, and
 this module keeps them separate on purpose (the ``Workload``/``ReqGenEngine``
 split from real KV-store load drivers):
 
 * **What** is requested — a deterministic sequence of catalog key indices
-  shaped like real traffic: a stable ``static`` hot set, a ``phase_shift``
-  hot set that relocates wholesale, an ``oscillating`` (diurnal) pair of
-  working sets, and a ``scan`` that sweeps a long cold region through a
-  small hot set. These mirror the synthetic key streams the eviction
-  oracle replays, because the service's result/dedup layer *is* a cache
-  and should be hammered with the same adversaries.
+  with a ``static`` hot set: most requests repeat a few keys, which is what
+  exercises the service's dedup and result-reuse layer.
 * **When** it arrives — ``open``-loop pacing: Poisson arrivals at a target
   rate; clients do not wait for each other, and the queue absorbs bursts.
 
@@ -36,8 +32,9 @@ __all__ = [
     "build_requests",
 ]
 
-#: Workload shape names, in reporting order.
-WORKLOAD_SHAPES = ("static", "phase_shift", "oscillating", "scan")
+#: Workload shape names. The name also keys the seeded rng streams, so it
+#: stays part of the spec even with one shape.
+WORKLOAD_SHAPES = ("static",)
 
 #: Arrival disciplines the pacer understands.
 PACING_MODES = ("open",)
@@ -59,7 +56,7 @@ class Request:
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Complete, deterministic description of one traffic shape."""
+    """Complete, deterministic description of one request stream."""
 
     workload: str = "static"
     pacing: str = "open"
@@ -68,14 +65,10 @@ class WorkloadSpec:
     seed: int = 0
     #: Open-loop mean arrival rate (requests/second of *planned* time).
     rate: float = 8.0
-    #: Fraction of the key space that is hot (static/scan shapes).
+    #: Fraction of the key space that is hot.
     hot_fraction: float = 0.2
-    #: Probability a request draws from the hot set (static/phase_shift/scan).
+    #: Probability a request draws from the hot set.
     hot_weight: float = 0.8
-    #: phase_shift: number of equal-length phases over the run.
-    n_phases: int = 4
-    #: oscillating: requests per half-cycle before the working set flips.
-    period: int = 25
 
     def __post_init__(self) -> None:
         if self.workload not in WORKLOAD_SHAPES:
@@ -96,10 +89,6 @@ class WorkloadSpec:
         if not 0.0 <= self.hot_weight <= 1.0:
             raise ValueError(
                 f"hot_weight must be in [0, 1], got {self.hot_weight}")
-        if self.n_phases < 1:
-            raise ValueError(f"n_phases must be >= 1, got {self.n_phases}")
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
 
 
 @dataclass(frozen=True)
@@ -150,13 +139,10 @@ class ReqGenEngine:
     def _rng(self, stream: str) -> random.Random:
         return random.Random(f"{self.wl.seed}/{self.wl.workload}/{stream}")
 
-    # -- key shapes ----------------------------------------------------------
+    # -- keys ----------------------------------------------------------------
 
     def key_indices(self) -> list[int]:
-        """The workload's key index sequence (pure function of the seed)."""
-        return getattr(self, f"_{self.wl.workload}")()
-
-    def _static(self) -> list[int]:
+        """The static hot-set key index sequence (pure function of the seed)."""
         wl = self.wl
         rng = self._rng("keys")
         n_hot = max(1, int(wl.n_keys * wl.hot_fraction))
@@ -166,58 +152,6 @@ class ReqGenEngine:
                 out.append(rng.randrange(n_hot))
             else:
                 out.append(n_hot + rng.randrange(wl.n_keys - n_hot))
-        return out
-
-    def phase_boundaries(self) -> list[int]:
-        """Request indices where each phase_shift phase begins."""
-        per_phase = self.wl.n_requests // self.wl.n_phases
-        return [p * per_phase for p in range(self.wl.n_phases)]
-
-    def phase_window(self, phase: int) -> tuple[int, int]:
-        """Half-open key index window ``[lo, hi)`` hot during ``phase``."""
-        wl = self.wl
-        width = max(1, wl.n_keys // wl.n_phases)
-        lo = (phase * width) % wl.n_keys
-        return lo, lo + width
-
-    def _phase_shift(self) -> list[int]:
-        wl = self.wl
-        rng = self._rng("keys")
-        per_phase = wl.n_requests // wl.n_phases
-        out = []
-        for i in range(wl.n_requests):
-            phase = min(i // per_phase, wl.n_phases - 1) if per_phase else \
-                wl.n_phases - 1
-            lo, hi = self.phase_window(phase)
-            if rng.random() < wl.hot_weight:
-                out.append(lo + rng.randrange(hi - lo))
-            else:
-                out.append(rng.randrange(wl.n_keys))
-        return out
-
-    def _oscillating(self) -> list[int]:
-        wl = self.wl
-        rng = self._rng("keys")
-        half = max(1, wl.n_keys // 2)
-        out = []
-        for i in range(wl.n_requests):
-            base = 0 if (i // wl.period) % 2 == 0 else half
-            out.append(base + rng.randrange(half))
-        return out
-
-    def _scan(self) -> list[int]:
-        wl = self.wl
-        rng = self._rng("keys")
-        n_hot = max(1, int(wl.n_keys * wl.hot_fraction))
-        scan_len = max(1, wl.n_keys - n_hot)
-        out = []
-        cursor = 0
-        for _ in range(wl.n_requests):
-            if rng.random() < wl.hot_weight:
-                out.append(rng.randrange(n_hot))
-            else:
-                out.append(n_hot + cursor)
-                cursor = (cursor + 1) % scan_len
         return out
 
     # -- pacing --------------------------------------------------------------

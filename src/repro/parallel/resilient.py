@@ -243,21 +243,17 @@ class FaultInjector:
     fail_once_indices: tuple[int, ...] = ()  # InjectedFault on attempt 1 only
     fail_indices: tuple[int, ...] = ()       # InjectedFault on every attempt
     crash_indices: tuple[int, ...] = ()      # os._exit on every (worker) attempt
-    # Process-level faults for service supervision drills. SIGKILL models a
+    # Process-level fault for service supervision drills. SIGKILL models a
     # worker dying at the signal level (no atexit, no cleanup, nothing the
     # interpreter can intercept) — the case lease expiry and heartbeat
-    # supervision exist for. Slow faults model a wedged-but-alive worker.
+    # supervision exist for.
     sigkill_indices: tuple[int, ...] = ()    # SIGKILL self on every (worker) attempt
-    slow_once_indices: tuple[int, ...] = ()  # sleep slow_seconds on attempt 1 only
-    slow_indices: tuple[int, ...] = ()       # sleep slow_seconds on every attempt
-    slow_seconds: float = 0.2
 
     @classmethod
     def parse(cls, spec: str, seed: int = 0) -> "FaultInjector":
         """Build from a CLI spec like ``"exc=0.1,delay=0.05,crash=0.01"``."""
         keys = {"exc": "p_exception", "delay": "p_delay", "crash": "p_crash",
-                "delay-seconds": "delay_seconds", "seed": "seed",
-                "slow-seconds": "slow_seconds"}
+                "delay-seconds": "delay_seconds", "seed": "seed"}
         kwargs: dict[str, Any] = {"seed": seed}
         for part in filter(None, (p.strip() for p in spec.split(","))):
             key, _, value = part.partition("=")
@@ -274,10 +270,6 @@ class FaultInjector:
             self._sigkill()
         if index in self.crash_indices:
             self._crash()
-        if index in self.slow_indices or (
-            attempt == 1 and index in self.slow_once_indices
-        ):
-            time.sleep(self.slow_seconds)
         if index in self.fail_indices or (
             attempt == 1 and index in self.fail_once_indices
         ):

@@ -26,9 +26,9 @@ silent failures into observable, recoverable ones:
 * :mod:`repro.robust.chaos` — **data-layer fault injection** (byte
   corruption, NaN columns, adversarial duplicates) extending the PR 1
   executor-level :class:`~repro.parallel.FaultInjector`, to prove the
-  guards and the ladder end-to-end. Process-level faults (SIGKILL a live
-  worker mid-task, seeded slow workers) live on ``FaultInjector`` itself
-  and drive the service supervision drills.
+  guards and the ladder end-to-end. The process-level fault (SIGKILL a
+  live worker mid-task) lives on ``FaultInjector`` itself and drives the
+  service supervision drills.
 * :mod:`repro.robust.diskchaos` — **disk-fault injection**: a seeded
   fault hook (ENOSPC, EIO on write/fsync, short writes, torn writes
   followed by a :class:`SimulatedCrash`, rename failures) in front of

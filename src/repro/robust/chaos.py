@@ -24,8 +24,7 @@ Process-level chaos for the service layer reuses the execution-level
 :class:`~repro.parallel.FaultInjector` (re-exported here for discovery):
 ``sigkill_indices`` kills a live worker mid-task at the signal level —
 no cleanup, no atexit, exactly what lease expiry and heartbeat supervision
-must absorb — and ``slow_indices``/``slow_once_indices`` model a wedged
-worker via seeded sleeps. :func:`sigkill_process` is the external variant
+must absorb. :func:`sigkill_process` is the external variant
 used by supervision drills that kill a worker *from outside* (the CI
 kill-a-worker drill reads the victim's pid from its heartbeat file).
 """

@@ -105,10 +105,6 @@ class DiskFaultInjector:
     def _fire(self, fault: str) -> None:
         self.fired[fault] = self.fired.get(fault, 0) + 1
 
-    def reset_counters(self) -> None:
-        self.calls.clear()
-        self.fired.clear()
-
     # -- per-operation fault decisions (called through the fault hook) -------
 
     def on_write(self, fd: int, data: Any) -> int:

@@ -257,9 +257,9 @@ def read_records_checked(
 ) -> tuple[list[SystemRecord], QuarantineReport]:
     """Read a records CSV with row-level quarantine instead of all-or-nothing.
 
-    Unlike :func:`repro.specdata.io.read_records_csv` — which aborts on the
-    first malformed row — rows that fail to parse (corrupt bytes, wrong
-    dtypes, schema violations) are quarantined with reason ``parse-error``,
+    Reads what :func:`repro.specdata.io.write_records_csv` writes. Rows
+    that fail to parse (corrupt bytes, wrong dtypes, schema violations)
+    are quarantined with reason ``parse-error``,
     and the surviving records then pass through :func:`validate_records`
     (non-finite, out-of-range, conflicting-duplicate checks) under the same
     report. A missing/empty file or absent required columns is not a

@@ -104,8 +104,7 @@ class CompactionPolicy:
     max_log_bytes: int | None = 4 * 1024 * 1024  # size trigger
     max_events: int | None = 4096                # tail-length trigger
     retain_terminal: int | None = None           # None: keep all terminal
-    gc_checkpoints: bool = True
-    gc_results: bool = True
+    gc: bool = True            # delete orphaned checkpoints and results
 
     def __post_init__(self) -> None:
         if self.max_log_bytes is not None and self.max_log_bytes < 1:
@@ -206,7 +205,8 @@ def compact(spool: JobSpool, policy: CompactionPolicy | None = None, *,
         durable.replace_file(spool.log_path, marker.encode("utf-8"), sync=True)
         _crash_hook(crash_at, "post-log-swap")
 
-        n_gc_ckpt, n_gc_res = _gc(spool, raw, set(retained), policy)
+        n_gc_ckpt, n_gc_res = (_gc(spool, raw, set(retained)) if policy.gc
+                               else (0, 0))
 
         stats = CompactionStats(
             generation=gen,
@@ -229,7 +229,7 @@ def compact(spool: JobSpool, policy: CompactionPolicy | None = None, *,
 
 
 def _gc(spool: JobSpool, raw: dict[str, dict[str, Any]],
-        retained: set[str], policy: CompactionPolicy) -> tuple[int, int]:
+        retained: set[str]) -> tuple[int, int]:
     """Delete checkpoints/results no retained job can ever use again.
 
     Runs under the spool flock, so no new job can be submitted or claimed
@@ -241,7 +241,7 @@ def _gc(spool: JobSpool, raw: dict[str, dict[str, Any]],
     live = {j for j in retained if raw[j]["terminal"] is None}
     n_ckpt = 0
     ckpt_dir = spool.root / "checkpoints"
-    if policy.gc_checkpoints and ckpt_dir.is_dir():
+    if ckpt_dir.is_dir():
         for path in sorted(ckpt_dir.glob("*.jsonl")):
             if path.stem in live:
                 continue
@@ -252,16 +252,15 @@ def _gc(spool: JobSpool, raw: dict[str, dict[str, Any]],
                     continue
             n_ckpt += 1
     n_res = 0
-    if policy.gc_results:
-        keep = live | {j for j in retained if raw[j]["terminal"] == "done"}
-        for key in list(spool.results.keys()):
-            if key in keep:
-                continue
-            try:
-                spool.results._path(key).unlink()
-                n_res += 1
-            except OSError:
-                continue
+    keep = live | {j for j in retained if raw[j]["terminal"] == "done"}
+    for key in list(spool.results.keys()):
+        if key in keep:
+            continue
+        try:
+            spool.results._path(key).unlink()
+            n_res += 1
+        except OSError:
+            continue
     if n_ckpt:
         _metrics().counter("service.compaction.gc_checkpoints").inc(n_ckpt)
     if n_res:

@@ -78,6 +78,17 @@ __all__ = ["WorkerConfig", "Worker", "worker_main", "drain_queue"]
 
 _ABSENT = object()
 
+#: Transient-exception retries per sweep config task.
+TASK_RETRIES = 1
+#: The ``model-fit`` breaker trips the NN ladder rungs after this many
+#: consecutive fit failures, and half-opens after the reset seconds.
+FIT_BREAKER_THRESHOLD = 3
+FIT_BREAKER_RESET_S = 5.0
+#: The ``disk-cache`` breaker trips the shared disk cache tier after this
+#: many consecutive I/O errors, and half-opens after the reset seconds.
+DISK_BREAKER_THRESHOLD = 3
+DISK_BREAKER_RESET_S = 5.0
+
 
 class _JournalLockHeld(Exception):
     """Internal: another live worker holds this job's journal flock.
@@ -98,15 +109,8 @@ class WorkerConfig:
     poll_interval: float = 0.05  # idle sleep between claim attempts
     heartbeat_every: int = 32    # configs between mid-sweep heartbeats
     max_jobs: int | None = None  # stop after N jobs (tests); None: until drain
-    task_retries: int = 1        # transient-exception retries per config task
     #: Chaos harness applied to sweep task execution (supervision drills).
     injector: FaultInjector | None = None
-    #: Trips the NN ladder rungs after this many consecutive fit failures.
-    fit_breaker_threshold: int = 3
-    fit_breaker_reset: float = 5.0
-    #: Trips the shared disk cache tier after this many consecutive I/O errors.
-    disk_breaker_threshold: int = 3
-    disk_breaker_reset: float = 5.0
     #: Observability plane: when True the shard writes a ``repro-trace/1``
     #: file (``<root>/obs/trace.<name>.jsonl``) with one trace id per job.
     #: Off by default — execution stays bit-identical and span-free.
@@ -128,6 +132,15 @@ class _GuardedLadder:
         return self._ladder.fit_model(*args, breaker=self.breaker, **kwargs)
 
 
+# Sweep jobs stay on the scalar per-config path on purpose. Routing them
+# through the library's 512-config batch slices was measured on a 2-core
+# host: tier-1 passed once the SIGKILL tests and the service drill used
+# jobs of more than one slice, but the benchmark's `serve` wall time got
+# worse in 3 of 3 alternating pairs (0.283/0.338/0.291 s -> 0.404/0.390/
+# 0.391 s, seeds 1-3). Its jobs are 8-config slices, and an 8-config batch
+# call costs 1.30 ms against 0.46 ms scalar, plus 0.31 ms to ship the
+# payload. A full-space job would fall from 1.57 s to 0.03 s. Revisit once
+# the fixed cost of `batch._gather` falls.
 class _SweepTask:
     """Per-config task: deadline gate, periodic heartbeat, then evaluate.
 
@@ -183,12 +196,12 @@ class Worker:
         self.spool = spool if spool is not None else JobSpool.open(config.root)
         self.fit_breaker = CircuitBreaker(
             f"model-fit:{config.name}",
-            failure_threshold=config.fit_breaker_threshold,
-            reset_timeout=config.fit_breaker_reset)
+            failure_threshold=FIT_BREAKER_THRESHOLD,
+            reset_timeout=FIT_BREAKER_RESET_S)
         self.disk_breaker = CircuitBreaker(
             f"disk-cache:{config.name}",
-            failure_threshold=config.disk_breaker_threshold,
-            reset_timeout=config.disk_breaker_reset)
+            failure_threshold=DISK_BREAKER_THRESHOLD,
+            reset_timeout=DISK_BREAKER_RESET_S)
         #: Operational log: "claim:<id>", "done:<id>", "fail:<id>:<type>",
         #: "cached-result:<id>", "conflict:<id>" — assertable without
         #: reaching into the spool.
@@ -266,7 +279,7 @@ class Worker:
             raise _JournalLockHeld(str(exc)) from exc
         ex = ResilientExecutor(
             SerialExecutor(),
-            retry=RetryPolicy(max_attempts=self.config.task_retries + 1),
+            retry=RetryPolicy(max_attempts=TASK_RETRIES + 1),
             journal=journal,
             injector=self.config.injector,
             seed=stream_seed(self.config.seed, "svc-job", job.id),

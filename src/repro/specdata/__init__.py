@@ -20,7 +20,7 @@ from repro.specdata.ratings import (
     compute_app_ratios,
     compute_rate,
 )
-from repro.specdata.io import read_records_csv, write_records_csv
+from repro.specdata.io import write_records_csv
 from repro.specdata.schema import PARAMETER_FIELDS, SystemRecord, records_to_dataset
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "SystemPerformance",
     "compute_app_ratios",
     "compute_rate",
-    "read_records_csv",
     "write_records_csv",
     "PARAMETER_FIELDS",
     "SystemRecord",

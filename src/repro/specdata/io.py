@@ -1,7 +1,8 @@
 """CSV import/export for SPEC announcement records.
 
 The synthetic archive is a stand-in for the SPEC website's public data; a
-user who scrapes the real archive can load it through the same schema and
+user who scrapes the real archive can load it through the same schema
+(:func:`repro.robust.read_records_checked`, with row-level quarantine) and
 run every workflow unchanged. Conversely, exporting the synthetic records
 documents exactly what the models were trained on.
 
@@ -20,7 +21,7 @@ from typing import Sequence
 from repro.ml.dataset import ColumnRole
 from repro.specdata.schema import PARAMETER_FIELDS, SystemRecord
 
-__all__ = ["write_records_csv", "read_records_csv", "parse_record_row", "REQUIRED_COLUMNS"]
+__all__ = ["write_records_csv", "parse_record_row", "REQUIRED_COLUMNS"]
 
 _PROVENANCE = ("family", "year", "quarter")
 _RESULTS = ("specint_rate", "specfp_rate")
@@ -94,28 +95,3 @@ def parse_record_row(row: dict, ratio_cols: Sequence[str] = ()) -> SystemRecord:
             (c[len("ratio:"):], float(row[c])) for c in ratio_cols
         )
     return SystemRecord(**kwargs)
-
-
-def read_records_csv(path: str | Path) -> list[SystemRecord]:
-    """Read announcement records written by :func:`write_records_csv`.
-
-    Integer-typed parameters (core counts) are restored from their float
-    representation; per-app ratio columns are optional. Any malformed row
-    aborts the read — use
-    :func:`repro.robust.guards.read_records_checked` for row-level
-    quarantine instead of all-or-nothing ingest.
-    """
-    records: list[SystemRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty CSV")
-        missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        ratio_cols = [c for c in reader.fieldnames if c.startswith("ratio:")]
-        for row in reader:
-            records.append(parse_record_row(row, ratio_cols))
-    if not records:
-        raise ValueError(f"{path}: no data rows")
-    return records

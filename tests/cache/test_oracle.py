@@ -1,4 +1,4 @@
-"""Tests for the LRU-vs-Belady oracle benchmark and its synthetic traces.
+"""Tests for the LRU-vs-Belady oracle benchmark and its trace replay.
 
 ``benchmarks/`` is not a package; the oracle module is imported by path,
 the same way the benchmark script itself runs.
@@ -16,54 +16,18 @@ BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 if str(BENCH_DIR) not in sys.path:
     sys.path.insert(0, str(BENCH_DIR))
 
+import cache_oracle  # noqa: E402
 from cache_oracle import (  # noqa: E402
-    N_REQUESTS,
-    PINNED,
     belady_hit_rate,
     evaluate_trace,
     load_captured_trace,
+    main,
     replay_lru,
     run_checks,
-    synthetic_traces,
 )
 
 from repro import obs  # noqa: E402
 from repro.cache import ResultCache  # noqa: E402
-from repro.loadgen.workloads import WORKLOAD_SHAPES  # noqa: E402
-
-
-# -- trace generator ---------------------------------------------------------
-
-
-def test_generator_is_deterministic_per_seed():
-    a = synthetic_traces(seed=7)
-    b = synthetic_traces(seed=7)
-    c = synthetic_traces(seed=8)
-    assert tuple(a) == WORKLOAD_SHAPES
-    for name in WORKLOAD_SHAPES:
-        assert a[name] == b[name]
-        assert a[name] != c[name]
-
-
-def test_generator_workload_shapes():
-    traces = synthetic_traces(seed=0)
-    for keys in traces.values():
-        assert len(keys) == N_REQUESTS
-        assert all(k.startswith("k") for k in keys[:100])
-    # phase-shift really shifts: each quarter's hot keys (>= 20 uses) sit in
-    # its own 150-key window, so the first and last phases share none
-    ps = traces["phase_shift"]
-    quarter = N_REQUESTS // 4
-
-    def hot(keys):
-        return {k for k in set(keys) if keys.count(k) >= 20}
-
-    hot_first, hot_last = hot(ps[:quarter]), hot(ps[-quarter:])
-    assert hot_first and all(int(k[1:]) < 150 for k in hot_first)
-    assert hot_last and all(450 <= int(k[1:]) < 600 for k in hot_last)
-    # oscillating alternates between two disjoint working sets
-    osc = traces["oscillating"]
-    assert set(osc[:2000]).isdisjoint(set(osc[2000:4000]))
 
 
 # -- Belady oracle -----------------------------------------------------------
@@ -129,40 +93,70 @@ def test_evaluate_trace_curves_cover_lru_and_oracle():
         assert curve["hit_rate"]["lru"] <= curve["hit_rate"]["oracle"] + 1e-9
 
 
-def test_pinned_workloads_match_generated_names():
-    assert tuple(PINNED) == WORKLOAD_SHAPES
-    for pins in PINNED.values():
-        assert set(pins) == {"lru", "oracle"}
-
-
-def test_run_checks_flags_regression_and_oracle_violation():
-    # a synthetic workloads dict where LRU "beats" the oracle
-    entry = {
-        "name": "scan",
+def _capture(lru: float, oracle: float) -> dict:
+    return {
+        "name": "t.jsonl",
         "n_requests": 10,
         "n_distinct": 5,
         "curves": [{
             "capacity": 4, "capacity_fraction": 0.1,
-            "hit_rate": {"lru": 0.9, "oracle": 0.5},
+            "hit_rate": {"lru": lru, "oracle": oracle},
         }],
     }
-    failures = run_checks({"scan": entry})
-    assert any("replay bug" in f for f in failures)
-    assert any("pin regression: scan/lru" in f for f in failures)
-    assert any("pin regression: scan/oracle" in f for f in failures)
 
 
-def test_run_checks_pass_at_the_pins():
-    entry = {
-        "name": "scan",
-        "n_requests": 10,
-        "n_distinct": 5,
-        "curves": [{
-            "capacity": 4, "capacity_fraction": 0.1,
-            "hit_rate": dict(PINNED["scan"]),
-        }],
-    }
-    assert run_checks({"scan": entry}) == []
+def test_run_checks_flags_oracle_violation():
+    failures = run_checks({"t.jsonl": _capture(lru=0.9, oracle=0.5)})
+    assert failures == ["t.jsonl@4: lru 0.9000 beat the oracle 0.5000 "
+                        "(replay bug)"]
+
+
+def test_run_checks_pass_when_oracle_dominates():
+    assert run_checks({"t.jsonl": _capture(lru=0.5, oracle=0.5)}) == []
+    assert run_checks({"t.jsonl": _capture(lru=0.3, oracle=0.6)}) == []
+
+
+def _write_probe_trace(path: Path, parts) -> None:
+    cache = ResultCache()
+    obs.configure(trace_path=path)
+    try:
+        with obs.span("sweep"):
+            for part in parts:
+                cache.get_or_compute((part,), lambda: 1, kind="kind")
+    finally:
+        obs.shutdown()
+
+
+def test_main_replays_every_capture(tmp_path):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    _write_probe_trace(a, "abcabcabca")
+    _write_probe_trace(b, "xyxyxy")
+    out = tmp_path / "report.json"
+    assert main(["--trace", str(a), "--trace", str(b), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["schema"] == "repro-bench-cache/2"
+    assert set(report["captures"]) == {"a.jsonl", "b.jsonl"}
+    assert report["captures"]["a.jsonl"]["n_requests"] == 10
+    assert report["checks"]["failures"] == []
+
+
+def test_main_exits_2_naming_the_capture_on_a_replay_bug(tmp_path, capsys,
+                                                         monkeypatch):
+    path = tmp_path / "probes.jsonl"
+    _write_probe_trace(path, "abcabcabca")
+    monkeypatch.setattr(cache_oracle, "replay_lru",
+                        lambda keys, capacity: {"hit_rate": 1.0})
+    rc = main(["--trace", str(path), "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "FAIL: probes.jsonl@" in err and "(replay bug)" in err
+
+
+def test_main_requires_a_trace(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main([])
+    assert ei.value.code == 2
+    assert "--trace" in capsys.readouterr().err
 
 
 def test_load_captured_trace_reads_probe_keys_in_file_order(tmp_path):

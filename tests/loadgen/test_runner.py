@@ -40,7 +40,7 @@ class TestSimRuns:
         assert result.counts()["done"] == 40
 
     def test_runs_are_deterministic_under_virtual_time(self):
-        wl = WorkloadSpec(workload="oscillating", pacing="open",
+        wl = WorkloadSpec(workload="static", pacing="open",
                           n_requests=30, n_keys=8, seed=3, rate=60.0)
 
         def once():

@@ -1,12 +1,11 @@
-"""Property-based tests for the workload generators' determinism contract.
+"""Property-based tests for the workload generator's determinism contract.
 
-One shrinkable (or seeded-fallback) integer seed drives every shape
-through the invariants the load runner and the cache oracle depend on:
+One shrinkable (or seeded-fallback) integer seed drives the generator
+through the invariants the load runner depends on:
 
 * same spec (same seed) ⇒ the identical request stream, twice;
 * open-loop inter-arrival gaps are non-negative and offsets non-decreasing;
-* hot-set draws respect the configured skew (frequency concentration);
-* phase-shift boundaries land exactly where the spec schedules them.
+* hot-set draws respect the configured skew (frequency concentration).
 
 Runs under hypothesis when installed; falls back to a fixed seeded-random
 sweep otherwise (same idiom as the LRU contract tests).
@@ -22,7 +21,6 @@ import pytest
 
 from repro.loadgen import (
     PACING_MODES,
-    WORKLOAD_SHAPES,
     ReqGenEngine,
     SpecCatalog,
     WorkloadSpec,
@@ -58,15 +56,12 @@ except ImportError:  # pragma: no cover - exercised only without hypothesis
 def _spec(seed: int, **overrides) -> WorkloadSpec:
     rng = random.Random(seed)
     base = dict(
-        workload=rng.choice(WORKLOAD_SHAPES),
         n_requests=rng.randint(1, 120),
         n_keys=rng.randint(2, 40),
         seed=seed,
         rate=rng.choice([0.5, 2.0, 8.0, 50.0]),
         hot_fraction=rng.choice([0.1, 0.2, 0.5]),
         hot_weight=rng.choice([0.0, 0.5, 0.8, 1.0]),
-        n_phases=rng.randint(1, 6),
-        period=rng.randint(1, 30),
     )
     base.update(overrides)
     return WorkloadSpec(**base)
@@ -137,48 +132,6 @@ class TestHotSetSkew:
         n_hot = max(1, int(wl.n_keys * wl.hot_fraction))
         assert all(i < n_hot for i in ReqGenEngine(wl).key_indices())
 
-    def test_scan_cold_draws_advance_round_robin(self):
-        wl = WorkloadSpec(workload="scan", n_requests=200, n_keys=10,
-                          seed=9, hot_fraction=0.2, hot_weight=0.0)
-        n_hot = max(1, int(wl.n_keys * wl.hot_fraction))
-        indices = ReqGenEngine(wl).key_indices()
-        scan_len = wl.n_keys - n_hot
-        expected = [n_hot + (i % scan_len) for i in range(len(indices))]
-        assert indices == expected
-
-
-class TestPhaseShift:
-    @seeds(n_examples=15)
-    def test_boundaries_land_on_schedule(self, seed):
-        wl = _spec(seed, workload="phase_shift", hot_weight=1.0)
-        engine = ReqGenEngine(wl)
-        boundaries = engine.phase_boundaries()
-        per_phase = wl.n_requests // wl.n_phases
-        assert boundaries == [p * per_phase for p in range(wl.n_phases)]
-        if per_phase == 0:
-            return
-        indices = engine.key_indices()
-        for phase in range(wl.n_phases):
-            lo, hi = engine.phase_window(phase)
-            start = boundaries[phase]
-            stop = (boundaries[phase + 1] if phase + 1 < wl.n_phases
-                    else wl.n_requests)
-            for i in indices[start:stop]:
-                assert lo <= i < hi, (
-                    f"request in phase {phase} drew key {i} outside its "
-                    f"hot window [{lo}, {hi})")
-
-    def test_oscillating_flips_every_period(self):
-        wl = WorkloadSpec(workload="oscillating", n_requests=100, n_keys=10,
-                          seed=4, period=25)
-        half = wl.n_keys // 2
-        indices = ReqGenEngine(wl).key_indices()
-        for i, key in enumerate(indices):
-            if (i // wl.period) % 2 == 0:
-                assert key < half
-            else:
-                assert key >= half
-
 
 class TestServeSchedule:
     """The benchmark's ``serve`` workload plans its steady phase with exactly
@@ -219,8 +172,8 @@ class TestValidation:
         dict(rate=0.0),
         dict(hot_fraction=1.0),
         dict(hot_weight=1.5),
-        dict(n_phases=0),
-        dict(period=0),
+        dict(hot_fraction=0.0),
+        dict(hot_weight=-0.1),
     ])
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ValueError):

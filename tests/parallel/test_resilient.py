@@ -260,6 +260,8 @@ class TestFaultInjector:
         assert inj.p_crash == 0.05 and inj.seed == 3
         with pytest.raises(ValueError, match="bad chaos spec"):
             FaultInjector.parse("explode=1.0")
+        with pytest.raises(ValueError, match="bad chaos spec"):
+            FaultInjector.parse("slow-seconds=1.0")
 
     def test_injector_is_picklable(self):
         inj = FaultInjector(seed=1, p_exception=0.1, crash_indices=(3,))

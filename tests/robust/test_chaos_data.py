@@ -131,11 +131,10 @@ class TestCleanInputBitIdentity:
         assert not robust.degraded_labels()
 
     def test_guarded_ingest_identical_on_clean_csv(self, records, tmp_path):
-        from repro.specdata.io import read_records_csv
-
         path = tmp_path / "clean.csv"
         write_records_csv(records, path)
-        assert read_records_checked(path)[0] == read_records_csv(path)
+        clean, report = read_records_checked(path)
+        assert clean == list(records) and report.rows == []
 
     def test_injector_is_deterministic(self, records):
         def hit_rows(recs):

@@ -182,8 +182,7 @@ class TestGC:
         path = spool.checkpoint_path(ids["done"])
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text('{"fp": "x"}\n')
-        stats = compact(spool, CompactionPolicy(gc_checkpoints=False,
-                                                gc_results=False))
+        stats = compact(spool, CompactionPolicy(gc=False))
         assert stats.gc_checkpoints == 0 and stats.gc_results == 0
         assert path.exists()
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.specdata import read_records_csv, write_records_csv
+from repro.robust import read_records_checked
+from repro.specdata import write_records_csv
 
 
 class TestRoundTrip:
@@ -10,7 +11,8 @@ class TestRoundTrip:
         records = spec_archive("opteron-2")
         path = tmp_path / "opteron2.csv"
         write_records_csv(records, path)
-        back = read_records_csv(path)
+        back, report = read_records_checked(path)
+        assert report.rows == []
         assert len(back) == len(records)
         for a, b in zip(records, back):
             assert a.system_name == b.system_name
@@ -26,7 +28,7 @@ class TestRoundTrip:
 
         path = tmp_path / "xeon.csv"
         write_records_csv(spec_archive("xeon"), path)
-        records = read_records_csv(path)
+        records, _ = read_records_checked(path)
         res = run_chronological("xeon", model_builders(("LR-B",)),
                                 records=records)
         assert res.errors["LR-B"].mean < 10.0
@@ -41,13 +43,13 @@ class TestValidation:
         p = tmp_path / "bad.csv"
         p.write_text("family,year\nxeon,2005\n")
         with pytest.raises(ValueError, match="missing columns"):
-            read_records_csv(p)
+            read_records_checked(p)
 
     def test_read_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
         with pytest.raises(ValueError):
-            read_records_csv(p)
+            read_records_checked(p)
 
     def test_read_header_only(self, tmp_path, spec_archive):
         p = tmp_path / "header.csv"
@@ -55,4 +57,4 @@ class TestValidation:
         lines = p.read_text().splitlines()
         p.write_text(lines[0] + "\n")
         with pytest.raises(ValueError, match="no data rows"):
-            read_records_csv(p)
+            read_records_checked(p)
