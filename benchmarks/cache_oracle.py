@@ -101,13 +101,24 @@ def belady_hit_rate(keys: list[str], capacity: int) -> float:
     return hits / n if n else 0.0
 
 
+def _capacity(n_distinct: int, fraction: float) -> int:
+    return max(4, int(n_distinct * fraction))
+
+
 def evaluate_trace(name: str, keys: list[str],
                    fractions=CAPACITY_FRACTIONS) -> dict:
-    """Hit-rate-vs-capacity curves for one trace, LRU + oracle."""
+    """Hit-rate-vs-capacity curves for one trace, LRU + oracle.
+
+    Capacities are clamped to at least 4, so on a small trace several
+    fractions share one capacity; each distinct capacity is one curve
+    point, labelled with the first fraction that gives it.
+    """
     n_distinct = len(set(keys))
     curves = []
     for fraction in fractions:
-        capacity = max(4, int(n_distinct * fraction))
+        capacity = _capacity(n_distinct, fraction)
+        if any(c["capacity"] == capacity for c in curves):
+            continue
         start = time.perf_counter()
         hit_rate = {"lru": replay_lru(keys, capacity)["hit_rate"],
                     "oracle": belady_hit_rate(keys, capacity)}
@@ -126,8 +137,10 @@ def evaluate_trace(name: str, keys: list[str],
 
 
 def _reference_rates(entry: dict) -> dict[str, float]:
+    """The rates at the capacity ``REFERENCE_FRACTION`` gives."""
+    capacity = _capacity(entry["n_distinct"], REFERENCE_FRACTION)
     for curve in entry["curves"]:
-        if curve["capacity_fraction"] == REFERENCE_FRACTION:
+        if curve["capacity"] == capacity:
             return curve["hit_rate"]
     return entry["curves"][0]["hit_rate"]
 

@@ -40,6 +40,7 @@ __all__ = [
     "cache_snapshot",
     "configure",
     "default_cache",
+    "env_disk_root",
     "is_enabled",
     "reset_default_cache",
     "set_enabled",
@@ -106,9 +107,6 @@ class ResultCache:
         self.disk_breaker = disk_breaker
         self.enabled = True
         self.events: list[str] = []
-        #: Per-namespace hit/miss breakdown, keyed by the effective namespace
-        #: label, for multi-tenant service diagnosability.
-        self.namespace_counts: dict[str, dict[str, int]] = {}
 
     def key_for(self, key_parts: Any) -> str:
         """Fingerprint of the key parts; exposed for tests and diagnostics."""
@@ -150,7 +148,7 @@ class ResultCache:
         if value is not _MISS:
             self.events.append(f"hit:memory:{kind}")
             _metrics().counter("cache.memory.hits").inc()
-            self._account(key, kind, hit=True, layer="memory")
+            self._probed(key, kind, hit=True, layer="memory")
             return value
         if self._disk_allowed(kind):
             errs = self.disk.io_errors
@@ -161,11 +159,11 @@ class ResultCache:
                 _metrics().counter("cache.disk.hits").inc()
                 self.memory.put(key, value)
                 self._note_evictions(before)
-                self._account(key, kind, hit=True, layer="disk")
+                self._probed(key, kind, hit=True, layer="disk")
                 return value
         self.events.append(f"miss:{kind}")
         _metrics().counter("cache.misses").inc()
-        self._account(key, kind, hit=False, layer=None)
+        self._probed(key, kind, hit=False, layer=None)
         value = compute()
         self.memory.put(key, value)
         if self._disk_allowed(kind):
@@ -175,11 +173,8 @@ class ResultCache:
         self._note_evictions(before)
         return value
 
-    def _account(self, key: str, kind: str, hit: bool, layer: str | None) -> None:
-        """Per-namespace breakdown + a ``cache.probe`` trace event."""
-        ns = self.namespace if self.namespace is not None else "(default)"
-        counts = self.namespace_counts.setdefault(ns, {"hits": 0, "misses": 0})
-        counts["hits" if hit else "misses"] += 1
+    def _probed(self, key: str, kind: str, hit: bool, layer: str | None) -> None:
+        """One ``cache.probe`` trace event per probe."""
         _annotate("cache.probe", key=key, namespace=self.namespace, kind=kind,
                   hit=hit, layer=layer)
 
@@ -200,10 +195,6 @@ class ResultCache:
             disk_misses=self.disk.misses if self.disk is not None else 0,
             disk_entries=len(self.disk) if self.disk is not None else 0,
         )
-
-    def stats_by_namespace(self) -> dict[str, dict[str, int]]:
-        """Hit/miss counts per effective namespace (insertion-ordered copy)."""
-        return {ns: dict(c) for ns, c in self.namespace_counts.items()}
 
     def clear(self) -> dict[str, int]:
         """Drop all entries in both layers; returns per-layer drop counts."""
@@ -226,9 +217,13 @@ def default_cache() -> ResultCache:
     """
     global _DEFAULT
     if _DEFAULT is None:
-        disk_root = os.environ.get("REPRO_CACHE_DIR") or None
-        _DEFAULT = ResultCache(max_entries=128, disk_root=disk_root)
+        _DEFAULT = ResultCache(max_entries=128, disk_root=env_disk_root())
     return _DEFAULT
+
+
+def env_disk_root() -> str | None:
+    """The disk root ``REPRO_CACHE_DIR`` names (None when unset or empty)."""
+    return os.environ.get("REPRO_CACHE_DIR") or None
 
 
 def configure(max_entries: int = 128,
@@ -277,7 +272,6 @@ def cache_snapshot() -> dict[str, Any]:
     snap: dict[str, Any] = {
         "enabled": is_enabled(),
         "result_cache": store.stats().as_dict(),
-        "by_namespace": store.stats_by_namespace(),
     }
     from repro.ml.preprocess import raw_matrix_cache  # local: avoids a cycle
 

@@ -61,13 +61,14 @@ from repro.obs import phase as _obs_phase
 from repro.obs.metrics import default_registry as _metrics
 from repro.parallel.executor import Executor, ProcessExecutor, SerialExecutor
 from repro.util import durable
-from repro.util.rng import child_rng, stream_seed
+from repro.util.rng import child_rng, pick_fault, stream_seed
 
 __all__ = [
     "RetryPolicy",
     "CheckpointJournal",
     "FaultInjector",
     "ResilientExecutor",
+    "sigkill_process",
     "task_fingerprint",
 ]
 
@@ -225,12 +226,13 @@ class CheckpointJournal:
 class FaultInjector:
     """Seeded chaos: inject exceptions, delays, or worker crashes into tasks.
 
-    Decisions are a pure function of ``(seed, task index, attempt)``, so a
-    chaos run is exactly reproducible and a fault injected on attempt 1 can
-    clear on attempt 2 (modeling transient failures). Crash injection calls
-    ``os._exit`` — but only inside a pool worker process; in the driver
-    process (serial execution or serial fallback) it is a no-op, so a sweep
-    that degrades to serial always completes.
+    Decisions are a pure function of ``(seed, task index, attempt)``, made
+    by :func:`repro.util.rng.pick_fault` (the core the disk injector
+    shares), so a chaos run is exactly reproducible and a fault injected on
+    attempt 1 can clear on attempt 2 (modeling transient failures). Crash
+    injection calls ``os._exit`` — but only inside a pool worker process;
+    in the driver process (serial execution or serial fallback) it is a
+    no-op, so a sweep that degrades to serial always completes.
 
     The injector is picklable and crosses the process boundary with the task.
     """
@@ -243,10 +245,7 @@ class FaultInjector:
     fail_once_indices: tuple[int, ...] = ()  # InjectedFault on attempt 1 only
     fail_indices: tuple[int, ...] = ()       # InjectedFault on every attempt
     crash_indices: tuple[int, ...] = ()      # os._exit on every (worker) attempt
-    # Process-level fault for service supervision drills. SIGKILL models a
-    # worker dying at the signal level (no atexit, no cleanup, nothing the
-    # interpreter can intercept) — the case lease expiry and heartbeat
-    # supervision exist for.
+    # Service supervision drills: see sigkill_process.
     sigkill_indices: tuple[int, ...] = ()    # SIGKILL self on every (worker) attempt
 
     @classmethod
@@ -266,41 +265,43 @@ class FaultInjector:
 
     def fire(self, index: int, attempt: int) -> None:
         """Maybe inject a fault for this (task, attempt). Called in-task."""
-        if index in self.sigkill_indices:
-            self._sigkill()
-        if index in self.crash_indices:
-            self._crash()
-        if index in self.fail_indices or (
-            attempt == 1 and index in self.fail_once_indices
-        ):
-            raise InjectedFault(f"injected fault at task {index} (attempt {attempt})")
-        if not (self.p_exception or self.p_delay or self.p_crash):
-            return
-        u = child_rng(self.seed, "inject", index, attempt).random()
-        if u < self.p_crash:
-            self._crash()
-        elif u < self.p_crash + self.p_exception:
+        # Crashes only kill pool workers; crashing the driver would take the
+        # journal writer (and the test process) down with it. There an
+        # explicit crash index is skipped and a crash draw does nothing.
+        in_worker = multiprocessing.parent_process() is not None
+        fault = pick_fault(self.seed, "inject", (index, attempt), index, (
+            ("sigkill", 0.0, self.sigkill_indices if in_worker else ()),
+            ("crash", 0.0, self.crash_indices if in_worker else ()),
+            ("exc", 0.0, self.fail_indices
+             + (self.fail_once_indices if attempt == 1 else ())),
+            ("crash", self.p_crash, ()),
+            ("exc", self.p_exception, ()),
+            ("delay", self.p_delay, ()),
+        ))
+        if fault == "sigkill":
+            sigkill_process(os.getpid())
+        elif fault == "crash" and in_worker:
+            os._exit(17)
+        elif fault == "exc":
             raise InjectedFault(
-                f"injected fault at task {index} (attempt {attempt})"
-            )
-        elif u < self.p_crash + self.p_exception + self.p_delay:
+                f"injected fault at task {index} (attempt {attempt})")
+        elif fault == "delay":
             time.sleep(self.delay_seconds)
 
-    @staticmethod
-    def _crash() -> None:
-        # Only kill pool workers; crashing the driver would take the journal
-        # writer (and the test process) down with it.
-        if multiprocessing.parent_process() is not None:
-            os._exit(17)
 
-    @staticmethod
-    def _sigkill() -> None:
-        # SIGKILL-level death: unlike _crash's os._exit this cannot be
-        # confused with an orderly (if abrupt) interpreter exit — the kernel
-        # tears the process down mid-instruction. Worker processes only,
-        # same as _crash.
-        if multiprocessing.parent_process() is not None:
-            os.kill(os.getpid(), signal.SIGKILL)
+def sigkill_process(pid: int) -> bool:
+    """SIGKILL ``pid``; False when it is already gone.
+
+    Signal-level death: no atexit, no cleanup, nothing the interpreter can
+    intercept, which is the case lease expiry and heartbeat supervision
+    exist for. ``FaultInjector.sigkill_indices`` kills the worker itself;
+    supervision drills kill a live worker from outside.
+    """
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class _TaskCall:

@@ -24,41 +24,26 @@ Process-level chaos for the service layer reuses the execution-level
 :class:`~repro.parallel.FaultInjector` (re-exported here for discovery):
 ``sigkill_indices`` kills a live worker mid-task at the signal level —
 no cleanup, no atexit, exactly what lease expiry and heartbeat supervision
-must absorb. :func:`sigkill_process` is the external variant
-used by supervision drills that kill a worker *from outside* (the CI
+must absorb. The same :func:`sigkill_process` (re-exported) serves
+supervision drills that kill a worker *from outside* (the CI
 kill-a-worker drill reads the victim's pid from its heartbeat file).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import signal
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from repro.parallel.resilient import FaultInjector
+from repro.parallel.resilient import FaultInjector, sigkill_process
 from repro.specdata.schema import PARAMETER_FIELDS, SystemRecord
 from repro.util.rng import child_rng
 
 __all__ = ["DataFaultInjector", "FaultInjector", "sigkill_process"]
 
-
-def sigkill_process(pid: int) -> bool:
-    """SIGKILL ``pid`` from outside; False when it is already gone.
-
-    The external counterpart of ``FaultInjector.sigkill_indices``:
-    supervision drills use it to murder a live worker they picked from the
-    spool's heartbeat files, proving lease expiry and restart end to end.
-    """
-    try:
-        os.kill(pid, signal.SIGKILL)
-    except ProcessLookupError:
-        return False
-    return True
 
 #: Numeric parameter fields eligible for NaN injection.
 _NUMERIC_PARAMS: tuple[str, ...] = tuple(

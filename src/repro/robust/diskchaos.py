@@ -29,9 +29,10 @@ through the broad ``except Exception`` recovery paths the way SIGKILL
 would — a simulated crash must never be "handled".
 
 Determinism contract: with the same seed and the same sequence of
-primitive calls, the same faults fire. The injector hashes ``(seed, op, call_index)``
-through the repo's named-stream derivation, so adding faults to one
-operation kind never perturbs another.
+primitive calls, the same faults fire. Each call's fault is picked by
+:func:`repro.util.rng.pick_fault` (the core the task injector shares) from
+the ``(seed, "diskchaos", op, call_index)`` stream, so adding faults to
+one operation kind never perturbs another.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.util import durable
-from repro.util.rng import child_rng
+from repro.util.rng import pick_fault
 
 __all__ = [
     "DiskFaultInjector",
@@ -94,57 +95,52 @@ class DiskFaultInjector:
     calls: dict[str, int] = field(default_factory=dict)
     fired: dict[str, int] = field(default_factory=dict)
 
-    def _next_index(self, op: str) -> int:
+    def _decide(self, op: str, *plan: tuple[str, float, tuple[int, ...]]
+                ) -> tuple[int, str | None]:
+        """Count one ``op`` call and pick the fault it suffers, if any."""
         i = self.calls.get(op, 0)
         self.calls[op] = i + 1
-        return i
-
-    def _roll(self, op: str, index: int) -> float:
-        return float(child_rng(self.seed, "diskchaos", op, index).random())
-
-    def _fire(self, fault: str) -> None:
-        self.fired[fault] = self.fired.get(fault, 0) + 1
+        fault = pick_fault(self.seed, "diskchaos", (op, i), i, plan)
+        if fault is not None:
+            self.fired[fault] = self.fired.get(fault, 0) + 1
+        return i, fault
 
     # -- per-operation fault decisions (called through the fault hook) -------
 
     def on_write(self, fd: int, data: Any) -> int:
         """Decide one ``os.write``: full write, short write, error, crash."""
-        i = self._next_index("write")
-        u = self._roll("write", i)
-        if i in self.torn_crash_at:
-            self._fire("torn_crash")
+        if len(data) <= 1:  # too short to tear: a short write is a full one
+            short = ("short_write", 0.0, ())
+        else:
+            short = ("short_write", self.p_short_write, self.short_write_at)
+        i, fault = self._decide(
+            "write", ("torn_crash", 0.0, self.torn_crash_at),
+            ("enospc", self.p_enospc, self.enospc_at),
+            ("eio_write", self.p_eio_write, self.eio_write_at), short)
+        if fault == "torn_crash":
             os.write(fd, bytes(data)[: max(1, len(data) // 2)])
             raise SimulatedCrash(f"torn write at write call {i}")
-        if i in self.enospc_at or u < self.p_enospc:
-            self._fire("enospc")
+        if fault == "enospc":
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        if i in self.eio_write_at or u < self.p_enospc + self.p_eio_write:
-            self._fire("eio_write")
+        if fault == "eio_write":
             raise OSError(errno.EIO, os.strerror(errno.EIO))
-        if (i in self.short_write_at
-                or u < self.p_enospc + self.p_eio_write + self.p_short_write) \
-                and len(data) > 1:
-            self._fire("short_write")
+        if fault == "short_write":
             return os.write(fd, bytes(data)[: max(1, len(data) // 2)])
         return os.write(fd, data)
 
     def on_fsync(self, fd: int) -> None:
-        i = self._next_index("fsync")
-        u = self._roll("fsync", i)
-        if i in self.crash_after_fsync_at:
-            self._fire("crash_after_fsync")
-            os.fsync(fd)
-            raise SimulatedCrash(f"crash after fsync call {i}")
-        if i in self.eio_fsync_at or u < self.p_eio_fsync:
-            self._fire("eio_fsync")
+        i, fault = self._decide(
+            "fsync", ("crash_after_fsync", 0.0, self.crash_after_fsync_at),
+            ("eio_fsync", self.p_eio_fsync, self.eio_fsync_at))
+        if fault == "eio_fsync":
             raise OSError(errno.EIO, os.strerror(errno.EIO))
         os.fsync(fd)
+        if fault == "crash_after_fsync":
+            raise SimulatedCrash(f"crash after fsync call {i}")
 
     def on_replace(self, src: Any, dst: Any) -> None:
-        i = self._next_index("replace")
-        u = self._roll("replace", i)
-        if i in self.rename_at or u < self.p_rename:
-            self._fire("rename")
+        _, fault = self._decide("replace", ("rename", self.p_rename, self.rename_at))
+        if fault == "rename":
             raise OSError(errno.EIO, f"injected rename failure: {src} -> {dst}")
         os.replace(src, dst)
 

@@ -103,7 +103,9 @@ def _check_scipy() -> DoctorCheck:
 
 
 def _check_cache_dir() -> DoctorCheck:
-    root = os.environ.get("REPRO_CACHE_DIR")
+    from repro.cache.result_cache import env_disk_root
+
+    root = env_disk_root()
     if not root:
         return DoctorCheck("cache-dir", True,
                            "REPRO_CACHE_DIR unset (memory-only caching)")

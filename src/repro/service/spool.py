@@ -80,6 +80,7 @@ import json
 import os
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -123,16 +124,18 @@ _RECORD_FIELDS = (
 )
 
 
+@dataclass(frozen=True)
 class SpoolConfig:
     """Admission/lease settings shared by every process using a spool."""
 
-    def __init__(self, max_depth: int = 64, lease_ttl: float = 30.0) -> None:
-        if max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-        if lease_ttl <= 0:
-            raise ValueError(f"lease_ttl must be > 0, got {lease_ttl}")
-        self.max_depth = max_depth
-        self.lease_ttl = lease_ttl
+    max_depth: int = 64
+    lease_ttl: float = 30.0
+
+    def __post_init__(self) -> None:
+        if self.max_depth < 1:
+            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+        if self.lease_ttl <= 0:
+            raise ValueError(f"lease_ttl must be > 0, got {self.lease_ttl}")
 
     def as_dict(self) -> dict[str, Any]:
         return {"schema": SPOOL_SCHEMA, "max_depth": self.max_depth,
@@ -140,8 +143,8 @@ class SpoolConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "SpoolConfig":
-        return cls(max_depth=int(d.get("max_depth", 64)),
-                   lease_ttl=float(d.get("lease_ttl", 30.0)))
+        return cls(max_depth=int(d.get("max_depth", cls.max_depth)),
+                   lease_ttl=float(d.get("lease_ttl", cls.lease_ttl)))
 
 
 # -- the fold ----------------------------------------------------------------

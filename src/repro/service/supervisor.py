@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 from repro.errors import ServiceError
 from repro.obs.metrics import default_registry as _metrics
-from repro.parallel.resilient import FaultInjector
-from repro.robust.chaos import sigkill_process
+from repro.parallel.resilient import FaultInjector, sigkill_process
+from repro.service.compaction import CompactionPolicy
 from repro.service.spool import JobSpool, SpoolConfig
 from repro.service.worker import WorkerConfig, worker_main
 from repro.util import durable
@@ -54,8 +54,8 @@ class ServiceConfig:
 
     root: str
     workers: int = 2
-    max_depth: int = 64
-    lease_ttl: float = 30.0
+    max_depth: int = SpoolConfig.max_depth
+    lease_ttl: float = SpoolConfig.lease_ttl
     heartbeat_timeout: float = 10.0
     poll_interval: float = 0.05
     seed: int = 0
@@ -85,8 +85,8 @@ class ServiceConfig:
     #: checkpoints/results. Thresholds sized so short-lived drills never
     #: trigger it; a long-lived daemon compacts roughly per-threshold.
     auto_compact: bool = True
-    compact_max_log_bytes: int = 4 * 1024 * 1024
-    compact_max_events: int = 4096
+    compact_max_log_bytes: int = CompactionPolicy.max_log_bytes
+    compact_max_events: int = CompactionPolicy.max_events
     compact_check_interval: float = 5.0
 
     def __post_init__(self) -> None:
@@ -270,7 +270,7 @@ class WorkerSupervisor:
         mid-compaction leaves a state the reader reconciles (DESIGN §15)
         and the next pass retries.
         """
-        from repro.service.compaction import CompactionPolicy, maybe_compact
+        from repro.service.compaction import maybe_compact
 
         policy = CompactionPolicy(
             max_log_bytes=self.config.compact_max_log_bytes,
@@ -355,14 +355,8 @@ class WorkerSupervisor:
         """
         if not self.config.status_file:
             return
-        import json
-
         try:
-            durable.replace_file(
-                self.config.status_file,
-                (json.dumps(self.status_snapshot(), indent=2, sort_keys=True,
-                            default=str) + "\n").encode(),
-                sync=False)
+            durable.replace_json(self.config.status_file, self.status_snapshot())
         except OSError:
             _metrics().counter("service.status.write_failures").inc()
 

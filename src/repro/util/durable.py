@@ -29,7 +29,7 @@ from typing import Any, NamedTuple
 
 __all__ = ["Lines", "append_line", "commit_temp", "complete_lines",
            "fault_hook", "fs_fsync", "fs_fsync_dir", "fs_replace", "fs_write",
-           "read_lines", "replace_file", "write_temp"]
+           "read_lines", "replace_file", "replace_json", "write_temp"]
 
 #: Installed disk-fault injector (``None``: every primitive is plain ``os``).
 fault_hook: Any = None
@@ -141,6 +141,16 @@ def replace_file(path: str | os.PathLike[str], data: bytes, *,
     commit_temp(write_temp(path, data, sync=sync), path, sync=sync)
     if sync and created:
         fs_fsync_dir(path.parent.parent)
+
+
+def replace_json(path: str | os.PathLike[str], doc: Any) -> None:
+    """Atomically replace ``path`` with ``doc`` as indented, key-sorted JSON.
+
+    For reports and telemetry (``sync=False``); values JSON cannot encode
+    are written as their ``str``.
+    """
+    replace_file(path, (json.dumps(doc, indent=2, sort_keys=True, default=str)
+                        + "\n").encode(), sync=False)
 
 
 def _repair_tail(fd: int) -> bool:

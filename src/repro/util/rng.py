@@ -17,11 +17,11 @@ sharing one generator across tasks.
 from __future__ import annotations
 
 import zlib
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["RngFactory", "child_rng", "stream_seed"]
+__all__ = ["RngFactory", "child_rng", "pick_fault", "stream_seed"]
 
 _MASK32 = 0xFFFFFFFF
 
@@ -43,6 +43,32 @@ def stream_seed(root_seed: int, *names: str | int) -> int:
 def child_rng(root_seed: int, *names: str | int) -> np.random.Generator:
     """Return an independent ``numpy`` generator for the named stream."""
     return np.random.default_rng(stream_seed(root_seed, *names))
+
+
+def pick_fault(root_seed: int, stream: str, key: tuple[str | int, ...],
+               index: int,
+               plan: Iterable[tuple[str, float, Sequence[int]]]) -> str | None:
+    """The fault one seeded chaos decision fires, or None.
+
+    ``plan`` is an ordered list of ``(fault, probability, explicit indices)``.
+    Fault *k* fires when ``index`` is one of its explicit indices, or when a
+    uniform draw from ``child_rng(root_seed, stream, *key)`` falls below the
+    summed probabilities of faults ``0..k``; the first fault that fires wins.
+    The draw is made only once a probability band is reached, and it is the
+    same draw for every band, so the bands partition ``[0, 1)``.
+    """
+    u = None
+    band = 0.0
+    for fault, p, indices in plan:
+        if index in indices:
+            return fault
+        band += p
+        if band > 0.0:
+            if u is None:
+                u = float(child_rng(root_seed, stream, *key).random())
+            if u < band:
+                return fault
+    return None
 
 
 class RngFactory:

@@ -93,6 +93,23 @@ def test_evaluate_trace_curves_cover_lru_and_oracle():
         assert curve["hit_rate"]["lru"] <= curve["hit_rate"]["oracle"] + 1e-9
 
 
+def test_evaluate_trace_replays_each_distinct_capacity_once(monkeypatch):
+    replayed = []
+    real = cache_oracle.replay_lru
+    monkeypatch.setattr(cache_oracle, "replay_lru",
+                        lambda keys, capacity: (replayed.append(capacity),
+                                                real(keys, capacity))[1])
+    # 12 keys: every fraction clamps to capacity 4.
+    entry = evaluate_trace("small", [f"k{i % 12}" for i in range(48)])
+    assert [(c["capacity"], c["capacity_fraction"])
+            for c in entry["curves"]] == [(4, 0.05)]
+    # 30 keys: 0.05 and 0.1 share capacity 4; 0.2 and 0.4 give 6 and 12.
+    entry = evaluate_trace("mid", [f"k{i % 30}" for i in range(90)])
+    assert [(c["capacity"], c["capacity_fraction"])
+            for c in entry["curves"]] == [(4, 0.05), (6, 0.2), (12, 0.4)]
+    assert replayed == [4, 4, 6, 12]
+
+
 def _capture(lru: float, oracle: float) -> dict:
     return {
         "name": "t.jsonl",
@@ -150,6 +167,19 @@ def test_main_exits_2_naming_the_capture_on_a_replay_bug(tmp_path, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert "FAIL: probes.jsonl@" in err and "(replay bug)" in err
+
+
+def test_main_fails_once_per_distinct_capacity(tmp_path, capsys,
+                                               monkeypatch):
+    path = tmp_path / "probes.jsonl"
+    _write_probe_trace(path, "abcdefghijkl" * 4)  # 12 keys: one capacity
+    monkeypatch.setattr(cache_oracle, "replay_lru",
+                        lambda keys, capacity: {"hit_rate": 1.0})
+    assert main(["--trace", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    fails = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("FAIL: ")]
+    assert fails == ["FAIL: probes.jsonl@4: lru 1.0000 beat the oracle "
+                     "0.2500 (replay bug)"]
 
 
 def test_main_requires_a_trace(capsys):

@@ -163,35 +163,6 @@ class TestResultCache:
         assert cache.stats().hit_rate == pytest.approx(2 / 3)
 
 
-class TestNamespaceBreakdown:
-    def test_by_namespace_counts(self):
-        cache = ResultCache(namespace="tenant-a")
-        cache.get_or_compute(("k",), lambda: 1)
-        cache.get_or_compute(("k",), lambda: 1)
-        assert cache.stats_by_namespace() == {
-            "tenant-a": {"hits": 1, "misses": 1}}
-
-    def test_default_namespace_bucket(self):
-        cache = ResultCache()
-        cache.get_or_compute(("k",), lambda: 1)
-        assert cache.stats_by_namespace() == {
-            "(default)": {"hits": 0, "misses": 1}}
-
-    def test_snapshot_includes_namespaces(self):
-        rc_mod.reset_default_cache()
-        try:
-            rc_mod.configure()
-            cache = rc_mod.default_cache()
-            cache.get_or_compute(("k",), lambda: 1)
-            cache.get_or_compute(("k",), lambda: 1)
-            snap = rc_mod.cache_snapshot()
-            assert snap["by_namespace"] == {
-                "(default)": {"hits": 1, "misses": 1}}
-            assert snap["result_cache"]["memory_hits"] == 1
-        finally:
-            rc_mod.reset_default_cache()
-
-
 class TestSweepCaching:
     """End-to-end: sweep results identical with caching off, cold, and warm."""
 

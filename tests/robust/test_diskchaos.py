@@ -31,12 +31,12 @@ class TestInjectorDeterminism:
         assert inj_a.calls == inj_b.calls == {"write": 5}
 
     def test_streams_are_independent_per_op(self):
-        inj = DiskFaultInjector(seed=3)
-        rolls_w = [inj._roll("write", i) for i in range(20)]
-        rolls_f = [inj._roll("fsync", i) for i in range(20)]
-        assert rolls_w != rolls_f
-        assert rolls_w == [DiskFaultInjector(seed=3)._roll("write", i)
-                           for i in range(20)]
+        def faults(op):
+            inj = DiskFaultInjector(seed=3)
+            return [inj._decide(op, ("f", 0.5, ()))[1] for _ in range(20)]
+
+        assert faults("write") != faults("fsync")
+        assert faults("write") == faults("write")
 
 
 class TestDeterministicFaults:

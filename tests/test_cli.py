@@ -142,15 +142,6 @@ class TestCacheCLI:
         assert all(r["kind"] == "event"
                    and r["attrs"]["kind"] == "sweep-cycles" for r in probes)
 
-    def test_stats_shows_namespace_breakdown_after_probes(self, capsys):
-        from repro.cache import default_cache
-
-        default_cache().get_or_compute(("k",), lambda: 1)
-        assert main(["cache", "stats"]) == 0
-        out = capsys.readouterr().out
-        assert "per-namespace probes" in out
-        assert "(default) hits/misses" in out
-
 
 class TestFaultTolerance:
     """The resilience flags and the exit-code / stderr contract."""
@@ -406,6 +397,20 @@ class TestSpoolCommands:
         rc = main(["spool", "verify", "--spool", str(tmp_path / "absent")])
         assert rc == ServiceError.exit_code == 11
         assert "no spool directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["jobs"], ["spool", "compact"], ["spool", "verify"],
+        ["obs", "report"], ["obs", "aggregate"]])
+    def test_every_reader_of_a_missing_spool_exits_11(self, argv, tmp_path,
+                                                      capsys):
+        from repro.errors import ServiceError
+
+        absent = tmp_path / "absent"
+        rc = main(argv + ["--spool", str(absent)])
+        assert rc == ServiceError.exit_code == 11
+        err = capsys.readouterr().err
+        assert err == f"repro: error: no spool directory at {absent}\n"
+        assert not absent.exists()
 
     def test_serve_compaction_flags_parse(self):
         args = build_parser().parse_args(
