@@ -16,8 +16,8 @@ from repro.core.chronological import chronological_datasets
 from repro.ml.nn.model import NeuralNetworkModel
 from repro.simulator import (
     design_space_dataset,
+    evaluate_config,
     get_profile,
-    simulate,
     simulate_detailed,
     generate_trace,
     sweep_design_space,
@@ -85,7 +85,7 @@ def test_ablation_fast_vs_detailed(benchmark, design_space, emit):
 
     def run():
         det = np.array([simulate_detailed(trace, c).cpi for c in subset])
-        fast = np.array([simulate(c, prof, mode="interval").cpi for c in subset])
+        fast = np.array([evaluate_config(c, prof, 1_000_000).cpi for c in subset])
         return det, fast
 
     det, fast = benchmark.pedantic(run, rounds=1, iterations=1)

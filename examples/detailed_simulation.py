@@ -23,9 +23,9 @@ from repro.simulator import (
     choose_simpoints,
     enumerate_design_space,
     estimate_cycles,
+    evaluate_config,
     generate_trace,
     get_profile,
-    simulate,
     simulate_detailed,
     simulate_point,
 )
@@ -51,7 +51,7 @@ def main() -> None:
     for label, cfg in (("weak", weak), ("strong", strong)):
         t0 = time.time()
         det = simulate_detailed(trace, cfg)
-        fast = simulate(cfg, profile, n, mode="interval")
+        fast = evaluate_config(cfg, profile, n)
         print(f"{label:6s} {cfg.short_label()}")
         print(f"  detailed: CPI {det.cpi:5.2f}  L1D miss {det.l1d_miss_rate:6.2%}  "
               f"L1I miss {det.l1i_miss_rate:6.2%}  "

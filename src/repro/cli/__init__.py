@@ -63,7 +63,6 @@ from repro.parallel import (
     FaultInjector,
     ProcessExecutor,
     ResilientExecutor,
-    RetryPolicy,
     SerialExecutor,
 )
 
@@ -171,7 +170,7 @@ def _make_executor(args: argparse.Namespace) -> Executor:
             raise ReproError(str(exc)) from None
     return ResilientExecutor(
         inner,
-        retry=RetryPolicy(max_attempts=args.retries + 1),
+        max_attempts=args.retries + 1,
         task_timeout=args.task_timeout,
         journal=journal,
         injector=injector,

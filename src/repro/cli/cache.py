@@ -19,7 +19,7 @@ def cache_args(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    from repro.cache import cache_snapshot, default_cache
+    from repro.cache import default_cache
 
     # ``main`` has already pointed the default cache at ``--cache-dir``;
     # without it the default cache reads REPRO_CACHE_DIR.
@@ -34,20 +34,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
             },
             title=f"result cache at {where}",
         ))
-        # The same per-run counters a ``--metrics-file`` export records under
-        # its "cache" key, so the two views use one vocabulary. Counters are
-        # per-process: a fresh CLI invocation starts from zero; the export
-        # written at the end of a run is the durable record.
-        snap = cache_snapshot()
-        print()
-        print(format_kv(
-            {k: v for k, v in snap["result_cache"].items()
-             if not k.startswith("disk_")},
-            title="this process (result_cache counters)",
-        ))
-        print()
-        print(format_kv(snap["encoder_matrix_cache"],
-                        title="this process (encoder_matrix_cache counters)"))
         return 0
     dropped = store.clear()
     print(f"cleared {dropped.get('disk', 0)} disk entr"

@@ -15,10 +15,11 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.models import fit_and_predict
 from repro.errors import DataIntegrityError
 from repro.ml.dataset import Dataset
 from repro.ml.metrics import ErrorSummary, summarize_errors
-from repro.ml.selection import ErrorEstimate, ModelBuilder, estimate_errors
+from repro.ml.selection import ErrorEstimate, ModelBuilder
 from repro.obs import phase as _obs_phase
 from repro.parallel.executor import Executor
 from repro.specdata.generator import generate_family_records
@@ -130,21 +131,11 @@ def run_chronological(
     deployed: dict[str, str] = {}
     with _obs_phase("chronological", family=family, train_year=train_year,
                     test_year=test_year, n_models=len(builders)):
-        if ladder is None:
-            estimates = estimate_errors(builders, train, rng, n_reps=n_cv_reps,
-                                        executor=executor)
-        for label, builder in builders.items():
-            if ladder is not None:
-                model, estimates[label], walk = ladder.fit_model(
-                    label, builder, train, rng, n_cv_reps=n_cv_reps,
-                    executor=executor)
-                deployed[label] = walk.deployed
-            else:
-                model = builder()
-                with _obs_phase("train", model=label, n_records=train.n_records):
-                    model.fit(train)
-            with _obs_phase("predict", model=label, n_records=test.n_records):
-                predictions = model.predict(test)
+        for label, estimate, predictions, rung in fit_and_predict(
+                builders, train, test, rng, n_cv_reps, executor, ladder):
+            estimates[label] = estimate
+            if rung is not None:
+                deployed[label] = rung
             errors[label] = summarize_errors(predictions, test.target)
     return ChronologicalResult(
         family=family,

@@ -13,12 +13,20 @@ use all nine).
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
+
+import numpy as np
 
 from repro.ml.base import PredictiveModel
+from repro.ml.dataset import Dataset
 from repro.ml.linear import LinearRegressionModel
 from repro.ml.nn import NeuralNetworkModel
-from repro.ml.selection import ModelBuilder
+from repro.ml.selection import ErrorEstimate, ModelBuilder, estimate_errors
+from repro.obs import phase as _obs_phase
+from repro.parallel.executor import Executor
+
+if TYPE_CHECKING:  # import cycle: repro.robust.ladder imports this module
+    from repro.robust.ladder import DegradationLadder
 
 __all__ = [
     "ALL_MODELS",
@@ -26,6 +34,7 @@ __all__ = [
     "SAMPLED_DSE_MODELS",
     "model_builders",
     "build_model",
+    "fit_and_predict",
 ]
 
 #: label -> (kind, method) for every model in the paper.
@@ -84,3 +93,42 @@ def model_builders(
     if unknown:
         raise ValueError(f"unknown model labels: {unknown}")
     return {label: _Factory(label, seed) for label in labels}
+
+
+def fit_and_predict(
+    builders: Mapping[str, ModelBuilder],
+    train: Dataset,
+    test: Dataset,
+    rng: np.random.Generator,
+    n_cv_reps: int,
+    executor: Executor | None,
+    ladder: "DegradationLadder | None",
+) -> Iterator[tuple[str, ErrorEstimate, np.ndarray, str | None]]:
+    """Fit every candidate on ``train`` and predict ``test``, the loop both
+    paper workflows share.
+
+    Yields ``(label, estimate, predictions, deployed)`` in ``builders``
+    order. Without a ladder all holdout estimates run first
+    (:func:`~repro.ml.selection.estimate_errors`), then each model trains in
+    a ``train`` span and ``deployed`` is ``None``; with one,
+    :meth:`~repro.robust.ladder.DegradationLadder.fit_model` estimates and
+    fits each label in turn and ``deployed`` names the rung that ran. Each
+    prediction runs in a ``predict`` span.
+    """
+    if ladder is None:
+        estimates = estimate_errors(builders, train, rng, n_reps=n_cv_reps,
+                                    executor=executor)
+    for label, builder in builders.items():
+        deployed: str | None = None
+        if ladder is not None:
+            model, estimate, walk = ladder.fit_model(
+                label, builder, train, rng, n_cv_reps=n_cv_reps, executor=executor)
+            deployed = walk.deployed
+        else:
+            estimate = estimates[label]
+            model = builder()
+            with _obs_phase("train", model=label, n_records=train.n_records):
+                model.fit(train)
+        with _obs_phase("predict", model=label, n_records=test.n_records):
+            predictions = model.predict(test)
+        yield label, estimate, predictions, deployed

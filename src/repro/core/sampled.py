@@ -19,8 +19,9 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.models import fit_and_predict
 from repro.ml.dataset import Dataset
-from repro.ml.selection import ErrorEstimate, ModelBuilder, estimate_errors
+from repro.ml.selection import ErrorEstimate, ModelBuilder
 from repro.obs import phase as _obs_phase
 from repro.parallel.executor import Executor
 from repro.util.stats import mean_absolute_percentage_error
@@ -128,25 +129,9 @@ def run_sampled_dse(
     with _obs_phase("sampled-dse", rate=rate, n_sampled=n,
                     n_models=len(builders)):
         sample, _ = space.sample(n, rng)
-
-        if ladder is None:
-            estimates = estimate_errors(builders, sample, rng, n_reps=n_cv_reps,
-                                        executor=executor)
         outcomes: dict[str, ModelOutcome] = {}
-        for label, builder in builders.items():
-            deployed: str | None = None
-            if ladder is not None:
-                model, estimate, walk = ladder.fit_model(
-                    label, builder, sample, rng, n_cv_reps=n_cv_reps,
-                    executor=executor)
-                deployed = walk.deployed
-            else:
-                estimate = estimates[label]
-                model = builder()
-                with _obs_phase("train", model=label, n_records=sample.n_records):
-                    model.fit(sample)
-            with _obs_phase("predict", model=label, n_records=space.n_records):
-                predictions = model.predict(space)
+        for label, estimate, predictions, deployed in fit_and_predict(
+                builders, sample, space, rng, n_cv_reps, executor, ladder):
             true_err = mean_absolute_percentage_error(predictions, space.target)
             outcomes[label] = ModelOutcome(label=label, estimate=estimate,
                                            true_error=true_err, deployed=deployed)

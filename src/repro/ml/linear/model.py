@@ -30,7 +30,7 @@ from repro.ml.preprocess import Encoder
 __all__ = ["LinearRegressionModel", "LR_METHODS"]
 
 #: Clementine method name -> (paper label, selection function)
-LR_METHODS: dict[str, tuple[str, Callable[..., SelectionResult]]] = {
+LR_METHODS: dict[str, tuple[str, Callable[[np.ndarray, np.ndarray], SelectionResult]]] = {
     "enter": ("LR-E", select_enter),
     "stepwise": ("LR-S", select_stepwise),
     "forward": ("LR-F", select_forward),
@@ -44,9 +44,8 @@ class LinearRegressionModel(PredictiveModel):
     Parameters
     ----------
     method:
-        ``"enter"`` | ``"stepwise"`` | ``"forward"`` | ``"backward"``.
-    alpha_enter, alpha_remove:
-        Partial-F significance thresholds (SPSS defaults 0.05 / 0.10).
+        ``"enter"`` | ``"stepwise"`` | ``"forward"`` | ``"backward"``, with
+        SPSS's partial-F thresholds (:mod:`repro.ml.linear.stepwise`).
     interactions:
         Expand the design matrix with squares and pairwise products before
         selection (Lee & Brooks-style non-linear regression; an extension
@@ -58,8 +57,6 @@ class LinearRegressionModel(PredictiveModel):
     def __init__(
         self,
         method: str = "enter",
-        alpha_enter: float = 0.05,
-        alpha_remove: float = 0.10,
         interactions: bool = False,
     ) -> None:
         if method not in LR_METHODS:
@@ -68,8 +65,6 @@ class LinearRegressionModel(PredictiveModel):
             )
         self.method = method
         self.name = LR_METHODS[method][0] + ("+int" if interactions else "")
-        self.alpha_enter = alpha_enter
-        self.alpha_remove = alpha_remove
         self.interactions = interactions
         self._feature_names: list[str] | None = None
         self._encoder: Encoder | None = None
@@ -80,17 +75,14 @@ class LinearRegressionModel(PredictiveModel):
     # -- training ----------------------------------------------------------
 
     def fit(self, train: Dataset) -> "LinearRegressionModel":
-        encoder = Encoder(for_model="linear", scale=True)
+        encoder = Encoder(for_model="linear")
         X = encoder.fit_transform(train)
         names = list(encoder.feature_names)
         if self.interactions:
             X = expand_degree2(X)
             names = degree2_feature_names(names)
         y = train.target
-        select = LR_METHODS[self.method][1]
-        result = select(
-            X, y, alpha_enter=self.alpha_enter, alpha_remove=self.alpha_remove
-        )
+        result = LR_METHODS[self.method][1](X, y)
         self._encoder = encoder
         self._feature_names = names
         self._result = result

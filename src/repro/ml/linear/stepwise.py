@@ -7,17 +7,17 @@ paper compares as LR-E, LR-F, LR-B, and LR-S:
   wins on single-processor chronological tasks but over-fits multiprocessor
   ones (§4.3).
 * **Forward** — start empty; repeatedly add the predictor whose partial-F
-  p-value is smallest, while it is below ``alpha_enter``.
+  p-value is smallest, while it is below ``ALPHA_ENTER``.
 * **Backward** — start full; repeatedly remove the predictor whose
-  partial-F p-value is largest, while it is above ``alpha_remove``. The
+  partial-F p-value is largest, while it is above ``ALPHA_REMOVE``. The
   paper reports LR-B as the best LR model for sampled DSE.
 * **Stepwise** — forward, but after every addition re-check previously
   added predictors for removal. LR-S and LR-B "converge to the same model"
   on the Opteron multiprocessor tasks (§4.3), which this implementation
   reproduces.
 
-Default thresholds follow SPSS: ``alpha_enter = 0.05``,
-``alpha_remove = 0.10`` (remove must exceed enter to prevent cycling).
+The thresholds are SPSS's defaults, :data:`ALPHA_ENTER` and
+:data:`ALPHA_REMOVE`.
 
 Candidate subsets are only solved (:func:`~repro.ml.linear.lsq.solve_ols`):
 the partial-F test reads nothing but the SSE and residual degrees of
@@ -34,6 +34,12 @@ import numpy as np
 from repro.ml.linear.lsq import OlsFit, OlsSolve, fit_ols, partial_f_pvalue, solve_ols
 
 __all__ = ["SelectionResult", "select_enter", "select_forward", "select_backward", "select_stepwise"]
+
+#: Partial-F significance thresholds (SPSS defaults): a predictor enters
+#: below ``ALPHA_ENTER`` and leaves above ``ALPHA_REMOVE``. Remove must be
+#: at least enter, or stepwise could add and drop one predictor forever.
+ALPHA_ENTER = 0.05
+ALPHA_REMOVE = 0.10
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,7 @@ def _solve_subset(X: np.ndarray, y: np.ndarray, subset: list[int]) -> OlsSolve:
     return solve_ols(X[:, subset], y)
 
 
-def select_enter(X: np.ndarray, y: np.ndarray, **_: float) -> SelectionResult:
+def select_enter(X: np.ndarray, y: np.ndarray) -> SelectionResult:
     """LR-E: use all predictors."""
     p = X.shape[1]
     subset = list(range(p))
@@ -99,16 +105,14 @@ def _worst_removal(
     return worst
 
 
-def select_forward(
-    X: np.ndarray, y: np.ndarray, alpha_enter: float = 0.05, **_: float
-) -> SelectionResult:
+def select_forward(X: np.ndarray, y: np.ndarray) -> SelectionResult:
     """LR-F: greedy forward selection."""
     current: list[int] = []
     fit_cur: OlsSolve | None = None
     history: list[str] = []
     while len(current) < X.shape[1]:
         step = _best_addition(X, y, current, fit_cur)
-        if step is None or step[1] >= alpha_enter:
+        if step is None or step[1] >= ALPHA_ENTER:
             break
         j, pval, fit_cur = step
         current = sorted(current + [j])
@@ -118,16 +122,14 @@ def select_forward(
     return SelectionResult(tuple(current), fit_cur.fit(), tuple(history))
 
 
-def select_backward(
-    X: np.ndarray, y: np.ndarray, alpha_remove: float = 0.10, **_: float
-) -> SelectionResult:
+def select_backward(X: np.ndarray, y: np.ndarray) -> SelectionResult:
     """LR-B: greedy backward elimination."""
     current = list(range(X.shape[1]))
     fit_cur = _solve_subset(X, y, current)
     history: list[str] = []
     while current:
         step = _worst_removal(X, y, current, fit_cur)
-        if step is None or step[1] <= alpha_remove:
+        if step is None or step[1] <= ALPHA_REMOVE:
             break
         j, pval, fit_cur = step
         current = [k for k in current if k != j]
@@ -137,25 +139,15 @@ def select_backward(
     return SelectionResult(tuple(current), fit_cur.fit(), tuple(history))
 
 
-def select_stepwise(
-    X: np.ndarray,
-    y: np.ndarray,
-    alpha_enter: float = 0.05,
-    alpha_remove: float = 0.10,
-) -> SelectionResult:
+def select_stepwise(X: np.ndarray, y: np.ndarray) -> SelectionResult:
     """LR-S: forward selection with backward re-checks after each addition."""
-    if alpha_remove < alpha_enter:
-        raise ValueError(
-            f"alpha_remove ({alpha_remove}) must be >= alpha_enter ({alpha_enter}) "
-            "to prevent add/remove cycling"
-        )
     current: list[int] = []
     fit_cur: OlsSolve | None = None
     history: list[str] = []
-    max_steps = 4 * X.shape[1] + 4  # cycling backstop; cannot trip with sane alphas
+    max_steps = 4 * X.shape[1] + 4  # cycling backstop; ALPHA_REMOVE >= ALPHA_ENTER keeps it idle
     for _ in range(max_steps):
         step = _best_addition(X, y, current, fit_cur)
-        if step is None or step[1] >= alpha_enter:
+        if step is None or step[1] >= ALPHA_ENTER:
             break
         j, pval, fit_cur = step
         current = sorted(current + [j])
@@ -163,7 +155,7 @@ def select_stepwise(
         # Backward pass: drop anything that stopped pulling its weight.
         while len(current) > 1:
             worst = _worst_removal(X, y, current, fit_cur)
-            if worst is None or worst[1] <= alpha_remove:
+            if worst is None or worst[1] <= ALPHA_REMOVE:
                 break
             k, pval_rm, fit_cur = worst
             current = [c for c in current if c != k]

@@ -32,6 +32,14 @@ from repro.util.rng import stream_seed
 
 __all__ = ["NeuralNetworkModel", "TargetScaler"]
 
+#: Bounded seeded restarts on training divergence: when the training method
+#: raises a :class:`~repro.errors.NumericalError` (NaN or exploding loss),
+#: the build is retried up to this many times with a fresh generator
+#: derived from ``(seed, "nn-restart", attempt)``. Attempt 0 always uses
+#: ``default_rng(seed)``, so a run that never diverges is bit-identical to
+#: one without restarts.
+MAX_RESTARTS = 2
+
 
 class TargetScaler:
     """Affine map of the response into [lo_margin, hi_margin] ⊂ (0, 1)."""
@@ -74,25 +82,16 @@ class NeuralNetworkModel(PredictiveModel):
         ``"quick"`` | ``"dynamic"`` | ``"multiple"`` | ``"prune"`` |
         ``"exhaustive"`` | ``"single"``.
     seed:
-        Seed for weight initialization and internal validation splits.
-    max_restarts:
-        Bounded seeded restarts on training divergence: when the training
-        method raises a :class:`~repro.errors.NumericalError` (NaN or
-        exploding loss), the build is retried up to this many times with a
-        fresh generator derived from ``(seed, "nn-restart", attempt)``.
-        Attempt 0 always uses ``default_rng(seed)``, so a run that never
-        diverges is bit-identical to one with restarts disabled.
+        Seed for weight initialization and internal validation splits; a
+        build that diverges restarts from a derived seed (:data:`MAX_RESTARTS`).
     """
 
-    def __init__(self, method: str = "quick", seed: int = 0, max_restarts: int = 2) -> None:
+    def __init__(self, method: str = "quick", seed: int = 0) -> None:
         if method not in NN_METHODS:
             raise ValueError(f"method must be one of {sorted(NN_METHODS)}, got {method!r}")
-        if max_restarts < 0:
-            raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
         self.method = method
         self.name = NN_METHODS[method][0]
         self.seed = seed
-        self.max_restarts = max_restarts
         self._encoder: Encoder | None = None
         self._scaler: TargetScaler | None = None
         self._build: NnBuild | None = None
@@ -117,7 +116,7 @@ class NeuralNetworkModel(PredictiveModel):
         """
         prepared = []
         for data in datasets:
-            encoder = Encoder(for_model="nn", scale=True)
+            encoder = Encoder(for_model="nn")
             X = encoder.fit_transform(data)
             scaler = TargetScaler().fit(data.target)
             prepared.append((encoder, scaler, X, scaler.transform(data.target)))
@@ -132,7 +131,7 @@ class NeuralNetworkModel(PredictiveModel):
                 if isinstance(outcome, NumericalError):
                     last[i] = outcome
                     _metrics().counter("robust.nn.restarts").inc()
-                    if attempt < models[i].max_restarts:
+                    if attempt < MAX_RESTARTS:
                         retry.append(i)
                 else:
                     builds[i] = outcome
@@ -142,10 +141,10 @@ class NeuralNetworkModel(PredictiveModel):
                 cause = last[i]
                 raise NumericalError(
                     f"{model.name} training diverged on all "
-                    f"{1 + model.max_restarts} seeded attempt(s); last cause: "
+                    f"{1 + MAX_RESTARTS} seeded attempt(s); last cause: "
                     f"{cause.cause}",
                     cause="nn-restarts-exhausted",
-                    context={"attempts": 1 + model.max_restarts, "seed": model.seed,
+                    context={"attempts": 1 + MAX_RESTARTS, "seed": model.seed,
                              "last_cause": cause.cause, **cause.context},
                 ) from cause
             model._build = builds[i]

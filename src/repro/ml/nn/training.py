@@ -72,6 +72,33 @@ __all__ = ["TrainingConfig", "TrainingResult", "train", "train_stack", "train_re
            "holdout_split"]
 
 
+#: Classical momentum coefficient of gd, in ``[0, 1)``.
+MOMENTUM = 0.9
+#: Bold-driver factors of adaptive gd (``RATE_GROW > 1``, ``RATE_SHRINK``
+#: in ``(0, 1)``) and the range its rate stays in; ``MAX_RATE`` also bounds
+#: :attr:`TrainingConfig.learning_rate`.
+RATE_GROW = 1.05
+RATE_SHRINK = 0.5
+MIN_RATE = 1e-5
+MAX_RATE = 2.0
+#: Minimum relative validation improvement that resets patience, in
+#: ``[0, 1)``: at 1 or more no epoch would improve, so training would stop
+#: without a snapshot to restore.
+MIN_DELTA = 1e-5
+#: Training is declared divergent — a typed
+#: :class:`~repro.errors.NumericalError` with cause ``nn-divergence`` — when
+#: the loss goes NaN/Inf or exceeds ``DIVERGENCE_FACTOR × max(first loss, 1)``.
+#: Clean runs never get near the bound, so detection changes no numbers.
+DIVERGENCE_FACTOR = 1e6
+#: Rprop constants (Riedmiller & Braun defaults): ``RPROP_GROW > 1``,
+#: ``RPROP_SHRINK`` in ``(0, 1)``, ``RPROP_MIN <= RPROP_INIT <= RPROP_MAX``.
+RPROP_INIT = 0.01
+RPROP_GROW = 1.2
+RPROP_SHRINK = 0.5
+RPROP_MIN = 1e-7
+RPROP_MAX = 1.0
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     """Hyper-parameters for one training run.
@@ -84,78 +111,29 @@ class TrainingConfig:
         Upper bound on epochs.
     learning_rate:
         Initial (or constant) step size — gd only.
-    momentum:
-        Classical momentum coefficient — gd only.
     adaptive_rate:
         Enable bold-driver adaptation for gd; ``False`` keeps the rate
         constant (the NN-S behaviour).
     patience:
         Stop after this many epochs without validation improvement
         (ignored when no validation set is provided).
-    min_delta:
-        Minimum relative improvement that resets patience, in ``[0, 1)``.
-    rate_grow, rate_shrink:
-        Bold-driver factors: ``rate_grow > 1``, ``rate_shrink`` in ``(0, 1)``.
-    divergence_factor:
-        Training is declared divergent — a typed
-        :class:`~repro.errors.NumericalError` with cause ``nn-divergence``
-        — when the loss goes NaN/Inf or exceeds
-        ``divergence_factor × max(first loss, 1)``. Clean runs never get
-        near the bound, so detection changes no numbers.
     """
 
     optimizer: str = "rprop"
     max_epochs: int = 2000
     learning_rate: float = 0.2
-    momentum: float = 0.9
     adaptive_rate: bool = True
-    rate_grow: float = 1.05
-    rate_shrink: float = 0.5
-    min_rate: float = 1e-5
-    max_rate: float = 2.0
     patience: int = 100
-    min_delta: float = 1e-5
-    divergence_factor: float = 1e6
-    # Rprop constants (Riedmiller & Braun defaults): rprop_grow > 1,
-    # rprop_shrink in (0, 1), rprop_min <= rprop_init <= rprop_max.
-    rprop_init: float = 0.01
-    rprop_grow: float = 1.2
-    rprop_shrink: float = 0.5
-    rprop_min: float = 1e-7
-    rprop_max: float = 1.0
 
     def __post_init__(self) -> None:
         if self.optimizer not in ("rprop", "gd"):
             raise ValueError(f"optimizer must be 'rprop' or 'gd', got {self.optimizer!r}")
         if self.max_epochs <= 0:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not (0.0 < self.learning_rate <= self.max_rate):
-            raise ValueError(f"learning_rate must be in (0, {self.max_rate}]")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not (0.0 < self.learning_rate <= MAX_RATE):
+            raise ValueError(f"learning_rate must be in (0, {MAX_RATE}]")
         if self.patience <= 0:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.divergence_factor <= 1.0:
-            raise ValueError(
-                f"divergence_factor must be > 1, got {self.divergence_factor}"
-            )
-        if not (0.0 <= self.min_delta < 1.0):
-            # min_delta >= 1 would make no epoch an improvement, so training
-            # would stop without ever taking a snapshot to restore.
-            raise ValueError(f"min_delta must be in [0, 1), got {self.min_delta}")
-        if self.rate_grow <= 1.0:
-            raise ValueError(f"rate_grow must be > 1, got {self.rate_grow}")
-        if not (0.0 < self.rate_shrink < 1.0):
-            raise ValueError(f"rate_shrink must be in (0, 1), got {self.rate_shrink}")
-        if self.rprop_grow <= 1.0:
-            raise ValueError(f"rprop_grow must be > 1, got {self.rprop_grow}")
-        if not (0.0 < self.rprop_shrink < 1.0):
-            raise ValueError(f"rprop_shrink must be in (0, 1), got {self.rprop_shrink}")
-        if not (self.rprop_min <= self.rprop_init <= self.rprop_max):
-            raise ValueError(
-                f"need rprop_min <= rprop_init <= rprop_max, got {self.rprop_min}, "
-                f"{self.rprop_init}, {self.rprop_max}"
-            )
 
 
 @dataclass
@@ -316,7 +294,7 @@ class _Stack:
         # a validation set its final weights (the buffer itself).
         self.best_w = W.copy() if has_val else W
         if config.optimizer == "rprop":
-            self.step = np.full_like(W, config.rprop_init)
+            self.step = np.full_like(W, RPROP_INIT)
             self.prev_sign = np.zeros_like(W)
             self._per_row = ("step", "prev_sign")
         else:
@@ -429,7 +407,7 @@ def train_replicas(
                 w[...] = view[0]
             finished[i] = (epochs_run, stopped_early, st.best_val[row])
 
-    patience, keep_frac = config.patience, 1.0 - config.min_delta
+    patience, keep_frac = config.patience, 1.0 - MIN_DELTA
     for epoch in range(config.max_epochs):
         epochs_run = epoch + 1
         acts = _forward(st.X, layers, hidden, output)
@@ -438,7 +416,7 @@ def train_replicas(
         for i, value in zip(st.rows, losses):
             history[i].append(value)
         if epoch == 0:
-            st.bound = [max(v if isfinite(v) else 1.0, 1.0) * config.divergence_factor
+            st.bound = [max(v if isfinite(v) else 1.0, 1.0) * DIVERGENCE_FACTOR
                         for v in losses]
         sound = [isfinite(v) and v <= b for v, b in zip(losses, st.bound)]
         if not all(sound):
@@ -466,8 +444,8 @@ def train_replicas(
             agree = sign * st.prev_sign
             flip = agree < 0.0
             st.step = np.where(
-                agree > 0.0, np.minimum(st.step * config.rprop_grow, config.rprop_max),
-                np.where(flip, np.maximum(st.step * config.rprop_shrink, config.rprop_min),
+                agree > 0.0, np.minimum(st.step * RPROP_GROW, RPROP_MAX),
+                np.where(flip, np.maximum(st.step * RPROP_SHRINK, RPROP_MIN),
                          st.step))
             np.copyto(sign, 0.0, where=flip)
             st.W -= sign * st.step
@@ -477,12 +455,12 @@ def train_replicas(
                 # Bold driver: a worsening step shrinks the rate and damps
                 # momentum; any other step grows the rate.
                 worse = loss > st.prev_loss * (1.0 + 1e-12)
-                st.lr = np.where(worse, np.maximum(st.lr * config.rate_shrink, config.min_rate),
-                                 np.minimum(st.lr * config.rate_grow, config.max_rate))
+                st.lr = np.where(worse, np.maximum(st.lr * RATE_SHRINK, MIN_RATE),
+                                 np.minimum(st.lr * RATE_GROW, MAX_RATE))
                 if worse.any():
                     np.multiply(st.velocity, 0.0, out=st.velocity, where=worse[:, None])
             st.prev_loss = loss
-            st.velocity *= config.momentum
+            st.velocity *= MOMENTUM
             st.velocity -= st.lr[:, None] * G
             st.W += st.velocity
 

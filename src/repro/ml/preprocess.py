@@ -21,7 +21,7 @@ results, and all three are replicated here:
 4. **Identifier elimination** — Clementine marks set fields with too many
    distinct members as *typeless* and excludes them from modeling. We drop
    categorical columns whose level count exceeds
-   ``max(8, identifier_fraction x n_records)``: a field with nearly one
+   ``max(8, IDENTIFIER_FRACTION x n_records)``: a field with nearly one
    level per record (e.g. the SPEC announcement's free-text system name)
    is an identifier, not a predictor.
 """
@@ -46,6 +46,10 @@ EncoderTarget = Literal["linear", "nn"]
 _RAW_CACHE_MIN_RECORDS = 256
 
 _RAW_MATRIX_CACHE = None
+
+#: A categorical column with more levels than ``max(8, IDENTIFIER_FRACTION
+#: x n_records)`` is an identifier and is dropped (item 4 above).
+IDENTIFIER_FRACTION = 0.5
 
 
 def _raw_matrix_cache():
@@ -134,26 +138,15 @@ class Encoder:
         columns; symbolic categoricals are omitted (recorded in the report).
         ``"nn"`` — everything is kept; symbolic categoricals are one-hot
         encoded with one indicator per training-time level.
-    scale:
-        Apply :class:`MinMaxScaler` (Clementine always does; tests may
-        disable it to check raw encodings).
+
+    Every kept column is then scaled to [0, 1] by a :class:`MinMaxScaler`
+    fit on the training data, as Clementine always does.
     """
 
-    def __init__(
-        self,
-        for_model: EncoderTarget,
-        scale: bool = True,
-        identifier_fraction: float = 0.5,
-    ) -> None:
+    def __init__(self, for_model: EncoderTarget) -> None:
         if for_model not in ("linear", "nn"):
             raise ValueError(f"for_model must be 'linear' or 'nn', got {for_model!r}")
-        if not (0.0 < identifier_fraction <= 1.0):
-            raise ValueError(
-                f"identifier_fraction must be in (0, 1], got {identifier_fraction}"
-            )
         self.for_model = for_model
-        self.scale = scale
-        self.identifier_fraction = identifier_fraction
         self._plan: list[tuple[str, str, tuple[str, ...]]] | None = None
         self._scaler: MinMaxScaler | None = None
         self._report: EncoderReport | None = None
@@ -171,7 +164,7 @@ class Encoder:
         dropped_constant: list[str] = []
         dropped_symbolic: list[str] = []
         dropped_identifier: list[str] = []
-        max_levels = max(8, int(self.identifier_fraction * dataset.n_records))
+        max_levels = max(8, int(IDENTIFIER_FRACTION * dataset.n_records))
         for col in dataset.columns:
             if col.is_constant:
                 dropped_constant.append(col.name)
@@ -205,8 +198,7 @@ class Encoder:
             dropped_symbolic=tuple(dropped_symbolic),
             dropped_identifier=tuple(dropped_identifier),
         )
-        if self.scale:
-            self._scaler = MinMaxScaler().fit(self._raw_matrix(dataset))
+        self._scaler = MinMaxScaler().fit(self._raw_matrix(dataset))
         return self
 
     # -- transformation ----------------------------------------------------
@@ -266,10 +258,7 @@ class Encoder:
             raise RuntimeError("encoder is not fit")
         with _obs_phase("encode", op="transform", for_model=self.for_model,
                         n_records=dataset.n_records):
-            X = self._raw_matrix(dataset)
-            if self._scaler is not None:
-                X = self._scaler.transform(X)
-            return X
+            return self._scaler.transform(self._raw_matrix(dataset))
 
     def fit_transform(self, dataset: Dataset) -> np.ndarray:
         return self.fit(dataset).transform(dataset)

@@ -7,7 +7,6 @@ from repro.parallel.resilient import (
     CheckpointJournal,
     FaultInjector,
     ResilientExecutor,
-    RetryPolicy,
     task_fingerprint,
 )
 
@@ -19,6 +18,5 @@ __all__ = [
     "CheckpointJournal",
     "FaultInjector",
     "ResilientExecutor",
-    "RetryPolicy",
     "task_fingerprint",
 ]

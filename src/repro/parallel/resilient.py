@@ -8,9 +8,9 @@ whole run away. :class:`ResilientExecutor` wraps any
 contract (results always come back complete and in input order, or an
 exception is raised):
 
-* **Retries** — a :class:`RetryPolicy` with exponential backoff and
-  deterministic jitter (seeded via :mod:`repro.util.rng`, so reruns sleep
-  identically) re-runs tasks that raise transient exceptions.
+* **Retries** — up to ``max_attempts`` runs of a task that raises, with
+  exponential backoff and deterministic jitter (:func:`backoff_delay`,
+  seeded via :mod:`repro.util.rng`, so reruns sleep identically).
 * **Timeouts** — a per-task wall-clock budget, enforced on the process
   backend by killing the hung workers and rebuilding the pool; tasks that
   were in flight on innocent workers are resubmitted without consuming
@@ -64,7 +64,7 @@ from repro.util import durable
 from repro.util.rng import child_rng, pick_fault, stream_seed
 
 __all__ = [
-    "RetryPolicy",
+    "backoff_delay",
     "CheckpointJournal",
     "FaultInjector",
     "ResilientExecutor",
@@ -96,41 +96,22 @@ def task_fingerprint(fn: Callable, index: int, item: Any) -> str:
     return h.hexdigest()[:32]
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """When and how fast to re-run a failed task.
+#: Retry backoff in seconds: before attempt ``n + 1``,
+#: ``min(BACKOFF_BASE * BACKOFF_FACTOR ** (n - 1), BACKOFF_MAX)``, scaled by
+#: a seeded factor in ``1 ± JITTER``.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 30.0
+JITTER = 0.5
 
-    ``delay`` is a pure function of ``(attempt, seed)`` — jitter comes from a
-    stream seeded by the task fingerprint, so two runs of the same sweep back
-    off identically.
-    """
 
-    max_attempts: int = 3
-    backoff_base: float = 0.05       # seconds before the 2nd attempt
-    backoff_factor: float = 2.0
-    backoff_max: float = 30.0
-    jitter: float = 0.5              # +/- fraction of the delay randomized
-    retry_on: tuple[type[BaseException], ...] = (Exception,)
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base < 0 or not (0.0 <= self.jitter <= 1.0):
-            raise ValueError("backoff_base must be >= 0 and jitter in [0, 1]")
-
-    def should_retry(self, exc: BaseException) -> bool:
-        return isinstance(exc, self.retry_on)
-
-    def delay(self, attempt: int, seed: int) -> float:
-        """Backoff before attempt ``attempt + 1`` (deterministic in seed)."""
-        base = min(
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-            self.backoff_max,
-        )
-        if base <= 0.0 or self.jitter == 0.0:
-            return base
-        u = child_rng(seed, "backoff", attempt).random()
-        return base * (1.0 + self.jitter * (2.0 * u - 1.0))
+def backoff_delay(attempt: int, seed: int) -> float:
+    """Backoff before attempt ``attempt + 1``, a pure function of
+    ``(attempt, seed)``: the jitter comes from a stream seeded by the task
+    fingerprint, so two runs of the same sweep back off identically."""
+    base = min(BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1), BACKOFF_MAX)
+    u = child_rng(seed, "backoff", attempt).random()
+    return base * (1.0 + JITTER * (2.0 * u - 1.0))
 
 
 class CheckpointJournal:
@@ -338,8 +319,9 @@ class ResilientExecutor(Executor):
         backend still gets retries, checkpointing, and fault injection
         (a running in-process task cannot be interrupted, so timeouts are
         not enforced serially).
-    retry:
-        Retry policy for transient task exceptions.
+    max_attempts:
+        Runs of a task that raises before it fails permanently; each retry
+        waits :func:`backoff_delay`.
     task_timeout:
         Per-task wall-clock budget in seconds, measured from dispatch.
     journal:
@@ -353,17 +335,19 @@ class ResilientExecutor(Executor):
         self,
         inner: Executor | None = None,
         *,
-        retry: RetryPolicy | None = None,
+        max_attempts: int = 3,
         task_timeout: float | None = None,
         journal: CheckpointJournal | str | Path | None = None,
         injector: FaultInjector | None = None,
         seed: int = 0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError(f"task_timeout must be > 0, got {task_timeout}")
         self.inner = inner if inner is not None else SerialExecutor()
-        self.retry = retry if retry is not None else RetryPolicy()
+        self.max_attempts = max_attempts
         self.task_timeout = task_timeout
         if isinstance(journal, (str, Path)):
             journal = CheckpointJournal(journal)
@@ -424,7 +408,7 @@ class ResilientExecutor(Executor):
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"ResilientExecutor({self.inner!r}, retry={self.retry!r}, "
+            f"ResilientExecutor({self.inner!r}, max_attempts={self.max_attempts}, "
             f"task_timeout={self.task_timeout})"
         )
 
@@ -444,9 +428,9 @@ class ResilientExecutor(Executor):
         pending: deque,
         failures: list[TaskFailure],
     ) -> None:
-        """Requeue with backoff if retryable, else record a permanent failure."""
-        if task.attempt < self.retry.max_attempts and self.retry.should_retry(exc):
-            delay = self.retry.delay(task.attempt, stream_seed(self.seed, fps[task.index]))
+        """Requeue with backoff while attempts remain, else record a permanent failure."""
+        if task.attempt < self.max_attempts:
+            delay = backoff_delay(task.attempt, stream_seed(self.seed, fps[task.index]))
             self.events.append(f"retry:{task.index}:{task.attempt}")
             _metrics().counter("executor.retries").inc()
             pending.append(

@@ -66,40 +66,29 @@ class GateResult:
 
 @dataclass(frozen=True)
 class ValidationGate:
-    """Configurable post-training sanity gates.
+    """Post-training sanity gates.
 
     Parameters
     ----------
     max_holdout_error:
-        Upper bound (percent) on the holdout error estimate; ``None``
-        disables the bound (finiteness is still required). The default is
-        deliberately loose — the gate exists to catch *broken* models
-        (hundreds-fold errors, NaN), not to second-guess model selection.
-    statistic:
-        Which estimate drives the bound: ``"max"`` (paper default) or
-        ``"mean"``.
-    check_train_domain:
-        Require finite predictions on the training dataset.
+        Upper bound (percent) on the max holdout error estimate (the
+        paper's statistic); ``None`` disables the bound (finiteness is still
+        required). The default is deliberately loose — the gate exists to
+        catch *broken* models (hundreds-fold errors, NaN), not to
+        second-guess model selection.
     """
 
     max_holdout_error: float | None = 500.0
-    statistic: str = "max"
-    check_train_domain: bool = True
-
-    def __post_init__(self) -> None:
-        if self.statistic not in ("max", "mean"):
-            raise ValueError(f"statistic must be 'max' or 'mean', got {self.statistic!r}")
 
     def check_estimate(self, estimate: ErrorEstimate) -> GateCheck:
         """The holdout-error check alone (used by estimate-only callers)."""
-        value = estimate.value(self.statistic)
+        value = estimate.max
         if not np.isfinite(value):
-            return GateCheck("holdout-error", False,
-                             f"{self.statistic} estimate is {value!r}")
+            return GateCheck("holdout-error", False, f"max estimate is {value!r}")
         if self.max_holdout_error is not None and value > self.max_holdout_error:
             return GateCheck(
                 "holdout-error", False,
-                f"{self.statistic} estimate {value:.1f}% exceeds bound "
+                f"max estimate {value:.1f}% exceeds bound "
                 f"{self.max_holdout_error:.1f}%")
         return GateCheck("holdout-error", True, f"{value:.2f}%")
 
@@ -115,15 +104,13 @@ class ValidationGate:
         estimate (e.g. the mean-baseline floor of a degradation ladder)
         are gated on prediction sanity only.
         """
-        checks: list[GateCheck] = []
-        if self.check_train_domain:
-            preds = np.asarray(model.predict(train), dtype=np.float64)
-            n_bad = nonfinite_count(preds)
-            checks.append(GateCheck(
-                "finite-predictions", n_bad == 0,
-                "all finite on the training domain" if n_bad == 0 else
-                f"{n_bad}/{preds.size} non-finite prediction(s) on the "
-                f"training domain"))
+        preds = np.asarray(model.predict(train), dtype=np.float64)
+        n_bad = nonfinite_count(preds)
+        checks = [GateCheck(
+            "finite-predictions", n_bad == 0,
+            "all finite on the training domain" if n_bad == 0 else
+            f"{n_bad}/{preds.size} non-finite prediction(s) on the "
+            f"training domain")]
         if estimate is not None:
             checks.append(self.check_estimate(estimate))
         result = GateResult(model_name=model.name, checks=tuple(checks))

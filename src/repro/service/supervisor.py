@@ -38,7 +38,7 @@ from repro.obs.metrics import default_registry as _metrics
 from repro.parallel.resilient import FaultInjector, sigkill_process
 from repro.service.compaction import CompactionPolicy
 from repro.service.spool import JobSpool, SpoolConfig
-from repro.service.worker import WorkerConfig, worker_main
+from repro.service.worker import POLL_INTERVAL, WorkerConfig, worker_main
 from repro.util import durable
 from repro.util.rng import child_rng, stream_seed
 
@@ -46,6 +46,14 @@ __all__ = ["STATUS_SCHEMA", "ServiceConfig", "WorkerSupervisor"]
 
 #: Live health snapshot written by ``serve --status-file`` (DESIGN §13).
 STATUS_SCHEMA = "repro-status/1"
+
+#: Restart backoff in seconds: before a slot's ``n``-th respawn,
+#: ``min(RESTART_BACKOFF_BASE * 2 ** (n - 1), RESTART_BACKOFF_MAX)``, scaled
+#: by a seeded factor in ``[0.5, 1.5)``.
+RESTART_BACKOFF_BASE = 0.1
+RESTART_BACKOFF_MAX = 5.0
+#: Seconds between auto-compaction checks of the serve loop.
+COMPACT_CHECK_INTERVAL = 5.0
 
 
 @dataclass(frozen=True)
@@ -57,11 +65,8 @@ class ServiceConfig:
     max_depth: int = SpoolConfig.max_depth
     lease_ttl: float = SpoolConfig.lease_ttl
     heartbeat_timeout: float = 10.0
-    poll_interval: float = 0.05
     seed: int = 0
     max_restarts: int = 5            # per worker slot, then it is abandoned
-    restart_backoff_base: float = 0.1
-    restart_backoff_max: float = 5.0
     drain_on_idle: bool = False
     #: With ``drain_on_idle``, the queue must stay empty this long before
     #: the drain fires. Protects the quickstart pattern — ``serve ... &``
@@ -87,13 +92,13 @@ class ServiceConfig:
     auto_compact: bool = True
     compact_max_log_bytes: int = CompactionPolicy.max_log_bytes
     compact_max_events: int = CompactionPolicy.max_events
-    compact_check_interval: float = 5.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.heartbeat_timeout <= 0 or self.poll_interval <= 0:
-            raise ValueError("heartbeat_timeout and poll_interval must be > 0")
+        if self.heartbeat_timeout <= 0:
+            raise ValueError(
+                f"heartbeat_timeout must be > 0, got {self.heartbeat_timeout}")
         if self.idle_grace < 0:
             raise ValueError(f"idle_grace must be >= 0, got {self.idle_grace}")
         if self.status_interval <= 0:
@@ -102,10 +107,6 @@ class ServiceConfig:
         if self.compact_max_log_bytes < 1 or self.compact_max_events < 1:
             raise ValueError(
                 "compact_max_log_bytes and compact_max_events must be >= 1")
-        if self.compact_check_interval <= 0:
-            raise ValueError(
-                f"compact_check_interval must be > 0, "
-                f"got {self.compact_check_interval}")
 
 
 @dataclass
@@ -150,7 +151,6 @@ class WorkerSupervisor:
             root=str(self.spool.root),
             name=slot.name,
             seed=stream_seed(self.config.seed, "svc-worker", slot.index),
-            poll_interval=self.config.poll_interval,
             injector=injector,
             obs=self.config.obs,
         )
@@ -169,9 +169,8 @@ class WorkerSupervisor:
 
     def _restart_delay(self, slot: _Slot) -> float:
         """Capped exponential backoff with seeded jitter (deterministic)."""
-        base = min(
-            self.config.restart_backoff_base * 2.0 ** (slot.restarts - 1),
-            self.config.restart_backoff_max)
+        base = min(RESTART_BACKOFF_BASE * 2.0 ** (slot.restarts - 1),
+                   RESTART_BACKOFF_MAX)
         u = child_rng(self.config.seed, "svc-restart", slot.index,
                       slot.restarts).random()
         return base * (0.5 + u)  # [0.5x, 1.5x)
@@ -427,8 +426,7 @@ class WorkerSupervisor:
                     last_status = now
                 if self.config.auto_compact and (
                         last_compact is None
-                        or now - last_compact
-                        >= self.config.compact_check_interval):
+                        or now - last_compact >= COMPACT_CHECK_INTERVAL):
                     self.maybe_compact()
                     last_compact = now
                 if self.config.max_runtime is not None and \
@@ -454,7 +452,7 @@ class WorkerSupervisor:
                     # Nothing queued: an empty queue with no workers is a
                     # finished service, not a failed one — drain and exit 0.
                     self.request_drain(why="all-slots-abandoned")
-                time.sleep(self.config.poll_interval)
+                time.sleep(POLL_INTERVAL)
         finally:
             self.stop()
             # Final status write: the file a monitor finds after shutdown

@@ -62,12 +62,7 @@ from repro.errors import (
 from repro.obs import trace as _trace
 from repro.obs.metrics import default_registry as _metrics
 from repro.parallel.executor import SerialExecutor
-from repro.parallel.resilient import (
-    CheckpointJournal,
-    FaultInjector,
-    ResilientExecutor,
-    RetryPolicy,
-)
+from repro.parallel.resilient import CheckpointJournal, FaultInjector, ResilientExecutor
 from repro.robust.breaker import CircuitBreaker
 from repro.service.jobs import JobView
 from repro.service.spool import JobSpool
@@ -88,6 +83,9 @@ FIT_BREAKER_RESET_S = 5.0
 #: many consecutive I/O errors, and half-opens after the reset seconds.
 DISK_BREAKER_THRESHOLD = 3
 DISK_BREAKER_RESET_S = 5.0
+#: Idle sleep between claim attempts; the supervisor's serve loop sleeps
+#: the same between supervision passes.
+POLL_INTERVAL = 0.05
 
 
 class _JournalLockHeld(Exception):
@@ -106,7 +104,6 @@ class WorkerConfig:
     root: str                    # spool directory
     name: str                    # shard name; also the heartbeat file stem
     seed: int = 0
-    poll_interval: float = 0.05  # idle sleep between claim attempts
     heartbeat_every: int = 32    # configs between mid-sweep heartbeats
     max_jobs: int | None = None  # stop after N jobs (tests); None: until drain
     #: Chaos harness applied to sweep task execution (supervision drills).
@@ -279,7 +276,7 @@ class Worker:
             raise _JournalLockHeld(str(exc)) from exc
         ex = ResilientExecutor(
             SerialExecutor(),
-            retry=RetryPolicy(max_attempts=TASK_RETRIES + 1),
+            max_attempts=TASK_RETRIES + 1,
             journal=journal,
             injector=self.config.injector,
             seed=stream_seed(self.config.seed, "svc-job", job.id),
@@ -465,7 +462,7 @@ class Worker:
                 if self.run_once():
                     n_done += 1
                 else:
-                    time.sleep(self.config.poll_interval)
+                    time.sleep(POLL_INTERVAL)
         finally:
             self._export_metrics(final=True)
             if self.config.obs:

@@ -43,7 +43,7 @@ from repro.simulator.interval import (
     sweep_design_space,
 )
 from repro.simulator.isa import FU_CLASSES, OP_LATENCY, OpClass, Trace
-from repro.simulator.machine import SimulationResult, simulate, simulate_detailed
+from repro.simulator.machine import SimulationResult, simulate_detailed
 from repro.simulator.pipeline import PipelineResult, simulate_pipeline
 from repro.simulator.simpoint import (
     SimPoint,
@@ -78,7 +78,7 @@ __all__ = [
     "BatchResult", "ConfigBlock", "evaluate_design_space_batch",
     "pack_design_space",
     "FU_CLASSES", "OP_LATENCY", "OpClass", "Trace",
-    "SimulationResult", "simulate", "simulate_detailed",
+    "SimulationResult", "simulate_detailed",
     "PipelineResult", "simulate_pipeline",
     "SimPoint", "basic_block_vectors", "choose_simpoints", "estimate_cycles", "kmeans", "simulate_point",
     "Tlb", "TlbStats",

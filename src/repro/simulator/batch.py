@@ -46,7 +46,6 @@ from repro.simulator.analytic import PREDICTORS, mispredict_rate, tlb_miss_rate
 from repro.simulator.config import _NUMERIC_FIELDS, MicroarchConfig, _table1_space
 from repro.simulator.interval import (
     DEFAULT_LATENCIES,
-    Latencies,
     _base_cpi_from_cluster,
     _miss,
     _mlp_overlap_from_window,
@@ -220,7 +219,6 @@ def evaluate_design_space_batch(
     configs: Sequence[MicroarchConfig] | ConfigBlock,
     profile: WorkloadProfile,
     n_instructions: int = 100_000_000,
-    latencies: Latencies = DEFAULT_LATENCIES,
     components: bool = False,
 ) -> np.ndarray | BatchResult:
     """Evaluate a whole design-space block with vectorized numpy kernels.
@@ -233,7 +231,7 @@ def evaluate_design_space_batch(
     if n_instructions <= 0:
         raise ValueError(f"n_instructions must be positive, got {n_instructions}")
     block = configs if isinstance(configs, ConfigBlock) else pack_design_space(configs)
-    lat = latencies
+    lat = DEFAULT_LATENCIES
     has_l3 = block.l3_size > 0
     l2_lat = _gather(block.l2_size[:, None], lambda k: lat.l2_latency(k[0]))
 

@@ -154,12 +154,11 @@ def evaluate_config(
     config: MicroarchConfig,
     profile: WorkloadProfile,
     n_instructions: int = 100_000_000,
-    latencies: Latencies = DEFAULT_LATENCIES,
 ) -> IntervalResult:
     """Evaluate one design point: cycles to run ``n_instructions``."""
     if n_instructions <= 0:
         raise ValueError(f"n_instructions must be positive, got {n_instructions}")
-    lat = latencies
+    lat = DEFAULT_LATENCIES
     l2_lat = lat.l2_latency(config.l2_size)
 
     # --- instruction stream -------------------------------------------------

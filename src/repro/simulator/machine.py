@@ -1,10 +1,10 @@
 """The complete simulated machine: caches + TLBs + predictor + pipeline.
 
 ``simulate_detailed`` is the full reference path (concrete trace through
-table-based hardware models into the scoreboard pipeline);
-``simulate`` dispatches between it and the closed-form interval fast path
-behind one interface, so callers choose fidelity vs. speed with a flag —
-the design-space sweeps use the fast path, tests cross-validate the two.
+table-based hardware models into the scoreboard pipeline). The
+design-space sweeps use the closed-form interval fast path,
+:func:`repro.simulator.interval.evaluate_config`; tests cross-validate the
+two.
 """
 
 from __future__ import annotations
@@ -16,18 +16,17 @@ import numpy as np
 from repro.simulator.branch import make_predictor, simulate_predictor
 from repro.simulator.cache import Cache, MultiLevelCache
 from repro.simulator.config import MicroarchConfig
-from repro.simulator.interval import DEFAULT_LATENCIES, Latencies, evaluate_config
+from repro.simulator.interval import DEFAULT_LATENCIES
 from repro.simulator.isa import Trace
 from repro.simulator.pipeline import simulate_pipeline
 from repro.simulator.tlb import Tlb
-from repro.simulator.workloads import WorkloadProfile
 
-__all__ = ["SimulationResult", "simulate_detailed", "simulate"]
+__all__ = ["SimulationResult", "simulate_detailed"]
 
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Headline outcome plus the diagnostic rates both paths expose."""
+    """Headline outcome plus the detailed model's diagnostic rates."""
 
     cycles: float
     cpi: float
@@ -36,19 +35,16 @@ class SimulationResult:
     l1i_miss_rate: float
     branch_mispredict_rate: float
     dtlb_miss_rate: float
-    mode: str  # "detailed" or "interval"
+    mode: str  # "detailed"
 
 
-def simulate_detailed(
-    trace: Trace,
-    config: MicroarchConfig,
-    latencies: Latencies = DEFAULT_LATENCIES,
-) -> SimulationResult:
+def simulate_detailed(trace: Trace, config: MicroarchConfig) -> SimulationResult:
     """Run the full detailed model on a concrete trace."""
     n = len(trace)
     if n == 0:
         raise ValueError("cannot simulate an empty trace")
-    l2_lat = latencies.l2_latency(config.l2_size)
+    lat = DEFAULT_LATENCIES
+    l2_lat = lat.l2_latency(config.l2_size)
 
     # Shared L2/L3: both streams traverse the same level-2/3 state. The
     # instruction stream is filtered first (fetch happens ahead of data
@@ -58,11 +54,11 @@ def simulate_detailed(
 
     # Instruction side.
     l1i = Cache(config.l1i_size, config.l1i_line, config.l1i_assoc)
-    ihier = MultiLevelCache(l1i, l2, l3, l2_lat, latencies.l3, latencies.memory)
+    ihier = MultiLevelCache(l1i, l2, l3, l2_lat, lat.l3, lat.memory)
     ifetch_latency = ihier.access_stream(trace.pc)
     itlb = Tlb(config.itlb_size)
     itlb_hits = itlb.access_stream(trace.pc)
-    ifetch_latency = ifetch_latency + (~itlb_hits) * latencies.tlb_walk
+    ifetch_latency = ifetch_latency + (~itlb_hits) * lat.tlb_walk
 
     # Data side.
     mem_mask = trace.memory_mask
@@ -70,12 +66,12 @@ def simulate_detailed(
     dtlb_rate = 0.0
     if mem_mask.any():
         l1d = Cache(config.l1d_size, config.l1d_line, config.l1d_assoc)
-        dhier = MultiLevelCache(l1d, l2, l3, l2_lat, latencies.l3, latencies.memory)
+        dhier = MultiLevelCache(l1d, l2, l3, l2_lat, lat.l3, lat.memory)
         data_addrs = trace.addr[mem_mask]
         dlat = dhier.access_stream(data_addrs)
         dtlb = Tlb(config.dtlb_size)
         dtlb_hits = dtlb.access_stream(data_addrs)
-        dlat = dlat + (~dtlb_hits) * latencies.tlb_walk
+        dlat = dlat + (~dtlb_hits) * lat.tlb_walk
         mem_latency[mem_mask] = dlat
         l1d_rate = l1d.stats.miss_rate
         dtlb_rate = dtlb.stats.miss_rate
@@ -94,7 +90,7 @@ def simulate_detailed(
         br_rate = 0.0
 
     result = simulate_pipeline(
-        trace, config, mem_latency, ifetch_latency, mispredicted, latencies
+        trace, config, mem_latency, ifetch_latency, mispredicted
     )
     return SimulationResult(
         cycles=result.cycles,
@@ -107,40 +103,3 @@ def simulate_detailed(
         mode="detailed",
     )
 
-
-def simulate(
-    config: MicroarchConfig,
-    profile: WorkloadProfile,
-    n_instructions: int = 1_000_000,
-    mode: str = "interval",
-    trace: Trace | None = None,
-    latencies: Latencies = DEFAULT_LATENCIES,
-) -> SimulationResult:
-    """Simulate one configuration of one workload.
-
-    Parameters
-    ----------
-    mode:
-        ``"interval"`` — closed-form fast path (microseconds);
-        ``"detailed"`` — trace-driven reference path (seconds). A trace is
-        generated from the profile unless one is supplied.
-    """
-    if mode == "interval":
-        r = evaluate_config(config, profile, n_instructions, latencies)
-        return SimulationResult(
-            cycles=r.cycles,
-            cpi=r.cpi,
-            n_instructions=n_instructions,
-            l1d_miss_rate=r.l1d_miss_rate,
-            l1i_miss_rate=r.l1i_miss_rate,
-            branch_mispredict_rate=r.branch_mispredict_rate,
-            dtlb_miss_rate=0.0,
-            mode="interval",
-        )
-    if mode == "detailed":
-        if trace is None:
-            from repro.simulator.trace import generate_trace
-
-            trace = generate_trace(profile, n_instructions)
-        return simulate_detailed(trace, config, latencies)
-    raise ValueError(f"mode must be 'interval' or 'detailed', got {mode!r}")

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.simulator.config import MicroarchConfig
-from repro.simulator.interval import Latencies, DEFAULT_LATENCIES
+from repro.simulator.interval import DEFAULT_LATENCIES
 from repro.simulator.isa import FU_CLASSES, OP_LATENCY, OpClass, Trace
 
 __all__ = ["PipelineResult", "simulate_pipeline"]
@@ -69,7 +69,6 @@ def simulate_pipeline(
     mem_latency: np.ndarray,
     ifetch_latency: np.ndarray,
     mispredicted: np.ndarray,
-    latencies: Latencies = DEFAULT_LATENCIES,
 ) -> PipelineResult:
     """Run the timing model.
 
@@ -94,7 +93,8 @@ def simulate_pipeline(
     width = config.width
     ruu = config.ruu_size
     lsq = config.lsq_size
-    depth = (latencies.frontend_depth if width == 4 else latencies.frontend_depth_wide)
+    depth = (DEFAULT_LATENCIES.frontend_depth if width == 4
+             else DEFAULT_LATENCIES.frontend_depth_wide)
 
     ops = trace.op
     dep = trace.dep_dist

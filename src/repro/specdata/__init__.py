@@ -8,7 +8,6 @@ technology histories, and the §4.1 count/range/variation profiles.
 
 from repro.specdata.families import FAMILIES, FAMILY_ORDER, ProcessorFamily, YearTech, get_family
 from repro.specdata.generator import (
-    GeneratorConfig,
     generate_all_records,
     generate_family_records,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "ProcessorFamily",
     "YearTech",
     "get_family",
-    "GeneratorConfig",
     "generate_all_records",
     "generate_family_records",
     "FP_APPS",

@@ -35,15 +35,19 @@ from repro.specdata.schema import SystemRecord
 from repro.util.rng import child_rng
 from repro.util.stats import geometric_mean
 
-__all__ = ["generate_family_records", "generate_all_records", "GeneratorConfig"]
+__all__ = ["generate_family_records", "generate_all_records"]
 
 _HD_TYPES = ("SCSI", "SATA", "SAS", "IDE")
 _EXTRAS = ("none", "raid-controller", "extra-nic", "remote-mgmt")
 
-#: System-level tuning noise (compiler flags, BIOS, memory timings) applied
-#: to all apps of one announcement; plus per-app run noise in compute_rate.
+#: Generation constants; their values match the paper. System-level tuning
+#: noise (compiler flags, BIOS, memory timings) applies to all apps of one
+#: announcement, per-app run noise to each app's ratio (lognormal sigmas);
+#: the rate scale anchors the absolute rating level (a 2 GHz reference
+#: machine rates ~10).
 _SYSTEM_NOISE = 0.018
 _APP_NOISE = 0.02
+_RATE_SCALE = 10.0
 
 
 def _model_number(family: ProcessorFamily, clock: float) -> str:
@@ -90,31 +94,13 @@ def _perf_features(
     )
 
 
-class GeneratorConfig:
-    """Tunables for announcement generation (defaults match the paper)."""
-
-    def __init__(
-        self,
-        system_noise: float = _SYSTEM_NOISE,
-        app_noise: float = _APP_NOISE,
-        rate_scale: float = 10.0,
-    ) -> None:
-        if system_noise < 0 or app_noise < 0 or rate_scale <= 0:
-            raise ValueError("noise levels must be >= 0 and rate_scale > 0")
-        self.system_noise = system_noise
-        self.app_noise = app_noise
-        self.rate_scale = rate_scale
-
-
 def generate_family_records(
     family_name: str,
     seed: int = 0,
     years: Sequence[int] | None = None,
-    config: GeneratorConfig | None = None,
 ) -> list[SystemRecord]:
     """Generate one family's announcements for the given years (default all)."""
     family = get_family(family_name)
-    cfg = config or GeneratorConfig()
     records: list[SystemRecord] = []
     year_list = sorted(years) if years is not None else sorted(family.years)
     for year in year_list:
@@ -142,16 +128,16 @@ def generate_family_records(
                 family, year, clock, l2_total, l3_total, memfreq, bus,
                 memsize, l1d, l2_onchip, smt,
             )
-            tune = float(np.exp(rng.normal(0.0, cfg.system_noise)))
+            tune = float(np.exp(rng.normal(0.0, _SYSTEM_NOISE)))
             int_ratios = {
                 name: tune * v for name, v in compute_app_ratios(
-                    INT_APPS, perf, rng, noise_sigma=cfg.app_noise,
-                    scale=cfg.rate_scale).items()
+                    INT_APPS, perf, rng, noise_sigma=_APP_NOISE,
+                    scale=_RATE_SCALE).items()
             }
             fp_ratios = {
                 name: tune * v for name, v in compute_app_ratios(
-                    FP_APPS, perf, rng, noise_sigma=cfg.app_noise,
-                    scale=cfg.rate_scale).items()
+                    FP_APPS, perf, rng, noise_sigma=_APP_NOISE,
+                    scale=_RATE_SCALE).items()
             }
             int_rate = geometric_mean(list(int_ratios.values()))
             fp_rate = geometric_mean(list(fp_ratios.values()))

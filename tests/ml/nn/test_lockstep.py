@@ -7,6 +7,7 @@ import pytest
 
 import repro.ml.nn.lockstep as lockstep
 import repro.ml.nn.model as model_mod
+import repro.ml.nn.training as training
 from repro.errors import NumericalError
 from repro.ml.nn.lockstep import (
     TrainRequest,
@@ -26,9 +27,15 @@ from repro.specdata.schema import records_to_dataset
 from repro.util.stats import mean_absolute_percentage_error
 
 #: gd that stops early on tame data and diverges by epoch 3 on inputs
-#: scaled up 30x (a linear hidden layer lets the loss explode).
-CFG = TrainingConfig(optimizer="gd", max_epochs=60, learning_rate=0.3, max_rate=0.8,
-                     patience=15, divergence_factor=100.0)
+#: scaled up 30x (a linear hidden layer lets the loss explode), under the
+#: rate cap and divergence bound :func:`_bounds` sets.
+CFG = TrainingConfig(optimizer="gd", max_epochs=60, learning_rate=0.3, patience=15)
+
+
+@pytest.fixture(autouse=True)
+def _bounds(monkeypatch):
+    monkeypatch.setattr(training, "MAX_RATE", 0.8)
+    monkeypatch.setattr(training, "DIVERGENCE_FACTOR", 100.0)
 
 
 def _net(seed, n_in=3):
@@ -208,7 +215,8 @@ def _sequential(builder, train_ds, rng, n_reps=5):
 
 class TestHoldoutRestarts:
     def _both(self, monkeypatch, dataset, diverge_on, max_restarts=2):
-        builder = lambda: NeuralNetworkModel(method="quick", seed=3, max_restarts=max_restarts)  # noqa: E731
+        monkeypatch.setattr(model_mod, "MAX_RESTARTS", max_restarts)
+        builder = lambda: NeuralNetworkModel(method="quick", seed=3)  # noqa: E731
         runs = []
         for estimate in (lambda: _sequential(builder, dataset, np.random.default_rng(5)),
                          lambda: estimate_error(builder, dataset, np.random.default_rng(5)).per_rep):

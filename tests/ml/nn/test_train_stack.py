@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.ml.nn.training as training
 from repro.errors import NumericalError
 from repro.ml.nn.network import MLP
 from repro.ml.nn.training import TrainingConfig, train, train_replicas, train_stack
@@ -24,6 +25,15 @@ def data():
     X = rng.random((40, 3))
     Xv = rng.random((15, 3))
     return X, _target(X), Xv, _target(Xv)
+
+
+@pytest.fixture
+def constants(monkeypatch):
+    """Set training-module constants for one test (restored afterwards)."""
+    def patch(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(training, name, value)
+    return patch
 
 
 def _nets(seeds, sizes=(3, 6, 1), **kw):
@@ -108,14 +118,15 @@ class TestKernelMatchesReferenceBackprop:
     the two-dimensional reference ``MLP.loss_and_grad``."""
 
     @pytest.mark.parametrize("output", ["linear", "sigmoid"])
-    def test_first_step(self, data, output):
+    def test_first_step(self, data, output, constants):
+        constants(MOMENTUM=0.0)
         X, y, _, _ = data
         net = MLP([3, 5, 3, 1], np.random.default_rng(9), output=output)
         net.mask_input(1)
         loss, grads = net.loss_and_grad(X, y)
         before = [w.copy() for w in net.weights]
         cfg = TrainingConfig(optimizer="gd", max_epochs=1, learning_rate=0.25,
-                             momentum=0.0, adaptive_rate=False)
+                             adaptive_rate=False)
         result = train(net, X, y, cfg)
         assert result.loss_history == [loss]
         for w, w0, g in zip(net.weights, before, grads):
@@ -124,7 +135,11 @@ class TestKernelMatchesReferenceBackprop:
 
 class TestStackDivergence:
     CFG = TrainingConfig(optimizer="gd", max_epochs=100, learning_rate=0.8,
-                         max_rate=0.8, adaptive_rate=False, divergence_factor=100.0)
+                         adaptive_rate=False)
+
+    @pytest.fixture(autouse=True)
+    def _bound(self, constants):
+        constants(DIVERGENCE_FACTOR=100.0)
 
     def _sequential_error(self, seed, X, y):
         with pytest.raises(NumericalError) as ei:
@@ -231,8 +246,11 @@ class TestDivergenceIsolation:
     """A replica that diverges leaves the stack; the others end exactly as
     they would alone."""
 
-    CFG = TrainingConfig(optimizer="gd", max_epochs=60, learning_rate=0.3, max_rate=0.8,
-                         patience=15, divergence_factor=100.0)
+    CFG = TrainingConfig(optimizer="gd", max_epochs=60, learning_rate=0.3, patience=15)
+
+    @pytest.fixture(autouse=True)
+    def _bounds(self, constants):
+        constants(MAX_RATE=0.8, DIVERGENCE_FACTOR=100.0)
 
     def _data(self):
         X, y, Xv, yv = _per_replica_data(3)
@@ -315,7 +333,11 @@ class TestBookkeepingAgainstLoneCalls:
     patience) and the snapshot rows copied on improvement: random stacks,
     and one case per rare path, against lone ``train`` calls."""
 
-    CFG = TrainingConfig(max_epochs=80, patience=20, rprop_init=0.2, divergence_factor=20.0)
+    CFG = TrainingConfig(max_epochs=80, patience=20)
+
+    @pytest.fixture(autouse=True)
+    def _bounds(self, constants):
+        constants(MAX_RATE=0.8, RPROP_INIT=0.2, DIVERGENCE_FACTOR=20.0)
 
     def test_max_epochs_with_validation_keeps_best_loss(self):
         X, y, Xv, yv = _per_replica_data(6)
@@ -367,8 +389,7 @@ class TestBookkeepingAgainstLoneCalls:
             elif kind == 3:
                 Xv[r, rng.integers(n_val), rng.integers(3)] = np.inf  # finite under tanh
         cfg = TrainingConfig(optimizer=optimizer, max_epochs=int(rng.integers(5, 60)),
-                             patience=int(rng.integers(1, 70)), learning_rate=0.3,
-                             max_rate=0.8, rprop_init=0.2, divergence_factor=20.0)
+                             patience=int(rng.integers(1, 70)), learning_rate=0.3)
         nets = _nets(rng.integers(1000, size=R).tolist(),
                      hidden=rng.choice(["linear", "tanh"]))
         for net in nets:

@@ -4,6 +4,7 @@ numbers, NN divergence detection, and bounded seeded restarts."""
 import numpy as np
 import pytest
 
+import repro.ml.nn.training as training
 from repro.errors import NumericalError
 from repro.ml.linear.lsq import COND_ILL_THRESHOLD, OlsFit, fit_ols
 from repro.ml.nn.network import MLP
@@ -113,20 +114,17 @@ class TestOlsFallbacks:
 
 
 class TestNnDivergenceDetection:
-    def test_divergence_factor_validated(self):
-        with pytest.raises(ValueError, match="divergence_factor"):
-            TrainingConfig(divergence_factor=1.0)
-
-    def test_gd_with_huge_rate_raises_divergence(self, rng):
+    def test_gd_with_huge_rate_raises_divergence(self, rng, monkeypatch):
         # Plain gradient descent at an absurd rate explodes within a few
         # epochs; the detector must convert that into a typed error rather
         # than returning a NaN-weight network.
+        monkeypatch.setattr(training, "MAX_RATE", 1e6)
+        monkeypatch.setattr(training, "DIVERGENCE_FACTOR", 10.0)
         net = MLP([3, 4, 1], rng)
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
         config = TrainingConfig(optimizer="gd", learning_rate=1e6,
-                                max_rate=1e6, adaptive_rate=False,
-                                max_epochs=200, divergence_factor=10.0)
+                                adaptive_rate=False, max_epochs=200)
         with pytest.raises(NumericalError) as ei:
             train(net, X, y, config)
         assert ei.value.cause == "nn-divergence"
@@ -161,7 +159,7 @@ class TestNnSeededRestarts:
             return real_builder(X, y, rng_)
 
         monkeypatch.setitem(model_mod.NN_METHODS, "quick", (real_name, flaky))
-        model = NeuralNetworkModel(method="quick", seed=0, max_restarts=2)
+        model = NeuralNetworkModel(method="quick", seed=0)
         model.fit(train_ds)
         assert calls["n"] == 2
         assert np.isfinite(model.predict(train_ds)).all()
@@ -181,14 +179,9 @@ class TestNnSeededRestarts:
 
         monkeypatch.setitem(model_mod.NN_METHODS, "quick",
                             ("NN-Q", always_fails))
-        model = NeuralNetworkModel(method="quick", seed=0, max_restarts=1)
+        monkeypatch.setattr(model_mod, "MAX_RESTARTS", 1)
+        model = NeuralNetworkModel(method="quick", seed=0)
         with pytest.raises(NumericalError) as ei:
             model.fit(train_ds)
         assert ei.value.cause == "nn-restarts-exhausted"
         assert ei.value.context["attempts"] == 2
-
-    def test_zero_restarts_matches_legacy_single_attempt(self):
-        from repro.ml.nn.model import NeuralNetworkModel
-
-        with pytest.raises(ValueError):
-            NeuralNetworkModel(max_restarts=-1)

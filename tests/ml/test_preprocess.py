@@ -71,7 +71,7 @@ class TestEncoderLinear:
         assert "const" in enc.report.dropped_constant
 
     def test_flag_becomes_01(self):
-        enc = Encoder("linear", scale=False).fit(_ds())
+        enc = Encoder("linear").fit(_ds())
         X = enc.transform(_ds())
         j = enc.feature_names.index("flag")
         assert set(np.unique(X[:, j])) == {0.0, 1.0}
@@ -92,14 +92,14 @@ class TestEncoderNn:
         assert "bp=2level" in enc.feature_names
 
     def test_one_hot_rows_sum_to_one(self):
-        enc = Encoder("nn", scale=False).fit(_ds())
+        enc = Encoder("nn").fit(_ds())
         X = enc.transform(_ds())
         cols = [i for i, f in enumerate(enc.feature_names) if f.startswith("bp=")]
         np.testing.assert_allclose(X[:, cols].sum(axis=1), 1.0)
 
     def test_unseen_level_encodes_all_zero(self):
         train = _ds()
-        enc = Encoder("nn", scale=False).fit(train)
+        enc = Encoder("nn").fit(train)
         test = Dataset(
             [Column(c.name, c.role,
                     np.array(["perfect"] * 8) if c.name == "bp" else c.values)
@@ -134,10 +134,6 @@ class TestIdentifierElimination:
     def test_low_cardinality_kept(self):
         enc = Encoder("nn").fit(_ds())
         assert "bp" not in enc.report.dropped_identifier
-
-    def test_fraction_validated(self):
-        with pytest.raises(ValueError):
-            Encoder("nn", identifier_fraction=0.0)
 
 
 class TestEncoderGeneral:

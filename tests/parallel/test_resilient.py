@@ -20,12 +20,11 @@ from repro.parallel import (
     FaultInjector,
     ProcessExecutor,
     ResilientExecutor,
-    RetryPolicy,
     SerialExecutor,
     task_fingerprint,
 )
-
-NO_BACKOFF = RetryPolicy(max_attempts=3, backoff_base=0.0)
+from repro.parallel import resilient
+from repro.parallel.resilient import backoff_delay
 
 
 def _double(x):
@@ -67,27 +66,21 @@ def _read_log(path):
 class TestRetryPolicy:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
+            ResilientExecutor(max_attempts=0)
 
-    def test_delay_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, jitter=0.5)
-        d1 = policy.delay(1, seed=42)
-        assert d1 == policy.delay(1, seed=42)  # pure in (attempt, seed)
+    def test_delay_is_deterministic_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(resilient, "BACKOFF_BASE", 0.1)
+        d1 = backoff_delay(1, seed=42)
+        assert d1 == backoff_delay(1, seed=42)  # pure in (attempt, seed)
         assert 0.05 <= d1 <= 0.15
-        assert policy.delay(3, seed=42) != policy.delay(3, seed=43)
+        assert backoff_delay(3, seed=42) != backoff_delay(3, seed=43)
 
-    def test_delay_grows_and_caps(self):
-        policy = RetryPolicy(backoff_base=1.0, backoff_factor=10.0,
-                             backoff_max=5.0, jitter=0.0)
-        assert policy.delay(1, 0) == 1.0
-        assert policy.delay(2, 0) == 5.0  # capped
-
-    def test_retry_on_filter(self):
-        policy = RetryPolicy(retry_on=(ValueError,))
-        assert policy.should_retry(ValueError("x"))
-        assert not policy.should_retry(RuntimeError("x"))
+    def test_delay_grows_and_caps(self, monkeypatch):
+        for name, value in (("BACKOFF_BASE", 1.0), ("BACKOFF_FACTOR", 10.0),
+                            ("BACKOFF_MAX", 5.0), ("JITTER", 0.0)):
+            monkeypatch.setattr(resilient, name, value)
+        assert backoff_delay(1, 0) == 1.0
+        assert backoff_delay(2, 0) == 5.0  # capped
 
 
 class TestFingerprint:
@@ -104,15 +97,15 @@ class TestSerialResilience:
         with ResilientExecutor() as ex:
             assert ex.map(_double, range(10)) == [2 * i for i in range(10)]
 
-    def test_transient_fault_is_retried(self):
+    def test_transient_fault_is_retried(self, no_backoff):
         ex = ResilientExecutor(
-            injector=FaultInjector(fail_once_indices=(2, 4)), retry=NO_BACKOFF)
+            injector=FaultInjector(fail_once_indices=(2, 4)), max_attempts=3)
         assert ex.map(_double, range(6)) == [2 * i for i in range(6)]
         assert "retry:2:1" in ex.events and "retry:4:1" in ex.events
 
-    def test_permanent_fault_aborts_with_partials(self):
+    def test_permanent_fault_aborts_with_partials(self, no_backoff):
         ex = ResilientExecutor(
-            injector=FaultInjector(fail_indices=(1,)), retry=NO_BACKOFF)
+            injector=FaultInjector(fail_indices=(1,)), max_attempts=3)
         with pytest.raises(SweepAborted) as ei:
             ex.map(_double, range(4))
         aborted = ei.value
@@ -124,20 +117,12 @@ class TestSerialResilience:
         assert failure.error_type == "InjectedFault"
         assert "task 1" in str(aborted)
 
-    def test_non_retryable_exception_fails_on_first_attempt(self):
-        ex = ResilientExecutor(
-            injector=FaultInjector(fail_indices=(0,)),
-            retry=RetryPolicy(max_attempts=5, backoff_base=0.0,
-                              retry_on=(KeyError,)))
-        with pytest.raises(SweepAborted) as ei:
-            ex.map(_double, [1])
-        assert ei.value.failures[0].attempts == 1
-
-    def test_backoff_sleeps_between_attempts(self):
+    def test_backoff_sleeps_between_attempts(self, monkeypatch):
+        monkeypatch.setattr(resilient, "BACKOFF_BASE", 0.2)
+        monkeypatch.setattr(resilient, "JITTER", 0.0)
         slept = []
         ex = ResilientExecutor(
-            injector=FaultInjector(fail_once_indices=(0,)),
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.2, jitter=0.0),
+            injector=FaultInjector(fail_once_indices=(0,)), max_attempts=2,
             sleep=slept.append)
         ex.map(_double, [7])
         assert len(slept) == 1 and 0.0 < slept[0] <= 0.2
@@ -154,7 +139,7 @@ class TestCheckpointResume:
         ex1 = ResilientExecutor(
             journal=CheckpointJournal(path),
             injector=FaultInjector(fail_indices=(10,)),
-            retry=RetryPolicy(max_attempts=1))
+            max_attempts=1)
         with pytest.raises(SweepAborted) as ei:
             ex1.map(_LoggingThird(tmp_path / "run1.log"), items)
         assert ei.value.checkpointed
@@ -267,27 +252,27 @@ class TestFaultInjector:
         inj = FaultInjector(seed=1, p_exception=0.1, crash_indices=(3,))
         assert pickle.loads(pickle.dumps(inj)) == inj
 
-    def test_probabilistic_chaos_survivable_with_retries(self):
+    def test_probabilistic_chaos_survivable_with_retries(self, no_backoff):
         ex = ResilientExecutor(
             injector=FaultInjector(seed=11, p_exception=0.3),
-            retry=RetryPolicy(max_attempts=6, backoff_base=0.0))
+            max_attempts=6)
         assert ex.map(_double, range(30)) == [2 * i for i in range(30)]
 
 
 class TestProcessPoolResilience:
-    def test_pool_map_with_transient_faults(self):
+    def test_pool_map_with_transient_faults(self, no_backoff):
         inj = FaultInjector(fail_once_indices=(1, 5))
         with ResilientExecutor(ProcessExecutor(max_workers=2),
-                               injector=inj, retry=NO_BACKOFF) as ex:
+                               injector=inj, max_attempts=3) as ex:
             assert ex.map(_double, range(8)) == [2 * i for i in range(8)]
 
-    def test_worker_crash_rebuild_then_serial_downgrade(self):
+    def test_worker_crash_rebuild_then_serial_downgrade(self, no_backoff):
         """A worker dies mid-task (os._exit): the wrapper rebuilds the pool
         once, the crash repeats, and the sweep finishes serially with
         complete, ordered results."""
         inj = FaultInjector(crash_indices=(3,))
         with ResilientExecutor(ProcessExecutor(max_workers=2),
-                               injector=inj, retry=NO_BACKOFF) as ex:
+                               injector=inj, max_attempts=3) as ex:
             out = ex.map(_double, range(10))
             assert out == [2 * i for i in range(10)]  # nothing dropped/reordered
             assert "pool-rebuild" in ex.events
@@ -296,7 +281,7 @@ class TestProcessPoolResilience:
     def test_timeout_kills_hung_worker(self):
         with ResilientExecutor(ProcessExecutor(max_workers=2),
                                task_timeout=1.0,
-                               retry=RetryPolicy(max_attempts=1)) as ex:
+                               max_attempts=1) as ex:
             start = time.monotonic()
             with pytest.raises(SweepAborted) as ei:
                 ex.map(_sleep_on_two, range(6))
@@ -322,7 +307,7 @@ class TestProcessPoolResilience:
         inj = FaultInjector(fail_indices=(6,))
         with ResilientExecutor(ProcessExecutor(max_workers=2),
                                journal=CheckpointJournal(path), injector=inj,
-                               retry=RetryPolicy(max_attempts=1)) as ex:
+                               max_attempts=1) as ex:
             with pytest.raises(SweepAborted):
                 ex.map(_third, items)
         with ResilientExecutor(ProcessExecutor(max_workers=2),
@@ -347,7 +332,7 @@ class TestSweepIntegration:
         ex1 = ResilientExecutor(
             journal=CheckpointJournal(path),
             injector=FaultInjector(fail_indices=(3,)),
-            retry=RetryPolicy(max_attempts=1))
+            max_attempts=1)
         with pytest.raises(SweepAborted) as ei:
             sweep_design_space(design_space, profile, executor=ex1)
         assert ei.value.n_completed == n_slices - 1

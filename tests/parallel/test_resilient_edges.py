@@ -16,10 +16,9 @@ from repro.parallel import (
     CheckpointJournal,
     FaultInjector,
     ResilientExecutor,
-    RetryPolicy,
 )
 
-NO_BACKOFF = RetryPolicy(max_attempts=3, backoff_base=0.0)
+ATTEMPTS = 3
 
 
 class _LoggingSquare:
@@ -134,15 +133,15 @@ class TestResumeWithChangedFingerprint:
 
 
 class TestRetryExhaustion:
-    def test_abort_carries_error_chain_and_attempt_count(self):
+    def test_abort_carries_error_chain_and_attempt_count(self, no_backoff):
         ex = ResilientExecutor(
-            injector=FaultInjector(fail_indices=(2,)), retry=NO_BACKOFF)
+            injector=FaultInjector(fail_indices=(2,)), max_attempts=ATTEMPTS)
         with pytest.raises(SweepAborted) as ei:
             ex.map(lambda x: x + 1, range(5))
         aborted = ei.value
         [failure] = aborted.failures
         assert failure.index == 2
-        assert failure.attempts == NO_BACKOFF.max_attempts  # budget fully spent
+        assert failure.attempts == ATTEMPTS  # budget fully spent
         assert failure.error_type == "InjectedFault"
         assert "task 2" in failure.message
         # The abort still returns every completed result.
@@ -151,10 +150,10 @@ class TestRetryExhaustion:
         retries = [e for e in ex.events if e.startswith("retry:2:")]
         assert retries == ["retry:2:1", "retry:2:2"]
 
-    def test_exhaustion_updates_executor_metrics(self):
+    def test_exhaustion_updates_executor_metrics(self, no_backoff):
         reset_default_registry()
         ex = ResilientExecutor(
-            injector=FaultInjector(fail_indices=(0,)), retry=NO_BACKOFF)
+            injector=FaultInjector(fail_indices=(0,)), max_attempts=ATTEMPTS)
         with pytest.raises(SweepAborted):
             ex.map(lambda x: x, range(3))
         reg = default_registry()
@@ -163,9 +162,9 @@ class TestRetryExhaustion:
         assert reg.counter("executor.tasks.completed").value == 2
         reset_default_registry()
 
-    def test_multiple_failures_sorted_by_index(self):
+    def test_multiple_failures_sorted_by_index(self, no_backoff):
         ex = ResilientExecutor(
-            injector=FaultInjector(fail_indices=(3, 1)), retry=NO_BACKOFF)
+            injector=FaultInjector(fail_indices=(3, 1)), max_attempts=ATTEMPTS)
         with pytest.raises(SweepAborted) as ei:
             ex.map(lambda x: x, range(5))
         assert [f.index for f in ei.value.failures] == [1, 3]

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.chronological import run_chronological
 from repro.core.models import model_builders
+from repro.core.sampled import run_sampled_dse
 from repro.errors import DataIntegrityError
 from repro.obs.metrics import default_registry
 from repro.robust import (
@@ -121,14 +122,27 @@ class TestFaultClasses:
 class TestCleanInputBitIdentity:
     """The whole robustness stack must not move a single clean-input bit."""
 
-    def test_ladder_on_off_identical(self, records):
-        plain = _run(records, ladder=None)
-        ladder = default_ladder(seed=3, gate=ValidationGate())
-        robust = _run(records, ladder=ladder)
-        assert plain.mean_errors() == robust.mean_errors()
-        assert {k: e.per_rep for k, e in plain.estimates.items()} == \
-               {k: e.per_rep for k, e in robust.estimates.items()}
-        assert not robust.degraded_labels()
+    @pytest.mark.parametrize("driver", ["chronological", "sampled"])
+    def test_ladder_on_off_identical(self, driver, records, space_dataset):
+        def run(ladder):
+            """True errors, per-rep estimates, select label, degraded labels."""
+            if driver == "chronological":
+                res = _run(records, ladder=ladder)
+                return (res.mean_errors(),
+                        {k: e.per_rep for k, e in res.estimates.items()},
+                        None, res.degraded_labels())
+            res = run_sampled_dse(
+                space_dataset("applu"), model_builders(("LR-B", "NN-S"), seed=3),
+                0.01, np.random.default_rng(5), n_cv_reps=2, ladder=ladder)
+            return (res.true_errors(),
+                    {k: o.estimate.per_rep for k, o in res.outcomes.items()},
+                    res.select_label,
+                    [k for k, o in res.outcomes.items() if o.degraded])
+
+        plain = run(None)
+        robust = run(default_ladder(seed=3, gate=ValidationGate()))
+        assert plain[:3] == robust[:3]
+        assert not robust[3]
 
     def test_guarded_ingest_identical_on_clean_csv(self, records, tmp_path):
         path = tmp_path / "clean.csv"

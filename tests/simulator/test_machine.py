@@ -1,10 +1,15 @@
-"""Tests for the complete machine (detailed and interval modes)."""
+"""Tests for the complete machine, detailed and against the interval path."""
 
 import pytest
 
 from repro.simulator.config import enumerate_design_space
-from repro.simulator.machine import simulate, simulate_detailed
+from repro.simulator.interval import evaluate_config
+from repro.simulator.machine import simulate_detailed
 from repro.simulator.workloads import get_profile
+
+
+#: Interval-path instruction count of the cross-validation cases.
+N_INSTRUCTIONS = 1_000_000
 
 
 @pytest.fixture(scope="module")
@@ -21,18 +26,13 @@ def _find(configs, **want):
 
 class TestInterfaces:
     def test_interval_mode(self, configs):
-        r = simulate(configs[0], get_profile("gcc"), 10_000, mode="interval")
-        assert r.mode == "interval"
+        r = evaluate_config(configs[0], get_profile("gcc"), 10_000)
         assert r.cycles > 0
 
     def test_detailed_mode_with_trace(self, configs, trace_cache):
         r = simulate_detailed(trace_cache("gzip", 20_000), configs[0])
         assert r.mode == "detailed"
         assert r.n_instructions == 20_000
-
-    def test_unknown_mode(self, configs):
-        with pytest.raises(ValueError):
-            simulate(configs[0], get_profile("gcc"), mode="rtl")
 
     def test_empty_trace_rejected(self, configs, trace_cache):
         tr = trace_cache("gzip", 20_000).slice(0, 0)
@@ -95,7 +95,7 @@ class TestCrossValidation:
         cfg = _find(configs, l1d_size=32 * 1024, l1d_line=32,
                     branch_predictor="bimodal", width=4)
         det = simulate_detailed(tr, cfg)
-        fast = simulate(cfg, get_profile(app), mode="interval")
+        fast = evaluate_config(cfg, get_profile(app), N_INSTRUCTIONS)
         close_rel = abs(det.l1d_miss_rate - fast.l1d_miss_rate) <= rel * fast.l1d_miss_rate
         close_abs = abs(det.l1d_miss_rate - fast.l1d_miss_rate) <= abs_tol
         assert close_rel or close_abs, (app, det.l1d_miss_rate, fast.l1d_miss_rate)
@@ -106,7 +106,7 @@ class TestCrossValidation:
         cfg = _find(configs, l1d_size=32 * 1024, l1d_line=32,
                     branch_predictor="bimodal", width=4, l3_size=0)
         det = simulate_detailed(tr, cfg)
-        fast = simulate(cfg, get_profile(app), mode="interval")
+        fast = evaluate_config(cfg, get_profile(app), N_INSTRUCTIONS)
         ratio = det.cpi / fast.cpi
         assert 0.3 < ratio < 3.0, (app, det.cpi, fast.cpi)
 
@@ -122,7 +122,7 @@ class TestCrossValidation:
         weak = _find(configs, l2_size=256 * 1024, l3_size=0, **base)
         strong = _find(configs, l2_size=1024 * 1024, l3_size=8 * 1024 * 1024, **base)
         det_weak, det_strong = simulate_detailed(tr, weak), simulate_detailed(tr, strong)
-        fast_weak = simulate(weak, prof, mode="interval")
-        fast_strong = simulate(strong, prof, mode="interval")
+        fast_weak = evaluate_config(weak, prof, N_INSTRUCTIONS)
+        fast_strong = evaluate_config(strong, prof, N_INSTRUCTIONS)
         assert det_strong.cpi < det_weak.cpi
         assert fast_strong.cpi < fast_weak.cpi

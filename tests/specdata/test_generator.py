@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import repro.specdata.generator as generator
 from repro.specdata.families import FAMILIES, get_family
-from repro.specdata.generator import GeneratorConfig, generate_all_records, generate_family_records
+from repro.specdata.generator import generate_all_records, generate_family_records
 
 
 class TestDeterminism:
@@ -92,9 +93,10 @@ class TestPerformanceStructure:
 
 
 class TestGeneratorConfig:
-    def test_zero_noise_is_deterministic_function(self):
-        cfg = GeneratorConfig(system_noise=0.0, app_noise=0.0)
-        recs = generate_family_records("pentium-d", seed=5, config=cfg)
+    def test_zero_noise_is_deterministic_function(self, monkeypatch):
+        monkeypatch.setattr(generator, "_SYSTEM_NOISE", 0.0)
+        monkeypatch.setattr(generator, "_APP_NOISE", 0.0)
+        recs = generate_family_records("pentium-d", seed=5)
         # Identical configurations must get identical ratings with no noise.
         by_key = {}
         for r in recs:
@@ -103,12 +105,6 @@ class TestGeneratorConfig:
                    r.l2_onchip, r.l1_per_core, r.l2_shared)
             by_key.setdefault(key, set()).add(round(r.specint_rate, 9))
         assert all(len(v) == 1 for v in by_key.values())
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GeneratorConfig(system_noise=-0.1)
-        with pytest.raises(ValueError):
-            GeneratorConfig(rate_scale=0.0)
 
 
 class TestGenerateAll:

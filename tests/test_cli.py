@@ -129,7 +129,8 @@ class TestCacheCLI:
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
-        assert "disk entries" in out and "memory_evictions" in out
+        assert "disk entries" in out and "disk bytes" in out
+        assert "this process" not in out
 
     def test_sweep_cache_trace_writes_capture(self, tmp_path):
         from repro.obs import read_trace
