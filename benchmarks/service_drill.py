@@ -59,7 +59,10 @@ from pathlib import Path
 import numpy as np
 
 APPS = ("gcc", "mcf", "gzip", "art")
-SLICE_STOP = 60
+#: Jobs of three 512-config slices (the sweep task), so the first-generation
+#: SIGKILL at task index KILL_AT lands on the middle slice of a job.
+SLICE_STOP = 1536
+KILL_AT = 1
 N_INSTR = 1_000_000
 SEED = 7
 
@@ -93,7 +96,7 @@ def _run_chaos_serve(spool_dir: Path, *extra: str) -> float:
     p = _cli("serve", "--spool", str(spool_dir), "--workers", "2",
              "--lease-ttl", "2", "--heartbeat-timeout", "5",
              "--drain-on-idle", "--max-runtime", "120",
-             "--chaos-sigkill-at", "30", "--seed", str(SEED), *extra)
+             "--chaos-sigkill-at", str(KILL_AT), "--seed", str(SEED), *extra)
     elapsed = time.monotonic() - t0
     if p.returncode != 0:
         _fail(f"obs drill serve rc={p.returncode}: {p.stderr}")
@@ -289,7 +292,7 @@ def main() -> int:
          "--workers", "2", "--max-depth", str(len(APPS)),
          "--lease-ttl", "2", "--heartbeat-timeout", "5",
          "--drain-on-idle", "--max-runtime", "120",
-         "--chaos-sigkill-at", "30", "--seed", str(SEED)],
+         "--chaos-sigkill-at", str(KILL_AT), "--seed", str(SEED)],
         stderr=subprocess.PIPE, text=True)
 
     # 3b. While it runs, murder one worker from outside too (operator-style:

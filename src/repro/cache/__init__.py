@@ -23,7 +23,6 @@ from repro.cache.result_cache import (
     configure,
     default_cache,
     is_enabled,
-    reset_default_cache,
     set_enabled,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "configure",
     "default_cache",
     "is_enabled",
-    "reset_default_cache",
     "set_enabled",
     "stable_fingerprint",
 ]

@@ -42,7 +42,6 @@ __all__ = [
     "default_cache",
     "env_disk_root",
     "is_enabled",
-    "reset_default_cache",
     "set_enabled",
 ]
 
@@ -239,12 +238,6 @@ def configure(max_entries: int = 128,
     _DEFAULT = ResultCache(max_entries=max_entries, disk_root=disk_root,
                            namespace=namespace, disk_breaker=disk_breaker)
     return _DEFAULT
-
-
-def reset_default_cache() -> None:
-    """Forget the process-wide instance (next use re-reads the environment)."""
-    global _DEFAULT
-    _DEFAULT = None
 
 
 def set_enabled(enabled: bool) -> None:

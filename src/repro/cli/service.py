@@ -1,10 +1,12 @@
 """The job service: ``serve``, ``submit``, ``jobs`` and ``spool compact|verify``.
 
 Flag defaults are read off the library: ``serve``'s from
-:class:`~repro.service.ServiceConfig`, ``submit``'s from
-:class:`~repro.service.JobSpec`. ``--idle-grace`` is the exception: the
+:class:`~repro.service.config.ServiceConfig`, ``submit``'s from
+:class:`~repro.service.jobs.JobSpec`. ``--idle-grace`` is the exception: the
 library drains at once (0 s), while ``serve ... &`` followed by ``submit``
-needs the first job to land first (3 s).
+needs the first job to land first (3 s). The commands import the rest of
+the service when they run, so building the parser loads neither the
+supervisor nor the worker.
 """
 
 from __future__ import annotations
@@ -17,23 +19,8 @@ from pathlib import Path
 
 from repro.cli import _add_spool
 from repro.errors import ServiceError
-from repro.parallel import FaultInjector
-from repro.service import (
-    JobSpec,
-    JobSpool,
-    ServiceConfig,
-    WorkerSupervisor,
-    format_jobs,
-    list_jobs,
-    submit_job,
-    wait_for,
-)
-from repro.service.compaction import (
-    CompactionPolicy,
-    compact,
-    render_verify,
-    verify_spool,
-)
+from repro.service.config import ServiceConfig
+from repro.service.jobs import JobSpec
 from repro.simulator import SPEC2000_PROFILES
 from repro.util import durable
 
@@ -165,6 +152,9 @@ def _fields(cls, args: argparse.Namespace) -> dict:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from repro.parallel import FaultInjector
+    from repro.service.supervisor import WorkerSupervisor
+
     injector = None
     if args.chaos_sigkill_at is not None:
         injector = FaultInjector(seed=args.seed,
@@ -185,6 +175,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
+    from repro.service.client import submit_job, wait_for
+
     jid = submit_job(args.spool, JobSpec(**_fields(JobSpec, args)),
                      deadline_s=args.deadline)
     print(jid)
@@ -196,6 +188,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 
 def cmd_jobs(args: argparse.Namespace) -> int:
+    from repro.service.client import format_jobs, list_jobs
+
     views = list_jobs(args.spool)
     if args.json:
         for v in views:
@@ -212,6 +206,14 @@ def cmd_jobs(args: argparse.Namespace) -> int:
 
 
 def cmd_spool(args: argparse.Namespace) -> int:
+    from repro.service.compaction import (
+        CompactionPolicy,
+        compact,
+        render_verify,
+        verify_spool,
+    )
+    from repro.service.spool import JobSpool
+
     root = Path(args.spool)
     if args.spool_command == "compact":
         policy = CompactionPolicy(

@@ -41,13 +41,15 @@ __all__ = ["NeuralNetworkModel", "TargetScaler"]
 MAX_RESTARTS = 2
 
 
-class TargetScaler:
-    """Affine map of the response into [lo_margin, hi_margin] ⊂ (0, 1)."""
+#: The response is range-scaled into ``[TARGET_MARGIN, 1 - TARGET_MARGIN]``
+#: (Clementine-style, see the module docstring).
+TARGET_MARGIN = 0.15
 
-    def __init__(self, margin: float = 0.15) -> None:
-        if not (0.0 <= margin < 0.5):
-            raise ValueError(f"margin must be in [0, 0.5), got {margin}")
-        self.margin = margin
+
+class TargetScaler:
+    """Affine map of the response into [TARGET_MARGIN, 1 - TARGET_MARGIN]."""
+
+    def __init__(self) -> None:
         self._ymin: float | None = None
         self._yspan: float | None = None
 
@@ -64,12 +66,12 @@ class TargetScaler:
         if self._ymin is None or self._yspan is None:
             raise RuntimeError("target scaler is not fit")
         unit = (np.asarray(y, dtype=np.float64) - self._ymin) / self._yspan
-        return self.margin + unit * (1.0 - 2.0 * self.margin)
+        return TARGET_MARGIN + unit * (1.0 - 2.0 * TARGET_MARGIN)
 
     def inverse(self, y_scaled: np.ndarray) -> np.ndarray:
         if self._ymin is None or self._yspan is None:
             raise RuntimeError("target scaler is not fit")
-        unit = (np.asarray(y_scaled, dtype=np.float64) - self.margin) / (1.0 - 2.0 * self.margin)
+        unit = (np.asarray(y_scaled, dtype=np.float64) - TARGET_MARGIN) / (1.0 - 2.0 * TARGET_MARGIN)
         return self._ymin + unit * self._yspan
 
 

@@ -89,7 +89,6 @@ from repro.obs.trace import (
     shutdown,
     span,
     trace_context,
-    tracing_enabled,
     validate_record,
 )
 
@@ -131,7 +130,6 @@ __all__ = [
     "summarize_file",
     "summarize_trace",
     "trace_context",
-    "tracing_enabled",
     "validate_record",
     "write_timeline",
 ]

@@ -59,7 +59,6 @@ __all__ = [
     "shutdown",
     "span",
     "trace_context",
-    "tracing_enabled",
     "validate_record",
 ]
 
@@ -373,10 +372,6 @@ def configure(trace_path=None, *, stream: TextIO | None = None,
 
 def get_tracer() -> Tracer | None:
     return _TRACER
-
-
-def tracing_enabled() -> bool:
-    return _TRACER is not None and _TRACER.enabled
 
 
 def shutdown() -> None:

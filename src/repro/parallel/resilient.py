@@ -105,13 +105,22 @@ BACKOFF_MAX = 30.0
 JITTER = 0.5
 
 
+def jittered_backoff(attempt: int, base: float, cap: float,
+                     *stream: int | str) -> float:
+    """Capped exponential backoff before attempt ``attempt + 1``:
+    ``min(base * BACKOFF_FACTOR ** (attempt - 1), cap)``, scaled by a factor
+    in ``1 ± JITTER`` drawn from ``child_rng(*stream)``, so it is a pure
+    function of its arguments."""
+    delay = min(base * BACKOFF_FACTOR ** (attempt - 1), cap)
+    u = child_rng(*stream).random()
+    return delay * (1.0 + JITTER * (2.0 * u - 1.0))
+
+
 def backoff_delay(attempt: int, seed: int) -> float:
-    """Backoff before attempt ``attempt + 1``, a pure function of
-    ``(attempt, seed)``: the jitter comes from a stream seeded by the task
+    """Task retry backoff: the jitter stream is seeded by the task
     fingerprint, so two runs of the same sweep back off identically."""
-    base = min(BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1), BACKOFF_MAX)
-    u = child_rng(seed, "backoff", attempt).random()
-    return base * (1.0 + JITTER * (2.0 * u - 1.0))
+    return jittered_backoff(attempt, BACKOFF_BASE, BACKOFF_MAX,
+                            seed, "backoff", attempt)
 
 
 class CheckpointJournal:

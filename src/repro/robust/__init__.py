@@ -56,7 +56,6 @@ from repro.robust.guards import (
     QUARANTINE_SCHEMA,
     QuarantinedRow,
     QuarantineReport,
-    quarantine_design_responses,
     read_records_checked,
     validate_records,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "QuarantinedRow",
     "ValidationGate",
     "default_ladder",
-    "quarantine_design_responses",
     "read_records_checked",
     "run_doctor",
     "validate_records",

@@ -45,7 +45,6 @@ __all__ = [
     "QuarantineReport",
     "validate_records",
     "read_records_checked",
-    "quarantine_design_responses",
 ]
 
 #: Schema tag stamped on every JSONL quarantine record.
@@ -313,30 +312,3 @@ def read_records_checked(
         if report_path is not None:
             report.write_jsonl(report_path)
     return clean, report
-
-
-def quarantine_design_responses(
-    responses: np.ndarray,
-    source: str = "design-space",
-    max_quarantine_fraction: float = 0.5,
-) -> tuple[np.ndarray, np.ndarray, QuarantineReport]:
-    """Quarantine design-space configurations with corrupt responses.
-
-    ``responses`` is the simulated cycle (or rate) vector, one entry per
-    configuration. Non-finite entries are quarantined; the caller applies
-    the returned boolean ``keep`` mask to its configuration list so that
-    configs and responses stay aligned. Returns
-    ``(clean_responses, keep_mask, report)``.
-    """
-    responses = np.asarray(responses, dtype=np.float64).ravel()
-    report = QuarantineReport(source=source, n_total=int(responses.shape[0]))
-    keep = np.isfinite(responses)
-    with _obs_phase("ingest-validate", source=source, n_rows=report.n_total):
-        for i in np.flatnonzero(~keep):
-            report.rows.append(QuarantinedRow(
-                index=int(i), reason="non-finite",
-                detail=f"response is {responses[i]!r}",
-            ))
-    clean = responses[keep]
-    _finish(report, list(clean), max_quarantine_fraction)
-    return clean, keep, report

@@ -26,63 +26,33 @@ long-running daemon that *degrades instead of dying*:
   typed failures whose exit codes survive the process boundary.
 
 Wired to the CLI as ``repro serve``, ``repro submit``, ``repro jobs``,
-and ``repro spool compact|verify``.
+and ``repro spool compact|verify``; :class:`ServiceConfig` (``repro
+serve``'s settings) lives in :mod:`repro.service.config`.
 """
 
-from repro.service.client import (
-    JobFailed,
-    format_jobs,
-    list_jobs,
-    poll_jobs,
-    submit_job,
-    wait_for,
-)
-from repro.service.compaction import (
-    CompactionPolicy,
-    CompactionStats,
-    compact,
-    maybe_compact,
-    should_compact,
-    verify_spool,
-)
-from repro.service.jobs import JOB_KINDS, JOB_STATES, JobSpec, JobView, job_id
-from repro.service.spool import (
-    SNAPSHOT_SCHEMA,
-    SPOOL_SCHEMA,
-    JobSpool,
-    SpoolConfig,
-    read_snapshot,
-)
-from repro.service.supervisor import ServiceConfig, WorkerSupervisor
-from repro.service.worker import Worker, WorkerConfig, drain_queue, worker_main
+import importlib
 
-__all__ = [
-    "JOB_KINDS",
-    "JOB_STATES",
-    "SNAPSHOT_SCHEMA",
-    "SPOOL_SCHEMA",
-    "CompactionPolicy",
-    "CompactionStats",
-    "JobFailed",
-    "JobSpec",
-    "JobSpool",
-    "JobView",
-    "ServiceConfig",
-    "SpoolConfig",
-    "Worker",
-    "WorkerConfig",
-    "WorkerSupervisor",
-    "compact",
-    "drain_queue",
-    "format_jobs",
-    "job_id",
-    "list_jobs",
-    "maybe_compact",
-    "poll_jobs",
-    "read_snapshot",
-    "should_compact",
-    "submit_job",
-    "verify_spool",
-    "wait_for",
-    "worker_main",
-]
+# Submodule -> the names it exports here. They load on first use, so a
+# caller that only needs a spec or a config (the CLI's flag defaults) does
+# not pay for the supervisor and the worker.
+_EXPORTS = {
+    "client": ("JobFailed", "format_jobs", "list_jobs", "poll_jobs",
+               "submit_job", "wait_for"),
+    "compaction": ("CompactionPolicy", "CompactionStats", "compact",
+                   "maybe_compact", "should_compact", "verify_spool"),
+    "config": ("ServiceConfig",),
+    "jobs": ("JOB_KINDS", "JOB_STATES", "JobSpec", "JobView", "job_id"),
+    "spool": ("SNAPSHOT_SCHEMA", "SPOOL_SCHEMA", "JobSpool", "SpoolConfig",
+              "read_snapshot"),
+    "supervisor": ("WorkerSupervisor",),
+    "worker": ("Worker", "WorkerConfig", "drain_queue", "worker_main"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

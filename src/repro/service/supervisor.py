@@ -12,8 +12,8 @@ the tentpole of the service layer — *degrade instead of dying*:
   checkpoint journal survives (flock is kernel-released on death), so the
   replacement resumes the job instead of restarting it.
 * Chaos injectors are given to the **initial** generation only. A drill
-  that SIGKILLs worker 0 at task 40 converges: the restarted worker runs
-  clean, resumes the journal at task 40, and the sweep completes
+  that SIGKILLs worker 0 at slice task 1 converges: the restarted worker
+  runs clean, resumes the journal at task 1, and the sweep completes
   bit-identically.
 * A slot that exhausts ``max_restarts`` is **abandoned** (recorded, never
   respawned); the service keeps running on the surviving shards. Only when
@@ -35,78 +35,27 @@ from dataclasses import dataclass
 
 from repro.errors import ServiceError
 from repro.obs.metrics import default_registry as _metrics
-from repro.parallel.resilient import FaultInjector, sigkill_process
+from repro.parallel.resilient import jittered_backoff, sigkill_process
 from repro.service.compaction import CompactionPolicy
+from repro.service.config import ServiceConfig
 from repro.service.spool import JobSpool, SpoolConfig
 from repro.service.worker import POLL_INTERVAL, WorkerConfig, worker_main
 from repro.util import durable
-from repro.util.rng import child_rng, stream_seed
+from repro.util.rng import stream_seed
 
-__all__ = ["STATUS_SCHEMA", "ServiceConfig", "WorkerSupervisor"]
+__all__ = ["STATUS_SCHEMA", "WorkerSupervisor"]
 
 #: Live health snapshot written by ``serve --status-file`` (DESIGN §13).
 STATUS_SCHEMA = "repro-status/1"
 
 #: Restart backoff in seconds: before a slot's ``n``-th respawn,
 #: ``min(RESTART_BACKOFF_BASE * 2 ** (n - 1), RESTART_BACKOFF_MAX)``, scaled
-#: by a seeded factor in ``[0.5, 1.5)``.
+#: by a seeded factor in ``[0.5, 1.5)`` (the task retries' schedule,
+#: :func:`repro.parallel.resilient.jittered_backoff`).
 RESTART_BACKOFF_BASE = 0.1
 RESTART_BACKOFF_MAX = 5.0
 #: Seconds between auto-compaction checks of the serve loop.
 COMPACT_CHECK_INTERVAL = 5.0
-
-
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Everything ``repro serve`` configures about one service instance."""
-
-    root: str
-    workers: int = 2
-    max_depth: int = SpoolConfig.max_depth
-    lease_ttl: float = SpoolConfig.lease_ttl
-    heartbeat_timeout: float = 10.0
-    seed: int = 0
-    max_restarts: int = 5            # per worker slot, then it is abandoned
-    drain_on_idle: bool = False
-    #: With ``drain_on_idle``, the queue must stay empty this long before
-    #: the drain fires. Protects the quickstart pattern — ``serve ... &``
-    #: followed by ``submit`` — from the server exiting before the first
-    #: job lands.
-    idle_grace: float = 0.0
-    max_runtime: float | None = None
-    #: Chaos harness handed to the *initial* worker generation only.
-    injector: FaultInjector | None = None
-    #: Observability plane: workers write per-shard ``repro-trace/1`` files
-    #: with one trace id per job (``serve --obs``). Off by default; job
-    #: execution stays bit-identical either way.
-    obs: bool = False
-    #: Live health snapshot path (``serve --status-file``); None: no status
-    #: writes. The file is replaced atomically every ``status_interval``.
-    status_file: str | None = None
-    status_interval: float = 2.0
-    #: Auto-compaction: once the spool log outgrows either threshold, the
-    #: serve loop folds it into a ``repro-spoolsnap/1`` snapshot (under the
-    #: spool flock, so claims/submits never interleave) and GCs orphaned
-    #: checkpoints/results. Thresholds sized so short-lived drills never
-    #: trigger it; a long-lived daemon compacts roughly per-threshold.
-    auto_compact: bool = True
-    compact_max_log_bytes: int = CompactionPolicy.max_log_bytes
-    compact_max_events: int = CompactionPolicy.max_events
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.heartbeat_timeout <= 0:
-            raise ValueError(
-                f"heartbeat_timeout must be > 0, got {self.heartbeat_timeout}")
-        if self.idle_grace < 0:
-            raise ValueError(f"idle_grace must be >= 0, got {self.idle_grace}")
-        if self.status_interval <= 0:
-            raise ValueError(
-                f"status_interval must be > 0, got {self.status_interval}")
-        if self.compact_max_log_bytes < 1 or self.compact_max_events < 1:
-            raise ValueError(
-                "compact_max_log_bytes and compact_max_events must be >= 1")
 
 
 @dataclass
@@ -169,11 +118,9 @@ class WorkerSupervisor:
 
     def _restart_delay(self, slot: _Slot) -> float:
         """Capped exponential backoff with seeded jitter (deterministic)."""
-        base = min(RESTART_BACKOFF_BASE * 2.0 ** (slot.restarts - 1),
-                   RESTART_BACKOFF_MAX)
-        u = child_rng(self.config.seed, "svc-restart", slot.index,
-                      slot.restarts).random()
-        return base * (0.5 + u)  # [0.5x, 1.5x)
+        return jittered_backoff(slot.restarts, RESTART_BACKOFF_BASE,
+                                RESTART_BACKOFF_MAX, self.config.seed,
+                                "svc-restart", slot.index, slot.restarts)
 
     def _salvage_metrics(self, slot: _Slot) -> None:
         """Preserve a dead worker's last metrics snapshot before respawn.

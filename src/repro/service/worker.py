@@ -6,22 +6,24 @@ fails:
 
 * **Crash mid-job** (exception, ``os._exit``, SIGKILL): the lease expires,
   the spool re-dispatches, and the *next* worker resumes from the job's
-  checkpoint journal — :func:`execute_sweep` runs every per-config task
-  through a :class:`~repro.parallel.ResilientExecutor` with a flock-guarded
+  checkpoint journal — :func:`execute_sweep` runs the job's range as
+  :data:`~repro.simulator.interval.SWEEP_SLICE`-config slices of the
+  Table-1 block, the library sweep's tasks, each through a
+  :class:`~repro.parallel.ResilientExecutor` with a flock-guarded
   :class:`~repro.parallel.CheckpointJournal`, so re-execution recomputes
-  only the tail and the final result is bit-identical to an uninterrupted
-  run.
-* **Slow job, live worker**: the per-task heartbeat path renews the lease
-  well inside its TTL, so a sweep that outlives one lease is not
-  re-dispatched from under a healthy holder; if a claim does race a live
-  holder (lease lapsed mid-task), the holder's journal flock turns the
+  only the unjournaled slices and the final result is bit-identical to an
+  uninterrupted run.
+* **Slow job, live worker**: every slice task beats the heartbeat and
+  renews the lease well inside its TTL, so a sweep that outlives one lease
+  is not re-dispatched from under a healthy holder; if a claim does race a
+  live holder (lease lapsed mid-task), the holder's journal flock turns the
   race into a back-off — never a job failure.
 * **Result computed but completion lost** (killed between the result write
   and the ``done`` event): the result store is keyed by the job's content
   fingerprint, so the re-dispatched execution finds it and completes
   without recomputing.
 * **Deadline exceeded**: jobs submitted with a deadline carry it into every
-  per-config task; once the wall clock passes ``submitted_t + deadline_s``
+  slice task; once the wall clock passes ``submitted_t + deadline_s``
   the job fails with the typed
   :class:`~repro.errors.JobDeadlineExceeded` instead of running forever.
 * **Sick dependencies**: two circuit breakers, held across jobs, guard the
@@ -41,7 +43,10 @@ fails:
 
 The worker's inner executor is serial: the *supervisor* provides process
 parallelism (N worker shards), so nesting a pool inside each shard would
-only multiply processes without adding throughput.
+only multiply processes without adding throughput. For the same reason a
+slice task reads the process's shared Table-1 block directly instead of a
+shared-memory payload: the library ships the block to reach pool workers,
+and in-process that hop only re-pickles and hashes it on every job.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ __all__ = ["WorkerConfig", "Worker", "worker_main", "drain_queue"]
 
 _ABSENT = object()
 
-#: Transient-exception retries per sweep config task.
+#: Transient-exception retries per sweep slice task.
 TASK_RETRIES = 1
 #: The ``model-fit`` breaker trips the NN ladder rungs after this many
 #: consecutive fit failures, and half-opens after the reset seconds.
@@ -86,6 +91,12 @@ DISK_BREAKER_RESET_S = 5.0
 #: Idle sleep between claim attempts; the supervisor's serve loop sleeps
 #: the same between supervision passes.
 POLL_INTERVAL = 0.05
+#: Minimum wall-clock seconds between heartbeat-path metrics flushes. The
+#: flush itself always runs (a SIGKILL'd shard must not be a telemetry
+#: blind spot); this only bounds its frequency.
+METRICS_FLUSH_S = 2.0
+#: Stop :meth:`Worker.run` after this many jobs; None runs until drain.
+MAX_JOBS: int | None = None
 
 
 class _JournalLockHeld(Exception):
@@ -104,18 +115,12 @@ class WorkerConfig:
     root: str                    # spool directory
     name: str                    # shard name; also the heartbeat file stem
     seed: int = 0
-    heartbeat_every: int = 32    # configs between mid-sweep heartbeats
-    max_jobs: int | None = None  # stop after N jobs (tests); None: until drain
     #: Chaos harness applied to sweep task execution (supervision drills).
     injector: FaultInjector | None = None
     #: Observability plane: when True the shard writes a ``repro-trace/1``
     #: file (``<root>/obs/trace.<name>.jsonl``) with one trace id per job.
     #: Off by default — execution stays bit-identical and span-free.
     obs: bool = False
-    #: Minimum wall-clock seconds between heartbeat-path metrics flushes.
-    #: The flush itself always runs (a SIGKILL'd shard must not be a
-    #: telemetry blind spot); this only bounds its frequency.
-    metrics_flush_s: float = 2.0
 
 
 class _GuardedLadder:
@@ -129,60 +134,46 @@ class _GuardedLadder:
         return self._ladder.fit_model(*args, breaker=self.breaker, **kwargs)
 
 
-# Sweep jobs stay on the scalar per-config path on purpose. Routing them
-# through the library's 512-config batch slices was measured on a 2-core
-# host: tier-1 passed once the SIGKILL tests and the service drill used
-# jobs of more than one slice, but the benchmark's `serve` wall time got
-# worse in 3 of 3 alternating pairs (0.283/0.338/0.291 s -> 0.404/0.390/
-# 0.391 s, seeds 1-3). Its jobs are 8-config slices, and an 8-config batch
-# call costs 1.30 ms against 0.46 ms scalar, plus 0.31 ms to ship the
-# payload. A full-space job would fall from 1.57 s to 0.03 s. Revisit once
-# the fixed cost of `batch._gather` falls.
-class _SweepTask:
-    """Per-config task: deadline gate, periodic heartbeat, then evaluate.
+class _SliceTask:
+    """One slice of a sweep job: deadline gate, heartbeat, lease renewal,
+    then the batch kernel over those rows of the job's Table-1 block.
 
-    Runs in the worker process itself (serial inner executor), so it may
-    hold live references to the spool. Checkpoint fingerprints hash the
-    task *payload* ``(config, profile, n_instructions)`` — the tuple
-    :func:`repro.simulator.interval._eval_cycles` evaluates — plus this
-    class's qualname, so resumed journals match across worker generations.
+    Runs in the worker process itself (serial inner executor), so it holds
+    the worker and the packed block by reference. Checkpoint fingerprints
+    hash the task *item*, the slice's ``(start, stop)`` within the job,
+    plus this class's qualname; each job has its own journal, so resumed
+    journals match across worker generations.
     """
 
-    def __init__(self, spool: JobSpool, worker: str, job_id: str,
-                 deadline_t: float | None, heartbeat_every: int,
-                 beat=None) -> None:
-        self.spool = spool
+    def __init__(self, worker: "Worker", job_id: str, deadline_t: float | None,
+                 block: Any, profile: Any, n_instructions: int) -> None:
         self.worker = worker
         self.job_id = job_id
         self.deadline_t = deadline_t
-        self.heartbeat_every = max(1, heartbeat_every)
-        # The owning Worker's heartbeat method when available: it layers the
-        # breaker states and the periodic metrics flush onto the plain spool
-        # heartbeat, so mid-sweep beats keep shard telemetry current too.
-        self._beat = beat if beat is not None else \
-            (lambda job=None: spool.heartbeat(worker, job=job))
-        self._n = 0
+        self.block = block
+        self.profile = profile
+        self.n_instructions = n_instructions
         # Renew well inside the TTL so a sweep that outlives one lease is
-        # never re-dispatched from under us; checked every task (wall-clock
-        # gated) because a single slow task can outlast the config cadence.
-        self._renew_every = self.spool.config.lease_ttl / 3.0
+        # never re-dispatched from under us; wall-clock gated, so a job of
+        # fast slices does not append a renew event per slice.
+        self._renew_every = worker.spool.config.lease_ttl / 3.0
         self._last_renew = time.time()
 
-    def __call__(self, args: tuple[Any, Any, int]) -> float:
+    def __call__(self, bounds: tuple[int, int]) -> list[float]:
         if self.deadline_t is not None and time.time() > self.deadline_t:
             raise JobDeadlineExceeded(
                 f"job {self.job_id[:12]} passed its deadline mid-sweep",
                 job_id=self.job_id)
-        self._n += 1
-        if self._n % self.heartbeat_every == 0:
-            self._beat(job=self.job_id)
+        self.worker.heartbeat(job=self.job_id)
         now = time.time()
         if now - self._last_renew >= self._renew_every:
-            self.spool.renew(self.job_id, self.worker, now=now)
+            self.worker.spool.renew(self.job_id, self.worker.config.name, now=now)
             self._last_renew = now
-        from repro.simulator.interval import _eval_cycles
+        from repro.simulator.batch import evaluate_design_space_batch
 
-        return _eval_cycles(args)
+        start, stop = bounds
+        return evaluate_design_space_batch(
+            self.block.slice(start, stop), self.profile, self.n_instructions).tolist()
 
 
 class Worker:
@@ -225,7 +216,7 @@ class Worker:
         """Beat liveness *and* keep shard telemetry current.
 
         Every beat carries the breaker states (for the supervisor's status
-        file) and, at most every ``metrics_flush_s`` seconds, flushes the
+        file) and, at most every :data:`METRICS_FLUSH_S` seconds, flushes the
         metrics registry to this shard's snapshot file — so a worker the
         supervisor later SIGKILLs has telemetry at most one flush interval
         stale instead of losing everything it ever counted.
@@ -235,7 +226,7 @@ class Worker:
             "disk-cache": self.disk_breaker.state,
         })
         now = time.monotonic()
-        if now - self._last_flush >= self.config.metrics_flush_s:
+        if now - self._last_flush >= METRICS_FLUSH_S:
             self._last_flush = now
             self._export_metrics()
 
@@ -256,16 +247,15 @@ class Worker:
         return self.execute_fit(job, deadline_t)
 
     def execute_sweep(self, job: JobView, deadline_t: float | None) -> Any:
-        """Simulate the job's design-space slice, checkpointed per config."""
-        from repro.simulator import enumerate_design_space, get_profile
+        """Simulate the job's design-space range, checkpointed per slice."""
+        from repro.simulator import get_profile
+        from repro.simulator.batch import _table1_block
+        from repro.simulator.interval import _sweep_slices
 
         spec = job.spec
-        configs = list(enumerate_design_space())[spec.start:spec.stop]
-        profile = get_profile(spec.app)
-        items = [(c, profile, spec.n_instructions) for c in configs]
-        task = _SweepTask(self.spool, self.config.name, job.id,
-                          deadline_t, self.config.heartbeat_every,
-                          beat=self.heartbeat)
+        block = _table1_block().slice(spec.start, spec.stop)
+        task = _SliceTask(self, job.id, deadline_t, block,
+                          get_profile(spec.app), spec.n_instructions)
         try:
             journal = CheckpointJournal(self.spool.checkpoint_path(job.id),
                                         resume=True, lock=True)
@@ -282,7 +272,7 @@ class Worker:
             seed=stream_seed(self.config.seed, "svc-job", job.id),
         )
         try:
-            cycles = ex.map(task, items)
+            parts = ex.map(task, _sweep_slices(len(block)))
         except SweepAborted as exc:
             # Progress is journaled; surface the most meaningful cause.
             for failure in exc.failures:
@@ -296,7 +286,8 @@ class Worker:
             ex.close()
         return {"kind": "sweep", "app": spec.app,
                 "start": spec.start, "stop": spec.stop,
-                "cycles": np.asarray(cycles, dtype=np.float64)}
+                "cycles": np.array([c for part in parts for c in part],
+                                   dtype=np.float64)}
 
     def execute_fit(self, job: JobView, deadline_t: float | None) -> Any:
         """Run one sampled-DSE fit, breaker-guarding the NN ladder rungs."""
@@ -438,7 +429,7 @@ class Worker:
         return True
 
     def run(self) -> int:
-        """Claim/execute until drain (or ``max_jobs``); returns jobs handled.
+        """Claim/execute until drain (or :data:`MAX_JOBS`); returns jobs handled.
 
         Checks the drain flag *before* claiming, so a drain request never
         strands a freshly leased job — the current job always finishes, the
@@ -456,8 +447,7 @@ class Worker:
             while True:
                 if self.spool.drain_requested():
                     break
-                if self.config.max_jobs is not None \
-                        and n_done >= self.config.max_jobs:
+                if MAX_JOBS is not None and n_done >= MAX_JOBS:
                     break
                 if self.run_once():
                     n_done += 1
@@ -473,7 +463,7 @@ class Worker:
         """Persist this shard's metrics so the service can aggregate them.
 
         Called from the heartbeat path throughout the shard's life (capped
-        by ``metrics_flush_s``) and once more at exit with ``final=True``,
+        by :data:`METRICS_FLUSH_S`) and once more at exit with ``final=True``,
         which also covers the last partial flush interval.
         """
         import os

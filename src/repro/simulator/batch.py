@@ -11,15 +11,19 @@ This module evaluates a whole block of configurations at once:
 * :func:`pack_design_space` transposes a config list into a
   :class:`ConfigBlock` — one numpy column per Table-1 parameter. The full
   Table-1 space is transposed once per process and shared read-only.
+* :attr:`ConfigBlock.index` codes every *component* of a block once: the
+  L1I, L1D, L2 and L3 geometries, the L2 size, the MLP window, the branch
+  predictor, the two TLBs and the width/FU cluster. Each component gets its
+  distinct key rows in lexicographic order plus one code per config into
+  them (per-column dense ranks combined row-major, so no whole rows are
+  sorted). A block slice shares its parent's rows and slices the codes, so
+  the shared Table-1 block pays for its coding once per process.
 * :func:`evaluate_design_space_batch` computes every CPI component
   column-wise. The *leaf* quantities that involve transcendental functions or
   the analytic locality model (cache/TLB miss rates, MLP overlap, base CPI,
-  branch mispredict rates, L2 latency) are computed **once per unique key
-  row** by calling the exact same scalar functions the per-config path uses,
-  then scattered back to columns. :func:`_gather` finds the unique rows by
-  coding each row as one ``int64`` (per-column dense ranks combined
-  row-major) and running a 1-D ``np.unique`` on that code, which yields
-  the rows in lexicographic order without sorting whole rows.
+  branch mispredict rates, L2 latency) are computed **once per distinct key
+  row present in the block** by calling the exact same scalar functions the
+  per-config path uses, then scattered back to columns through the codes.
   Everything downstream of the leaves is plain float64 arithmetic applied
   element-wise in the same operation order as the scalar code.
 
@@ -38,7 +42,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,6 +71,9 @@ class ConfigBlock:
     ``predictor`` holds indices into :data:`repro.simulator.analytic.PREDICTORS`
     and ``issue_wrongpath`` is a boolean column; the 22 integer parameters are
     ``int64`` columns named exactly like the :class:`MicroarchConfig` fields.
+    The derived per-component :attr:`index` is not a column: it stays out of
+    :meth:`to_arrays` and out of the pickle, so cache keys and shipped
+    payloads hold the parameters only.
     """
 
     l1d_size: np.ndarray
@@ -108,11 +115,25 @@ class ConfigBlock:
     def __len__(self) -> int:
         return self.n_configs
 
+    @functools.cached_property
+    def index(self) -> dict[str, "_Index"]:
+        """Component name -> its distinct key rows and per-config codes."""
+        return {name: _index(np.stack(columns, axis=1))
+                for name, columns in _component_keys(self).items()}
+
     def slice(self, start: int, stop: int) -> "ConfigBlock":
-        """Contiguous row slice (zero-copy views of the columns)."""
-        return ConfigBlock(**{
+        """Contiguous row slice (zero-copy views of the columns and codes)."""
+        part = ConfigBlock(**{
             f.name: getattr(self, f.name)[start:stop] for f in fields(self)
         })
+        # Pre-fill the cached property: the slice shares its parent's rows.
+        part.__dict__["index"] = {name: _Index(ix.levels, ix.codes[start:stop])
+                                  for name, ix in self.index.items()}
+        return part
+
+    def __getstate__(self) -> dict[str, np.ndarray]:
+        # The columns only: an unpickled block recodes on first use.
+        return self.to_arrays()
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """Column name -> array, e.g. for fingerprinting or shipping."""
@@ -137,10 +158,14 @@ def pack_design_space(configs: Sequence[MicroarchConfig]) -> ConfigBlock:
 
 @functools.lru_cache(maxsize=1)
 def _table1_block() -> ConfigBlock:
-    """The packed Table-1 space, shared by every caller (read-only columns)."""
+    """The packed Table-1 space, shared by every caller (read-only columns
+    and codes)."""
     block = _transpose(_table1_space())
     for column in block.to_arrays().values():
         column.flags.writeable = False
+    for levels, codes in block.index.values():
+        levels.flags.writeable = False
+        codes.flags.writeable = False
     return block
 
 
@@ -178,13 +203,33 @@ class BatchResult:
     n_instructions: int
 
 
-def _gather(keys: np.ndarray, compute: Callable[[tuple[int, ...]], float]) -> np.ndarray:
-    """Evaluate ``compute`` once per unique key row and scatter to a column.
+class _Index(NamedTuple):
+    """One component of a block: its distinct key rows and each row's code."""
 
-    ``keys`` is (n, k) int64; ``compute`` receives each unique row as a tuple
-    of Python ints — so calls hit the same ``lru_cache`` memo the scalar path
-    uses and produce the exact same floats. Rows are visited in the
-    lexicographic order ``np.unique(keys, axis=0)`` would give.
+    levels: np.ndarray   # (m, k) int64 distinct key rows, lexicographic order
+    codes: np.ndarray    # (n,) index of each config's key row in ``levels``
+
+
+def _component_keys(block: ConfigBlock) -> dict[str, tuple[np.ndarray, ...]]:
+    """The key columns each leaf quantity of the kernel depends on."""
+    b = block
+    return {
+        "l1i": (b.l1i_size, b.l1i_line, b.l1i_assoc),
+        "l1d": (b.l1d_size, b.l1d_line, b.l1d_assoc),
+        "l2": (b.l2_size, b.l2_line, b.l2_assoc),
+        "l3": (b.l3_size, b.l3_line, b.l3_assoc),
+        "l2_size": (b.l2_size,),
+        "window": (np.minimum(b.ruu_size, 2 * b.lsq_size),),
+        "predictor": (b.predictor,),
+        "itlb": (b.itlb_size,),
+        "dtlb": (b.dtlb_size,),
+        "cluster": (b.width, b.ruu_size, b.fu_ialu, b.fu_imult,
+                    b.fu_memport, b.fu_fpalu, b.fu_fpmult),
+    }
+
+
+def _index(keys: np.ndarray) -> _Index:
+    """Code the (n, k) int64 ``keys`` rows densely, in lexicographic order.
 
     Each row becomes one ``int64`` code: the dense, order-preserving rank of
     every column value, combined row-major. When the product of the column
@@ -200,19 +245,32 @@ def _gather(keys: np.ndarray, compute: Callable[[tuple[int, ...]], float]) -> np
             n_codes = len(distinct)
         code = code * len(levels) + rank
         n_codes *= len(levels)
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    vals = np.fromiter((compute(tuple(row)) for row in keys[first].tolist()),
-                       dtype=np.float64, count=first.shape[0])
-    return vals[inverse]
+    _, first, codes = np.unique(code, return_index=True, return_inverse=True)
+    return _Index(keys[first], codes)
 
 
-def _miss_column(mem: MemoryBehavior, size: np.ndarray, line: np.ndarray,
-                 assoc: np.ndarray) -> np.ndarray:
+def _gather(keys: np.ndarray | _Index,
+            compute: Callable[[tuple[int, ...]], float]) -> np.ndarray:
+    """Evaluate ``compute`` once per distinct key row and scatter to a column.
+
+    ``keys`` is a component's :class:`_Index`, or (n, k) int64 rows, which
+    are coded first. ``compute`` receives each row present as a tuple of
+    Python ints — so calls hit the same ``lru_cache`` memo the scalar path
+    uses and produce the exact same floats — in lexicographic row order.
+    """
+    levels, codes = keys if isinstance(keys, _Index) else _index(keys)
+    present = np.bincount(codes, minlength=len(levels)).nonzero()[0]
+    table = np.empty(len(levels))  # rows absent from ``codes`` are never read
+    table[present] = np.fromiter((compute(tuple(row)) for row in levels[present].tolist()),
+                                 dtype=np.float64, count=present.shape[0])
+    return table[codes]
+
+
+def _miss_column(mem: MemoryBehavior, index: _Index) -> np.ndarray:
     """Per-config miss rate of one stream in one cache level."""
-    keys = np.stack([size, line, assoc], axis=1)
     # An absent L3 is encoded as (0, 0, 0); miss_rate(size=0) is defined as
     # 1.0 and the caller masks those rows out with np.where(has_l3, ...).
-    return _gather(keys, lambda k: 1.0 if k[0] == 0 else _miss(mem, k[0], k[1], k[2]))
+    return _gather(index, lambda k: 1.0 if k[0] == 0 else _miss(mem, k[0], k[1], k[2]))
 
 
 def evaluate_design_space_batch(
@@ -232,19 +290,14 @@ def evaluate_design_space_batch(
         raise ValueError(f"n_instructions must be positive, got {n_instructions}")
     block = configs if isinstance(configs, ConfigBlock) else pack_design_space(configs)
     lat = DEFAULT_LATENCIES
+    ix = block.index
     has_l3 = block.l3_size > 0
-    l2_lat = _gather(block.l2_size[:, None], lambda k: lat.l2_latency(k[0]))
+    l2_lat = _gather(ix["l2_size"], lambda k: lat.l2_latency(k[0]))
 
     # --- instruction stream -------------------------------------------------
-    mi_l1 = _miss_column(profile.inst, block.l1i_size, block.l1i_line, block.l1i_assoc)
-    mi_l2 = np.minimum(
-        _miss_column(profile.inst, block.l2_size, block.l2_line, block.l2_assoc), mi_l1)
-    mi_l3 = np.where(
-        has_l3,
-        np.minimum(
-            _miss_column(profile.inst, block.l3_size, block.l3_line, block.l3_assoc),
-            mi_l2),
-        mi_l2)
+    mi_l1 = _miss_column(profile.inst, ix["l1i"])
+    mi_l2 = np.minimum(_miss_column(profile.inst, ix["l2"]), mi_l1)
+    mi_l3 = np.where(has_l3, np.minimum(_miss_column(profile.inst, ix["l3"]), mi_l2), mi_l2)
     icache_cpi = (
         (mi_l1 - mi_l2) * l2_lat
         + (mi_l2 - mi_l3) * lat.l3
@@ -253,21 +306,10 @@ def evaluate_design_space_batch(
 
     # --- data stream ----------------------------------------------------------
     wrongpath_pollution = np.where(block.issue_wrongpath, 1.02, 1.0)
-    md_l1 = np.minimum(
-        1.0,
-        _miss_column(profile.data, block.l1d_size, block.l1d_line, block.l1d_assoc)
-        * wrongpath_pollution)
-    md_l2 = np.minimum(
-        _miss_column(profile.data, block.l2_size, block.l2_line, block.l2_assoc), md_l1)
-    md_l3 = np.where(
-        has_l3,
-        np.minimum(
-            _miss_column(profile.data, block.l3_size, block.l3_line, block.l3_assoc),
-            md_l2),
-        md_l2)
-    window = np.minimum(block.ruu_size, 2 * block.lsq_size)
-    overlap = _gather(window[:, None],
-                      lambda k: _mlp_overlap_from_window(profile, k[0]))
+    md_l1 = np.minimum(1.0, _miss_column(profile.data, ix["l1d"]) * wrongpath_pollution)
+    md_l2 = np.minimum(_miss_column(profile.data, ix["l2"]), md_l1)
+    md_l3 = np.where(has_l3, np.minimum(_miss_column(profile.data, ix["l3"]), md_l2), md_l2)
+    overlap = _gather(ix["window"], lambda k: _mlp_overlap_from_window(profile, k[0]))
     short_overlap = 1.0 + (overlap - 1.0) * 0.5  # L2 hits overlap less fully
     mem_refs = profile.mix_fraction("load") + 0.3 * profile.mix_fraction("store")
     dcache_cpi = mem_refs * (
@@ -277,7 +319,7 @@ def evaluate_design_space_batch(
     )
 
     # --- branches ----------------------------------------------------------
-    mr = _gather(block.predictor[:, None],
+    mr = _gather(ix["predictor"],
                  lambda k: mispredict_rate(profile.branches, PREDICTORS[k[0]]))
     depth = np.where(block.width == 4, lat.frontend_depth, lat.frontend_depth_wide)
     refill = block.ruu_size / (2.0 * block.width)
@@ -287,19 +329,15 @@ def evaluate_design_space_batch(
     branch_cpi = profile.mix_fraction("branch") * mr * penalty
 
     # --- TLBs ----------------------------------------------------------------
-    itlb_miss = _gather(block.itlb_size[:, None],
-                        lambda k: tlb_miss_rate(profile.inst, k[0]))
-    dtlb_miss = _gather(block.dtlb_size[:, None],
-                        lambda k: tlb_miss_rate(profile.data, k[0]))
+    itlb_miss = _gather(ix["itlb"], lambda k: tlb_miss_rate(profile.inst, k[0]))
+    dtlb_miss = _gather(ix["dtlb"], lambda k: tlb_miss_rate(profile.data, k[0]))
     tlb_cpi = (
         itlb_miss * lat.tlb_walk
         + mem_refs * dtlb_miss * lat.tlb_walk
     )
 
     # --- base CPI (one scalar evaluation per unique width cluster) ----------
-    cluster = np.stack([block.width, block.ruu_size, block.fu_ialu, block.fu_imult,
-                        block.fu_memport, block.fu_fpalu, block.fu_fpmult], axis=1)
-    base = _gather(cluster,
+    base = _gather(ix["cluster"],
                    lambda k: _base_cpi_from_cluster(profile, k[0], k[1], k[2:]))
 
     cpi = base + icache_cpi + dcache_cpi + branch_cpi + tlb_cpi

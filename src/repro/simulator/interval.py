@@ -228,11 +228,6 @@ def evaluate_config(
     )
 
 
-def _eval_cycles(args: tuple[MicroarchConfig, WorkloadProfile, int]) -> float:
-    config, profile, n_instructions = args
-    return evaluate_config(config, profile, n_instructions).cycles
-
-
 def _eval_block_slice(args: tuple) -> list[float]:
     """One batched sweep task: evaluate rows [start, stop) of a shipped block.
 
@@ -250,15 +245,24 @@ def _eval_block_slice(args: tuple) -> list[float]:
     return cycles.tolist()
 
 
-#: Configurations per executor task. The slice bounds are a function of
-#: ``len(configs)`` alone, so a sweep's task list — and with it every
-#: checkpoint fingerprint and seeded fault index — is the same on any host.
-#: Slices buy resume and fault granularity, not speed: the batch kernel
-#: sweeps all 4608 configs in ~5 ms on a 2-core x86 host (~9 ms with the
-#: miss-rate memo cleared), and each slice task adds ~1.2 ms, so 512
-#: (9 tasks, ~16 ms) keeps the full space at a handful of journal lines
-#: while costing little next to process startup.
+#: Configurations per executor task, for library sweeps and service sweep
+#: jobs alike. The slice bounds are a function of the number of configs
+#: alone, so a sweep's task list — and with it every checkpoint fingerprint
+#: and seeded fault index — is the same on any host. Slices buy resume and
+#: fault granularity, not speed. On a 2-core x86 host the batch kernel
+#: sweeps all 4608 configs in ~0.5 ms (~1.9 ms with the miss-rate memo
+#: cleared) and one 512-config slice of the Table-1 block in ~0.23 ms; the
+#: 9-task serial executor sweep, with its shared-memory payload, takes
+#: ~4.5 ms. So 512 keeps the full space at a handful of journal lines while
+#: costing little next to process startup.
 SWEEP_SLICE = 512
+
+
+def _sweep_slices(n_configs: int) -> list[tuple[int, int]]:
+    """The ``[start, stop)`` bounds of a sweep's slice tasks."""
+    from repro.parallel.partition import chunk_bounds
+
+    return chunk_bounds(n_configs, max(1, -(-n_configs // SWEEP_SLICE)))
 
 
 def _batched_executor_sweep(configs, profile, n_instructions, executor) -> np.ndarray:
@@ -268,15 +272,13 @@ def _batched_executor_sweep(configs, profile, n_instructions, executor) -> np.nd
     a task's fingerprint hashes its payload handle, so a journal written
     by a pool run restores in a serial resume and vice versa.
     """
-    from repro.parallel.partition import chunk_bounds
     from repro.parallel.shm import SharedPayload
     from repro.simulator.batch import ConfigBlock, pack_design_space
 
     block = configs if isinstance(configs, ConfigBlock) else pack_design_space(configs)
-    n_slices = -(-len(configs) // SWEEP_SLICE)
     with SharedPayload((block, profile, n_instructions)) as shipped:
         tasks = [(shipped.handle, start, stop)
-                 for start, stop in chunk_bounds(len(configs), n_slices)]
+                 for start, stop in _sweep_slices(len(configs))]
         parts = executor.map(_eval_block_slice, tasks)
     return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts])
 

@@ -17,7 +17,6 @@ from repro.specdata.ratings import (
     SpecApp,
     SystemPerformance,
     compute_app_ratios,
-    compute_rate,
 )
 from repro.specdata.io import write_records_csv
 from repro.specdata.schema import PARAMETER_FIELDS, SystemRecord, records_to_dataset
@@ -35,7 +34,6 @@ __all__ = [
     "SpecApp",
     "SystemPerformance",
     "compute_app_ratios",
-    "compute_rate",
     "write_records_csv",
     "PARAMETER_FIELDS",
     "SystemRecord",

@@ -40,14 +40,10 @@ __all__ = ["generate_family_records", "generate_all_records"]
 _HD_TYPES = ("SCSI", "SATA", "SAS", "IDE")
 _EXTRAS = ("none", "raid-controller", "extra-nic", "remote-mgmt")
 
-#: Generation constants; their values match the paper. System-level tuning
-#: noise (compiler flags, BIOS, memory timings) applies to all apps of one
-#: announcement, per-app run noise to each app's ratio (lognormal sigmas);
-#: the rate scale anchors the absolute rating level (a 2 GHz reference
-#: machine rates ~10).
+#: System-level tuning noise (compiler flags, BIOS, memory timings), a
+#: lognormal sigma applied to all apps of one announcement; per-app run
+#: noise is :data:`repro.specdata.ratings.APP_NOISE`.
 _SYSTEM_NOISE = 0.018
-_APP_NOISE = 0.02
-_RATE_SCALE = 10.0
 
 
 def _model_number(family: ProcessorFamily, clock: float) -> str:
@@ -130,14 +126,12 @@ def generate_family_records(
             )
             tune = float(np.exp(rng.normal(0.0, _SYSTEM_NOISE)))
             int_ratios = {
-                name: tune * v for name, v in compute_app_ratios(
-                    INT_APPS, perf, rng, noise_sigma=_APP_NOISE,
-                    scale=_RATE_SCALE).items()
+                name: tune * v
+                for name, v in compute_app_ratios(INT_APPS, perf, rng).items()
             }
             fp_ratios = {
-                name: tune * v for name, v in compute_app_ratios(
-                    FP_APPS, perf, rng, noise_sigma=_APP_NOISE,
-                    scale=_RATE_SCALE).items()
+                name: tune * v
+                for name, v in compute_app_ratios(FP_APPS, perf, rng).items()
             }
             int_rate = geometric_mean(list(int_ratios.values()))
             fp_rate = geometric_mean(list(fp_ratios.values()))

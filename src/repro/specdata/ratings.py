@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.stats import geometric_mean
 
-__all__ = ["SpecApp", "INT_APPS", "FP_APPS", "SystemPerformance", "compute_rate", "compute_app_ratios"]
+__all__ = ["SpecApp", "INT_APPS", "FP_APPS", "SystemPerformance", "compute_app_ratios"]
 
 
 @dataclass(frozen=True)
@@ -150,36 +149,26 @@ def _rate_scaling(app: SpecApp, perf: SystemPerformance) -> float:
     return n * eff ** doublings
 
 
+#: Per-app run-to-run noise, the lognormal sigma applied to each ratio.
+APP_NOISE = 0.02
+#: Anchors the absolute rating level: a 2 GHz reference machine rates ~10.
+RATE_SCALE = 10.0
+
+
 def compute_app_ratios(
     apps: tuple[SpecApp, ...],
     perf: SystemPerformance,
     rng: np.random.Generator | None = None,
-    noise_sigma: float = 0.025,
-    scale: float = 10.0,
 ) -> dict[str, float]:
     """Per-application throughput ratios (what a full announcement lists).
 
-    ``noise_sigma`` models run-to-run and system-tuning variation
-    (lognormal, applied per app). ``scale`` anchors the absolute rating
-    level (a 2 GHz reference machine rates ~``scale``).
+    With an ``rng``, each ratio carries :data:`APP_NOISE` (lognormal,
+    applied per app); the SPEC rate is their geometric mean.
     """
     ratios: dict[str, float] = {}
     for app in apps:
-        ratio = scale * _app_speed(app, perf) * _rate_scaling(app, perf)
-        if rng is not None and noise_sigma > 0.0:
-            ratio *= float(np.exp(rng.normal(0.0, noise_sigma)))
+        ratio = RATE_SCALE * _app_speed(app, perf) * _rate_scaling(app, perf)
+        if rng is not None:
+            ratio *= float(np.exp(rng.normal(0.0, APP_NOISE)))
         ratios[app.name] = ratio
     return ratios
-
-
-def compute_rate(
-    apps: tuple[SpecApp, ...],
-    perf: SystemPerformance,
-    rng: np.random.Generator | None = None,
-    noise_sigma: float = 0.025,
-    scale: float = 10.0,
-) -> float:
-    """SPEC rate: geometric mean of per-app throughput ratios."""
-    return geometric_mean(
-        list(compute_app_ratios(apps, perf, rng, noise_sigma, scale).values())
-    )

@@ -11,13 +11,7 @@ from repro.util.stats import (
     response_variation,
 )
 from repro.util.tables import format_kv, format_series, format_table
-from repro.util.validation import (
-    require_fraction,
-    require_in_range,
-    require_one_of,
-    require_positive,
-    require_power_of_two,
-)
+from repro.util.validation import require_positive
 
 __all__ = [
     "RngFactory",
@@ -33,9 +27,5 @@ __all__ = [
     "format_kv",
     "format_series",
     "format_table",
-    "require_fraction",
-    "require_in_range",
-    "require_one_of",
     "require_positive",
-    "require_power_of_two",
 ]

@@ -1,7 +1,7 @@
 """Argument- and data-validation helpers shared across packages.
 
 This module is the single home for the library's value-integrity checks:
-the argument guards the constructors use (``require_positive`` & co.) and
+the argument guard the constructors use (:func:`require_positive`) and
 the NaN/Inf fail-fast checks that protect the modeling layer
 (:func:`require_finite`, :func:`nonfinite_count`). :class:`repro.ml.dataset`
 and the ingest guards in :mod:`repro.robust.guards` both call these, so a
@@ -11,21 +11,13 @@ construction or at row ingest.
 
 from __future__ import annotations
 
-from typing import Sequence, TypeVar
-
 import numpy as np
 
 __all__ = [
     "require_positive",
-    "require_in_range",
-    "require_power_of_two",
-    "require_one_of",
-    "require_fraction",
     "require_finite",
     "nonfinite_count",
 ]
-
-T = TypeVar("T")
 
 
 def nonfinite_count(values: np.ndarray) -> int:
@@ -55,27 +47,3 @@ def require_positive(value: float | int, name: str) -> None:
     """Raise ``ValueError`` unless ``value > 0``."""
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-def require_in_range(value: float, name: str, lo: float, hi: float) -> None:
-    """Raise ``ValueError`` unless ``lo <= value <= hi``."""
-    if not (lo <= value <= hi):
-        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value!r}")
-
-
-def require_fraction(value: float, name: str) -> None:
-    """Raise ``ValueError`` unless ``0 < value <= 1``."""
-    if not (0.0 < value <= 1.0):
-        raise ValueError(f"{name} must be in (0, 1], got {value!r}")
-
-
-def require_power_of_two(value: int, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is a positive power of two."""
-    if not (isinstance(value, (int, np.integer)) and value > 0 and (value & (value - 1)) == 0):
-        raise ValueError(f"{name} must be a positive power of two, got {value!r}")
-
-
-def require_one_of(value: T, name: str, allowed: Sequence[T]) -> None:
-    """Raise ``ValueError`` unless ``value`` is one of ``allowed``."""
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of {list(allowed)!r}, got {value!r}")

@@ -31,7 +31,7 @@ class TestTargetScaler:
 
     def test_range_is_margined(self):
         y = np.array([1.0, 2.0])
-        sc = TargetScaler(margin=0.15).fit(y)
+        sc = TargetScaler().fit(y)
         out = sc.transform(y)
         assert out.min() == pytest.approx(0.15)
         assert out.max() == pytest.approx(0.85)
@@ -40,10 +40,6 @@ class TestTargetScaler:
         sc = TargetScaler().fit(np.array([5.0, 5.0]))
         out = sc.transform(np.array([5.0]))
         assert np.isfinite(out).all()
-
-    def test_rejects_bad_margin(self):
-        with pytest.raises(ValueError):
-            TargetScaler(margin=0.5)
 
     def test_unfit_raises(self):
         with pytest.raises(RuntimeError):

@@ -157,4 +157,4 @@ class TestProfiledCli:
         assert "profiled sections (wall-clock):" in err
         assert "sweep" in err
         assert "cumulative" in err  # pstats block of the whole command
-        assert not obs.tracing_enabled()  # CLI tears the tracer down
+        assert obs.get_tracer() is None  # CLI tears the tracer down

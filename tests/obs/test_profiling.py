@@ -25,7 +25,6 @@ def _registry_tracer():
 class TestGating:
     def test_disabled_by_default(self):
         assert obs.get_tracer() is None
-        assert not obs.tracing_enabled()
         assert phase("sweep") is obs.trace._NULL_SPAN
 
 

@@ -7,7 +7,8 @@ relies on those decisions replaying exactly, so this module replays long,
 fixed call streams through both injectors and compares a SHA-256 of every
 observed outcome against a digest recorded from the original code. A change
 to the draw streams, to the band order, or to which fault wins when several
-could fire changes a digest.
+could fire changes a digest. The two seeded backoff schedules, task retries
+and worker restarts, are pinned the same way over attempts 1-12.
 
 Task faults are observed without harming the test process: ``time.sleep``,
 ``os._exit`` and ``os.kill`` are patched to record, and
@@ -217,3 +218,44 @@ def _disk_outcomes(plan: dict, tmp_path) -> list[str]:
 def test_disk_fault_sequence_is_pinned(plan, tmp_path):
     lines = _disk_outcomes(_DISK_PLANS[plan], tmp_path)
     assert _digest(lines) == _DISK_DIGESTS[plan]
+
+
+# -- backoff delays ----------------------------------------------------------
+
+_BACKOFF_DIGESTS = {
+    "retry":
+        "40d72be1996839f9800312251039fed4556b7d3a6c7fe018374ec1da198aa451",
+    "restart":
+        "7fb977aa40980fe4f5f8369a1414efb80989a937cf4b5d38c5e3c0e4c2e45d21",
+}
+
+
+def _retry_delays() -> list[str]:
+    from repro.parallel.resilient import backoff_delay
+
+    return [f"{seed}/{attempt} {backoff_delay(attempt, seed)!r}"
+            for seed in (0, 1, 7, 2008, 2**40 + 3)
+            for attempt in range(1, 13)]
+
+
+def _restart_delays(tmp_path) -> list[str]:
+    from repro.service import ServiceConfig, WorkerSupervisor
+
+    lines = []
+    for seed in (0, 3, 11):
+        sup = WorkerSupervisor(ServiceConfig(root=str(tmp_path / f"s{seed}"),
+                                             workers=4, seed=seed))
+        for slot in sup.slots:
+            for restarts in range(1, 13):
+                slot.restarts = restarts
+                lines.append(f"{seed}/{slot.index}/{restarts} "
+                             f"{sup._restart_delay(slot)!r}")
+    return lines
+
+
+def test_retry_backoff_sequence_is_pinned():
+    assert _digest(_retry_delays()) == _BACKOFF_DIGESTS["retry"]
+
+
+def test_restart_backoff_sequence_is_pinned(tmp_path):
+    assert _digest(_restart_delays(tmp_path)) == _BACKOFF_DIGESTS["restart"]

@@ -9,7 +9,6 @@ import pytest
 from repro.errors import DataIntegrityError
 from repro.robust import (
     QUARANTINE_SCHEMA,
-    quarantine_design_responses,
     read_records_checked,
     validate_records,
 )
@@ -162,23 +161,3 @@ class TestReadRecordsChecked:
         assert report_path.exists()
         head = json.loads(report_path.read_text().splitlines()[0])
         assert head["n_quarantined"] == 3
-
-
-class TestQuarantineDesignResponses:
-    def test_clean_passthrough(self):
-        resp = np.linspace(1.0, 2.0, 10)
-        clean, keep, report = quarantine_design_responses(resp)
-        assert np.array_equal(clean, resp)
-        assert keep.all() and report.ok
-
-    def test_nan_responses_masked(self):
-        resp = np.array([1.0, np.nan, 3.0, np.inf, 5.0])
-        clean, keep, report = quarantine_design_responses(resp)
-        assert np.array_equal(clean, [1.0, 3.0, 5.0])
-        assert np.array_equal(keep, [True, False, True, False, True])
-        assert report.n_quarantined == 2
-        assert report.reasons() == {"non-finite": 2}
-
-    def test_all_bad_raises(self):
-        with pytest.raises(DataIntegrityError):
-            quarantine_design_responses(np.full(4, np.nan))

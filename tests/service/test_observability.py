@@ -22,7 +22,9 @@ from repro.service import (
     drain_queue,
     submit_job,
 )
+from repro.service import worker
 from repro.service.supervisor import STATUS_SCHEMA
+from repro.simulator.interval import SWEEP_SLICE
 
 N_INSTR = 1_000_000
 
@@ -103,11 +105,11 @@ class TestWorkerTracing:
         assert len(reused) == 1 and reused[0]["trace_id"] == jid
         assert not [r for r in records if r["name"] == "job.execute"]
 
-    def test_obs_worker_writes_per_shard_trace_file(self, tmp_path):
+    def test_obs_worker_writes_per_shard_trace_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(worker, "MAX_JOBS", 1)
         spool = JobSpool.ensure(tmp_path / "s")
         jid = spool.submit(sweep_spec())
-        cfg = WorkerConfig(root=str(spool.root), name="w7", obs=True,
-                           max_jobs=1)
+        cfg = WorkerConfig(root=str(spool.root), name="w7", obs=True)
         assert Worker(cfg, spool=spool).run() == 1
         path = spool.root / "obs" / "trace.w7.jsonl"
         records = [json.loads(x) for x in path.read_text().splitlines()]
@@ -119,13 +121,13 @@ class TestWorkerTracing:
         doc = json.loads((spool.root / "metrics" / "w7.json").read_text())
         assert doc["final"] is True
 
-    def test_obs_worker_trace_holds_cache_probes_of_the_job(self, tmp_path):
+    def test_obs_worker_trace_holds_cache_probes_of_the_job(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(worker, "MAX_JOBS", 1)
         spool = JobSpool.ensure(tmp_path / "s")
         # fit jobs sweep the full space through the shared result cache
         jid = spool.submit(JobSpec(kind="fit", app="gcc", model="LR-E",
                                    rate=0.01, n_instructions=N_INSTR))
-        cfg = WorkerConfig(root=str(spool.root), name="w7", obs=True,
-                           max_jobs=1)
+        cfg = WorkerConfig(root=str(spool.root), name="w7", obs=True)
         assert Worker(cfg, spool=spool).run() == 1
         path = spool.root / "obs" / "trace.w7.jsonl"
         records = [json.loads(x) for x in path.read_text().splitlines()]
@@ -135,10 +137,11 @@ class TestWorkerTracing:
         assert {r["attrs"]["namespace"] for r in probes} == {
             "repro-spool/1"}
 
-    def test_untraced_worker_writes_no_trace_file(self, tmp_path):
+    def test_untraced_worker_writes_no_trace_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(worker, "MAX_JOBS", 1)
         spool = JobSpool.ensure(tmp_path / "s")
         spool.submit(sweep_spec())
-        cfg = WorkerConfig(root=str(spool.root), name="w0", max_jobs=1)
+        cfg = WorkerConfig(root=str(spool.root), name="w0")
         assert Worker(cfg, spool=spool).run() == 1
         assert not (spool.root / "obs").exists()
 
@@ -153,10 +156,10 @@ class TestHeartbeatTelemetry:
         assert hb["breakers"] == {"model-fit": "closed",
                                   "disk-cache": "closed"}
 
-    def test_heartbeat_flushes_metrics_after_interval(self, tmp_path):
+    def test_heartbeat_flushes_metrics_after_interval(self, tmp_path, monkeypatch):
         spool = JobSpool.ensure(tmp_path / "s")
-        w = Worker(WorkerConfig(root=str(spool.root), name="w0",
-                                metrics_flush_s=0.0), spool=spool)
+        monkeypatch.setattr(worker, "METRICS_FLUSH_S", 0.0)
+        w = Worker(WorkerConfig(root=str(spool.root), name="w0"), spool=spool)
         default_registry().counter("service.jobs.completed").inc(3)
         w.heartbeat()
         doc = json.loads((spool.root / "metrics" / "w0.json").read_text())
@@ -166,10 +169,10 @@ class TestHeartbeatTelemetry:
         assert doc["final"] is False
         assert doc["metrics"]["service.jobs.completed"]["value"] == 3
 
-    def test_flush_interval_bounds_write_frequency(self, tmp_path):
+    def test_flush_interval_bounds_write_frequency(self, tmp_path, monkeypatch):
         spool = JobSpool.ensure(tmp_path / "s")
-        w = Worker(WorkerConfig(root=str(spool.root), name="w0",
-                                metrics_flush_s=3600.0), spool=spool)
+        monkeypatch.setattr(worker, "METRICS_FLUSH_S", 3600.0)
+        w = Worker(WorkerConfig(root=str(spool.root), name="w0"), spool=spool)
         w.heartbeat()
         assert not (spool.root / "metrics" / "w0.json").exists()
 
@@ -320,8 +323,9 @@ class TestObservedChaosDrill:
         sup = WorkerSupervisor(ServiceConfig(
             root=root, workers=2, lease_ttl=2.0, heartbeat_timeout=10.0,
             drain_on_idle=True, max_runtime=90.0, seed=3, obs=True,
-            injector=FaultInjector(sigkill_indices=(5,))))
-        jids = [submit_job(root, sweep_spec(app, stop=12))
+            injector=FaultInjector(sigkill_indices=(1,))))
+        # Three slices each, so the kill at task index 1 lands mid-job.
+        jids = [submit_job(root, sweep_spec(app, stop=3 * SWEEP_SLICE))
                 for app in ("gcc", "mcf")]
         assert sup.run() == 0
         assert any("code=-9" in e for e in sup.events), sup.events

@@ -22,9 +22,12 @@ from repro.service import (
     worker_main,
 )
 from repro.simulator import enumerate_design_space, get_profile, sweep_design_space
+from repro.simulator.interval import SWEEP_SLICE
 
 N_INSTR = 1_000_000
 STOP = 12
+#: A job of three slices, so a SIGKILL on the middle one lands mid-job.
+N_SLICES = 3
 
 
 def sweep_spec(app="gcc", stop=STOP):
@@ -41,11 +44,12 @@ def oracle(app="gcc", stop=STOP):
 class TestSigkillRecovery:
     def test_journal_resume_after_sigkill_is_bit_identical(self, tmp_path):
         """Kill a worker mid-sweep; the successor resumes, not recomputes."""
+        stop = N_SLICES * SWEEP_SLICE
         root = tmp_path / "s"
         spool = JobSpool.ensure(root, SpoolConfig(lease_ttl=0.5))
-        jid = spool.submit(sweep_spec())
-        cfg = WorkerConfig(root=str(root), name="doomed", heartbeat_every=1,
-                           injector=FaultInjector(sigkill_indices=(5,)))
+        jid = spool.submit(sweep_spec(stop=stop))
+        cfg = WorkerConfig(root=str(root), name="doomed",
+                           injector=FaultInjector(sigkill_indices=(1,)))
         p = multiprocessing.Process(target=worker_main, args=(cfg,))
         p.start()
         p.join(timeout=60)
@@ -55,7 +59,7 @@ class TestSigkillRecovery:
         assert journal_path.exists()
         survivors = [json.loads(line) for line in
                      journal_path.read_text().splitlines()]
-        assert 1 <= len(survivors) < STOP  # partial progress persisted
+        assert 1 <= len(survivors) < N_SLICES  # partial progress persisted
 
         while spool.jobs()[jid].state == "running":
             time.sleep(0.05)  # lease of the dead holder expires
@@ -66,15 +70,61 @@ class TestSigkillRecovery:
         assert view.n_leases == 2
         assert view.n_expired == 1
         assert np.array_equal(np.asarray(spool.result(jid)["cycles"]),
-                              oracle())
-        # Resume skipped completed fingerprints: one record per config, none
+                              oracle(stop=stop))
+        # Resume skipped completed fingerprints: one record per slice, none
         # re-executed into a duplicate journal line.
         records = [json.loads(line) for line in
                    journal_path.read_text().splitlines()]
         fingerprints = [r["fp"] for r in records]
-        assert len(fingerprints) == STOP
-        assert len(set(fingerprints)) == STOP
+        assert len(fingerprints) == N_SLICES
+        assert len(set(fingerprints)) == N_SLICES
         assert fingerprints[:len(survivors)] == [r["fp"] for r in survivors]
+
+
+class TestSlicedSweep:
+    """Sweep jobs run the library's batch kernel over Table-1 slices."""
+
+    def test_job_across_slice_boundaries_matches_library_sweep(self, tmp_path):
+        spool = JobSpool.ensure(tmp_path / "s")
+        jid = spool.submit(JobSpec(kind="sweep", app="mcf", start=500,
+                                   stop=1100, n_instructions=N_INSTR))
+        assert drain_queue(spool) == 1
+        full = sweep_design_space(list(enumerate_design_space()),
+                                  get_profile("mcf"), n_instructions=N_INSTR)
+        cycles = np.asarray(spool.result(jid)["cycles"])
+        assert cycles.dtype == np.float64
+        assert np.array_equal(cycles, full[500:1100])
+        lines = spool.checkpoint_path(jid).read_text().splitlines()
+        assert len(lines) == 2  # 600 configs: two slices
+
+    def test_resumed_job_journals_each_slice_once(self, tmp_path, monkeypatch):
+        import repro.simulator.batch as batch
+        from repro.errors import SweepAborted
+
+        stop = N_SLICES * SWEEP_SLICE
+        spool = JobSpool.ensure(tmp_path / "s")
+        jid = spool.submit(sweep_spec(stop=stop))
+        job = spool.claim("w0")
+        doomed = Worker(WorkerConfig(root=str(spool.root), name="w0",
+                                     injector=FaultInjector(fail_indices=(2,))),
+                        spool=spool)
+        with pytest.raises(SweepAborted):
+            doomed.execute(job)
+        journal = spool.checkpoint_path(jid)
+        survivors = journal.read_text().splitlines()
+        assert len(survivors) == N_SLICES - 1
+
+        calls = []
+        kernel = batch.evaluate_design_space_batch
+        monkeypatch.setattr(batch, "evaluate_design_space_batch",
+                            lambda *a, **k: calls.append(1) or kernel(*a, **k))
+        result = Worker(WorkerConfig(root=str(spool.root), name="w1"),
+                        spool=spool).execute(job)
+        assert len(calls) == 1  # only the unjournaled slice ran
+        assert np.array_equal(result["cycles"], oracle(stop=stop))
+        lines = journal.read_text().splitlines()
+        assert lines[:len(survivors)] == survivors
+        assert len({json.loads(line)["fp"] for line in lines}) == N_SLICES
 
 
 class TestResultReuse:

@@ -17,9 +17,12 @@ from repro.service import (
     submit_job,
 )
 from repro.simulator import enumerate_design_space, get_profile, sweep_design_space
+from repro.simulator.interval import SWEEP_SLICE
 
 N_INSTR = 1_000_000
 STOP = 12
+#: Three slices: a SIGKILL at task index 1 lands in the middle of the job.
+SLICED_STOP = 3 * SWEEP_SLICE
 
 
 def sweep_spec(app="gcc", stop=STOP):
@@ -197,8 +200,9 @@ class TestSupervisedService:
         sup = WorkerSupervisor(ServiceConfig(
             root=root, workers=2, lease_ttl=2.0, heartbeat_timeout=10.0,
             drain_on_idle=True, max_runtime=90.0, seed=3,
-            injector=FaultInjector(sigkill_indices=(5,))))
-        jids = [submit_job(root, sweep_spec(app)) for app in ("gcc", "mcf")]
+            injector=FaultInjector(sigkill_indices=(1,))))
+        jids = [submit_job(root, sweep_spec(app, stop=SLICED_STOP))
+                for app in ("gcc", "mcf")]
         assert sup.run() == 0
         assert any("code=-9" in e for e in sup.events), sup.events
         assert any(e.startswith("restart:") for e in sup.events)
@@ -208,7 +212,7 @@ class TestSupervisedService:
         # kill/restart/re-dispatch path.
         for jid, app in zip(jids, ("gcc", "mcf")):
             got = np.asarray(sup.spool.result(jid)["cycles"])
-            assert np.array_equal(got, oracle(app))
+            assert np.array_equal(got, oracle(app, stop=SLICED_STOP))
 
     def test_idle_grace_lets_a_late_first_submit_land(self, tmp_path):
         """The quickstart race: ``serve --drain-on-idle &`` then ``submit``.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro.specdata.generator as generator
+import repro.specdata.ratings as ratings
 from repro.specdata.families import FAMILIES, get_family
 from repro.specdata.generator import generate_all_records, generate_family_records
 
@@ -95,7 +96,7 @@ class TestPerformanceStructure:
 class TestGeneratorConfig:
     def test_zero_noise_is_deterministic_function(self, monkeypatch):
         monkeypatch.setattr(generator, "_SYSTEM_NOISE", 0.0)
-        monkeypatch.setattr(generator, "_APP_NOISE", 0.0)
+        monkeypatch.setattr(ratings, "APP_NOISE", 0.0)
         recs = generate_family_records("pentium-d", seed=5)
         # Identical configurations must get identical ratings with no noise.
         by_key = {}

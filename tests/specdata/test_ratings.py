@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.specdata import ratings
 from repro.specdata.ratings import (
     FP_APPS,
     INT_APPS,
     SpecApp,
     SystemPerformance,
-    compute_rate,
+    compute_app_ratios,
 )
+from repro.util.stats import geometric_mean
+
+
+def compute_rate(apps, perf, rng=None):
+    """SPEC rate: geometric mean of the per-app throughput ratios."""
+    return geometric_mean(list(compute_app_ratios(apps, perf, rng).values()))
 
 
 def _perf(**overrides):
@@ -42,7 +49,7 @@ class TestSuites:
 
 class TestComputeRate:
     def test_reference_machine_rates_scale(self):
-        rate = compute_rate(INT_APPS, _perf(), scale=10.0)
+        rate = compute_rate(INT_APPS, _perf())
         assert rate == pytest.approx(10.0, rel=1e-9)
 
     def test_faster_clock_raises_rate(self):
@@ -71,14 +78,16 @@ class TestComputeRate:
             return hi / lo
         assert gain(8) > gain(1)
 
-    def test_noise_reproducible(self):
-        a = compute_rate(INT_APPS, _perf(), np.random.default_rng(3), 0.05)
-        b = compute_rate(INT_APPS, _perf(), np.random.default_rng(3), 0.05)
+    def test_noise_reproducible(self, monkeypatch):
+        monkeypatch.setattr(ratings, "APP_NOISE", 0.05)
+        a = compute_rate(INT_APPS, _perf(), np.random.default_rng(3))
+        b = compute_rate(INT_APPS, _perf(), np.random.default_rng(3))
         assert a == b
 
-    def test_noise_moves_result(self):
+    def test_noise_moves_result(self, monkeypatch):
+        monkeypatch.setattr(ratings, "APP_NOISE", 0.05)
         clean = compute_rate(INT_APPS, _perf())
-        noisy = compute_rate(INT_APPS, _perf(), np.random.default_rng(4), 0.05)
+        noisy = compute_rate(INT_APPS, _perf(), np.random.default_rng(4))
         assert noisy != clean
         assert noisy == pytest.approx(clean, rel=0.15)
 

@@ -119,11 +119,10 @@ class TestCacheCLI:
     """Cache probes in the --trace-file stream and the cache stats view."""
 
     @pytest.fixture(autouse=True)
-    def _fresh_default_cache(self):
-        from repro.cache import reset_default_cache
+    def _fresh_default_cache(self, monkeypatch):
+        from repro.cache import result_cache
 
-        yield
-        reset_default_cache()
+        monkeypatch.setattr(result_cache, "_DEFAULT", None)
 
     def test_cache_stats_reports_counters(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)

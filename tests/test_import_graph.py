@@ -1,4 +1,5 @@
-"""Import-graph pin: a fresh ``import repro`` never loads ``scipy.stats``.
+"""Import-graph pins: a fresh ``import repro`` never loads ``scipy.stats``,
+and building the CLI parser never loads the service supervisor.
 
 Importing ``scipy.stats`` costs about a second and ~45 MB in every fresh
 interpreter (CLI start, each spawned pool worker, each service shard), and
@@ -71,3 +72,18 @@ def test_probe_names_the_importing_module(tmp_path):
     assert p.returncode == 0, p.stderr
     assert json.loads(p.stdout.splitlines()[-1]) == {
         "loaded": True, "culprit": "repro.leaky"}
+
+
+def test_cli_parser_leaves_service_supervisor_out():
+    """The ``serve``/``submit`` flag defaults come from ``ServiceConfig`` and
+    ``JobSpec``; reading them must not load the supervisor or the worker."""
+    probe = ("import json, sys, repro.cli\n"
+             "repro.cli.build_parser()\n"
+             "print(json.dumps(sorted(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    p = subprocess.run([sys.executable, "-c", probe],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert p.returncode == 0, p.stderr
+    loaded = set(json.loads(p.stdout.splitlines()[-1]))
+    assert "repro.service.config" in loaded  # the probe reached the defaults
+    assert not loaded & {"repro.service.supervisor", "repro.service.worker"}

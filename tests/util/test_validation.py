@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.util.validation import (
-    require_fraction,
-    require_in_range,
-    require_one_of,
-    require_positive,
-    require_power_of_two,
-)
+from repro.util.validation import require_positive
 
 
 class TestRequirePositive:
@@ -21,37 +15,3 @@ class TestRequirePositive:
         with pytest.raises(ValueError, match="x"):
             require_positive(bad, "x")
 
-
-class TestRequireInRange:
-    def test_bounds_inclusive(self):
-        require_in_range(0.0, "x", 0.0, 1.0)
-        require_in_range(1.0, "x", 0.0, 1.0)
-
-    def test_rejects_outside(self):
-        with pytest.raises(ValueError):
-            require_in_range(1.01, "x", 0.0, 1.0)
-
-
-class TestRequireFraction:
-    def test_one_allowed_zero_not(self):
-        require_fraction(1.0, "x")
-        with pytest.raises(ValueError):
-            require_fraction(0.0, "x")
-
-
-class TestRequirePowerOfTwo:
-    @pytest.mark.parametrize("good", [1, 2, 4, 1024])
-    def test_accepts_powers(self, good):
-        require_power_of_two(good, "x")
-
-    @pytest.mark.parametrize("bad", [0, 3, -4, 6, 2.0])
-    def test_rejects_non_powers(self, bad):
-        with pytest.raises(ValueError):
-            require_power_of_two(bad, "x")
-
-
-class TestRequireOneOf:
-    def test_membership(self):
-        require_one_of("a", "x", ["a", "b"])
-        with pytest.raises(ValueError, match="must be one of"):
-            require_one_of("c", "x", ["a", "b"])
