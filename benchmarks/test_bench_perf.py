@@ -17,6 +17,6 @@ def test_perf_harness_smoke():
     assert sim["bit_identical"]
     assert sim["n_configs"] == 4608
     assert sim["speedup"] >= 5.0, f"batch speedup regressed: {sim['speedup']:.1f}x"
-    assert report["layers"]["parallel_shm"]["bit_identical"]
+    assert report["layers"]["parallel_pool"]["bit_identical"]
     assert report["layers"]["result_cache"]["bit_identical"]
     assert report["rate_sweep"]["second_rate_nonzero_hits"]

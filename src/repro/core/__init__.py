@@ -22,7 +22,6 @@ from repro.core.reporting import (
 from repro.core.search import (
     SearchQuality,
     evaluate_search_quality,
-    evaluate_search_quality_batch,
     rank_correlation,
     regret,
     top_k_recall,
@@ -51,7 +50,6 @@ __all__ = [
     "table3",
     "SearchQuality",
     "evaluate_search_quality",
-    "evaluate_search_quality_batch",
     "rank_correlation",
     "regret",
     "top_k_recall",

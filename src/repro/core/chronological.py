@@ -21,7 +21,7 @@ from repro.ml.dataset import Dataset
 from repro.ml.metrics import ErrorSummary, summarize_errors
 from repro.ml.selection import ErrorEstimate, ModelBuilder
 from repro.obs import phase as _obs_phase
-from repro.parallel.executor import Executor
+from repro.parallel.executor import Executor, SerialExecutor
 from repro.specdata.generator import generate_family_records
 from repro.specdata.schema import SystemRecord, records_to_dataset
 
@@ -188,6 +188,6 @@ def run_rolling_chronological(
     ]
     if not tasks:
         raise ValueError(f"{family}: no usable consecutive year pairs")
-    if executor is not None:
-        return executor.map(_run_year_pair, tasks)
-    return [_run_year_pair(t) for t in tasks]
+    if executor is None:
+        executor = SerialExecutor()
+    return executor.map(_run_year_pair, tasks)

@@ -22,16 +22,13 @@ Metrics
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from repro.ml.base import PredictiveModel
 from repro.ml.dataset import Dataset
-from repro.parallel.executor import Executor
 
-__all__ = ["SearchQuality", "evaluate_search_quality",
-           "evaluate_search_quality_batch", "rank_correlation",
+__all__ = ["SearchQuality", "evaluate_search_quality", "rank_correlation",
            "regret", "top_k_recall"]
 
 
@@ -131,29 +128,3 @@ def evaluate_search_quality(
         rank_correlation=rank_correlation(pred, y),
         n_designs=space.n_records,
     )
-
-
-def _eval_one(args: tuple[PredictiveModel, Dataset, bool]) -> SearchQuality:
-    model, space, minimize = args
-    return evaluate_search_quality(model, space, minimize)
-
-
-def evaluate_search_quality_batch(
-    models: Mapping[str, PredictiveModel],
-    space: Dataset,
-    minimize: bool = True,
-    executor: Executor | None = None,
-) -> dict[str, SearchQuality]:
-    """Score many fitted surrogates against one space, keyed like ``models``.
-
-    Each model's full-space prediction is an independent task, so the batch
-    fans out over ``executor`` (including a resilient one) with results
-    identical to the serial loop.
-    """
-    labels = list(models)
-    tasks = [(models[label], space, minimize) for label in labels]
-    if executor is None:
-        qualities = [_eval_one(t) for t in tasks]
-    else:
-        qualities = executor.map(_eval_one, tasks)
-    return dict(zip(labels, qualities))

@@ -23,7 +23,7 @@ from repro.errors import ModelValidationError
 from repro.ml.base import PredictiveModel
 from repro.ml.dataset import Dataset
 from repro.obs import phase as _obs_phase
-from repro.parallel.executor import Executor
+from repro.parallel.executor import Executor, SerialExecutor
 from repro.util.stats import mean_absolute_percentage_error
 
 if TYPE_CHECKING:  # import cycle: repro.robust.gates imports this module
@@ -63,12 +63,14 @@ class ErrorEstimate:
         return self.max if statistic == "max" else self.mean
 
 
-def _holdout_reps(builder: ModelBuilder, train: Dataset,
-                  splits: list[tuple[np.ndarray, np.ndarray]]) -> ErrorEstimate:
-    """One whole estimate: per ``(fit, eval)`` index pair, fit a fresh model
-    on one half of ``train`` and score MAPE on the other. The fits go through
+def _holdout_task(args) -> ErrorEstimate:
+    """One whole estimate, one executor task: per ``(fit, eval)`` index pair
+    of ``splits``, fit a fresh model on one half of ``train`` and score MAPE
+    on the other. The fits go through
     :meth:`~repro.ml.base.PredictiveModel.fit_many`, so models that can share
-    training work do (an estimate's NN builds train in lockstep)."""
+    training work do (an estimate's NN builds train in lockstep).
+    Module-level so it can cross a process boundary."""
+    builder, train, splits = args
     models = [builder() for _ in splits]
     name = models[0].name
     with _obs_phase("holdout", model=name, n_reps=len(splits),
@@ -78,16 +80,6 @@ def _holdout_reps(builder: ModelBuilder, train: Dataset,
         errors = [mean_absolute_percentage_error(model.predict(eval_part), eval_part.target)
                   for model, (_, eval_part) in zip(models, parts)]
     return ErrorEstimate(model_name=name, per_rep=tuple(errors))
-
-
-def _holdout_task(args) -> ErrorEstimate:
-    """One executor task: a whole estimate over a shared-memory training set
-    (attached and deserialized once per process); module-level so it can
-    cross a process boundary."""
-    from repro.parallel.shm import attach_payload
-
-    builder, handle, splits = args
-    return _holdout_reps(builder, attach_payload(handle), splits)
 
 
 def estimate_errors(
@@ -102,24 +94,21 @@ def estimate_errors(
 
     All splits are drawn serially from ``rng`` first, ``n_reps`` per label
     in ``builders`` order (the stream one :func:`estimate_error` per label
-    draws), so no number depends on the executor. With one, each label's
-    whole estimate is one task, and ``train`` ships once through shared
-    memory on every backend, serial too: a task's fingerprint hashes the
-    payload handle, so a pool run's journal restores in a serial resume.
+    draws), so no number depends on the executor (default: a
+    :class:`~repro.parallel.executor.SerialExecutor`). Each label's whole
+    estimate is one task that carries ``train`` itself, so a task's
+    fingerprint hashes the training set's content and a pool run's journal
+    restores in a serial resume.
     """
     if n_reps <= 0:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     splits = {label: [train.random_split_indices(holdout, rng) for _ in range(n_reps)]
               for label in builders}
     if executor is None:
-        return {label: _holdout_reps(builder, train, splits[label])
-                for label, builder in builders.items()}
-    from repro.parallel.shm import SharedPayload
-
-    with SharedPayload(train) as shipped:
-        estimates = executor.map(
-            _holdout_task,
-            [(builder, shipped.handle, splits[label]) for label, builder in builders.items()])
+        executor = SerialExecutor()
+    estimates = executor.map(
+        _holdout_task,
+        [(builder, train, splits[label]) for label, builder in builders.items()])
     return dict(zip(builders, estimates))
 
 

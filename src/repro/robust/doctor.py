@@ -2,13 +2,13 @@
 
 A surprising share of "the model is wrong" reports are really "the
 environment is wrong": a numpy build too old for ``Generator`` features, a
-cache directory on a read-only mount, ``/dev/shm`` absent in a container, a
-BLAS that breaks seeded reproducibility. ``repro doctor`` runs the cheap
-checks that distinguish those cases up front and prints a readable report;
-a nonzero exit code means at least one check failed.
+cache directory on a read-only mount, a BLAS that breaks seeded
+reproducibility. ``repro doctor`` runs the cheap checks that distinguish
+those cases up front and prints a readable report; a nonzero exit code
+means at least one check failed.
 
 Checks are deliberately side-effect free apart from one tempfile write in
-the configured cache directory and one tiny throwaway shared-memory block.
+the configured cache directory.
 """
 
 from __future__ import annotations
@@ -117,27 +117,6 @@ def _check_cache_dir() -> DoctorCheck:
     except OSError as exc:
         return DoctorCheck("cache-dir", False, f"{path}: not writable ({exc})")
     return DoctorCheck("cache-dir", True, f"{path}: writable")
-
-
-def _check_shm() -> DoctorCheck:
-    try:
-        from multiprocessing import shared_memory
-    except ImportError:
-        return DoctorCheck("shared-memory", True,
-                           "unavailable (parallel payloads degrade to inline pickling)")
-    try:
-        seg = shared_memory.SharedMemory(create=True, size=64)
-    except (OSError, ValueError) as exc:
-        return DoctorCheck("shared-memory", True,
-                           f"unusable ({exc}) — payloads degrade to inline pickling")
-    try:
-        seg.buf[:4] = b"ping"
-        ok = bytes(seg.buf[:4]) == b"ping"
-    finally:
-        seg.close()
-        seg.unlink()
-    return DoctorCheck("shared-memory", ok,
-                       "read/write probe ok" if ok else "probe readback mismatch")
 
 
 def _check_seed_reproducibility() -> DoctorCheck:
@@ -432,7 +411,6 @@ _CHECKS: tuple[Callable[[], DoctorCheck], ...] = (
     _check_numpy,
     _check_scipy,
     _check_cache_dir,
-    _check_shm,
     _check_seed_reproducibility,
     _check_spool_dir,
     _check_fd_headroom,

@@ -44,9 +44,10 @@ fails:
 The worker's inner executor is serial: the *supervisor* provides process
 parallelism (N worker shards), so nesting a pool inside each shard would
 only multiply processes without adding throughput. For the same reason a
-slice task reads the process's shared Table-1 block directly instead of a
-shared-memory payload: the library ships the block to reach pool workers,
-and in-process that hop only re-pickles and hashes it on every job.
+slice task holds the process's shared Table-1 block by reference and its
+item is only the slice's ``(start, stop)``: a library slice task carries its
+rows so that it can reach pool workers, while a job's tasks never leave the
+shard and each job has its own journal, so the bounds identify a slice.
 """
 
 from __future__ import annotations

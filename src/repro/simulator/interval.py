@@ -229,20 +229,16 @@ def evaluate_config(
 
 
 def _eval_block_slice(args: tuple) -> list[float]:
-    """One batched sweep task: evaluate rows [start, stop) of a shipped block.
+    """One batched sweep task: evaluate the block slice the task carries.
 
-    The design space travels once per worker via a shared-memory payload
-    handle (see :mod:`repro.parallel.shm`); the task tuple itself is a few
-    dozen bytes. Module-level so it can cross process borders.
+    In process the slice is a zero-copy view of its parent's rows; a pool
+    pickles its columns only, and the unpickled slice recodes its components
+    on first use. Module-level so it can cross process borders.
     """
-    from repro.parallel.shm import attach_payload
     from repro.simulator.batch import evaluate_design_space_batch
 
-    handle, start, stop = args
-    block, profile, n_instructions = attach_payload(handle)
-    cycles = evaluate_design_space_batch(
-        block.slice(start, stop), profile, n_instructions)
-    return cycles.tolist()
+    block, profile, n_instructions = args
+    return evaluate_design_space_batch(block, profile, n_instructions).tolist()
 
 
 #: Configurations per executor task, for library sweeps and service sweep
@@ -252,9 +248,10 @@ def _eval_block_slice(args: tuple) -> list[float]:
 #: fault granularity, not speed. On a 2-core x86 host the batch kernel
 #: sweeps all 4608 configs in ~0.5 ms (~1.9 ms with the miss-rate memo
 #: cleared) and one 512-config slice of the Table-1 block in ~0.23 ms; the
-#: 9-task serial executor sweep, with its shared-memory payload, takes
-#: ~4.5 ms. So 512 keeps the full space at a handful of journal lines while
-#: costing little next to process startup.
+#: 9-task serial executor sweep takes ~2-4 ms, and a resilient executor's
+#: fingerprints add ~1.4 ms, pickling each slice's ~97 KB of columns. So
+#: 512 keeps the full space at a handful of journal lines while costing
+#: little next to process startup.
 SWEEP_SLICE = 512
 
 
@@ -266,20 +263,18 @@ def _sweep_slices(n_configs: int) -> list[tuple[int, int]]:
 
 
 def _batched_executor_sweep(configs, profile, n_instructions, executor) -> np.ndarray:
-    """Fan a batched sweep out over an executor, shipping the space once.
+    """Fan a batched sweep out over an executor, one slice per task.
 
-    The payload goes through shared memory on every backend, serial too:
-    a task's fingerprint hashes its payload handle, so a journal written
-    by a pool run restores in a serial resume and vice versa.
+    Each task carries its slice of the packed block, so a task's fingerprint
+    hashes the slice's columns: a journal written by a pool run restores in
+    a serial resume and vice versa.
     """
-    from repro.parallel.shm import SharedPayload
     from repro.simulator.batch import ConfigBlock, pack_design_space
 
     block = configs if isinstance(configs, ConfigBlock) else pack_design_space(configs)
-    with SharedPayload((block, profile, n_instructions)) as shipped:
-        tasks = [(shipped.handle, start, stop)
-                 for start, stop in _sweep_slices(len(configs))]
-        parts = executor.map(_eval_block_slice, tasks)
+    tasks = [(block.slice(start, stop), profile, n_instructions)
+             for start, stop in _sweep_slices(len(block))]
+    parts = executor.map(_eval_block_slice, tasks)
     return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts])
 
 
@@ -298,9 +293,8 @@ def sweep_design_space(
 
     * ``"batch"`` (default) — vectorized structure-of-arrays evaluation
       (:func:`repro.simulator.batch.evaluate_design_space_batch`). With an
-      ``executor``, the packed design space ships to workers once via
-      shared memory and each task evaluates a contiguous slice of
-      :data:`SWEEP_SLICE` configurations.
+      ``executor``, each task carries and evaluates a contiguous slice of
+      :data:`SWEEP_SLICE` configurations of the packed design space.
     * ``"scalar"`` — the serial per-config loop, kept as the cross-check
       oracle. It takes no executor.
 

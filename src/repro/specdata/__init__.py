@@ -7,10 +7,7 @@ technology histories, and the §4.1 count/range/variation profiles.
 """
 
 from repro.specdata.families import FAMILIES, FAMILY_ORDER, ProcessorFamily, YearTech, get_family
-from repro.specdata.generator import (
-    generate_all_records,
-    generate_family_records,
-)
+from repro.specdata.generator import generate_family_records
 from repro.specdata.ratings import (
     FP_APPS,
     INT_APPS,
@@ -27,7 +24,6 @@ __all__ = [
     "ProcessorFamily",
     "YearTech",
     "get_family",
-    "generate_all_records",
     "generate_family_records",
     "FP_APPS",
     "INT_APPS",

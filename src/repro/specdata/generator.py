@@ -29,13 +29,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.specdata.families import FAMILIES, ProcessorFamily, get_family
+from repro.specdata.families import ProcessorFamily, get_family
 from repro.specdata.ratings import FP_APPS, INT_APPS, SystemPerformance, compute_app_ratios
 from repro.specdata.schema import SystemRecord
 from repro.util.rng import child_rng
 from repro.util.stats import geometric_mean
 
-__all__ = ["generate_family_records", "generate_all_records"]
+__all__ = ["generate_family_records"]
 
 _HD_TYPES = ("SCSI", "SATA", "SAS", "IDE")
 _EXTRAS = ("none", "raid-controller", "extra-nic", "remote-mgmt")
@@ -175,8 +175,3 @@ def generate_family_records(
                 app_ratios=tuple({**int_ratios, **fp_ratios}.items()),
             ))
     return records
-
-
-def generate_all_records(seed: int = 0) -> dict[str, list[SystemRecord]]:
-    """Generate the full synthetic archive, keyed by family."""
-    return {name: generate_family_records(name, seed=seed) for name in FAMILIES}

@@ -6,6 +6,7 @@ runs), worker-crash recovery (pool rebuild then serial downgrade), and the
 seeded failure-injection harness itself.
 """
 
+import errno
 import json
 import os
 import pickle
@@ -480,13 +481,41 @@ class TestDriverDeterminism:
         for a, b in zip(serial, resilient):
             assert a.mean_errors() == b.mean_errors()
 
-    def test_search_quality_batch_executor_identical(self, space_dataset, rng):
-        from repro.core import build_model, evaluate_search_quality_batch
 
-        space = space_dataset("gzip")
-        sample, _ = space.sample(46, rng)
-        models = {"LR-B": build_model("LR-B").fit(sample)}
-        serial = evaluate_search_quality_batch(models, space)
-        with ResilientExecutor() as ex:
-            resilient = evaluate_search_quality_batch(models, space, executor=ex)
-        assert serial == resilient
+class TestJournalsWithoutSharedMemory:
+    """Task fingerprints hash the data a task carries, so a journal's
+    restore does not depend on the host's shared memory."""
+
+    def test_journals_restore_when_shared_memory_is_refused(
+            self, tmp_path, design_space, space_dataset, monkeypatch):
+        from multiprocessing import shared_memory
+
+        from repro.core import model_builders, run_sampled_dse
+        from repro.simulator import get_profile, sweep_design_space
+
+        profile = get_profile("mcf")
+        builders = model_builders(("LR-B", "NN-Q"))
+        sweep_path, fits_path = tmp_path / "sweep.jsonl", tmp_path / "fits.jsonl"
+
+        def run(resume):
+            with ResilientExecutor(journal=CheckpointJournal(sweep_path, resume=resume)) as ex:
+                cycles = sweep_design_space(design_space, profile, executor=ex)
+                sweep_events = list(ex.events)
+            with ResilientExecutor(journal=CheckpointJournal(fits_path, resume=resume)) as ex:
+                res = run_sampled_dse(space_dataset("applu"), builders, 0.01,
+                                      np.random.default_rng(3), n_cv_reps=3, executor=ex)
+                fit_events = list(ex.events)
+            fits = {k: (o.estimate.per_rep, o.true_error) for k, o in res.outcomes.items()}
+            return cycles, fits, sweep_events, fit_events
+
+        written, written_fits, _, _ = run(resume=False)
+
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+        resumed, resumed_fits, sweep_events, fit_events = run(resume=True)
+        assert "restored:9" in sweep_events
+        assert f"restored:{len(builders)}" in fit_events
+        np.testing.assert_array_equal(resumed, written)
+        assert resumed_fits == written_fits

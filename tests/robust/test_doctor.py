@@ -16,8 +16,7 @@ class TestRunDoctor:
         assert report.ok
         assert report.exit_code == 0
         names = [c.name for c in report.checks]
-        assert {"python", "numpy", "cache-dir", "shared-memory",
-                "seed-repro"} <= set(names)
+        assert {"python", "numpy", "cache-dir", "seed-repro"} <= set(names)
 
     def test_render_is_readable(self):
         report = run_doctor()
