@@ -3,7 +3,9 @@
 ``repro obs summarize trace.jsonl`` renders, for each distinct span name,
 how many times the phase ran, how much wall-clock it consumed in total, its
 mean/min/max duration, and how many spans ended in error — the first
-question every perf or reliability investigation asks of a run.
+question every perf or reliability investigation asks of a run. Spans that
+carry a ``model`` attribute are grouped per model too, as ``name[model]``
+(``ml.holdout[NN-E]``), so a split shows which model spent the time.
 
 Malformed lines are tolerated (a crashed run can tear its final write, just
 like a checkpoint journal) but *counted*, so silent corruption is visible in
@@ -49,7 +51,7 @@ def read_jsonl_tolerant(path) -> tuple[list[dict], int]:
 
 @dataclass(frozen=True)
 class PhaseSummary:
-    """Aggregate timings for every span sharing one name."""
+    """Aggregate timings for every span sharing one name (and model)."""
 
     name: str
     count: int
@@ -58,6 +60,12 @@ class PhaseSummary:
     min_s: float
     max_s: float
     errors: int
+    model: str | None = None
+
+    @property
+    def label(self) -> str:
+        """``name``, or ``name[model]`` for one model's spans."""
+        return self.name if self.model is None else f"{self.name}[{self.model}]"
 
 
 @dataclass(frozen=True)
@@ -69,11 +77,12 @@ class TraceSummary:
     n_events: int
     n_malformed: int
 
-    def phase(self, name: str) -> PhaseSummary:
+    def phase(self, label: str) -> PhaseSummary:
+        """The phase rendered as ``label`` (``name`` or ``name[model]``)."""
         for p in self.phases:
-            if p.name == name:
+            if p.label == label:
                 return p
-        raise KeyError(f"no phase {name!r} in trace summary")
+        raise KeyError(f"no phase {label!r} in trace summary")
 
 
 def read_trace(path) -> tuple[list[dict], int]:
@@ -89,19 +98,23 @@ def read_trace(path) -> tuple[list[dict], int]:
 
 
 def summarize_trace(records: Iterable[dict], n_malformed: int = 0) -> TraceSummary:
-    """Group span records by name and aggregate their durations/errors."""
-    groups: dict[str, list[dict]] = {}
+    """Group span records by name and ``model`` attribute, and aggregate
+    each group's durations/errors."""
+    groups: dict[tuple[str, str | None], list[dict]] = {}
     n_events = 0
     for rec in records:
         if rec["kind"] != "span":
             n_events += 1
             continue
-        groups.setdefault(rec["name"], []).append(rec)
+        model = rec.get("attrs", {}).get("model")
+        key = (rec["name"], None if model is None else str(model))
+        groups.setdefault(key, []).append(rec)
     phases = []
-    for name, spans in groups.items():
+    for (name, model), spans in groups.items():
         durations = [s["duration_s"] for s in spans]
         phases.append(PhaseSummary(
             name=name,
+            model=model,
             count=len(spans),
             total_s=sum(durations),
             mean_s=sum(durations) / len(durations),
@@ -109,7 +122,7 @@ def summarize_trace(records: Iterable[dict], n_malformed: int = 0) -> TraceSumma
             max_s=max(durations),
             errors=sum(1 for s in spans if s["status"] == "error"),
         ))
-    phases.sort(key=lambda p: (-p.total_s, p.name))
+    phases.sort(key=lambda p: (-p.total_s, p.label))
     return TraceSummary(
         phases=tuple(phases),
         n_spans=sum(p.count for p in phases),
@@ -126,7 +139,7 @@ def render_summary(summary: TraceSummary, title: str | None = None) -> str:
                  if summary.n_malformed else ""))
     table = format_table(
         ["phase", "count", "total_s", "mean_s", "min_s", "max_s", "errors"],
-        [(p.name, p.count, p.total_s, p.mean_s, p.min_s, p.max_s, p.errors)
+        [(p.label, p.count, p.total_s, p.mean_s, p.min_s, p.max_s, p.errors)
          for p in summary.phases],
         ndigits=4,
     )
@@ -143,7 +156,7 @@ def summarize_file(path, title: str | None = None) -> str:
 def phase_rows(summary: TraceSummary) -> list[dict]:
     """JSON-friendly per-phase rows (used by the perf harness report)."""
     return [
-        {"phase": p.name, "count": p.count, "total_s": p.total_s,
+        {"phase": p.label, "count": p.count, "total_s": p.total_s,
          "mean_s": p.mean_s, "min_s": p.min_s, "max_s": p.max_s,
          "errors": p.errors}
         for p in summary.phases

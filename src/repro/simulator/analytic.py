@@ -189,9 +189,9 @@ PREDICTORS: tuple[str, ...] = ("perfect", "bimodal", "2level", "combining")
 # Per-class capture behaviour. A 2-bit bimodal counter tracks a branch's
 # dominant direction: it mispredicts the minority direction plus a small
 # hysteresis overhead, and cannot learn alternating patterns. A two-level
-# (GAg-style) predictor learns short deterministic patterns almost
-# perfectly and biased branches slightly better, but neither helps truly
-# data-dependent branches. The combining predictor takes the better
+# predictor with per-branch histories (PAg-style) learns short
+# deterministic patterns almost perfectly and biased branches slightly
+# better, but neither helps truly data-dependent branches. The combining predictor takes the better
 # component per branch with a small chooser overhead. Constants validated
 # against repro.simulator.branch table simulations.
 _PATTERN_MISS = {"bimodal": 0.32, "2level": 0.035, "combining": 0.030}

@@ -4,13 +4,24 @@ Real table-indexed predictor simulations, matching SimpleScalar's models:
 
 * **perfect** — oracle; never mispredicts.
 * **bimodal** — a table of 2-bit saturating counters indexed by PC.
-* **2-level** — GAg-style: a global history register selects a 2-bit
-  counter in a pattern history table (PC-hashed to reduce aliasing).
+* **2-level** — PAg-style: a PC-indexed table of per-branch (local)
+  history registers selects a 2-bit counter in a pattern history table
+  (PC-hashed to reduce aliasing).
 * **combining** — bimodal + 2-level with a 2-bit chooser table that learns,
   per PC, which component to trust (McFarling).
 
 These are used by the detailed simulator path and validate the closed-form
 per-class misprediction rates in :mod:`repro.simulator.analytic`.
+
+The ``predict``/``update`` methods are the reference. ``simulate_predictor``
+runs each table predictor of this module through its own loop over Python
+ints, with the counter and history updates written inline, so a branch
+costs no method call. Each loop reads and writes the predictor's own
+tables in the order ``predict`` then ``update`` would, so the flags and the
+final table state are exactly the methods'
+(``tests/simulator/test_branch_loops.py`` compares them on random streams
+that alias table entries). Any other
+:class:`BranchPredictor` subclass runs the generic method loop.
 """
 
 from __future__ import annotations
@@ -191,10 +202,102 @@ def simulate_predictor(
         raise ValueError(f"pcs {pcs.shape} and taken {taken.shape} differ")
     if isinstance(predictor, PerfectPredictor):
         return np.zeros(pcs.shape[0], dtype=bool)
-    predict = predictor.predict
-    update = predictor.update
+    loop = _LOOPS.get(type(predictor), _method_loop)
+    return np.array(loop(predictor, pcs.tolist(), taken.tolist()), dtype=bool)
+
+
+def _method_loop(p: BranchPredictor, pcs: list[int], taken: list[bool]) -> list[bool]:
+    predict = p.predict
+    update = p.update
     miss: list[bool] = []
-    for pc, t in zip(pcs.tolist(), taken.tolist()):
+    for pc, t in zip(pcs, taken):
         miss.append(predict(pc) != t)
         update(pc, t)
-    return np.array(miss, dtype=bool)
+    return miss
+
+
+def _bimodal_loop(p: BimodalPredictor, pcs: list[int], taken: list[bool]) -> list[bool]:
+    table, mask = p.table, p.mask
+    miss: list[bool] = []
+    flag = miss.append
+    for pc, t in zip(pcs, taken):
+        i = (pc >> 2) & mask
+        c = table[i]
+        flag((c >= 2) != t)
+        if t:
+            if c < 3:
+                table[i] = c + 1
+        elif c > 0:
+            table[i] = c - 1
+    return miss
+
+
+def _twolevel_loop(p: TwoLevelPredictor, pcs: list[int], taken: list[bool]) -> list[bool]:
+    hists, l1_mask, hist_mask = p.histories, p.l1_mask, p.history_mask
+    table, mask = p.table, p.mask
+    miss: list[bool] = []
+    flag = miss.append
+    for pc, t in zip(pcs, taken):
+        a = pc >> 2
+        h = a & l1_mask
+        hist = hists[h]
+        i = (a ^ (hist << 3)) & mask
+        c = table[i]
+        flag((c >= 2) != t)
+        if t:
+            if c < 3:
+                table[i] = c + 1
+        elif c > 0:
+            table[i] = c - 1
+        hists[h] = ((hist << 1) | t) & hist_mask
+    return miss
+
+
+def _combining_loop(p: CombiningPredictor, pcs: list[int], taken: list[bool]) -> list[bool]:
+    b_table, b_mask = p.bimodal.table, p.bimodal.mask
+    two = p.twolevel
+    hists, l1_mask, hist_mask = two.histories, two.l1_mask, two.history_mask
+    t_table, t_mask = two.table, two.mask
+    chooser, c_mask = p.chooser, p.cmask
+    miss: list[bool] = []
+    flag = miss.append
+    for pc, t in zip(pcs, taken):
+        a = pc >> 2
+        bi = a & b_mask
+        bc = b_table[bi]
+        h = a & l1_mask
+        hist = hists[h]
+        ti = (a ^ (hist << 3)) & t_mask
+        tc = t_table[ti]
+        p_b = bc >= 2
+        p_t = tc >= 2
+        ci = a & c_mask
+        cc = chooser[ci]
+        flag((p_t if cc >= 2 else p_b) != t)
+        if p_b != p_t:  # the chooser trains toward the component that was right
+            if p_t == t:
+                if cc < 3:
+                    chooser[ci] = cc + 1
+            elif cc > 0:
+                chooser[ci] = cc - 1
+        if t:
+            if bc < 3:
+                b_table[bi] = bc + 1
+            if tc < 3:
+                t_table[ti] = tc + 1
+        else:
+            if bc > 0:
+                b_table[bi] = bc - 1
+            if tc > 0:
+                t_table[ti] = tc - 1
+        hists[h] = ((hist << 1) | t) & hist_mask
+    return miss
+
+
+#: The inline loop of each table predictor, keyed by exact type so that a
+#: subclass overriding ``predict``/``update`` keeps the method loop.
+_LOOPS = {
+    BimodalPredictor: _bimodal_loop,
+    TwoLevelPredictor: _twolevel_loop,
+    CombiningPredictor: _combining_loop,
+}

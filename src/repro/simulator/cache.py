@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Cache", "CacheStats", "MultiLevelCache"]
+__all__ = ["Cache", "CacheStats", "MultiLevelCache", "miss_latency"]
 
 
 @dataclass
@@ -154,22 +154,40 @@ class MultiLevelCache:
     def access_stream(self, addrs: np.ndarray) -> np.ndarray:
         """Per-access latency beyond the L1 hit time."""
         addrs = np.asarray(addrs, dtype=np.uint64)
-        lat = np.zeros(addrs.shape[0], dtype=np.float64)
-        l1_hits = self.l1.access_stream(addrs)
-        miss1 = ~l1_hits
-        if not miss1.any():
-            return lat
-        idx1 = np.flatnonzero(miss1)
-        l2_hits = self.l2.access_stream(addrs[idx1])
-        lat[idx1[l2_hits]] = self.l2_latency
-        miss2 = ~l2_hits
-        if not miss2.any():
-            return lat
-        idx2 = idx1[miss2]
-        if self.l3 is None:
-            lat[idx2] = self.memory_latency
-            return lat
-        l3_hits = self.l3.access_stream(addrs[idx2])
-        lat[idx2[l3_hits]] = self.l3_latency
-        lat[idx2[~l3_hits]] = self.memory_latency
+        l1_miss = np.flatnonzero(~self.l1.access_stream(addrs))
+        return miss_latency(addrs, l1_miss, self.l2, self.l3, self.l2_latency,
+                            self.l3_latency, self.memory_latency)
+
+
+def miss_latency(
+    addrs: np.ndarray,
+    l1_miss: np.ndarray,
+    l2: Cache,
+    l3: Cache | None,
+    l2_latency: float,
+    l3_latency: float,
+    memory_latency: float,
+) -> np.ndarray:
+    """Per-access latency of a stream whose L1 misses are at ``l1_miss``.
+
+    The misses walk ``l2`` and then ``l3`` (or memory), in stream order; L1
+    hits cost 0. Split out of :meth:`MultiLevelCache.access_stream` so a
+    caller holding the L1 outcome can run the lower levels alone.
+    """
+    addrs = np.asarray(addrs, dtype=np.uint64)
+    lat = np.zeros(addrs.shape[0], dtype=np.float64)
+    if not l1_miss.size:
         return lat
+    l2_hits = l2.access_stream(addrs[l1_miss])
+    lat[l1_miss[l2_hits]] = l2_latency
+    miss2 = ~l2_hits
+    if not miss2.any():
+        return lat
+    idx2 = l1_miss[miss2]
+    if l3 is None:
+        lat[idx2] = memory_latency
+        return lat
+    l3_hits = l3.access_stream(addrs[idx2])
+    lat[idx2[l3_hits]] = l3_latency
+    lat[idx2[~l3_hits]] = memory_latency
+    return lat

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Any
 
 import numpy as np
 
@@ -79,6 +80,14 @@ class Trace:
         structure for BBV profiling).
     block_id:
         ``uint32`` static basic-block id (for basic-block vectors).
+
+    :func:`~repro.simulator.machine.simulate_detailed` keeps each private
+    component's outcome (L1 misses, TLB hits, mispredicts) on the trace
+    object it simulated, in ``_outcomes``, and reuses it for every later
+    config with the same component parameters. A trace's arrays must
+    therefore not change once it has been simulated. The memo lives and
+    dies with the object; :meth:`slice` and :func:`dataclasses.replace`
+    build a new trace with an empty one.
     """
 
     op: np.ndarray
@@ -95,6 +104,8 @@ class Trace:
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ValueError(f"trace field {name} has shape {arr.shape}, expected ({n},)")
+        # Not a dataclass field: equality, repr and fingerprints ignore it.
+        self._outcomes: dict[tuple, Any] = {}
 
     def __len__(self) -> int:
         return int(self.op.shape[0])

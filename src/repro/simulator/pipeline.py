@@ -23,16 +23,28 @@ The model is O(n) with small constants; it is the reference timing engine
 the vectorized interval model is cross-validated against in the tests.
 
 The per-instruction loop works on Python lists and floats, never on numpy
-scalars, and its two choices that differ from a literal transcription are
-both exact:
+scalars, and its choices that differ from a literal transcription are
+all exact:
 
 * each FU pool is a min-heap of next-free times, updated with
   :func:`heapq.heapreplace`. The units of a pool are interchangeable, so
   issuing on the earliest-free unit (the heap root) leaves the same
   multiset of free times as scanning for it, and every later issue time is
   the same;
-* a memory op's LSQ ordinal is the number of earlier memory ops,
-  ``len(mem_commit)``.
+* the times that later instructions read live in lists that grow in
+  program order: decode-ready (fetch + 1), completion, commit and
+  memory-op commit. All but completion start with ``-inf`` sentinels
+  (``width``, ``max(width, RUU)`` and ``LSQ`` of them), so the reads of
+  instruction *i − width*, *i − RUU* and memory op *m − LSQ* are at
+  non-negative indices that need no bounds check: ``i``, ``i + max(width,
+  RUU) − RUU``, ``i + max(width, RUU) − width`` and ``m``. Where the
+  literal model has no such instruction it skips the term; the loop reads
+  a sentinel instead, and ``-inf`` (plus one) never wins a maximum. A
+  dependence distance that reaches before the trace start is mapped to 0
+  (none) in numpy before the loop, so ``complete_t[i − d]`` needs no
+  check either. CPython specialises list indexing for non-negative ints,
+  which is why the reads count up from the front instead of back from
+  the end.
 
 Every time is the same chain of float additions and maxima in the same
 order, so cycles are bit-identical to the scan-based scoreboard.
@@ -97,7 +109,6 @@ def simulate_pipeline(
              else DEFAULT_LATENCIES.frontend_depth_wide)
 
     ops = trace.op
-    dep = trace.dep_dist
 
     base_lat = np.array([OP_LATENCY[OpClass(v)] for v in range(7)], dtype=np.float64)
     exec_lat = base_lat[ops] + mem_latency
@@ -115,40 +126,50 @@ def simulate_pipeline(
     heapreplace = heapq.heapreplace
 
     is_mem = (ops == int(OpClass.LOAD)) | (ops == int(OpClass.STORE))
-    fetch_t = [0.0] * n
-    complete_t = [0.0] * n
-    commit_t = [0.0] * n
-    mem_commit: list[float] = []  # commit time of each memory op, in order
+    # A dependence reaching before the trace start is no dependence. Only
+    # the first max(dep) instructions can have one.
+    dep = trace.dep_dist.copy()
+    head = dep[:min(n, int(dep.max()))]
+    head[head > np.arange(head.shape[0])] = 0
+    # Times so far in program order, behind -inf sentinels (module
+    # docstring). ready_t holds fetch + 1.0, the decode-ready time, which
+    # is also what the fetch-bandwidth bound adds to fetch_t[i - width].
+    inf = float("inf")
+    window = max(width, ruu)
+    ready_t = [-inf] * width      # ready_t[i]: instruction i - width
+    commit_t = [-inf] * window    # commit_t[i + window - k]: i - k
+    mem_commit = [-inf] * lsq     # mem_commit[m]: memory op m - lsq
+    complete_t: list[float] = []  # complete_t[i - d]: the producer
+    at_ruu = window - ruu
+    at_width = window - width
 
     barrier = 0.0  # front-end redirect barrier from the last mispredict
-    ct = -np.inf   # commit time of the previous instruction
-    for i, (op, d, ex, ifl, mis, mem) in enumerate(zip(
+    ct = -inf      # commit time of the previous instruction
+    i = 0          # this instruction's index
+    m = 0          # this op's memory ordinal, if it is one
+    for op, d, ex, ifl, mis, mem in zip(
             ops.tolist(), dep.tolist(), exec_lat.tolist(), ifetch_latency.tolist(),
-            mispredicted.tolist(), is_mem.tolist())):
+            mispredicted.tolist(), is_mem.tolist()):
         # --- fetch: bandwidth, I-cache stall, redirect barrier, RUU space ---
         ft = barrier + ifl
-        if i >= width:
-            t = fetch_t[i - width] + 1.0
-            if t > ft:
-                ft = t
-        if i >= ruu:
-            t = commit_t[i - ruu]  # window slot frees at commit
-            if t > ft:
-                ft = t
-        fetch_t[i] = ft
+        t = ready_t[i]  # fetch_t[i - width] + 1.0
+        if t > ft:
+            ft = t
+        t = commit_t[i + at_ruu]  # window slot frees at commit
+        if t > ft:
+            ft = t
 
         # --- issue: dependencies, FU availability, LSQ space ----------------
         ready = ft + 1.0  # decode/rename takes a cycle
-        if 0 < d <= i:
+        ready_t.append(ready)
+        if d:
             t = complete_t[i - d]
             if t > ready:
                 ready = t
         if mem:
-            m = len(mem_commit)  # this op's memory ordinal
-            if m >= lsq:
-                t = mem_commit[m - lsq]
-                if t > ready:
-                    ready = t
+            t = mem_commit[m]
+            if t > ready:
+                ready = t
         pool = pool_of[op]
         issue = pool[0]  # the earliest-free unit
         if ready > issue:
@@ -156,24 +177,25 @@ def simulate_pipeline(
         heapreplace(pool, issue + 1.0)  # pipelined: unit busy for one cycle
 
         done = issue + ex
-        complete_t[i] = done
+        complete_t.append(done)
 
         # --- in-order commit at `width` per cycle ---------------------------
         if done > ct:
             ct = done
-        if i >= width:
-            t = commit_t[i - width] + 1.0
-            if t > ct:
-                ct = t
-        commit_t[i] = ct
+        t = commit_t[i + at_width] + 1.0
+        if t > ct:
+            ct = t
+        commit_t.append(ct)
         if mem:
             mem_commit.append(ct)
+            m += 1
 
         # --- mispredict: fetch resumes after resolution + redirect depth ----
         if mis:
             t = done + depth
             if t > barrier:
                 barrier = t
+        i += 1
 
     cycles = float(commit_t[-1])
     return PipelineResult(cycles=cycles, cpi=cycles / n, n_instructions=n)

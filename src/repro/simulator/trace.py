@@ -32,6 +32,7 @@ static branch from the profile's biased / patterned / random class mix.
 from __future__ import annotations
 
 import zlib
+from collections import deque
 
 import numpy as np
 
@@ -181,9 +182,11 @@ class _AddressModel:
     def __init__(self, profile: WorkloadProfile, rng: np.random.Generator):
         self.mem = profile.data
         self.rng = rng
-        self.stack: list[int] = []        # exact top-of-LRU, most recent first
-        self.timeline: list[int] = []     # distinct blocks in first-touch order
-        self.next_block = 0
+        # Exact top of the LRU stack, most recent first, and the same blocks
+        # as a set: membership tests and the decision to scan cost O(1).
+        self.stack: deque[int] = deque(maxlen=EXACT_STACK)
+        self.on_stack: set[int] = set()
+        self.n_blocks = 0                 # blocks touched so far
         self.prev_block = 0
         # Component sampling distribution (incl. compulsory and streaming).
         comps = self.mem.components
@@ -194,12 +197,6 @@ class _AddressModel:
         self.probs /= self.probs.sum()
         self.medians = np.array([c.median_blocks for c in comps])
         self.sigmas = np.array([c.sigma for c in comps])
-
-    def _new_block(self) -> int:
-        blk = self.next_block
-        self.next_block += 1
-        self.timeline.append(blk)
-        return blk
 
     def generate(self, n_refs: int) -> np.ndarray:
         """Generate ``n_refs`` 32-byte block ids honouring the reuse model."""
@@ -213,43 +210,49 @@ class _AddressModel:
         pick = comp_pick[reuse]
         dist = np.zeros(n_refs)
         dist[reuse] = self.medians[pick] * np.exp(self.sigmas[pick] * log_d[reuse])
-        dist = dist.tolist()
-        comp_pick = comp_pick.tolist()
+        fresh = self.choices  # the compulsory / streaming pick
         out: list[int] = []
         stack = self.stack
-        timeline = self.timeline
-        for i in range(n_refs):
-            if spatial[i] and self.next_block > 0:
-                blk = self.prev_block + 1
-                if blk >= self.next_block:
-                    blk = self._new_block()
-                else:
+        on_stack = self.on_stack
+        # Block ids are handed out in first-touch order, so the first-touch
+        # timeline is 0 .. n_blocks - 1 and its d-th block from the end is
+        # n_blocks - d.
+        n_blocks = self.n_blocks
+        blk = self.prev_block
+        for seq, comp, dd in zip(spatial, comp_pick.tolist(), dist.tolist()):
+            if seq and n_blocks > 0:
+                blk += 1
+                if blk >= n_blocks:
+                    blk = n_blocks
+                    n_blocks += 1
+                elif blk in on_stack:
                     # Keep the stack duplicate-free: a spatial re-touch must
                     # remove the block's old position or realized LRU
                     # distances collapse far below the sampled ones.
-                    try:
-                        stack.remove(blk)
-                    except ValueError:  # noqa: S110
-                        pass  # fell off the exact stack; timeline keeps it
-            elif comp_pick[i] == self.choices:  # compulsory / streaming
-                blk = self._new_block()
+                    stack.remove(blk)
+                # else: fell off the exact stack; the timeline keeps it
+            elif comp == fresh:
+                blk = n_blocks
+                n_blocks += 1
             else:
-                d = max(int(dist[i]), 1)
+                d = max(int(dd), 1)
                 if d <= len(stack):
-                    blk = stack.pop(d - 1)
-                elif d <= len(timeline):
-                    blk = timeline[len(timeline) - d]
-                    try:
+                    blk = stack[d - 1]
+                    del stack[d - 1]
+                elif d <= n_blocks:
+                    blk = n_blocks - d
+                    if blk in on_stack:
                         stack.remove(blk)
-                    except ValueError:  # noqa: S110 - fell off the exact stack
-                        pass
                 else:
-                    blk = self._new_block()
-            stack.insert(0, blk)
-            if len(stack) > EXACT_STACK:
-                stack.pop()
-            self.prev_block = blk
+                    blk = n_blocks
+                    n_blocks += 1
+            if len(stack) == EXACT_STACK:  # appendleft drops the bottom block
+                on_stack.discard(stack[-1])
+            stack.appendleft(blk)
+            on_stack.add(blk)
             out.append(blk)
+        self.n_blocks = n_blocks
+        self.prev_block = blk
         return np.array(out, dtype=np.int64)
 
 

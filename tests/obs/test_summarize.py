@@ -103,10 +103,27 @@ class TestSummarize:
         assert encode.count == 2
         assert encode.total_s == pytest.approx(encode.mean_s * 2)
         assert encode.min_s <= encode.max_s
-        assert summary.phase("train").errors == 1
+        assert summary.phase("train[NN-Q]").errors == 1
         assert summary.phase("sweep").errors == 0
         with pytest.raises(KeyError):
             summary.phase("no-such-phase")
+
+    def test_spans_grouped_per_model(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        tracer = Tracer(path=path)
+        for model in ("NN-E", "LR-B", "NN-E"):
+            with tracer.span("ml.holdout", model=model):
+                pass
+        with tracer.span("ml.holdout"):
+            pass
+        tracer.close()
+        summary = summarize_trace(*read_trace(path))
+        assert sorted((p.label, p.count) for p in summary.phases) == [
+            ("ml.holdout", 1), ("ml.holdout[LR-B]", 1), ("ml.holdout[NN-E]", 2)]
+        nn = summary.phase("ml.holdout[NN-E]")
+        assert (nn.name, nn.model) == ("ml.holdout", "NN-E")
+        text = render_summary(summary)
+        assert "ml.holdout[NN-E]" in text and "ml.holdout[LR-B]" in text
 
     def test_phases_sorted_hottest_first(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -121,7 +138,7 @@ class TestSummarize:
         text = summarize_file(path)
         assert str(path) in text
         assert "4 spans, 1 events" in text
-        for phase in ("sweep", "encode", "train"):
+        for phase in ("sweep", "encode", "train[NN-Q]"):
             assert phase in text
 
     def test_render_reports_malformed_lines(self, tmp_path):
@@ -136,7 +153,7 @@ class TestSummarize:
         path = tmp_path / "t.jsonl"
         _write_trace(path)
         rows = phase_rows(summarize_trace(*read_trace(path)))
-        assert {r["phase"] for r in rows} == {"sweep", "encode", "train"}
+        assert {r["phase"] for r in rows} == {"sweep", "encode", "train[NN-Q]"}
         json.dumps(rows)  # must serialize as-is
         for row in rows:
             assert set(row) == {"phase", "count", "total_s", "mean_s",

@@ -231,6 +231,50 @@ class TestSpoolShed:
                               oracle(stop=2))
 
 
+class TestHeartbeats:
+    """Every pass beats before it claims, naming no job; a claimed job
+    beats again at the claim and before each slice, naming the job."""
+
+    @staticmethod
+    def _record_beats(monkeypatch, spool):
+        beats = []
+        beat = spool.heartbeat
+
+        def record(worker, job=None, **kwargs):
+            beats.append(job)
+            beat(worker, job=job, **kwargs)
+
+        monkeypatch.setattr(spool, "heartbeat", record)
+        return beats
+
+    @pytest.mark.parametrize("n_slices", [1, N_SLICES])
+    def test_sweep_job_beats_before_every_slice(self, tmp_path, monkeypatch, n_slices):
+        spool = JobSpool.ensure(tmp_path / "s")
+        jid = spool.submit(sweep_spec(stop=n_slices * SWEEP_SLICE))
+        w = Worker(WorkerConfig(root=str(tmp_path / "s"), name="w1"),
+                   spool=spool)
+        beats = self._record_beats(monkeypatch, spool)
+        assert w.run_once() is True
+        job_beats = [None, jid] + [jid] * n_slices
+        assert beats == job_beats
+        assert w.run_once() is False  # idle pass
+        assert beats == job_beats + [None]
+
+    def test_shed_claim_still_beats(self, tmp_path, monkeypatch):
+        from repro.robust import DiskFaultInjector, diskchaos
+
+        spool = JobSpool.ensure(tmp_path / "s")
+        spool.submit(sweep_spec(stop=2))
+        w = Worker(WorkerConfig(root=str(tmp_path / "s"), name="w1"),
+                   spool=spool)
+        beats = self._record_beats(monkeypatch, spool)
+        with diskchaos.injected(DiskFaultInjector(eio_write_at=(0,))):
+            assert w.run_once() is False
+        assert "spool-shed:claim" in w.events
+        assert beats == [None]
+        assert "w1" in spool.heartbeats()
+
+
 class TestDeadlines:
     def test_expired_deadline_fails_typed(self, tmp_path):
         root = str(tmp_path / "s")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.simulator.isa import OpClass
-from repro.simulator.trace import TraceGenerator, generate_trace
+from repro.simulator.trace import EXACT_STACK, TraceGenerator, _AddressModel, generate_trace
 from repro.simulator.workloads import SPEC2000_PROFILES, get_profile
 
 #: "app/seed/length" -> Trace field -> SHA-256 of its dtype string and bytes.
@@ -120,6 +120,70 @@ class TestReuseFidelity:
         # gcc's mid component (weight 0.085, median 600 blocks) puts roughly
         # 4-14% of reuses beyond 512 blocks, boosted by spatial continuation.
         assert 0.02 < frac_deep < 0.25
+
+
+def _list_stack_blocks(model, n_refs, state):
+    """The reuse sampler written with plain lists for its LRU stack and
+    first-touch timeline, drawing the same random numbers. ``state`` holds
+    the lists and the previous block between calls."""
+    rng = model.rng
+    spatial = (rng.random(n_refs) < model.mem.spatial_seq).tolist()
+    comp_pick = rng.choice(model.choices + 1, size=n_refs, p=model.probs)
+    log_d = rng.standard_normal(n_refs)
+    reuse = np.flatnonzero(comp_pick < model.choices)
+    dist = np.zeros(n_refs)
+    dist[reuse] = (model.medians[comp_pick[reuse]]
+                   * np.exp(model.sigmas[comp_pick[reuse]] * log_d[reuse]))
+    stack, timeline = state["stack"], state["timeline"]
+
+    def new():
+        timeline.append(len(timeline))
+        return timeline[-1]
+
+    out = []
+    for i in range(n_refs):
+        if spatial[i] and timeline:
+            blk = state["prev"] + 1
+            if blk >= len(timeline):
+                blk = new()
+            elif blk in stack:
+                stack.remove(blk)
+        elif comp_pick[i] == model.choices:
+            blk = new()
+        else:
+            d = max(int(dist[i]), 1)
+            if d <= len(stack):
+                blk = stack.pop(d - 1)
+            elif d <= len(timeline):
+                blk = timeline[len(timeline) - d]
+                if blk in stack:
+                    stack.remove(blk)
+            else:
+                blk = new()
+        stack.insert(0, blk)
+        del stack[EXACT_STACK:]
+        state["prev"] = blk
+        out.append(blk)
+    return out
+
+
+class TestExactStack:
+    """The deque-and-set LRU stack of the address sampler equals a plain
+    list, past the lengths the digest pin covers and across calls."""
+
+    @pytest.mark.parametrize("app", ["mcf", "gcc", "art"])
+    def test_matches_list_stack(self, app):
+        fast = _AddressModel(get_profile(app), np.random.default_rng(5))
+        slow = _AddressModel(get_profile(app), np.random.default_rng(5))
+        state = {"stack": [], "timeline": [], "prev": 0}
+        for n_refs in (30_000, 1, 40_000):
+            assert (fast.generate(n_refs).tolist()
+                    == _list_stack_blocks(slow, n_refs, state))
+        # Every block touched is pushed and only evictions pop one; mcf
+        # touches more than EXACT_STACK blocks.
+        assert len(fast.stack) == min(fast.n_blocks, EXACT_STACK)
+        assert list(fast.stack) == state["stack"]
+        assert fast.on_stack == set(state["stack"])
 
 
 class TestTraceBitPin:
