@@ -90,8 +90,8 @@ def _drain(spool, worker_name: str, *, compact_every: int = 0,
     from repro.service import Worker, WorkerConfig
     from repro.service.compaction import CompactionPolicy, compact
 
-    w = Worker(WorkerConfig(root=str(spool.root), name=worker_name,
-                            seed=SEED), spool=spool)
+    w = Worker(WorkerConfig(root=str(spool.root), name=worker_name),
+               spool=spool)
     deadline = time.monotonic() + DRAIN_DEADLINE_S
     n_compactions = 0
     i = 0
@@ -193,8 +193,8 @@ def main() -> int:
         # Make progress first so the fold is non-trivial at crash time.
         from repro.service import Worker, WorkerConfig
 
-        w = Worker(WorkerConfig(root=str(crash_spool.root),
-                                name="crash-w", seed=SEED), spool=crash_spool)
+        w = Worker(WorkerConfig(root=str(crash_spool.root), name="crash-w"),
+                   spool=crash_spool)
         w.run_once()
         try:
             compact(crash_spool, crash_at=point)
@@ -227,8 +227,8 @@ def main() -> int:
         from repro.errors import ServiceError
         from repro.service import Worker, WorkerConfig
 
-        w = Worker(WorkerConfig(root=str(chaos_spool.root), name="chaos-w",
-                                seed=SEED), spool=chaos_spool)
+        w = Worker(WorkerConfig(root=str(chaos_spool.root), name="chaos-w"),
+                   spool=chaos_spool)
         i = 0
         while time.monotonic() < window_end:
             try:

@@ -13,7 +13,7 @@ spool directory), the way CI drives it:
 3. **Kill a worker mid-run** — the daemon starts with a chaos injector
    that SIGKILLs the first-generation workers mid-sweep. The supervisor
    must detect the deaths, restart the shards, re-dispatch the expired
-   leases, and resume each interrupted job from its checkpoint journal.
+   leases, and run each interrupted job again from its first slice.
 4. **Bit-identical results** — every job's cycle vector must equal the
    serial in-process oracle exactly. Crash recovery that changes results
    is worse than crashing.
@@ -29,7 +29,7 @@ spool directory), the way CI drives it:
    report`` must print non-empty p50/p95/p99 for all four SLO histograms;
    the shard metrics snapshots must merge (``--metrics-out``) into one
    ``repro-metrics/1`` document covering at least two snapshots with a
-   nonzero ``executor.tasks.completed``;
+   nonzero ``service.jobs.completed``;
    both runs must stay bit-identical to the serial oracle; and the traced
    run may not cost more than 5% extra wall-clock (with a small absolute
    floor so scheduler noise on a ~seconds-long drill cannot flake CI).
@@ -168,14 +168,14 @@ def obs_drill(workdir: Path, out_dir: Path, report: dict) -> None:
     print(p.stdout, end="")
 
     # The shard snapshots must merge into one repro-metrics/1 document
-    # that counted the drill's completed tasks.
+    # that counted the drill's completed jobs.
     agg = json.loads(metrics_path.read_text())
-    completed = agg.get("metrics", {}).get("executor.tasks.completed", {})
+    completed = agg.get("metrics", {}).get("service.jobs.completed", {})
     if agg.get("schema") != "repro-metrics/1" or len(agg.get("shards", [])) < 2 \
             or not completed.get("value", 0) > 0:
         _fail(f"aggregated metrics wrong shape: schema={agg.get('schema')!r}, "
               f"shards={agg.get('shards')}, "
-              f"executor.tasks.completed={completed.get('value')}")
+              f"service.jobs.completed={completed.get('value')}")
     report["obs_metrics_shards"] = len(agg["shards"])
 
     records = [json.loads(line)

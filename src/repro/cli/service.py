@@ -118,22 +118,19 @@ def spool_args(p: argparse.ArgumentParser) -> None:
     sp = spool_sub.add_parser(
         "compact",
         help="fold the event log into a repro-spoolsnap/1 snapshot "
-             "(atomic swap), truncate the live tail, GC orphaned "
-             "checkpoints/results")
+             "(atomic swap), truncate the live tail, GC orphaned results")
     _add_spool(sp)
     sp.add_argument("--retain-terminal", type=int, default=None, metavar="N",
                     help="keep only the N most recent terminal jobs in the "
                          "snapshot (default: keep all)")
     sp.add_argument("--no-gc", action="store_true",
-                    help="skip deleting orphaned checkpoint journals and "
-                         "result files for pruned jobs")
+                    help="skip deleting orphaned result files")
     sp.add_argument("--json", action="store_true",
                     help="print the compaction stats as JSON")
     sp = spool_sub.add_parser(
         "verify",
         help="fsck the spool: snapshot schema, generation agreement, log "
-             "fold, result checksums, checkpoint orphans; nonzero exit on "
-             "failure")
+             "fold, result checksums; nonzero exit on failure")
     _add_spool(sp)
     sp.add_argument("--json", action="store_true",
                     help="print the repro-spoolverify/1 report as JSON")
@@ -227,8 +224,7 @@ def cmd_spool(args: argparse.Namespace) -> int:
                   f"({stats.n_jobs} job(s): {stats.n_live} live, "
                   f"{stats.n_terminal} terminal, {stats.n_pruned} pruned); "
                   f"log {stats.log_bytes_before} -> {stats.log_bytes_after} "
-                  f"bytes; GC {stats.gc_checkpoints} checkpoint(s), "
-                  f"{stats.gc_results} result(s)")
+                  f"bytes; GC {stats.gc_results} result(s)")
         return 0
 
     expect_jobs = None

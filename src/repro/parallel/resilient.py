@@ -133,29 +133,10 @@ class CheckpointJournal:
     task in flight, and a failed or torn append is repaired by the next
     one; a torn final line is tolerated on load, any earlier corruption
     raises :class:`~repro.errors.CheckpointError`.
-
-    Service workers sharing a checkpoint directory pass ``lock=True``: an
-    advisory ``flock`` on a ``<path>.lock`` sidecar (see
-    :class:`repro.util.locking.FileLock`) makes the journal single-writer,
-    so two workers racing one job after a lease-expiry misjudgment cannot
-    interleave torn JSONL lines. The lock is kernel-released when the
-    holder dies, so a SIGKILLed worker never wedges the journal.
     """
 
-    def __init__(self, path: str | Path, resume: bool = False,
-                 lock: bool = False) -> None:
+    def __init__(self, path: str | Path, resume: bool = False) -> None:
         self.path = Path(path)
-        self._lock = None
-        if lock:
-            from repro.util.locking import FileLock
-
-            self._lock = FileLock(self.path.with_name(self.path.name + ".lock"))
-            if not self._lock.acquire(blocking=False):
-                self._lock = None
-                raise CheckpointError(
-                    f"checkpoint journal {self.path} is locked by another "
-                    "writer (advisory flock held elsewhere)"
-                )
         self._completed: dict[str, Any] = {}
         if resume:
             self._completed = self._load()
@@ -205,8 +186,7 @@ class CheckpointJournal:
         self._completed[fingerprint] = value
 
     def close(self) -> None:
-        if self._lock is not None:
-            self._lock.release()
+        """Nothing to release: each record opens and closes the file."""
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CheckpointJournal({str(self.path)!r}, n_completed={self.n_completed})"

@@ -4,7 +4,7 @@ The service turns the library's one-shot experiment drivers into a
 long-running daemon that *degrades instead of dying*:
 
 * :mod:`repro.service.jobs` — deterministic job specs whose content
-  fingerprint is the idempotency key for queue, results, and checkpoints.
+  fingerprint is the idempotency key for queue and results.
 * :mod:`repro.service.spool` — the durable on-disk queue: an append-only,
   flock-guarded JSONL event log with lease-based ownership (crashed
   workers' jobs re-dispatch on lease expiry) and bounded-depth admission
@@ -13,12 +13,12 @@ long-running daemon that *degrades instead of dying*:
   breaker -> read-only mode) when the disk misbehaves.
 * :mod:`repro.service.compaction` — crash-consistent log compaction: the
   history folds into an atomically swapped ``repro-spoolsnap/1`` snapshot
-  with a generation-counted marker tail, orphaned checkpoints/results are
-  GC'd, and :func:`~repro.service.compaction.verify_spool` is the fsck
+  with a generation-counted marker tail, orphaned results are GC'd, and :func:`~repro.service.compaction.verify_spool` is the fsck
   (``repro spool verify/compact``).
-* :mod:`repro.service.worker` — the shard loop: checkpoint-journaled
-  execution (bit-identical resume), per-job deadlines, heartbeats, and
-  circuit breakers around model fitting and the shared disk cache.
+* :mod:`repro.service.worker` — the shard loop: sliced sweep execution
+  (a re-dispatched job recomputes bit-identically), per-job deadlines,
+  heartbeats, and circuit breakers around model fitting and the shared
+  disk cache.
 * :mod:`repro.service.supervisor` — process supervision: crash detection,
   hung-worker SIGKILL, capped seeded restart backoff, auto-compaction
   past a size/event threshold, graceful drain.

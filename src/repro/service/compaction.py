@@ -17,7 +17,7 @@ interleave; both swaps are :mod:`repro.util.durable` atomic replaces with
     4. write a temp beside spool.jsonl = one 'compact' marker line
        {gen: G}, fsync
     5. rename -> spool.jsonl, fsync dir             (atomic: tail reset)
-    6. GC checkpoint journals / result files no retained job can ever use
+    6. GC result files no retained job can ever use
 
 **Crash matrix.** The reader (:meth:`JobSpool._reconcile`) reconciles every
 state a crash can leave (DESIGN §15):
@@ -35,10 +35,9 @@ state a crash can leave (DESIGN §15):
 The log is never truncated in place — the tail reset is itself an atomic
 rename — so there is no window where the log is empty without its marker.
 
-**GC.** A terminal job's checkpoint journal can never be read again (the
-fold returns the stored result or re-opens the job fresh), and a result
-file whose job is not retained is unreachable; both are deleted. Live
-jobs — pending, running, or awaiting re-dispatch — keep both.
+**GC.** A result file whose job is not retained, or whose job failed, is
+unreachable and is deleted. Live jobs — pending, running, or awaiting
+re-dispatch — keep theirs.
 
 :func:`verify_spool` is the fsck: it checks snapshot/log/marker
 consistency, folds the state, and verifies every done job's result is
@@ -97,14 +96,14 @@ class CompactionPolicy:
     dedup, ``repro jobs``, and late ``wait_for`` polls keep working across
     compactions, and a pre-folded terminal job costs O(1) per fold, not
     O(its events). Setting it prunes all but the newest N terminal jobs
-    (their results and checkpoints are GC'd with them); a pruned done
-    job's re-submission re-executes instead of deduping.
+    (their results are GC'd with them); a pruned done job's re-submission
+    re-executes instead of deduping.
     """
 
     max_log_bytes: int | None = 4 * 1024 * 1024  # size trigger
     max_events: int | None = 4096                # tail-length trigger
     retain_terminal: int | None = None           # None: keep all terminal
-    gc: bool = True            # delete orphaned checkpoints and results
+    gc: bool = True            # delete orphaned results
 
     def __post_init__(self) -> None:
         if self.max_log_bytes is not None and self.max_log_bytes < 1:
@@ -130,7 +129,6 @@ class CompactionStats:
     n_pruned: int              # terminal jobs dropped by retain_terminal
     log_bytes_before: int
     log_bytes_after: int
-    gc_checkpoints: int
     gc_results: int
     duration_s: float
 
@@ -205,8 +203,7 @@ def compact(spool: JobSpool, policy: CompactionPolicy | None = None, *,
         durable.replace_file(spool.log_path, marker.encode("utf-8"), sync=True)
         _crash_hook(crash_at, "post-log-swap")
 
-        n_gc_ckpt, n_gc_res = (_gc(spool, raw, set(retained)) if policy.gc
-                               else (0, 0))
+        n_gc_res = _gc(spool, raw, set(retained)) if policy.gc else 0
 
         stats = CompactionStats(
             generation=gen,
@@ -218,7 +215,6 @@ def compact(spool: JobSpool, policy: CompactionPolicy | None = None, *,
             n_pruned=len(pruned),
             log_bytes_before=log_bytes_before,
             log_bytes_after=len(marker.encode("utf-8")),
-            gc_checkpoints=n_gc_ckpt,
             gc_results=n_gc_res,
             duration_s=time.monotonic() - t0,
         )
@@ -229,28 +225,15 @@ def compact(spool: JobSpool, policy: CompactionPolicy | None = None, *,
 
 
 def _gc(spool: JobSpool, raw: dict[str, dict[str, Any]],
-        retained: set[str]) -> tuple[int, int]:
-    """Delete checkpoints/results no retained job can ever use again.
+        retained: set[str]) -> int:
+    """Delete results no retained job can ever use again; returns the count.
 
     Runs under the spool flock, so no new job can be submitted or claimed
-    mid-GC. Live (non-terminal) retained jobs keep both artifacts: a
-    running job's journal is mid-write, and its result may already exist
-    (a completion that crashed between the result write and the ``done``
-    event — exactly what result reuse is for).
+    mid-GC. Live (non-terminal) retained jobs keep their results: one may
+    already exist (a completion that crashed between the result write and
+    the ``done`` event — exactly what result reuse is for).
     """
     live = {j for j in retained if raw[j]["terminal"] is None}
-    n_ckpt = 0
-    ckpt_dir = spool.root / "checkpoints"
-    if ckpt_dir.is_dir():
-        for path in sorted(ckpt_dir.glob("*.jsonl")):
-            if path.stem in live:
-                continue
-            for victim in (path, path.with_name(path.name + ".lock")):
-                try:
-                    victim.unlink()
-                except OSError:
-                    continue
-            n_ckpt += 1
     n_res = 0
     keep = live | {j for j in retained if raw[j]["terminal"] == "done"}
     for key in list(spool.results.keys()):
@@ -261,11 +244,9 @@ def _gc(spool: JobSpool, raw: dict[str, dict[str, Any]],
             n_res += 1
         except OSError:
             continue
-    if n_ckpt:
-        _metrics().counter("service.compaction.gc_checkpoints").inc(n_ckpt)
     if n_res:
         _metrics().counter("service.compaction.gc_results").inc(n_res)
-    return n_ckpt, n_res
+    return n_res
 
 
 def should_compact(spool: JobSpool, policy: CompactionPolicy | None = None,
@@ -419,17 +400,6 @@ def verify_spool(root: str | os.PathLike[str],
             f"{len(done_ids)} done job(s), all results intact"
             + (f"; {len(orphan_results)} orphan file(s) "
                "(reclaimable: repro spool compact)" if orphan_results else ""))
-
-    # checkpoints ------------------------------------------------------------
-    ckpt_dir = root / "checkpoints"
-    live = {jid for jid, v in views.items() if v.state in ("pending", "running")}
-    orphan_ckpts = 0
-    if ckpt_dir.is_dir():
-        orphan_ckpts = sum(1 for p in ckpt_dir.glob("*.jsonl")
-                           if p.stem not in live)
-    add("checkpoints", True,
-        f"{orphan_ckpts} orphan journal(s)"
-        + (" (reclaimable: repro spool compact)" if orphan_ckpts else ""))
 
     # expected-state oracle --------------------------------------------------
     if expect_jobs is not None:

@@ -47,8 +47,8 @@ class ServiceConfig:
     #: Auto-compaction: once the spool log outgrows either threshold, the
     #: serve loop folds it into a ``repro-spoolsnap/1`` snapshot (under the
     #: spool flock, so claims/submits never interleave) and GCs orphaned
-    #: checkpoints/results. Thresholds sized so short-lived drills never
-    #: trigger it; a long-lived daemon compacts roughly per-threshold.
+    #: results. Thresholds sized so short-lived drills never trigger it; a
+    #: long-lived daemon compacts roughly per-threshold.
     auto_compact: bool = True
     compact_max_log_bytes: int = CompactionPolicy.max_log_bytes
     compact_max_events: int = CompactionPolicy.max_events

@@ -6,10 +6,10 @@ which model — so that two submissions of the same spec are the same job.
 :func:`job_id` turns a spec into a content fingerprint (reusing
 :func:`repro.cache.fingerprint.stable_fingerprint`, salted with the
 simulator :func:`~repro.cache.fingerprint.code_version`): the id doubles as
-the idempotency key for the spool, the result store, and the per-job
-checkpoint journal. Resubmitting a finished job returns its cached result;
-re-dispatching a crashed job resumes its journal; two tenants submitting
-identical sweeps share one execution.
+the idempotency key for the spool and the result store. Resubmitting a
+finished job returns its cached result; re-dispatching a crashed job
+recomputes it bit-identically; two tenants submitting identical sweeps
+share one execution.
 
 Job kinds:
 
@@ -85,7 +85,7 @@ def job_id(spec: JobSpec) -> str:
     """Content-fingerprint idempotency key of a job.
 
     Includes the simulator code version, so a code change makes every job
-    (and therefore every cached result and checkpoint) a new identity —
+    (and therefore every cached result) a new identity —
     stale results from older physics can never be served as current.
     """
     return stable_fingerprint((JOB_SCHEMA, code_version(), spec))[:32]

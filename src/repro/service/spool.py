@@ -13,7 +13,6 @@ Layout of a spool directory::
     spool.lock         advisory flock serializing appends and claims
     config.json        admission/lease settings (written by the daemon)
     results/           content-addressed job results (checksummed DiskStore)
-    checkpoints/       per-job checkpoint journals (resume after crashes)
     hb/                worker heartbeat files ({pid, t, job}, atomic writes)
     DRAIN              drain flag: present => stop claiming new jobs
 
@@ -52,8 +51,8 @@ a wall-clock expiry; a live worker extends it from its heartbeat path with
 ``renew`` events (:meth:`JobSpool.renew`), so a long job is never
 re-dispatched out from under a healthy holder. A worker that dies mid-job
 simply stops renewing; once the lease expires the job is claimable again
-(re-dispatch), and the per-job checkpoint journal plus the
-content-addressed result store make the re-execution idempotent.
+(re-dispatch). Jobs are deterministic and the content-addressed result
+store keeps what a holder finished, so the re-execution is idempotent.
 ``done``/``fail`` from a stale lease holder is harmless: the fold keeps
 the first terminal event.
 
@@ -646,8 +645,8 @@ class JobSpool:
 
         Best-effort under disk faults: a renew that cannot be appended is
         counted and dropped — the worst case is a lease that expires and
-        re-dispatches a job whose journal+result store make re-execution
-        idempotent, which beats failing a healthy sweep mid-flight.
+        re-dispatches a deterministic job whose re-execution is idempotent,
+        which beats failing a healthy sweep mid-flight.
         """
         now = time.time() if now is None else now
         try:
@@ -694,10 +693,6 @@ class JobSpool:
     def result(self, jid: str, default: Any = None) -> Any:
         """The stored result of a done job (``default`` when absent)."""
         return self.results.get(jid, default)
-
-    def checkpoint_path(self, jid: str) -> Path:
-        """Per-job checkpoint journal location (workers pass ``lock=True``)."""
-        return self.root / "checkpoints" / f"{jid}.jsonl"
 
     # -- drain ---------------------------------------------------------------
 

@@ -8,13 +8,11 @@ the tentpole of the service layer — *degrade instead of dying*:
   capped, seeded exponential backoff — deterministic per (seed, slot,
   restart number), so supervision drills replay exactly.
 * A worker that is **alive but wedged** — heartbeat file older than
-  ``heartbeat_timeout`` — is SIGKILLed and respawned. Its leased job's
-  checkpoint journal survives (flock is kernel-released on death), so the
-  replacement resumes the job instead of restarting it.
+  ``heartbeat_timeout`` — is SIGKILLed and respawned. Its leased job
+  re-dispatches once the lease expires and runs again from the start.
 * Chaos injectors are given to the **initial** generation only. A drill
-  that SIGKILLs worker 0 at slice task 1 converges: the restarted worker
-  runs clean, resumes the journal at task 1, and the sweep completes
-  bit-identically.
+  that SIGKILLs worker 0 at slice 1 converges: the restarted worker runs
+  clean, recomputes the job, and the sweep completes bit-identically.
 * A slot that exhausts ``max_restarts`` is **abandoned** (recorded, never
   respawned); the service keeps running on the surviving shards. Only when
   *every* slot is dead with work still queued does :meth:`run` raise
@@ -41,7 +39,6 @@ from repro.service.config import ServiceConfig
 from repro.service.spool import JobSpool, SpoolConfig
 from repro.service.worker import POLL_INTERVAL, WorkerConfig, worker_main
 from repro.util import durable
-from repro.util.rng import stream_seed
 
 __all__ = ["STATUS_SCHEMA", "WorkerSupervisor"]
 
@@ -99,7 +96,6 @@ class WorkerSupervisor:
         return WorkerConfig(
             root=str(self.spool.root),
             name=slot.name,
-            seed=stream_seed(self.config.seed, "svc-worker", slot.index),
             injector=injector,
             obs=self.config.obs,
         )

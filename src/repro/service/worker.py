@@ -5,25 +5,21 @@ check drain, claim, execute, report. Everything interesting is in how it
 fails:
 
 * **Crash mid-job** (exception, ``os._exit``, SIGKILL): the lease expires,
-  the spool re-dispatches, and the *next* worker resumes from the job's
-  checkpoint journal — :func:`execute_sweep` runs the job's range as
-  :data:`~repro.simulator.interval.SWEEP_SLICE`-config slices of the
-  Table-1 block, the library sweep's tasks, each through a
-  :class:`~repro.parallel.ResilientExecutor` with a flock-guarded
-  :class:`~repro.parallel.CheckpointJournal`, so re-execution recomputes
-  only the unjournaled slices and the final result is bit-identical to an
-  uninterrupted run.
-* **Slow job, live worker**: every slice task beats the heartbeat and
-  renews the lease well inside its TTL, so a sweep that outlives one lease
-  is not re-dispatched from under a healthy holder; if a claim does race a
-  live holder (lease lapsed mid-task), the holder's journal flock turns the
-  race into a back-off — never a job failure.
+  the spool re-dispatches, and the *next* worker runs the job again from
+  its first slice. The batch kernel is deterministic, so the result is
+  bit-identical to an uninterrupted run; a whole Table-1 sweep costs about
+  a millisecond of kernel time, less than journaling its progress would.
+* **Slow job, live worker**: every slice beats the heartbeat and renews
+  the lease well inside its TTL, so a sweep that outlives one lease is not
+  re-dispatched from under a healthy holder. If a claim does race a live
+  holder (lease lapsed mid-job), both compute the same result; the fold
+  keeps the first ``done`` and ignores the other.
 * **Result computed but completion lost** (killed between the result write
   and the ``done`` event): the result store is keyed by the job's content
   fingerprint, so the re-dispatched execution finds it and completes
   without recomputing.
-* **Deadline exceeded**: jobs submitted with a deadline carry it into every
-  slice task; once the wall clock passes ``submitted_t + deadline_s``
+* **Deadline exceeded**: jobs submitted with a deadline check it before
+  every slice; once the wall clock passes ``submitted_t + deadline_s``
   the job fails with the typed
   :class:`~repro.errors.JobDeadlineExceeded` instead of running forever.
 * **Sick dependencies**: two circuit breakers, held across jobs, guard the
@@ -36,18 +32,11 @@ fails:
   (ENOSPC, EIO, or the spool's own write breaker open in read-only mode)
   is a typed :class:`~repro.errors.ServiceError` the loop turns into a
   ``spool-shed`` back-off — the job stays leased and re-dispatches after
-  the disk recovers — never a shard crash-loop. A checkpoint-journal
-  append the disk refuses sheds the same way: the journaled progress
-  survives and the resumed attempt continues from it, instead of a
-  transient fault poisoning the job with a permanent failure.
+  the disk recovers — never a shard crash-loop.
 
-The worker's inner executor is serial: the *supervisor* provides process
-parallelism (N worker shards), so nesting a pool inside each shard would
-only multiply processes without adding throughput. For the same reason a
-slice task holds the process's shared Table-1 block by reference and its
-item is only the slice's ``(start, stop)``: a library slice task carries its
-rows so that it can reach pool workers, while a job's tasks never leave the
-shard and each job has its own journal, so the bounds identify a slice.
+A sweep job runs its slices in the shard process itself: the *supervisor*
+provides process parallelism (N worker shards), so nesting a pool inside
+each shard would only multiply processes without adding throughput.
 """
 
 from __future__ import annotations
@@ -59,28 +48,19 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import (
-    CheckpointError,
-    JobDeadlineExceeded,
-    ServiceError,
-    SweepAborted,
-)
+from repro.errors import JobDeadlineExceeded, ServiceError
 from repro.obs import trace as _trace
 from repro.obs.metrics import default_registry as _metrics
-from repro.parallel.executor import SerialExecutor
-from repro.parallel.resilient import CheckpointJournal, FaultInjector, ResilientExecutor
+from repro.parallel.resilient import FaultInjector
 from repro.robust.breaker import CircuitBreaker
 from repro.service.jobs import JobView
 from repro.service.spool import JobSpool
 from repro.util import durable
-from repro.util.rng import stream_seed
 
 __all__ = ["WorkerConfig", "Worker", "worker_main", "drain_queue"]
 
 _ABSENT = object()
 
-#: Transient-exception retries per sweep slice task.
-TASK_RETRIES = 1
 #: The ``model-fit`` breaker trips the NN ladder rungs after this many
 #: consecutive fit failures, and half-opens after the reset seconds.
 FIT_BREAKER_THRESHOLD = 3
@@ -100,23 +80,13 @@ METRICS_FLUSH_S = 2.0
 MAX_JOBS: int | None = None
 
 
-class _JournalLockHeld(Exception):
-    """Internal: another live worker holds this job's journal flock.
-
-    Raised (and handled) only inside :class:`Worker` — it means our claim
-    raced a still-running previous holder whose lease lapsed. That is a
-    back-off condition, never a job failure.
-    """
-
-
 @dataclass(frozen=True)
 class WorkerConfig:
     """Everything a worker shard needs; picklable (crosses the fork/spawn)."""
 
     root: str                    # spool directory
     name: str                    # shard name; also the heartbeat file stem
-    seed: int = 0
-    #: Chaos harness applied to sweep task execution (supervision drills).
+    #: Chaos harness fired before each sweep slice (supervision drills).
     injector: FaultInjector | None = None
     #: Observability plane: when True the shard writes a ``repro-trace/1``
     #: file (``<root>/obs/trace.<name>.jsonl``) with one trace id per job.
@@ -135,48 +105,6 @@ class _GuardedLadder:
         return self._ladder.fit_model(*args, breaker=self.breaker, **kwargs)
 
 
-class _SliceTask:
-    """One slice of a sweep job: deadline gate, heartbeat, lease renewal,
-    then the batch kernel over those rows of the job's Table-1 block.
-
-    Runs in the worker process itself (serial inner executor), so it holds
-    the worker and the packed block by reference. Checkpoint fingerprints
-    hash the task *item*, the slice's ``(start, stop)`` within the job,
-    plus this class's qualname; each job has its own journal, so resumed
-    journals match across worker generations.
-    """
-
-    def __init__(self, worker: "Worker", job_id: str, deadline_t: float | None,
-                 block: Any, profile: Any, n_instructions: int) -> None:
-        self.worker = worker
-        self.job_id = job_id
-        self.deadline_t = deadline_t
-        self.block = block
-        self.profile = profile
-        self.n_instructions = n_instructions
-        # Renew well inside the TTL so a sweep that outlives one lease is
-        # never re-dispatched from under us; wall-clock gated, so a job of
-        # fast slices does not append a renew event per slice.
-        self._renew_every = worker.spool.config.lease_ttl / 3.0
-        self._last_renew = time.time()
-
-    def __call__(self, bounds: tuple[int, int]) -> list[float]:
-        if self.deadline_t is not None and time.time() > self.deadline_t:
-            raise JobDeadlineExceeded(
-                f"job {self.job_id[:12]} passed its deadline mid-sweep",
-                job_id=self.job_id)
-        self.worker.heartbeat(job=self.job_id)
-        now = time.time()
-        if now - self._last_renew >= self._renew_every:
-            self.worker.spool.renew(self.job_id, self.worker.config.name, now=now)
-            self._last_renew = now
-        from repro.simulator.batch import evaluate_design_space_batch
-
-        start, stop = bounds
-        return evaluate_design_space_batch(
-            self.block.slice(start, stop), self.profile, self.n_instructions).tolist()
-
-
 class Worker:
     """One shard's claim/execute loop plus its per-shard breakers."""
 
@@ -192,7 +120,7 @@ class Worker:
             failure_threshold=DISK_BREAKER_THRESHOLD,
             reset_timeout=DISK_BREAKER_RESET_S)
         #: Operational log: "claim:<id>", "done:<id>", "fail:<id>:<type>",
-        #: "cached-result:<id>", "conflict:<id>" — assertable without
+        #: "cached-result:<id>", "spool-shed:<what>" — assertable without
         #: reaching into the spool.
         self.events: list[str] = []
         self._last_flush = time.monotonic()
@@ -248,47 +176,41 @@ class Worker:
         return self.execute_fit(job, deadline_t)
 
     def execute_sweep(self, job: JobView, deadline_t: float | None) -> Any:
-        """Simulate the job's design-space range, checkpointed per slice."""
+        """Simulate the job's design-space range, one slice at a time.
+
+        Before each slice: the deadline gate, a heartbeat naming the job,
+        the lease renewal, and the chaos injector. Renewals come well
+        inside the TTL, so a sweep that outlives one lease is never
+        re-dispatched from under us; they are wall-clock gated, so a job of
+        fast slices does not append a renew event per slice.
+        """
         from repro.simulator import get_profile
-        from repro.simulator.batch import _table1_block
+        from repro.simulator.batch import _table1_block, evaluate_design_space_batch
         from repro.simulator.interval import _sweep_slices
 
         spec = job.spec
         block = _table1_block().slice(spec.start, spec.stop)
-        task = _SliceTask(self, job.id, deadline_t, block,
-                          get_profile(spec.app), spec.n_instructions)
-        try:
-            journal = CheckpointJournal(self.spool.checkpoint_path(job.id),
-                                        resume=True, lock=True)
-        except CheckpointError as exc:
-            # The flock is kernel-held, so the previous holder is *alive*
-            # and still sweeping — its lease lapsed, not the job. Backing
-            # off (instead of failing the job) lets its done event land.
-            raise _JournalLockHeld(str(exc)) from exc
-        ex = ResilientExecutor(
-            SerialExecutor(),
-            max_attempts=TASK_RETRIES + 1,
-            journal=journal,
-            injector=self.config.injector,
-            seed=stream_seed(self.config.seed, "svc-job", job.id),
-        )
-        try:
-            parts = ex.map(task, _sweep_slices(len(block)))
-        except SweepAborted as exc:
-            # Progress is journaled; surface the most meaningful cause.
-            for failure in exc.failures:
-                if failure.error_type == "JobDeadlineExceeded":
-                    raise JobDeadlineExceeded(
-                        f"job {job.id[:12]} passed its deadline with "
-                        f"{len(exc.failures)} task(s) unfinished",
-                        job_id=job.id, deadline_s=job.deadline_s or 0.0) from exc
-            raise
-        finally:
-            ex.close()
+        profile = get_profile(spec.app)
+        injector = self.config.injector
+        renew_every = self.spool.config.lease_ttl / 3.0
+        last_renew = time.time()
+        cycles = np.empty(len(block), dtype=np.float64)
+        for i, (start, stop) in enumerate(_sweep_slices(len(block))):
+            if deadline_t is not None and time.time() > deadline_t:
+                raise JobDeadlineExceeded(
+                    f"job {job.id[:12]} passed its deadline mid-sweep",
+                    job_id=job.id, deadline_s=job.deadline_s or 0.0)
+            self.heartbeat(job=job.id)
+            now = time.time()
+            if now - last_renew >= renew_every:
+                self.spool.renew(job.id, self.config.name, now=now)
+                last_renew = now
+            if injector is not None:
+                injector.fire(i, 1)
+            cycles[start:stop] = evaluate_design_space_batch(
+                block.slice(start, stop), profile, spec.n_instructions)
         return {"kind": "sweep", "app": spec.app,
-                "start": spec.start, "stop": spec.stop,
-                "cycles": np.array([c for part in parts for c in part],
-                                   dtype=np.float64)}
+                "start": spec.start, "stop": spec.stop, "cycles": cycles}
 
     def execute_fit(self, job: JobView, deadline_t: float | None) -> Any:
         """Run one sampled-DSE fit, breaker-guarding the NN ladder rungs."""
@@ -336,9 +258,9 @@ class Worker:
     def run_once(self) -> bool:
         """Claim and finish at most one job.
 
-        False when the queue was idle *or* the claimed job turned out to be
-        owned by a live worker (journal flock held): both mean "nothing to
-        do right now, sleep a poll interval before trying again".
+        False when the queue was idle *or* a spool write was shed: both
+        mean "nothing to do right now, sleep a poll interval before trying
+        again".
         """
         self.heartbeat()
         try:
@@ -362,9 +284,9 @@ class Worker:
         """Count a spool write the disk refused; report idle (back off).
 
         The job (if any) stays leased: once its lease expires it
-        re-dispatches, and the checkpoint journal plus result store make
-        the re-execution idempotent — after the disk recovers, no work is
-        lost and none is duplicated.
+        re-dispatches, and the deterministic kernel plus the result store
+        make the re-execution idempotent — after the disk recovers, no job
+        is lost.
         """
         self.events.append(f"spool-shed:{what}")
         _metrics().counter("service.worker.spool_sheds").inc()
@@ -394,21 +316,6 @@ class Worker:
                              job_kind=job.spec.kind, worker=self.config.name,
                              attempt=job.n_leases):
                 result = self.execute(job)
-        except _JournalLockHeld:
-            # The job is still owned by a live worker whose lease lapsed
-            # (our claim re-leased it). Not a failure: append no terminal
-            # event — the real holder's renew/done will land — and report
-            # idle so the loop backs off for a poll interval.
-            self.events.append(f"conflict:{job.id[:12]}")
-            _metrics().counter("service.jobs.lock_conflicts").inc()
-            return False
-        except CheckpointError:
-            # A journal append the disk refused: the disk is sick, not the
-            # job. No terminal event — progress up to the failed append is
-            # journaled, the lease expires, and a later attempt resumes
-            # from the journal once the disk heals. Failing the job here
-            # would let a transient fault poison deterministic work.
-            return self._shed(job.id[:12])
         except Exception as exc:
             # Deliberately broad: one bad job must not take the shard (and,
             # via restart-budget exhaustion, the whole service) down with

@@ -21,7 +21,7 @@ from repro.simulator.branch import (
     make_predictor,
     simulate_predictor,
 )
-from repro.simulator.cache import Cache, CacheStats, MultiLevelCache
+from repro.simulator.cache import Cache, CacheStats
 from repro.simulator.config import (
     DESIGN_SPACE_SIZE,
     MicroarchConfig,
@@ -70,7 +70,7 @@ __all__ = [
     "PREDICTORS", "mispredict_rate", "miss_rate", "tlb_miss_rate",
     "BimodalPredictor", "BranchPredictor", "CombiningPredictor",
     "PerfectPredictor", "TwoLevelPredictor", "make_predictor", "simulate_predictor",
-    "Cache", "CacheStats", "MultiLevelCache",
+    "Cache", "CacheStats",
     "DESIGN_SPACE_SIZE", "MicroarchConfig", "PREDICTOR_RANK",
     "design_space_dataset", "enumerate_design_space",
     "DEFAULT_LATENCIES", "IntervalResult", "Latencies",

@@ -15,10 +15,10 @@ calling :meth:`Cache.access` on every address. Instruction fetch, where
 consecutive PCs share a line, is where this pays: a 32-byte-line PC stream
 has about one block change in four instructions.
 
-The multi-level helper threads one stream through L1 → L2 → L3, presenting
-each level only the misses of the previous one (write-allocate, inclusive
-behaviour is not modeled — neither does SimpleScalar's default config for
-timing purposes).
+:func:`miss_latency` threads a stream's L1 misses through L2 → L3,
+presenting each level only the misses of the previous one (write-allocate,
+inclusive behaviour is not modeled — neither does SimpleScalar's default
+config for timing purposes).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Cache", "CacheStats", "MultiLevelCache", "miss_latency"]
+__all__ = ["Cache", "CacheStats", "miss_latency"]
 
 
 @dataclass
@@ -128,37 +128,6 @@ class Cache:
         )
 
 
-class MultiLevelCache:
-    """An L1 → L2 → (optional L3) hierarchy for one reference stream.
-
-    ``access_stream`` returns the per-access *latency* contributed by the
-    hierarchy (0 for an L1 hit), using the caller's latency schedule.
-    """
-
-    def __init__(
-        self,
-        l1: Cache,
-        l2: Cache,
-        l3: Cache | None,
-        l2_latency: float,
-        l3_latency: float,
-        memory_latency: float,
-    ) -> None:
-        self.l1 = l1
-        self.l2 = l2
-        self.l3 = l3
-        self.l2_latency = l2_latency
-        self.l3_latency = l3_latency
-        self.memory_latency = memory_latency
-
-    def access_stream(self, addrs: np.ndarray) -> np.ndarray:
-        """Per-access latency beyond the L1 hit time."""
-        addrs = np.asarray(addrs, dtype=np.uint64)
-        l1_miss = np.flatnonzero(~self.l1.access_stream(addrs))
-        return miss_latency(addrs, l1_miss, self.l2, self.l3, self.l2_latency,
-                            self.l3_latency, self.memory_latency)
-
-
 def miss_latency(
     addrs: np.ndarray,
     l1_miss: np.ndarray,
@@ -171,8 +140,8 @@ def miss_latency(
     """Per-access latency of a stream whose L1 misses are at ``l1_miss``.
 
     The misses walk ``l2`` and then ``l3`` (or memory), in stream order; L1
-    hits cost 0. Split out of :meth:`MultiLevelCache.access_stream` so a
-    caller holding the L1 outcome can run the lower levels alone.
+    hits cost 0. The caller runs the L1 itself, so it can reuse one L1
+    outcome across configs that share it.
     """
     addrs = np.asarray(addrs, dtype=np.uint64)
     lat = np.zeros(addrs.shape[0], dtype=np.float64)

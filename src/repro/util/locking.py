@@ -1,8 +1,7 @@
 """Advisory file locking for multi-process coordination.
 
-The service layer has several files that multiple processes may touch at
-once — the job-spool event log, per-job checkpoint journals shared by
-workers that pick up each other's leases — and a torn JSONL line (two
+The job spool's event log is appended to by every service process —
+submitters, workers and the supervisor — and a torn JSONL line (two
 writers interleaving one append) is permanent corruption. :class:`FileLock`
 wraps POSIX ``flock`` on a sidecar file: the lock is *advisory* (every
 writer must take it), exclusive, and — crucially for crash recovery —
@@ -43,8 +42,7 @@ class FileLock:
             raise SomebodyElseOwnsThis(...)
 
     Locks are per open-file-description: a second ``FileLock`` on the same
-    path conflicts even inside one process, which is exactly what the
-    single-writer checkpoint-journal guarantee needs.
+    path conflicts even inside one process.
     """
 
     #: Whether flock is actually enforced on this platform.

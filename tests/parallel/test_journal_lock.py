@@ -1,13 +1,6 @@
-"""Tests for single-writer checkpoint journals (advisory flock sidecar)."""
+"""Checkpoint journals take no lock: one writer per journal, no sidecar."""
 
-import pytest
-
-from repro.errors import CheckpointError
 from repro.parallel import CheckpointJournal
-from repro.util.locking import FileLock
-
-needs_flock = pytest.mark.skipif(not FileLock.enforced,
-                                 reason="flock not enforced on this platform")
 
 
 class TestJournalLock:
@@ -16,48 +9,3 @@ class TestJournalLock:
         j.record("fp1", 1.5)
         j.close()
         assert not (tmp_path / "j.jsonl.lock").exists()
-
-    @needs_flock
-    def test_second_writer_refused_while_locked(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        first = CheckpointJournal(path, lock=True)
-        first.record("fp1", 1.5)
-        with pytest.raises(CheckpointError, match="locked by another writer"):
-            CheckpointJournal(path, resume=True, lock=True)
-        first.close()
-
-    @needs_flock
-    def test_close_releases_for_next_writer(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        first = CheckpointJournal(path, lock=True)
-        first.record("fp1", 2.5)
-        first.close()
-        second = CheckpointJournal(path, resume=True, lock=True)
-        assert second.completed() == {"fp1": 2.5}
-        second.record("fp2", 3.5)
-        second.close()
-
-    @needs_flock
-    def test_failed_acquire_does_not_hold_anything(self, tmp_path):
-        """A refused journal must not break the holder's lock on exit."""
-        path = tmp_path / "j.jsonl"
-        first = CheckpointJournal(path, lock=True)
-        with pytest.raises(CheckpointError):
-            CheckpointJournal(path, lock=True)
-        # The holder still owns the flock: a third attempt is still refused.
-        with pytest.raises(CheckpointError):
-            CheckpointJournal(path, lock=True)
-        first.close()
-        CheckpointJournal(path, resume=True, lock=True).close()
-
-    @needs_flock
-    def test_locked_journal_resume_is_bit_identical(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        values = {"a": 0.1 + 0.2, "b": float("1e-300"), "c": [1, 2.5]}
-        j = CheckpointJournal(path, lock=True)
-        for fp, v in values.items():
-            j.record(fp, v)
-        j.close()
-        resumed = CheckpointJournal(path, resume=True, lock=True)
-        assert resumed.completed() == values
-        resumed.close()

@@ -163,28 +163,24 @@ class TestCrashMatrix:
 
 
 class TestGC:
-    def test_terminal_checkpoints_and_orphan_results_reclaimed(self, spool):
+    def test_failed_and_orphan_results_reclaimed(self, spool):
         ids = populate(spool)
-        for role in ("done", "failed", "running"):
-            path = spool.checkpoint_path(ids[role])
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text('{"fp": "x"}\n')
+        for role in ("failed", "running"):
+            spool.results.put(ids[role], {"role": role})
         spool.results.put("0" * 32, {"orphan": True})  # no such job
         stats = compact(spool)
-        assert stats.gc_checkpoints == 2  # done + failed; running kept
-        assert spool.checkpoint_path(ids["running"]).exists()
-        assert not spool.checkpoint_path(ids["done"]).exists()
+        assert stats.gc_results == 2  # failed + orphan; running kept
+        assert spool.result(ids["running"]) == {"role": "running"}
+        assert spool.result(ids["failed"], default="gone") == "gone"
         assert spool.result(ids["done"]) == {"cycles": [1, 2]}  # kept
         assert spool.result("0" * 32, default="gone") == "gone"
 
     def test_gc_can_be_disabled(self, spool):
         ids = populate(spool)
-        path = spool.checkpoint_path(ids["done"])
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text('{"fp": "x"}\n')
+        spool.results.put(ids["failed"], {"role": "failed"})
         stats = compact(spool, CompactionPolicy(gc=False))
-        assert stats.gc_checkpoints == 0 and stats.gc_results == 0
-        assert path.exists()
+        assert stats.gc_results == 0
+        assert spool.result(ids["failed"]) == {"role": "failed"}
 
     def test_retain_terminal_prunes_oldest_and_their_results(self, spool):
         ids = populate(spool)

@@ -42,8 +42,8 @@ def oracle(app="gcc", stop=STOP):
 
 @pytest.mark.slow
 class TestSigkillRecovery:
-    def test_journal_resume_after_sigkill_is_bit_identical(self, tmp_path):
-        """Kill a worker mid-sweep; the successor resumes, not recomputes."""
+    def test_redispatch_after_sigkill_is_bit_identical(self, tmp_path):
+        """Kill a worker mid-sweep; the successor recomputes the job."""
         stop = N_SLICES * SWEEP_SLICE
         root = tmp_path / "s"
         spool = JobSpool.ensure(root, SpoolConfig(lease_ttl=0.5))
@@ -53,13 +53,7 @@ class TestSigkillRecovery:
         p = multiprocessing.Process(target=worker_main, args=(cfg,))
         p.start()
         p.join(timeout=60)
-        assert p.exitcode == -9  # the kernel tore it down mid-task
-
-        journal_path = spool.checkpoint_path(jid)
-        assert journal_path.exists()
-        survivors = [json.loads(line) for line in
-                     journal_path.read_text().splitlines()]
-        assert 1 <= len(survivors) < N_SLICES  # partial progress persisted
+        assert p.exitcode == -9  # the kernel tore it down mid-slice
 
         while spool.jobs()[jid].state == "running":
             time.sleep(0.05)  # lease of the dead holder expires
@@ -71,14 +65,6 @@ class TestSigkillRecovery:
         assert view.n_expired == 1
         assert np.array_equal(np.asarray(spool.result(jid)["cycles"]),
                               oracle(stop=stop))
-        # Resume skipped completed fingerprints: one record per slice, none
-        # re-executed into a duplicate journal line.
-        records = [json.loads(line) for line in
-                   journal_path.read_text().splitlines()]
-        fingerprints = [r["fp"] for r in records]
-        assert len(fingerprints) == N_SLICES
-        assert len(set(fingerprints)) == N_SLICES
-        assert fingerprints[:len(survivors)] == [r["fp"] for r in survivors]
 
 
 class TestSlicedSweep:
@@ -94,37 +80,6 @@ class TestSlicedSweep:
         cycles = np.asarray(spool.result(jid)["cycles"])
         assert cycles.dtype == np.float64
         assert np.array_equal(cycles, full[500:1100])
-        lines = spool.checkpoint_path(jid).read_text().splitlines()
-        assert len(lines) == 2  # 600 configs: two slices
-
-    def test_resumed_job_journals_each_slice_once(self, tmp_path, monkeypatch):
-        import repro.simulator.batch as batch
-        from repro.errors import SweepAborted
-
-        stop = N_SLICES * SWEEP_SLICE
-        spool = JobSpool.ensure(tmp_path / "s")
-        jid = spool.submit(sweep_spec(stop=stop))
-        job = spool.claim("w0")
-        doomed = Worker(WorkerConfig(root=str(spool.root), name="w0",
-                                     injector=FaultInjector(fail_indices=(2,))),
-                        spool=spool)
-        with pytest.raises(SweepAborted):
-            doomed.execute(job)
-        journal = spool.checkpoint_path(jid)
-        survivors = journal.read_text().splitlines()
-        assert len(survivors) == N_SLICES - 1
-
-        calls = []
-        kernel = batch.evaluate_design_space_batch
-        monkeypatch.setattr(batch, "evaluate_design_space_batch",
-                            lambda *a, **k: calls.append(1) or kernel(*a, **k))
-        result = Worker(WorkerConfig(root=str(spool.root), name="w1"),
-                        spool=spool).execute(job)
-        assert len(calls) == 1  # only the unjournaled slice ran
-        assert np.array_equal(result["cycles"], oracle(stop=stop))
-        lines = journal.read_text().splitlines()
-        assert lines[:len(survivors)] == survivors
-        assert len({json.loads(line)["fp"] for line in lines}) == N_SLICES
 
 
 class TestResultReuse:
@@ -160,33 +115,46 @@ class TestPoisonJob:
         assert views[good].state == "done"
 
 
-class TestLockConflict:
-    def test_journal_lock_conflict_backs_off_without_failing(self, tmp_path):
-        """A claim that races a still-live holder (lease lapsed, journal
-        flock held) must back off, not record a permanent failure that
-        masks the holder's eventual success."""
-        from repro.util.locking import FileLock
-
+class TestLeaseLapseRace:
+    def test_lapsed_holder_and_successor_both_finish_harmlessly(
+            self, tmp_path, monkeypatch):
+        """Holder A stalls past its lease mid-job; B re-claims and completes;
+        then A finishes too. The fold keeps B's done, nothing fails, and
+        no per-job state is left behind."""
+        stop = N_SLICES * SWEEP_SLICE
         spool = JobSpool.ensure(tmp_path / "s", SpoolConfig(lease_ttl=0.2))
-        jid = spool.submit(sweep_spec(stop=2))
-        journal = spool.checkpoint_path(jid)
-        journal.parent.mkdir(parents=True, exist_ok=True)
-        holder = FileLock(journal.with_name(journal.name + ".lock"))
-        assert holder.acquire(blocking=False)  # the "live" original holder
-        try:
-            w = Worker(WorkerConfig(root=str(tmp_path / "s"), name="w1"),
-                       spool=spool)
-            assert w.run_once() is False  # claimed, conflicted, backed off
-            assert any(e.startswith("conflict:") for e in w.events)
-            assert not any(e.startswith("fail:") for e in w.events)
-            assert spool.jobs(now=1e12)[jid].state == "pending"  # no terminal
-        finally:
-            holder.release()
-        # Once the holder is gone (finished or died), the job completes.
-        while spool.jobs()[jid].state == "running":
-            time.sleep(0.05)  # conflicting claim's lease expires
-        assert drain_queue(spool, worker="w2") == 1
-        assert spool.jobs()[jid].state == "done"
+        jid = spool.submit(sweep_spec(stop=stop))
+        a = Worker(WorkerConfig(root=str(spool.root), name="a"), spool=spool)
+        b = Worker(WorkerConfig(root=str(spool.root), name="b"), spool=spool)
+        beat = a.heartbeat
+        job_beats, b_ran = [], []
+
+        def stall_at_first_slice(job=None):
+            beat(job=job)
+            if job is not None:
+                job_beats.append(job)
+                if len(job_beats) == 2:  # claim beat, then slice 0's beat
+                    time.sleep(0.25)     # A's lease lapses mid-job
+                    b_ran.append(b.run_once())
+
+        monkeypatch.setattr(a, "heartbeat", stall_at_first_slice)
+        assert a.run_once() is True
+        assert b_ran == [True]
+        assert f"done:{jid[:12]}" in b.events
+        assert f"done:{jid[:12]}" in a.events
+
+        view = spool.jobs()[jid]
+        assert view.state == "done"
+        assert view.worker == "b"  # the first terminal event wins
+        assert view.n_leases == 2 and view.n_expired == 1
+        events = [json.loads(line) for line in
+                  spool.log_path.read_text().splitlines()]
+        assert [e["worker"] for e in events
+                if e["ev"] == "done" and e["id"] == jid] == ["b", "a"]
+        assert not [e for e in events if e["ev"] == "fail"]
+        assert np.array_equal(np.asarray(spool.result(jid)["cycles"]),
+                              oracle(stop=stop))
+        assert not (spool.root / "checkpoints").exists()
 
 
 class TestSpoolShed:
@@ -205,30 +173,6 @@ class TestSpoolShed:
         assert spool.jobs()[jid].state == "pending"  # still claimable
         assert w.run_once() is True  # healthy disk again: job runs
         assert spool.jobs()[jid].state == "done"
-
-    def test_checkpoint_append_failure_sheds_not_fails(self, tmp_path):
-        """A journal append the disk refuses must not poison the job with a
-        permanent CheckpointError failure: shed, expire, resume."""
-        from repro.robust import DiskFaultInjector, diskchaos
-
-        spool = JobSpool.ensure(tmp_path / "s", SpoolConfig(lease_ttl=0.1))
-        jid = spool.submit(sweep_spec(stop=2))
-        w = Worker(WorkerConfig(root=str(tmp_path / "s"), name="w1"),
-                   spool=spool)
-        # Let the claim land, then refuse every later append (renews are
-        # best-effort; the first journal record raises CheckpointError).
-        with diskchaos.injected(
-                DiskFaultInjector(enospc_at=tuple(range(1, 64)))):
-            assert w.run_once() is False
-        assert f"spool-shed:{jid[:12]}" in w.events
-        assert not any(e.startswith("fail:") for e in w.events)
-        assert spool.jobs(now=1e12)[jid].state == "pending"  # no terminal
-        time.sleep(0.11)  # the shed attempt's lease expires
-        assert w.run_once() is True
-        view = spool.jobs()[jid]
-        assert view.state == "done"
-        assert np.array_equal(np.asarray(spool.result(jid)["cycles"]),
-                              oracle(stop=2))
 
 
 class TestHeartbeats:

@@ -425,12 +425,6 @@ class TestCoordination:
         assert beats["w0"]["job"] == "abc"
         assert "pid" in beats["w0"] and "t" in beats["w0"]
 
-    def test_checkpoint_paths_are_per_job(self, spool):
-        a = spool.checkpoint_path("aaaa")
-        b = spool.checkpoint_path("bbbb")
-        assert a != b
-        assert a.parent == b.parent
-
     def test_malformed_heartbeat_is_skipped_and_counted(self, spool):
         """Torn/garbage heartbeat files feed the shared malformed-lines
         ledger instead of being silently swallowed."""

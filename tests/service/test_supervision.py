@@ -137,12 +137,6 @@ class TestSlotPolicy:
         slot.generation = 2
         assert sup._worker_config(slot).injector is None
 
-    def test_worker_seeds_differ_per_slot(self, tmp_path):
-        sup = self._sup(tmp_path, workers=2)
-        cfgs = [sup._worker_config(s) for s in sup.slots]
-        assert cfgs[0].seed != cfgs[1].seed
-        assert cfgs[0].name == "w0" and cfgs[1].name == "w1"
-
 
 @pytest.mark.slow
 class TestAutoCompaction:

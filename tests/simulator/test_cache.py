@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simulator.cache import Cache, MultiLevelCache
+from repro.simulator.cache import Cache, miss_latency
 
 
 class TestGeometry:
@@ -171,36 +171,40 @@ class TestStreamWithRepeats:
 
 
 class TestMultiLevel:
+    """The L1 runs first; ``miss_latency`` walks its misses through L2/L3."""
+
+    @staticmethod
+    def _latency(l1, l2, l3, addrs):
+        return miss_latency(addrs, np.flatnonzero(~l1.access_stream(addrs)),
+                            l2, l3, 10.0, 36.0, 250.0)
+
     def test_l1_hit_zero_latency(self):
-        h = MultiLevelCache(Cache(1024, 32, 4), Cache(4096, 64, 4), None,
-                            10.0, 36.0, 250.0)
+        l1, l2 = Cache(1024, 32, 4), Cache(4096, 64, 4)
         addrs = np.array([0, 0], dtype=np.uint64)
-        lat = h.access_stream(addrs)
+        lat = self._latency(l1, l2, None, addrs)
         assert lat[1] == 0.0
 
     def test_miss_chain_latencies(self):
-        h = MultiLevelCache(Cache(1024, 32, 4), Cache(4096, 64, 4), None,
-                            10.0, 36.0, 250.0)
-        lat = h.access_stream(np.array([0], dtype=np.uint64))
+        l1, l2 = Cache(1024, 32, 4), Cache(4096, 64, 4)
+        lat = self._latency(l1, l2, None, np.array([0], dtype=np.uint64))
         assert lat[0] == 250.0  # cold: misses L1 and L2, no L3
-        lat2 = h.access_stream(np.array([0], dtype=np.uint64))
+        lat2 = self._latency(l1, l2, None, np.array([0], dtype=np.uint64))
         assert lat2[0] == 0.0   # now resident in L1
 
     def test_l2_hit_after_l1_eviction(self):
         l1 = Cache(4 * 32, 32, 4)  # tiny: 4 lines
-        h = MultiLevelCache(l1, Cache(64 * 64, 64, 4), None, 10.0, 36.0, 250.0)
+        l2 = Cache(64 * 64, 64, 4)
         addrs = np.arange(0, 8 * 32, 32, dtype=np.uint64)
-        h.access_stream(addrs)          # fills L2, overflows L1
-        lat = h.access_stream(addrs[:1])
-        assert lat[0] == 10.0           # L1 miss, L2 hit
+        self._latency(l1, l2, None, addrs)  # fills L2, overflows L1
+        lat = self._latency(l1, l2, None, addrs[:1])
+        assert lat[0] == 10.0               # L1 miss, L2 hit
 
     def test_l3_tier(self):
-        h = MultiLevelCache(Cache(1024, 32, 4), Cache(2048, 64, 4),
-                            Cache(1 << 16, 256, 8), 10.0, 36.0, 250.0)
-        lat = h.access_stream(np.array([0], dtype=np.uint64))
+        l1, l2, l3 = Cache(1024, 32, 4), Cache(2048, 64, 4), Cache(1 << 16, 256, 8)
+        lat = self._latency(l1, l2, l3, np.array([0], dtype=np.uint64))
         assert lat[0] == 250.0
         # Evict from L1+L2 but not L3, then re-access.
         filler = np.arange(64, 64 + 4096 * 64, 64, dtype=np.uint64)
-        h.access_stream(filler)
-        lat2 = h.access_stream(np.array([0], dtype=np.uint64))
+        self._latency(l1, l2, l3, filler)
+        lat2 = self._latency(l1, l2, l3, np.array([0], dtype=np.uint64))
         assert lat2[0] in (36.0, 250.0)  # L3 hit unless L3 also evicted
