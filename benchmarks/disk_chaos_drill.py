@@ -221,6 +221,10 @@ def main() -> int:
     injector = DiskFaultInjector(seed=SEED, p_enospc=0.02, p_eio_write=0.02,
                                  p_short_write=0.08, p_eio_fsync=0.03,
                                  p_rename=0.03)
+    from repro.obs.metrics import default_registry
+
+    sheds = default_registry().counter("service.worker.spool_sheds")
+    sheds_before = sheds.value
     t0 = time.monotonic()
     with diskchaos.injected(injector):
         window_end = time.monotonic() + 6.0
@@ -247,6 +251,7 @@ def main() -> int:
             if not any(v.state in ("pending", "running")
                        for v in chaos_spool.jobs().values()):
                 break
+    window_sheds = int(sheds.value - sheds_before)
     report["fault_window_calls"] = dict(injector.calls)
     report["fault_window_fired"] = dict(injector.fired)
     if not injector.fired:
@@ -257,8 +262,7 @@ def main() -> int:
     _check_against_oracle(chaos_spool, oracle_results, "fault window")
     report["fault_window_seconds"] = round(time.monotonic() - t0, 2)
     report["final_generation"] = final_stats.generation
-    report["worker_sheds"] = sum(
-        1 for e in (w.events or ()) if e.startswith("spool-shed:"))
+    report["worker_sheds"] = window_sheds
     print(f"disk_chaos_drill: fault window fired {injector.fired}; healed "
           "spool drained to bit-identical results "
           f"({report['worker_sheds']} typed shed(s))")

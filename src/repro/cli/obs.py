@@ -74,8 +74,20 @@ def cmd_obs(args: argparse.Namespace) -> int:
             print(f"metrics: wrote aggregate -> {args.metrics_out}")
         return 0
 
-    from repro.obs import compute_slo_for_spool, render_slo_report
+    from repro.obs.aggregate import read_shard_traces, read_spool_events
+    from repro.obs.slo import compute_slo, fold_job_timings, render_slo_report
+    from repro.service.spool import read_snapshot
 
-    slos = compute_slo_for_spool(root)
+    events, _ = read_spool_events(root)
+    slos = compute_slo(events, read_shard_traces(root)[0])
     print(render_slo_report(slos, title=f"SLO report for spool {root}"))
+    # The percentiles read only the log; a job whose submit event
+    # compaction folded into the snapshot has no timings left to read.
+    snap = read_snapshot(root)
+    folded = {job.get("id") for job in snap["jobs"]} if snap else set()
+    timed = fold_job_timings(events).keys()
+    left_out = len(folded - timed)
+    if left_out:
+        print(f"{left_out} of {len(folded | timed)} spool job(s) left out: "
+              "their events were folded by compaction")
     return 0

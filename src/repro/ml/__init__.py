@@ -1,12 +1,12 @@
-"""Predictive-modeling layer: datasets, preparation, LR & NN models, selection."""
+"""Predictive-modeling layer: datasets, preparation, LR & NN models, error estimates."""
 
 from repro.ml.base import PredictiveModel
 from repro.ml.dataset import Column, ColumnRole, Dataset
 from repro.ml.linear import LinearRegressionModel
-from repro.ml.metrics import ErrorSummary, accuracy, summarize_errors
+from repro.ml.metrics import ErrorSummary, summarize_errors
 from repro.ml.nn import NeuralNetworkModel
 from repro.ml.preprocess import Encoder, EncoderReport, MinMaxScaler
-from repro.ml.selection import ErrorEstimate, ModelBuilder, estimate_error, select_model
+from repro.ml.selection import ErrorEstimate, ModelBuilder, estimate_error
 
 __all__ = [
     "PredictiveModel",
@@ -15,7 +15,6 @@ __all__ = [
     "Dataset",
     "LinearRegressionModel",
     "ErrorSummary",
-    "accuracy",
     "summarize_errors",
     "NeuralNetworkModel",
     "Encoder",
@@ -24,5 +23,4 @@ __all__ = [
     "ErrorEstimate",
     "ModelBuilder",
     "estimate_error",
-    "select_model",
 ]

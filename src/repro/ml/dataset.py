@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -210,12 +210,11 @@ class Dataset:
     def random_split_indices(
         self, fraction: float, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The (selected, rest) index pair behind :meth:`random_split`.
+        """Randomly split into (selected, rest) index arrays, ``fraction`` of
+        the records selected; each side gets at least one record.
 
-        Consumes exactly one permutation draw from ``rng`` — the same draw
-        :meth:`random_split` makes — so callers that need the indices (e.g.
-        to ship one shared dataset plus index pairs to workers) observe an
-        identical random stream.
+        Consumes exactly one permutation draw from ``rng``; ``take`` turns
+        either half into a dataset.
         """
         if not (0.0 < fraction < 1.0):
             raise ValueError(f"fraction must be in (0, 1), got {fraction}")
@@ -226,40 +225,9 @@ class Dataset:
         perm = rng.permutation(self.n_records)
         return np.sort(perm[:n_sel]), np.sort(perm[n_sel:])
 
-    def random_split(
-        self, fraction: float, rng: np.random.Generator
-    ) -> tuple["Dataset", "Dataset"]:
-        """Randomly split into (selected, rest) with ``fraction`` of records.
-
-        At least one record lands on each side provided ``n_records >= 2``.
-        """
-        sel, rest = self.random_split_indices(fraction, rng)
-        return self.take(sel), self.take(rest)
-
     def sample(self, n: int, rng: np.random.Generator) -> tuple["Dataset", np.ndarray]:
         """Sample ``n`` records without replacement; returns (subset, indices)."""
         if not (1 <= n <= self.n_records):
             raise ValueError(f"n must be in [1, {self.n_records}], got {n}")
         idx = np.sort(rng.choice(self.n_records, size=n, replace=False))
         return self.take(idx), idx
-
-    # -- construction helpers ----------------------------------------------
-
-    @staticmethod
-    def from_mapping(
-        numeric: Mapping[str, np.ndarray] | None = None,
-        flags: Mapping[str, np.ndarray] | None = None,
-        categorical: Mapping[str, np.ndarray] | None = None,
-        *,
-        target: np.ndarray,
-        target_name: str = "y",
-    ) -> "Dataset":
-        """Build a dataset from per-role column mappings."""
-        cols: list[Column] = []
-        for name, vals in (numeric or {}).items():
-            cols.append(Column(name, ColumnRole.NUMERIC, np.asarray(vals)))
-        for name, vals in (flags or {}).items():
-            cols.append(Column(name, ColumnRole.FLAG, np.asarray(vals)))
-        for name, vals in (categorical or {}).items():
-            cols.append(Column(name, ColumnRole.CATEGORICAL, np.asarray(vals)))
-        return Dataset(cols, target, target_name)

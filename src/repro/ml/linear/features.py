@@ -16,45 +16,25 @@ import numpy as np
 __all__ = ["expand_degree2", "degree2_feature_names"]
 
 
-def expand_degree2(
-    X: np.ndarray,
-    include_squares: bool = True,
-    include_interactions: bool = True,
-) -> np.ndarray:
+def expand_degree2(X: np.ndarray) -> np.ndarray:
     """Append degree-2 terms to a design matrix.
 
-    Output columns: the original features, then (optionally) ``x_j^2`` for
-    each feature, then (optionally) ``x_i * x_j`` for every ``i < j`` pair.
-    Constant-zero expansion columns are kept (callers' selection machinery
-    drops non-contributing predictors anyway).
+    Output columns: the original features, then ``x_j^2`` for each feature,
+    then ``x_i * x_j`` for every ``i < j`` pair. Constant-zero expansion
+    columns are kept (callers' selection machinery drops non-contributing
+    predictors anyway).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    blocks = [X]
-    if include_squares:
-        blocks.append(X * X)
-    if include_interactions:
-        n, p = X.shape
-        pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
-        if pairs:
-            inter = np.empty((n, len(pairs)))
-            for k, (i, j) in enumerate(pairs):
-                inter[:, k] = X[:, i] * X[:, j]
-            blocks.append(inter)
-    return np.hstack(blocks)
+    n, p = X.shape
+    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    inter = np.empty((n, len(pairs)))
+    for k, (i, j) in enumerate(pairs):
+        inter[:, k] = X[:, i] * X[:, j]
+    return np.hstack([X, X * X, inter])
 
 
-def degree2_feature_names(
-    names: list[str],
-    include_squares: bool = True,
-    include_interactions: bool = True,
-) -> list[str]:
+def degree2_feature_names(names: list[str]) -> list[str]:
     """Feature names matching :func:`expand_degree2`'s column order."""
-    out = list(names)
-    if include_squares:
-        out.extend(f"{n}^2" for n in names)
-    if include_interactions:
-        p = len(names)
-        out.extend(
-            f"{names[i]}*{names[j]}" for i in range(p) for j in range(i + 1, p)
-        )
-    return out
+    p = len(names)
+    return [*names, *(f"{n}^2" for n in names),
+            *(f"{names[i]}*{names[j]}" for i in range(p) for j in range(i + 1, p))]

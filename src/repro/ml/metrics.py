@@ -1,7 +1,7 @@
 """Prediction-quality metrics (re-exported from :mod:`repro.util.stats`).
 
 The paper's single error metric is the mean percentage error
-``100 * |ŷ - y| / y`` (§4.2); accuracy is ``100 - error``. Standard
+``100 * |ŷ - y| / y`` (§4.2); the paper's accuracy is ``100 - error``. Standard
 deviation of the per-record errors is what Figure 7/8's error bars show.
 """
 
@@ -16,15 +16,9 @@ from repro.util.stats import mean_absolute_percentage_error, percentage_errors
 __all__ = [
     "mean_absolute_percentage_error",
     "percentage_errors",
-    "accuracy",
     "ErrorSummary",
     "summarize_errors",
 ]
-
-
-def accuracy(predicted: np.ndarray, actual: np.ndarray) -> float:
-    """Estimation accuracy in percent, ``100 - mean percentage error``."""
-    return 100.0 - mean_absolute_percentage_error(predicted, actual)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from repro.ml.nn.pruning import (
     PruneOutcome,
     hidden_unit_sensitivities,
     input_sensitivities,
-    prune_network,
 )
 from repro.ml.nn.training import (
     TrainingConfig,
@@ -34,7 +33,6 @@ __all__ = [
     "PruneOutcome",
     "hidden_unit_sensitivities",
     "input_sensitivities",
-    "prune_network",
     "TrainingConfig",
     "TrainingResult",
     "holdout_split",

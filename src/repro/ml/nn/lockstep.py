@@ -1,7 +1,7 @@
 """Lockstep network builds: many builds' training requests, one stack each.
 
 A build — one of the six training methods of :mod:`repro.ml.nn.methods`,
-or :func:`~repro.ml.nn.pruning.prune_network` — is written as a generator
+or :func:`~repro.ml.nn.pruning.prune_steps` — is written as a generator
 that yields lists of :class:`TrainRequest` and is sent, for each list, the
 outcomes in the same order. :func:`run_lockstep` advances any number of
 builds side by side: it gathers every build's pending requests, trains

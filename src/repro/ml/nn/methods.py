@@ -112,8 +112,7 @@ def build_single(X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> Step
     hidden = min(16, max(3, X.shape[1]))
     net = MLP([X.shape[1], hidden, 1], rng)
     cfg = TrainingConfig(
-        optimizer="gd", max_epochs=1500, learning_rate=0.15,
-        adaptive_rate=False, patience=150,
+        optimizer="gd", max_epochs=1500, learning_rate=0.15, patience=150,
     )
     (res,) = yield from train_step([net], Xt, yt, cfg, Xv, yv)
     return NnBuild(net, res.best_val_loss, [f"hidden={hidden}", f"epochs={res.epochs_run}"])

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import NumericalError
-from repro.ml.nn.lockstep import Steps, drive, train_step
+from repro.ml.nn.lockstep import Steps, train_step
 from repro.ml.nn.network import MLP
 from repro.ml.nn.training import TrainingConfig, _mse
 
-__all__ = ["hidden_unit_sensitivities", "input_sensitivities", "prune_network", "prune_steps",
-           "PruneOutcome"]
+__all__ = ["hidden_unit_sensitivities", "input_sensitivities", "prune_steps", "PruneOutcome"]
 
 
 def _ablated_mse(net: MLP, a: np.ndarray, start: int, y2: np.ndarray) -> np.ndarray:
@@ -88,36 +87,13 @@ def input_sensitivities(net: MLP, X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PruneOutcome:
-    """Result of :func:`prune_network`."""
+    """Result of :func:`prune_steps`."""
 
     net: MLP
     val_loss: float
     removed_hidden: int
     removed_inputs: int
     steps: list[str]
-
-
-def prune_network(
-    net: MLP,
-    X_train: np.ndarray,
-    y_train: np.ndarray,
-    X_val: np.ndarray,
-    y_val: np.ndarray,
-    retrain_config: TrainingConfig,
-    max_removals: int | None = None,
-    tolerance: float = 0.02,
-    prune_inputs: bool = True,
-) -> PruneOutcome:
-    """Iteratively remove the least-sensitive unit/input, retraining each time.
-
-    A removal is *accepted* when, after retraining, validation loss is no
-    worse than ``(1 + tolerance) ×`` the best seen; otherwise the removal is
-    rolled back and pruning stops. Smaller ``tolerance`` and larger retrain
-    budgets give the slower-but-better Exhaustive-Prune behaviour. This runs
-    :func:`prune_steps` on its own.
-    """
-    return drive(prune_steps(net, X_train, y_train, X_val, y_val, retrain_config,
-                             max_removals, tolerance, prune_inputs))
 
 
 def prune_steps(
@@ -127,13 +103,18 @@ def prune_steps(
     X_val: np.ndarray,
     y_val: np.ndarray,
     retrain_config: TrainingConfig,
-    max_removals: int | None = None,
     tolerance: float = 0.02,
-    prune_inputs: bool = True,
 ) -> Steps:
-    """:func:`prune_network` as a build for :mod:`repro.ml.nn.lockstep`:
-    yields each retraining as a request and returns the
-    :class:`PruneOutcome`."""
+    """Iteratively remove the least-sensitive unit/input, retraining each time.
+
+    A removal is *accepted* when, after retraining, validation loss is no
+    worse than ``(1 + tolerance) ×`` the best seen; otherwise the removal is
+    rolled back and pruning stops. Smaller ``tolerance`` and larger retrain
+    budgets give the slower-but-better Exhaustive-Prune behaviour.
+
+    A build for :mod:`repro.ml.nn.lockstep`: yields each retraining as a
+    request and returns the :class:`PruneOutcome`; ``drive`` runs one alone.
+    """
     best = net.clone()
     best_val = best.loss(X_val, y_val)
     if not np.isfinite(best_val):
@@ -147,9 +128,7 @@ def prune_steps(
     removed_hidden = 0
     removed_inputs = 0
     steps: list[str] = []
-    budget = max_removals if max_removals is not None else (sum(net.hidden_sizes) + net.n_inputs)
-
-    for _ in range(budget):
+    for _ in range(sum(net.hidden_sizes) + net.n_inputs):
         candidate = best.clone()
         hid_sens = hidden_unit_sensitivities(candidate, X_val, y_val)
         # Weakest hidden unit across layers (only layers with > 1 unit).
@@ -161,14 +140,13 @@ def prune_steps(
             if weakest is None or sens[u] < weakest[0]:
                 weakest = (float(sens[u]), li, u)
         choice: str | None = None
-        if prune_inputs:
-            in_sens = input_sensitivities(candidate, X_val, y_val)
-            active = candidate.active_inputs
-            if active.size > 1:
-                j = int(active[np.argmin(in_sens[active])])
-                if weakest is None or in_sens[j] < weakest[0]:
-                    choice = f"input {j}"
-                    candidate.mask_input(j)
+        in_sens = input_sensitivities(candidate, X_val, y_val)
+        active = candidate.active_inputs
+        if active.size > 1:
+            j = int(active[np.argmin(in_sens[active])])
+            if weakest is None or in_sens[j] < weakest[0]:
+                choice = f"input {j}"
+                candidate.mask_input(j)
         if choice is None:
             if weakest is None:
                 break

@@ -1,4 +1,4 @@
-"""Gradient-descent training with momentum, adaptive rate, early stopping.
+"""Gradient-descent training with momentum, Rprop, early stopping.
 
 Clementine-era networks were trained by batch backpropagation ("variation of
 steepest descent", paper §3.2). We implement:
@@ -8,9 +8,9 @@ steepest descent", paper §3.2). We implement:
   trainer — it is period-appropriate, has no learning-rate tuning problem,
   and converges an order of magnitude deeper than plain gradient descent on
   these small regression sets;
-* plain full-batch gradient descent with classical momentum and either a
+* plain full-batch gradient descent with classical momentum and a
   constant rate (NN-S — the paper specifies the Single-layer method has "a
-  constant learning rate") or *bold-driver* adaptation;
+  constant learning rate");
 * early stopping on a held-out validation split with weight restore —
   the mechanism whose *absence* in a final full-data fit makes the
   chronological neural nets over-fit exactly as the paper reports.
@@ -32,7 +32,7 @@ stack of R same-topology networks at once, so one call serves R replicas;
   second ``(R, P)`` buffer of the same layout. Forward and backward passes
   are stacked ``np.matmul`` calls on ``(R, n, k)`` arrays.
 * The optimizer update runs once per epoch over the whole flat buffer, with
-  ``np.where`` in place of boolean indexing; gd keeps a rate per replica.
+  ``np.where`` in place of boolean indexing.
 * Each replica has its own patience counter, best validation loss,
   divergence bound, best-weights snapshot and :class:`TrainingResult`.
   The scalars live in Python lists, read from the one ``tolist()`` of each
@@ -74,12 +74,7 @@ __all__ = ["TrainingConfig", "TrainingResult", "train", "train_stack", "train_re
 
 #: Classical momentum coefficient of gd, in ``[0, 1)``.
 MOMENTUM = 0.9
-#: Bold-driver factors of adaptive gd (``RATE_GROW > 1``, ``RATE_SHRINK``
-#: in ``(0, 1)``) and the range its rate stays in; ``MAX_RATE`` also bounds
-#: :attr:`TrainingConfig.learning_rate`.
-RATE_GROW = 1.05
-RATE_SHRINK = 0.5
-MIN_RATE = 1e-5
+#: Upper bound of :attr:`TrainingConfig.learning_rate`.
 MAX_RATE = 2.0
 #: Minimum relative validation improvement that resets patience, in
 #: ``[0, 1)``: at 1 or more no epoch would improve, so training would stop
@@ -110,10 +105,7 @@ class TrainingConfig:
     max_epochs:
         Upper bound on epochs.
     learning_rate:
-        Initial (or constant) step size — gd only.
-    adaptive_rate:
-        Enable bold-driver adaptation for gd; ``False`` keeps the rate
-        constant (the NN-S behaviour).
+        Constant step size — gd only.
     patience:
         Stop after this many epochs without validation improvement
         (ignored when no validation set is provided).
@@ -122,7 +114,6 @@ class TrainingConfig:
     optimizer: str = "rprop"
     max_epochs: int = 2000
     learning_rate: float = 0.2
-    adaptive_rate: bool = True
     patience: int = 100
 
     def __post_init__(self) -> None:
@@ -299,9 +290,7 @@ class _Stack:
             self._per_row = ("step", "prev_sign")
         else:
             self.velocity = np.zeros_like(W)
-            self.lr = np.full(R, config.learning_rate)  # gd keeps a rate per replica
-            self.prev_loss = np.full(R, np.inf)
-            self._per_row = ("velocity", "lr", "prev_loss")
+            self._per_row = ("velocity",)
         self.bound = [inf] * R
         self.best_val = [inf] * R
         self.since_best = [0] * R
@@ -433,7 +422,7 @@ def train_replicas(
             if not st.rows:
                 break
             acts = [a[keep] if a.ndim == 3 else a for a in acts]
-            loss, diff = loss[keep], diff[keep]
+            diff = diff[keep]
             G = np.empty_like(st.W)
             layers = layout.layers(st.W, G)
         _backward(acts, diff, layers, hidden, output)
@@ -451,17 +440,8 @@ def train_replicas(
             st.W -= sign * st.step
             st.prev_sign = sign
         else:
-            if config.adaptive_rate:
-                # Bold driver: a worsening step shrinks the rate and damps
-                # momentum; any other step grows the rate.
-                worse = loss > st.prev_loss * (1.0 + 1e-12)
-                st.lr = np.where(worse, np.maximum(st.lr * RATE_SHRINK, MIN_RATE),
-                                 np.minimum(st.lr * RATE_GROW, MAX_RATE))
-                if worse.any():
-                    np.multiply(st.velocity, 0.0, out=st.velocity, where=worse[:, None])
-            st.prev_loss = loss
             st.velocity *= MOMENTUM
-            st.velocity -= st.lr[:, None] * G
+            st.velocity -= config.learning_rate * G
             st.W += st.velocity
 
         if not has_val:

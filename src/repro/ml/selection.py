@@ -1,4 +1,4 @@
-"""Error estimation by repeated 50% holdout, and the "select" meta-method.
+"""Error estimation by repeated 50% holdout, the input to "select".
 
 Paper §3.3: Clementine itself gives no predictive-error estimate, so the
 authors "generated five random sets of 50% of the training data, and
@@ -8,36 +8,27 @@ estimates — and report the **maximum**, which "in general … gives a closer
 estimate" of the true error.
 
 Paper §4.4 ("select method"): among candidate models, deploy the one whose
-*estimated* error is lowest; Table 3's last row shows this meta-method
-matching or beating the single best model.
+*estimated* error is lowest. :func:`repro.core.sampled.run_sampled_dse`
+makes that pick from the estimates computed here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.errors import ModelValidationError
 from repro.ml.base import PredictiveModel
 from repro.ml.dataset import Dataset
 from repro.obs import phase as _obs_phase
 from repro.parallel.executor import Executor, SerialExecutor
 from repro.util.stats import mean_absolute_percentage_error
 
-if TYPE_CHECKING:  # import cycle: repro.robust.gates imports this module
-    from repro.robust.gates import ValidationGate
-
-__all__ = ["ErrorEstimate", "estimate_error", "estimate_errors", "select_model", "ModelBuilder"]
+__all__ = ["ErrorEstimate", "estimate_error", "estimate_errors", "ModelBuilder"]
 
 #: A zero-argument factory producing a fresh, unfit model.
 ModelBuilder = Callable[[], PredictiveModel]
-
-
-def _check_statistic(statistic: str) -> None:
-    if statistic not in ("max", "mean"):
-        raise ValueError(f"statistic must be 'max' or 'mean', got {statistic!r}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +50,8 @@ class ErrorEstimate:
 
     def value(self, statistic: str = "max") -> float:
         """Return the requested estimate ('max' or 'mean')."""
-        _check_statistic(statistic)
+        if statistic not in ("max", "mean"):
+            raise ValueError(f"statistic must be 'max' or 'mean', got {statistic!r}")
         return self.max if statistic == "max" else self.mean
 
 
@@ -133,52 +125,3 @@ def estimate_error(
                                   holdout=holdout, executor=executor).values()
     return estimate
 
-
-def select_model(
-    builders: Mapping[str, ModelBuilder],
-    train: Dataset,
-    rng: np.random.Generator,
-    n_reps: int = 5,
-    statistic: str = "max",
-    executor: Executor | None = None,
-    gate: "ValidationGate | None" = None,
-) -> tuple[str, dict[str, ErrorEstimate]]:
-    """Run :func:`estimate_errors` over every candidate and pick the winner.
-
-    Returns ``(winning_name, all_estimates)``. The winner minimizes the
-    chosen estimate statistic (paper default: the max over repetitions);
-    ties break toward the earlier entry in ``builders`` order.
-
-    With a ``gate`` (:class:`~repro.robust.gates.ValidationGate`),
-    candidates whose estimate fails the gate's holdout-error check are
-    excluded from winning — a model with a NaN or absurd estimate can no
-    longer be "selected" by accident. All estimates are still returned;
-    if every candidate is excluded,
-    :class:`~repro.errors.ModelValidationError` is raised.
-    """
-    if not builders:
-        raise ValueError("no candidate builders given")
-    _check_statistic(statistic)
-    estimates = estimate_errors(builders, train, rng, n_reps=n_reps, executor=executor)
-    excluded: dict[str, str] = {}
-    best_name: str | None = None
-    best_value = np.inf
-    for name, est in estimates.items():
-        if gate is not None:
-            check = gate.check_estimate(est)
-            if not check.passed:
-                excluded[name] = check.detail
-                continue
-        value = est.value(statistic)
-        if value < best_value:
-            best_name, best_value = name, value
-    if best_name is None:
-        # Either the gate excluded every candidate, or (gate-less) every
-        # estimate was NaN and no comparison could succeed.
-        detail = ("; ".join(f"{k} ({v})" for k, v in excluded.items())
-                  or "no candidate produced a comparable (non-NaN) estimate")
-        raise ModelValidationError(
-            f"model selection found no deployable candidate: {detail}",
-            failures=[f"{k}: {v}" for k, v in excluded.items()],
-        )
-    return best_name, estimates

@@ -10,7 +10,7 @@ Two cooperating pieces, each off by default:
 * :mod:`repro.obs.metrics` — process-wide :class:`MetricsRegistry` of
   counters/gauges/histograms; exported as one ``repro-metrics/1`` JSON
   document (``--metrics-file``, worker shard snapshots, and the
-  cross-shard aggregate alike) or a text table.
+  cross-shard aggregate alike).
 * :mod:`repro.obs.trace` — span-based tracing producing a JSONL event
   stream (``--trace-file``) with parent/child nesting, monotonic timings,
   and per-span exception capture; summarized by ``repro obs summarize``.

@@ -5,7 +5,7 @@ reports into one process-wide :class:`MetricsRegistry`. The registry is the
 *only* coupling between instrumented code and observability consumers:
 instrumentation calls ``default_registry().counter("...").inc()`` and never
 cares whether anyone is looking; exporters snapshot the registry into JSON
-(``--metrics-file``) or a diff-friendly text table at the end of a run.
+(``--metrics-file``) at the end of a run.
 
 Design constraints, in order:
 
@@ -163,19 +163,6 @@ class Histogram:
     def mean(self) -> float:
         return self._sum / self._count if self._count else 0.0
 
-    def bucket_counts(self) -> list[int]:
-        """Per-bucket (non-cumulative) counts, excluding overflow."""
-        return list(self._counts)
-
-    def cumulative_counts(self) -> list[int]:
-        """Cumulative counts per bound, ending with the total observation count."""
-        out, running = [], 0
-        for c in self._counts:
-            running += c
-            out.append(running)
-        out.append(running + self._overflow)
-        return out
-
     def quantile(self, q: float) -> float:
         """Upper bound of the bucket containing the ``q``-quantile observation.
 
@@ -287,21 +274,6 @@ class MetricsRegistry:
         """Atomically replace ``path`` with the JSON snapshot."""
         durable.replace_file(path, self.to_json(extra=extra).encode(),
                              sync=False)
-
-    def render_table(self, title: str | None = None) -> str:
-        """One line per metric: ``<name>  <type>  <value summary>``."""
-        lines = [title] if title else []
-        snap = self.snapshot()
-        width = max((len(n) for n in snap), default=0)
-        for name, s in snap.items():
-            if s["type"] == "histogram":
-                summary = (f"count={s['count']} sum={s['sum']:.4f}s "
-                           f"mean={s['mean']:.4f}s")
-            else:
-                value = s["value"]
-                summary = f"{value:g}"
-            lines.append(f"{name.ljust(width)}  {s['type']:<9}  {summary}")
-        return "\n".join(lines)
 
     def reset(self) -> None:
         with self._lock:

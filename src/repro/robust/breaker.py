@@ -9,8 +9,7 @@ classic three-state pattern:
 
 * **closed** — requests flow; consecutive failures are counted.
 * **open** — after ``failure_threshold`` consecutive failures the breaker
-  trips: requests are refused instantly (:meth:`allow` returns False,
-  :meth:`call` raises :class:`~repro.errors.CircuitOpenError`) for
+  trips: requests are refused instantly (:meth:`allow` returns False) for
   ``reset_timeout`` seconds. The caller degrades — the cache skips its disk
   tier, the degradation ladder skips its expensive rungs — instead of
   blocking.
@@ -29,9 +28,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable
+from typing import Callable
 
-from repro.errors import CircuitOpenError
 from repro.obs.metrics import default_registry as _metrics
 
 __all__ = ["CircuitBreaker"]
@@ -47,7 +45,7 @@ class CircuitBreaker:
     Parameters
     ----------
     name:
-        Label used in events, metrics, and :class:`CircuitOpenError`.
+        Label used in events and metrics.
     failure_threshold:
         Consecutive failures that trip the breaker open.
     reset_timeout:
@@ -82,10 +80,6 @@ class CircuitBreaker:
         with self._lock:
             self._maybe_half_open()
             return self._state
-
-    @property
-    def consecutive_failures(self) -> int:
-        return self._failures
 
     def retry_after(self) -> float:
         """Seconds until an open breaker half-opens (0.0 when not open)."""
@@ -143,28 +137,6 @@ class CircuitBreaker:
                 self._opened_at = self._clock()
                 self.events.append(f"open:{self.name}")
                 _metrics().counter("robust.breaker.opened").inc()
-
-    # -- convenience wrapper -------------------------------------------------
-
-    def call(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """Run ``fn`` under the breaker.
-
-        Raises :class:`~repro.errors.CircuitOpenError` without calling
-        ``fn`` when the breaker refuses; otherwise records the outcome and
-        re-raises any exception from ``fn`` unchanged.
-        """
-        if not self.allow():
-            raise CircuitOpenError(
-                f"circuit {self.name!r} is open "
-                f"(retry in {self.retry_after():.1f}s)",
-                breaker=self.name, retry_after=self.retry_after())
-        try:
-            value = fn(*args, **kwargs)
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return value
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (f"CircuitBreaker({self.name!r}, state={self.state!r}, "

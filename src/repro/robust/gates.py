@@ -5,8 +5,8 @@ NaN outside its envelope, a least-squares fit whose rescue solver produced
 coefficients that explain nothing, a holdout error of 40 000%. PR 1 made
 the *executor* fault-tolerant, but a task that succeeds with a poisoned
 model still wins the sweep. :class:`ValidationGate` is the contract every
-model must satisfy *after* training and *before*
-:func:`repro.ml.selection.select_model` or a driver may deploy it:
+model must satisfy *after* training and *before* a driver may deploy it
+(the degradation ladder of :mod:`repro.robust.ladder` applies it):
 
 1. **finite-predictions** — predictions over the model's own training
    domain must be finite (NaN here means the model cannot even reproduce

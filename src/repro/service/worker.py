@@ -31,8 +31,8 @@ fails:
 * **Sick spool disk**: a claim/complete/fail the spool cannot append
   (ENOSPC, EIO, or the spool's own write breaker open in read-only mode)
   is a typed :class:`~repro.errors.ServiceError` the loop turns into a
-  ``spool-shed`` back-off — the job stays leased and re-dispatches after
-  the disk recovers — never a shard crash-loop.
+  back-off counted in ``service.worker.spool_sheds`` — the job stays leased
+  and re-dispatches after the disk recovers — never a shard crash-loop.
 
 A sweep job runs its slices in the shard process itself: the *supervisor*
 provides process parallelism (N worker shards), so nesting a pool inside
@@ -119,10 +119,6 @@ class Worker:
             f"disk-cache:{config.name}",
             failure_threshold=DISK_BREAKER_THRESHOLD,
             reset_timeout=DISK_BREAKER_RESET_S)
-        #: Operational log: "claim:<id>", "done:<id>", "fail:<id>:<type>",
-        #: "cached-result:<id>", "spool-shed:<what>" — assertable without
-        #: reaching into the spool.
-        self.events: list[str] = []
         self._last_flush = time.monotonic()
         self._configure_cache()
 
@@ -271,7 +267,7 @@ class Worker:
             # shed typed and back off a poll interval instead of letting
             # a sick disk crash-loop the shard through the supervisor's
             # restart budget.
-            return self._shed("claim")
+            return self._shed()
         if job is None:
             return False
         # Adopt the job's trace id for everything this attempt does: spans
@@ -280,7 +276,7 @@ class Worker:
         with _trace.trace_context(job.trace_id or job.id):
             return self._run_claimed(job)
 
-    def _shed(self, what: str) -> bool:
+    def _shed(self) -> bool:
         """Count a spool write the disk refused; report idle (back off).
 
         The job (if any) stays leased: once its lease expires it
@@ -288,12 +284,10 @@ class Worker:
         make the re-execution idempotent — after the disk recovers, no job
         is lost.
         """
-        self.events.append(f"spool-shed:{what}")
         _metrics().counter("service.worker.spool_sheds").inc()
         return False
 
     def _run_claimed(self, job: JobView) -> bool:
-        self.events.append(f"claim:{job.id[:12]}")
         _trace.annotate("job.claim", job_id=job.id, worker=self.config.name,
                         attempt=job.n_leases)
         self.heartbeat(job=job.id)
@@ -302,14 +296,13 @@ class Worker:
         if cached is not _ABSENT:
             # A previous holder computed the result but died before the
             # ``done`` event landed; completion is all that is left to do.
-            self.events.append(f"cached-result:{job.id[:12]}")
             _metrics().counter("service.jobs.result_reused").inc()
             _trace.annotate("job.result-reused", job_id=job.id)
             try:
                 self.spool.complete(job.id, self.config.name, cached,
                                     elapsed=0.0)
             except ServiceError:
-                return self._shed(job.id[:12])
+                return self._shed()
             return True
         try:
             with _trace.span("job.execute", job_id=job.id,
@@ -321,19 +314,17 @@ class Worker:
             # via restart-budget exhaustion, the whole service) down with
             # it; record it failed and keep serving.
             elapsed = time.monotonic() - started
-            self.events.append(f"fail:{job.id[:12]}:{type(exc).__name__}")
             try:
                 self.spool.fail(job.id, self.config.name,
                                 type(exc).__name__, str(exc), elapsed)
             except ServiceError:
-                return self._shed(job.id[:12])
+                return self._shed()
             return True
         elapsed = time.monotonic() - started
         try:
             self.spool.complete(job.id, self.config.name, result, elapsed)
         except ServiceError:
-            return self._shed(job.id[:12])
-        self.events.append(f"done:{job.id[:12]}")
+            return self._shed()
         return True
 
     def run(self) -> int:

@@ -126,12 +126,6 @@ class Trace:
             block_id=self.block_id[start:stop],
         )
 
-    def op_fraction(self, op_class: OpClass) -> float:
-        """Fraction of instructions in the given class."""
-        if len(self) == 0:
-            return 0.0
-        return float(np.mean(self.op == int(op_class)))
-
     @property
     def memory_mask(self) -> np.ndarray:
         """Boolean mask of load/store instructions."""

@@ -78,10 +78,6 @@ class ProcessorFamily:
     def total_cores(self) -> int:
         return self.n_chips * self.cores_per_chip
 
-    @property
-    def total_count(self) -> int:
-        return sum(y.count for y in self.years.values())
-
 
 _INTEL_COMPANIES = ("Dell", "HP", "IBM", "Fujitsu Siemens", "Supermicro", "Intel")
 _AMD_COMPANIES = ("HP", "IBM", "Sun Microsystems", "Supermicro", "Tyan", "AMD")

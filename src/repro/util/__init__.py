@@ -1,6 +1,6 @@
 """Shared utilities: RNG streams, summary statistics, table rendering."""
 
-from repro.util.rng import RngFactory, child_rng, stream_seed
+from repro.util.rng import child_rng, stream_seed
 from repro.util.stats import (
     DataProfile,
     geometric_mean,
@@ -11,10 +11,8 @@ from repro.util.stats import (
     response_variation,
 )
 from repro.util.tables import format_kv, format_series, format_table
-from repro.util.validation import require_positive
 
 __all__ = [
-    "RngFactory",
     "child_rng",
     "stream_seed",
     "DataProfile",
@@ -27,5 +25,4 @@ __all__ = [
     "format_kv",
     "format_series",
     "format_table",
-    "require_positive",
 ]

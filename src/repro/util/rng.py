@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["RngFactory", "child_rng", "pick_fault", "stream_seed"]
+__all__ = ["child_rng", "pick_fault", "stream_seed"]
 
 _MASK32 = 0xFFFFFFFF
 
@@ -70,46 +70,3 @@ def pick_fault(root_seed: int, stream: str, key: tuple[str | int, ...],
                 return fault
     return None
 
-
-class RngFactory:
-    """Factory of named, independent random streams under one root seed.
-
-    Examples
-    --------
-    >>> rngs = RngFactory(1234)
-    >>> a = rngs.get("trace", "mcf")
-    >>> b = rngs.get("trace", "gcc")
-    >>> a is not b
-    True
-    >>> float(rngs.get("trace", "mcf").random()) == float(RngFactory(1234).get("trace", "mcf").random())
-    True
-    """
-
-    def __init__(self, root_seed: int) -> None:
-        if not isinstance(root_seed, (int, np.integer)):
-            raise TypeError(f"root_seed must be an int, got {type(root_seed).__name__}")
-        self.root_seed = int(root_seed)
-
-    def seed(self, *names: str | int) -> int:
-        """Derive the integer seed of a named stream."""
-        return stream_seed(self.root_seed, *names)
-
-    def get(self, *names: str | int) -> np.random.Generator:
-        """Return a fresh generator for the named stream.
-
-        Each call returns a *new* generator positioned at the stream start,
-        so repeated calls with the same name replay the same sequence.
-        """
-        return child_rng(self.root_seed, *names)
-
-    def spawn(self, *names: str | int) -> "RngFactory":
-        """Create a sub-factory rooted at a named stream (for subsystems)."""
-        return RngFactory(self.seed(*names))
-
-    def many(self, prefix: str, count: int) -> Iterable[np.random.Generator]:
-        """Yield ``count`` independent generators ``prefix/0 .. prefix/count-1``."""
-        for i in range(count):
-            yield self.get(prefix, i)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"RngFactory(root_seed={self.root_seed})"

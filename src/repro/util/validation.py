@@ -1,7 +1,6 @@
-"""Argument- and data-validation helpers shared across packages.
+"""Data-validation helpers shared across packages.
 
 This module is the single home for the library's value-integrity checks:
-the argument guard the constructors use (:func:`require_positive`) and
 the NaN/Inf fail-fast checks that protect the modeling layer
 (:func:`require_finite`, :func:`nonfinite_count`). :class:`repro.ml.dataset`
 and the ingest guards in :mod:`repro.robust.guards` both call these, so a
@@ -13,11 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "require_positive",
-    "require_finite",
-    "nonfinite_count",
-]
+__all__ = ["require_finite", "nonfinite_count"]
 
 
 def nonfinite_count(values: np.ndarray) -> int:
@@ -42,8 +37,3 @@ def require_finite(values: np.ndarray, what: str) -> None:
             f"first at record {int(np.argmax(bad))}"
         )
 
-
-def require_positive(value: float | int, name: str) -> None:
-    """Raise ``ValueError`` unless ``value > 0``."""
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")

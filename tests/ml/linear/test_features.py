@@ -18,16 +18,6 @@ class TestExpandDegree2:
         out = expand_degree2(X)
         np.testing.assert_allclose(out[0], [2, 3, 4, 9, 6])
 
-    def test_squares_only(self):
-        X = np.array([[2.0, 3.0]])
-        out = expand_degree2(X, include_interactions=False)
-        np.testing.assert_allclose(out[0], [2, 3, 4, 9])
-
-    def test_interactions_only(self):
-        X = np.array([[2.0, 3.0]])
-        out = expand_degree2(X, include_squares=False)
-        np.testing.assert_allclose(out[0], [2, 3, 6])
-
     def test_single_feature_no_interactions(self):
         out = expand_degree2(np.array([[4.0]]))
         np.testing.assert_allclose(out[0], [4, 16])

@@ -93,10 +93,6 @@ PINNED_TRAIN = {
         "0d888341859bf98104388fbb86d14c697d60cda888f77948f6b434d11001fbcb",
         "874d03eb28be864dbb60806810949d613cffd5fb524cd956fa6ab33696d6a8d1",
         45, 0.004909649788473553, 0.00828154666535639),
-    "gd-bold-driver": (
-        "92a7ccfd7250044aab1b9fd7b7dc82f2c225935432b1e52f5ece991bfe467c51",
-        "e9672b53e80a014daeee89f9ab80387d8d6e13f2d59708f4103e95ee1c87a574",
-        54, 0.00476607235979438, 0.008891176305073367),
     "gd-constant": (
         "8cb68f9ec263cb24e1a29f65707b29fe6e31cb63d0f0fb97b758c27a5ce21906",
         "b03b24118b60c3c5d5f535d2c0d84947cb0186a37d36099187ee5cbeab9c1633",
@@ -105,10 +101,8 @@ PINNED_TRAIN = {
 
 TRAIN_CONFIGS = {
     "rprop": TrainingConfig(max_epochs=400, patience=40),
-    "gd-bold-driver": TrainingConfig(optimizer="gd", max_epochs=400, patience=40,
-                                     learning_rate=0.3),
     "gd-constant": TrainingConfig(optimizer="gd", max_epochs=400, patience=40,
-                                  learning_rate=0.15, adaptive_rate=False),
+                                  learning_rate=0.15),
 }
 
 

@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.ml.nn.lockstep import drive
 from repro.ml.nn.network import MLP
-from repro.ml.nn.pruning import (
-    hidden_unit_sensitivities,
-    input_sensitivities,
-    prune_network,
-)
+from repro.ml.nn.pruning import hidden_unit_sensitivities, input_sensitivities, prune_steps
 from repro.ml.nn.training import TrainingConfig, train
 
 
@@ -59,11 +56,11 @@ class TestPruneNetwork:
         Xv = rng.random((25, 3))
         yv = 0.2 + 0.4 * Xv[:, 0] + 0.2 * Xv[:, 1] ** 2
         before = net.loss(Xv, yv)
-        outcome = prune_network(
+        outcome = drive(prune_steps(
             net, X, y, Xv, yv,
             TrainingConfig(max_epochs=300, patience=60),
             tolerance=0.05,
-        )
+        ))
         assert outcome.removed_hidden + outcome.removed_inputs > 0
         assert outcome.val_loss <= before * 1.05 + 1e-9
 
@@ -73,26 +70,15 @@ class TestPruneNetwork:
         Xv = rng.random((20, 3))
         yv = 0.2 + 0.4 * Xv[:, 0] + 0.2 * Xv[:, 1] ** 2
         n0 = net.n_params
-        outcome = prune_network(
+        outcome = drive(prune_steps(
             net, X, y, Xv, yv, TrainingConfig(max_epochs=200, patience=40)
-        )
+        ))
         pruned_params = outcome.net.n_params
         if outcome.removed_hidden:
             assert pruned_params < n0
 
-    def test_max_removals_respected(self):
-        net, X, y = _trained_net(hidden=(10,))
-        outcome = prune_network(
-            net, X, y, X, y,
-            TrainingConfig(max_epochs=100, patience=30),
-            max_removals=2,
-        )
-        assert outcome.removed_hidden + outcome.removed_inputs <= 2
-
     def test_steps_log_kept(self):
         net, X, y = _trained_net(hidden=(8,))
-        outcome = prune_network(
-            net, X, y, X, y, TrainingConfig(max_epochs=100, patience=30),
-            max_removals=3,
-        )
+        outcome = drive(prune_steps(
+            net, X, y, X, y, TrainingConfig(max_epochs=100, patience=30)))
         assert isinstance(outcome.steps, list)

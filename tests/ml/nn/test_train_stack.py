@@ -62,11 +62,11 @@ def _run_both(nets, X, y, cfg, Xv=None, yv=None):
 
 
 RPROP = TrainingConfig(max_epochs=150, patience=25)
-GD = TrainingConfig(optimizer="gd", max_epochs=95, patience=25, learning_rate=0.3)
+GD = TrainingConfig(optimizer="gd", max_epochs=60, patience=25, learning_rate=0.3)
 
 
 class TestStackEqualsSequential:
-    @pytest.mark.parametrize("cfg, seeds", [(RPROP, [0, 2, 10]), (GD, [6, 9, 0])],
+    @pytest.mark.parametrize("cfg, seeds", [(RPROP, [0, 2, 10]), (GD, [8, 6, 12])],
                              ids=["rprop", "gd"])
     def test_staggered_early_stops_and_one_full_run(self, data, cfg, seeds):
         X, y, Xv, yv = data
@@ -80,10 +80,8 @@ class TestStackEqualsSequential:
 
     @pytest.mark.parametrize("cfg", [
         TrainingConfig(max_epochs=60),
-        TrainingConfig(optimizer="gd", max_epochs=60, learning_rate=0.3),
-        TrainingConfig(optimizer="gd", max_epochs=60, learning_rate=0.15,
-                       adaptive_rate=False),
-    ], ids=["rprop", "gd-bold-driver", "gd-constant"])
+        TrainingConfig(optimizer="gd", max_epochs=60, learning_rate=0.15),
+    ], ids=["rprop", "gd-constant"])
     def test_without_validation(self, data, cfg):
         X, y, _, _ = data
         results = _run_both(_nets([1, 4, 5]), X, y, cfg)
@@ -125,8 +123,7 @@ class TestKernelMatchesReferenceBackprop:
         net.mask_input(1)
         loss, grads = net.loss_and_grad(X, y)
         before = [w.copy() for w in net.weights]
-        cfg = TrainingConfig(optimizer="gd", max_epochs=1, learning_rate=0.25,
-                             adaptive_rate=False)
+        cfg = TrainingConfig(optimizer="gd", max_epochs=1, learning_rate=0.25)
         result = train(net, X, y, cfg)
         assert result.loss_history == [loss]
         for w, w0, g in zip(net.weights, before, grads):
@@ -134,8 +131,7 @@ class TestKernelMatchesReferenceBackprop:
 
 
 class TestStackDivergence:
-    CFG = TrainingConfig(optimizer="gd", max_epochs=100, learning_rate=0.8,
-                         adaptive_rate=False)
+    CFG = TrainingConfig(optimizer="gd", max_epochs=100, learning_rate=0.8)
 
     @pytest.fixture(autouse=True)
     def _bound(self, constants):

@@ -77,23 +77,9 @@ class TestGdTraining:
         X, y = _problem()
         net = MLP([2, 6, 1], np.random.default_rng(2))
         initial = net.loss(X, y)
-        cfg = TrainingConfig(
-            optimizer="gd", max_epochs=800, learning_rate=0.3,
-            adaptive_rate=False,
-        )
+        cfg = TrainingConfig(optimizer="gd", max_epochs=800, learning_rate=0.3)
         res = train(net, X, y, cfg)
         assert res.final_train_loss < initial * 0.3
-
-    def test_bold_driver_also_converges(self):
-        X, y = _problem()
-        net = MLP([2, 6, 1], np.random.default_rng(3))
-        initial = net.loss(X, y)
-        cfg = TrainingConfig(
-            optimizer="gd", max_epochs=600, learning_rate=0.2,
-            adaptive_rate=True,
-        )
-        res = train(net, X, y, cfg)
-        assert res.final_train_loss < initial * 0.2
 
 
 class TestEarlyStopping:

@@ -107,19 +107,19 @@ class TestDataset:
 
     def test_random_split_partitions(self, rng):
         ds = _toy()
-        a, b = ds.random_split(0.5, rng)
+        a, b = (ds.take(idx) for idx in ds.random_split_indices(0.5, rng))
         assert a.n_records + b.n_records == ds.n_records
         merged = sorted(a.target.tolist() + b.target.tolist())
         assert merged == sorted(ds.target.tolist())
 
     def test_random_split_never_empty(self, rng):
         ds = _toy(4)
-        a, b = ds.random_split(0.01, rng)
+        a, b = (ds.take(idx) for idx in ds.random_split_indices(0.01, rng))
         assert a.n_records >= 1 and b.n_records >= 1
 
     def test_random_split_rejects_bad_fraction(self, rng):
         with pytest.raises(ValueError):
-            _toy().random_split(1.0, rng)
+            _toy().random_split_indices(1.0, rng)
 
     def test_sample_without_replacement(self, rng):
         ds = _toy()
@@ -139,16 +139,5 @@ class TestDataset:
             [Column("x", ColumnRole.NUMERIC, np.arange(n, dtype=float))],
             np.ones(n),
         )
-        a, _ = ds.random_split(frac, np.random.default_rng(0))
-        assert abs(a.n_records - frac * n) <= 1
-
-    def test_from_mapping(self):
-        ds = Dataset.from_mapping(
-            numeric={"a": np.array([1.0, 2.0])},
-            flags={"b": np.array([True, False])},
-            categorical={"c": np.array(["x", "y"])},
-            target=np.array([1.0, 2.0]),
-        )
-        assert ds.column("a").role is ColumnRole.NUMERIC
-        assert ds.column("b").role is ColumnRole.FLAG
-        assert ds.column("c").role is ColumnRole.CATEGORICAL
+        sel, _ = ds.random_split_indices(frac, np.random.default_rng(0))
+        assert abs(ds.take(sel).n_records - frac * n) <= 1

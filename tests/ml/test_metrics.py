@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.metrics import ErrorSummary, accuracy, summarize_errors
-
-
-class TestAccuracy:
-    def test_perfect_is_100(self):
-        y = np.array([2.0, 4.0])
-        assert accuracy(y, y) == pytest.approx(100.0)
-
-    def test_ten_percent_error(self):
-        y = np.array([100.0])
-        assert accuracy(np.array([110.0]), y) == pytest.approx(90.0)
+from repro.ml.metrics import ErrorSummary, summarize_errors
 
 
 class TestSummarizeErrors:

@@ -123,8 +123,7 @@ class TestNnDivergenceDetection:
         net = MLP([3, 4, 1], rng)
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
-        config = TrainingConfig(optimizer="gd", learning_rate=1e6,
-                                adaptive_rate=False, max_epochs=200)
+        config = TrainingConfig(optimizer="gd", learning_rate=1e6, max_epochs=200)
         with pytest.raises(NumericalError) as ei:
             train(net, X, y, config)
         assert ei.value.cause == "nn-divergence"

@@ -1,11 +1,11 @@
-"""Tests for repeated-holdout error estimation and the select meta-method."""
+"""Tests for repeated-holdout error estimation."""
 
 import numpy as np
 import pytest
 
 from repro.ml.base import PredictiveModel
 from repro.ml.dataset import Column, ColumnRole, Dataset
-from repro.ml.selection import ErrorEstimate, estimate_error, select_model
+from repro.ml.selection import ErrorEstimate, estimate_error
 
 
 class _ConstantModel(PredictiveModel):
@@ -72,47 +72,6 @@ class TestEstimateError:
         assert est.model_name == "MY"
 
 
-class TestSelectModel:
-    def test_picks_lower_error_candidate(self, rng):
-        best, ests = select_model(
-            {
-                "bad": lambda: _ConstantModel(1.3),
-                "good": lambda: _ConstantModel(1.01),
-            },
-            _ds(), rng,
-        )
-        assert best == "good"
-        assert set(ests) == {"bad", "good"}
-
-    def test_statistic_choice_respected(self, rng):
-        # Both statistics must at least run without error and agree here.
-        for stat in ("max", "mean"):
-            best, _ = select_model(
-                {"a": lambda: _ConstantModel(1.2), "b": lambda: _ConstantModel(1.0)},
-                _ds(), rng, statistic=stat,
-            )
-            assert best == "b"
-
-    def test_rejects_empty(self, rng):
-        with pytest.raises(ValueError):
-            select_model({}, _ds(), rng)
-
-    def test_unknown_statistic_rejected_before_any_fit(self, rng):
-        fits = []
-
-        class _Counting(_ConstantModel):
-            def fit(self, train):
-                fits.append(self.name)
-                return super().fit(train)
-
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="statistic"):
-            select_model({"a": lambda: _Counting(1.0, "a"), "b": lambda: _Counting(1.1, "b")},
-                         _ds(), rng, statistic="median")
-        assert fits == []
-        assert rng.bit_generator.state == state  # no split was drawn either
-
-
 class TestHoistedPreparationBitIdentity:
     """The fast record-selection path is pinned against the seed semantics.
 
@@ -138,15 +97,13 @@ class TestHoistedPreparationBitIdentity:
 
     def _mixed_ds(self):
         rng = np.random.default_rng(7)
-        from repro.ml.dataset import Dataset
-
-        return Dataset.from_mapping(
-            numeric={"a": rng.normal(size=40), "b": rng.uniform(1, 9, size=40)},
-            flags={"f": rng.integers(0, 2, size=40).astype(bool)},
-            categorical={"c": np.array(
-                [("x", "y", "z")[i % 3] for i in range(40)])},
-            target=rng.uniform(1.0, 2.0, size=40),
-        )
+        return Dataset([
+            Column("a", ColumnRole.NUMERIC, rng.normal(size=40)),
+            Column("b", ColumnRole.NUMERIC, rng.uniform(1, 9, size=40)),
+            Column("f", ColumnRole.FLAG, rng.integers(0, 2, size=40).astype(bool)),
+            Column("c", ColumnRole.CATEGORICAL,
+                   np.array([("x", "y", "z")[i % 3] for i in range(40)])),
+        ], rng.uniform(1.0, 2.0, size=40))
 
     def test_take_matches_seed_take_exactly(self):
         ds = self._mixed_ds()
@@ -186,7 +143,8 @@ class TestHoistedPreparationBitIdentity:
         """Split via indices leaves the rng stream exactly where seed did."""
         ds = self._mixed_ds()
         rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-        ds.random_split(0.5, rng_a)
+        sel, rest = ds.random_split_indices(0.5, rng_a)
+        assert ds.take(sel).n_records + ds.take(rest).n_records == ds.n_records
         n_sel = max(min(int(round(0.5 * ds.n_records)), ds.n_records - 1), 1)
         perm = rng_b.permutation(ds.n_records)  # the seed's single draw
         assert n_sel == 20 and perm.shape == (40,)

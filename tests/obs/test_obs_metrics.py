@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -94,8 +93,9 @@ class TestHistogramUnit:
         h.observe(1.0)
         h.observe(2.0)
         h.observe(2.0001)
-        assert h.bucket_counts() == [1, 1]
-        assert h.cumulative_counts() == [1, 2, 3]
+        snap = h.snapshot()
+        assert snap["counts"] == [1, 1]
+        assert snap["overflow"] == 1
 
     def test_empty_histogram_stats(self):
         h = Histogram("h")
@@ -126,7 +126,8 @@ class TestHistogramProperties:
         values = rng.uniform(0.0, 400.0, size=rng.integers(1, 200))
         for v in values:
             h.observe(float(v))
-        assert sum(h.bucket_counts()) + h.snapshot()["overflow"] == len(values)
+        snap = h.snapshot()
+        assert sum(snap["counts"]) + snap["overflow"] == len(values)
         assert h.count == len(values)
 
     @seeds()
@@ -138,24 +139,12 @@ class TestHistogramProperties:
         for v in values:
             h.observe(v)
         bounds = h.buckets
-        for i, count in enumerate(h.bucket_counts()):
+        for i, count in enumerate(h.snapshot()["counts"]):
             lo = bounds[i - 1] if i else float("-inf")
             expected = sum(1 for v in values if lo < v <= bounds[i])
             assert count == expected, f"bucket {i} ({lo}, {bounds[i]}]"
         overflow = sum(1 for v in values if v > bounds[-1])
         assert h.snapshot()["overflow"] == overflow
-
-    @seeds()
-    def test_cumulative_counts_monotone_and_total(self, seed):
-        rng = np.random.default_rng(seed)
-        h = Histogram("h")
-        n = int(rng.integers(1, 100))
-        for v in rng.exponential(5.0, size=n):
-            h.observe(float(v))
-        cum = h.cumulative_counts()
-        assert len(cum) == len(DEFAULT_BUCKETS) + 1
-        assert all(b >= a for a, b in zip(cum, cum[1:]))
-        assert cum[-1] == n
 
     @seeds(n_examples=25)
     def test_sum_mean_min_max_consistent(self, seed):
@@ -230,14 +219,6 @@ class TestRegistry:
         out = tmp_path / "deep" / "metrics.json"
         reg.export(out)
         assert json.loads(out.read_text())["metrics"]["hits"]["value"] == 1.0
-
-    def test_render_table_mentions_every_metric(self):
-        reg = MetricsRegistry()
-        reg.counter("hits").inc(2)
-        reg.histogram("lat").observe(0.02)
-        table = reg.render_table(title="metrics")
-        assert "metrics" in table and "hits" in table and "lat" in table
-        assert "count=1" in table
 
     def test_reset_empties(self):
         reg = MetricsRegistry()

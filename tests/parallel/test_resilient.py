@@ -409,7 +409,7 @@ def _fit_case(case, executor, space_dataset, spec_archive):
     """Run one model-fit driver; return its per-label (per_rep, true error)
     and its selected label, the values every backend must reproduce."""
     from repro.core import model_builders, run_chronological, run_sampled_dse
-    from repro.ml.selection import estimate_error, select_model
+    from repro.ml.selection import estimate_error, estimate_errors
 
     builders = model_builders(("LR-B", "NN-Q"))
     sample, _ = space_dataset("gzip").sample(40, np.random.default_rng(0))
@@ -417,10 +417,10 @@ def _fit_case(case, executor, space_dataset, spec_archive):
         est = estimate_error(builders["NN-Q"], sample, np.random.default_rng(5),
                              n_reps=3, executor=executor)
         return {"NN-Q": (est.per_rep, None)}, None
-    if case == "select_model":
-        label, ests = select_model(builders, sample, np.random.default_rng(5),
-                                   n_reps=3, executor=executor)
-        return {k: (e.per_rep, None) for k, e in ests.items()}, label
+    if case == "all_labels":  # estimate_errors over every builder
+        ests = estimate_errors(builders, sample, np.random.default_rng(5),
+                               n_reps=3, executor=executor)
+        return {k: (e.per_rep, None) for k, e in ests.items()}, None
     if case == "run_sampled_dse":
         res = run_sampled_dse(space_dataset("gzip"), builders, 0.01,
                               np.random.default_rng(5), n_cv_reps=2, executor=executor)
@@ -436,7 +436,7 @@ class TestDriverDeterminism:
     """Executor-threaded drivers return bit-identical results vs serial."""
 
     @pytest.mark.parametrize("backend", sorted(_FIT_BACKENDS))
-    @pytest.mark.parametrize("case", ["estimate_error", "select_model",
+    @pytest.mark.parametrize("case", ["estimate_error", "all_labels",
                                       "run_sampled_dse", "run_chronological"])
     def test_estimate_error_executor_identical(
             self, case, backend, space_dataset, spec_archive):

@@ -6,7 +6,7 @@ import pytest
 from repro.core.models import model_builders
 from repro.errors import DegradationExhausted, ModelValidationError, NumericalError
 from repro.ml.base import PredictiveModel
-from repro.ml.selection import ErrorEstimate, select_model
+from repro.ml.selection import ErrorEstimate
 from repro.robust import (
     DEFAULT_RUNGS,
     MEAN_BASELINE,
@@ -162,27 +162,3 @@ class TestDegradationLadder:
         assert ladder._fallbacks("LR-S") == ["LR-E", MEAN_BASELINE]
         # A non-rung label gets the whole ladder.
         assert ladder._fallbacks("LR-B") == list(DEFAULT_RUNGS)
-
-
-class TestSelectModelGate:
-    def test_gate_excludes_absurd_candidate(self, train, rng):
-        builders = dict(model_builders(("LR-S", "LR-B"), seed=3))
-        builders["nan"] = _NanModel
-        winner, estimates = select_model(
-            builders, train, rng, n_reps=2,
-            gate=ValidationGate(max_holdout_error=500.0))
-        assert winner in ("LR-S", "LR-B")
-        assert set(estimates) == set(builders)  # all estimates still reported
-
-    def test_all_excluded_raises(self, train, rng):
-        with pytest.raises(ModelValidationError) as ei:
-            select_model({"nan": _NanModel}, train, rng, n_reps=2,
-                         gate=ValidationGate())
-        assert ei.value.exit_code == 9
-
-    def test_no_gate_matches_legacy_behaviour(self, train, rng):
-        builders = dict(model_builders(("LR-S", "LR-B"), seed=3))
-        a, _ = select_model(builders, train, np.random.default_rng(7), n_reps=2)
-        b, _ = select_model(builders, train, np.random.default_rng(7), n_reps=2,
-                            gate=ValidationGate(max_holdout_error=None))
-        assert a == b

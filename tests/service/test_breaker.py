@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.errors import CircuitOpenError
 from repro.robust.breaker import CircuitBreaker
 
 
@@ -76,24 +75,6 @@ class TestStateMachine:
         assert not breaker.allow()
         clock.t += 10.0
         assert breaker.allow()  # half-opens again after another timeout
-
-    def test_call_raises_typed_error_when_open(self, breaker):
-        for _ in range(3):
-            breaker.record_failure()
-        with pytest.raises(CircuitOpenError) as exc_info:
-            breaker.call(lambda: 1)
-        assert exc_info.value.breaker == "test"
-        assert exc_info.value.retry_after > 0
-
-    def test_call_records_outcomes(self, breaker):
-        assert breaker.call(lambda: 42) == 42
-        with pytest.raises(ValueError):
-            breaker.call(self._boom)
-        assert breaker.consecutive_failures == 1
-
-    @staticmethod
-    def _boom():
-        raise ValueError("no")
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -314,6 +314,38 @@ class TestObsCli:
         assert "no spool directory" in capsys.readouterr().err
 
 
+class TestSloAfterCompaction:
+    """Compaction folds job events into the snapshot, and the SLO fold
+    reads only the event log, so its percentiles cover only the jobs
+    submitted since the last compaction. The report says how many spool
+    jobs that leaves out."""
+
+    def test_report_counts_the_jobs_compaction_folded(self, tmp_path, capsys):
+        from repro.obs import compute_slo_for_spool
+        from repro.service.compaction import compact
+
+        root = tmp_path / "s"
+        spool = JobSpool.ensure(root)
+        for stop in range(2, 7):
+            spool.submit(sweep_spec(stop=stop))
+        assert drain_queue(spool) == 5
+        assert compute_slo_for_spool(root)["sweep"]["e2e"].count == 5
+        assert main(["obs", "report", "--spool", str(root)]) == 0
+        assert "left out" not in capsys.readouterr().out
+
+        compact(spool)
+        assert compute_slo_for_spool(root) == {}
+        assert len(JobSpool.open(root).jobs()) == 5
+        assert main(["obs", "report", "--spool", str(root)]) == 0
+        assert "5 of 5 spool job(s) left out" in capsys.readouterr().out
+
+        spool.submit(sweep_spec(stop=7))
+        assert drain_queue(spool) == 1
+        assert compute_slo_for_spool(root)["sweep"]["e2e"].count == 1
+        assert main(["obs", "report", "--spool", str(root)]) == 0
+        assert "5 of 6 spool job(s) left out" in capsys.readouterr().out
+
+
 @pytest.mark.slow
 class TestObservedChaosDrill:
     """The acceptance drill: SIGKILL a shard mid-job with the plane on."""

@@ -58,7 +58,3 @@ class TestTrace:
         assert t.memory_mask.tolist() == [False, True, False, False]
         assert t.branch_mask.tolist() == [False, False, True, False]
 
-    def test_op_fraction(self):
-        t = _trace(4)
-        t.op[:2] = int(OpClass.LOAD)
-        assert t.op_fraction(OpClass.LOAD) == pytest.approx(0.5)

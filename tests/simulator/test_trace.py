@@ -61,12 +61,12 @@ class TestMixFidelity:
 
     def test_fp_app_has_fp_ops(self, trace_cache):
         tr = trace_cache("applu")
-        assert tr.op_fraction(OpClass.FPALU) > 0.15
+        assert np.mean(tr.op == int(OpClass.FPALU)) > 0.15
 
     def test_int_app_has_no_fp_ops(self, trace_cache):
         tr = trace_cache("mcf")
-        assert tr.op_fraction(OpClass.FPALU) == 0.0
-        assert tr.op_fraction(OpClass.FPMULT) == 0.0
+        assert not np.any(tr.op == int(OpClass.FPALU))
+        assert not np.any(tr.op == int(OpClass.FPMULT))
 
 
 class TestStructure:

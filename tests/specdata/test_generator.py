@@ -24,7 +24,7 @@ class TestDeterminism:
 class TestStructure:
     def test_counts_match_family_model(self, spec_archive):
         for name, fam in FAMILIES.items():
-            assert len(spec_archive(name)) == fam.total_count
+            assert len(spec_archive(name)) == sum(y.count for y in fam.years.values())
 
     def test_year_filter(self):
         recs = generate_family_records("xeon", seed=1, years=[2005])
@@ -114,5 +114,5 @@ class TestGenerateAll:
         assert len(FAMILIES) == 7
         for name, fam in FAMILIES.items():
             recs = generate_family_records(name, seed=2)
-            assert len(recs) == fam.total_count
+            assert len(recs) == sum(y.count for y in fam.years.values())
             assert {r.year for r in recs} == set(fam.years)

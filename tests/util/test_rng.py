@@ -1,10 +1,9 @@
 """Tests for deterministic RNG stream management."""
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.rng import RngFactory, child_rng, stream_seed
+from repro.util.rng import child_rng, stream_seed
 
 
 class TestStreamSeed:
@@ -39,27 +38,3 @@ class TestChildRng:
         a = child_rng(7, "x").random(5)
         b = child_rng(7, "y").random(5)
         assert not np.allclose(a, b)
-
-
-class TestRngFactory:
-    def test_rejects_non_int(self):
-        with pytest.raises(TypeError):
-            RngFactory("abc")  # type: ignore[arg-type]
-
-    def test_get_replays(self):
-        f = RngFactory(5)
-        assert f.get("t").random() == f.get("t").random()
-
-    def test_spawn_matches_nested_names(self):
-        f = RngFactory(5)
-        sub = f.spawn("sim")
-        assert sub.get("trace").random() == f.get("sim", "trace").random()
-
-    def test_many_yields_distinct_streams(self):
-        f = RngFactory(5)
-        vals = [g.random() for g in f.many("w", 10)]
-        assert len(set(vals)) == 10
-
-    def test_seed_accessor(self):
-        f = RngFactory(5)
-        assert f.seed("a") == stream_seed(5, "a")
